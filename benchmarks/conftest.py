@@ -3,12 +3,15 @@
 Every benchmark module regenerates one experiment from DESIGN.md's
 per-experiment index (E1-E6 plus ablations and micro-benchmarks).  Besides
 the pytest-benchmark timings, each experiment writes the table it
-reproduces to ``benchmarks/reports/<experiment>.txt`` so the numbers can be
-compared against EXPERIMENTS.md without re-running anything.
+reproduces to ``<experiment>.txt`` under :data:`REPORT_DIR`, a directory
+in the system temp dir, so running the suite never rewrites tracked
+files.  ``benchmarks/reports/`` holds committed, dated snapshots of these
+tables that the docs link to; refresh one by copying a new run over it.
 """
 
 from __future__ import annotations
 
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -17,7 +20,7 @@ from repro.datasets import load_mondial
 from repro.discovery import GenerationLimits, Prism
 from repro.evaluation.experiments import build_cases
 
-REPORT_DIR = Path(__file__).parent / "reports"
+REPORT_DIR = Path(tempfile.gettempdir()) / "prism-benchmark-reports"
 
 # Bounds keeping every individual benchmark run in the low seconds while
 # still exercising hundreds of candidates and filters.
@@ -29,7 +32,7 @@ BENCH_LIMITS = GenerationLimits(
 
 
 def write_report(name: str, text: str) -> Path:
-    """Write an experiment's table to benchmarks/reports/<name>.txt."""
+    """Write an experiment's table to ``REPORT_DIR/<name>.txt``."""
     REPORT_DIR.mkdir(parents=True, exist_ok=True)
     path = REPORT_DIR / f"{name}.txt"
     path.write_text(text + "\n", encoding="utf-8")

@@ -7,8 +7,8 @@ DESIGN.md calls out two design choices worth ablating:
   the optimal oracle), and
 * whether metadata constraints actually shrink the candidate space.
 
-Reports: ``benchmarks/reports/ablation_scheduler.txt`` and
-``benchmarks/reports/ablation_metadata.txt``.
+Reports: ``REPORT_DIR/ablation_scheduler.txt`` and
+``REPORT_DIR/ablation_metadata.txt``.
 """
 
 from __future__ import annotations

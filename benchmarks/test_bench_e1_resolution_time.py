@@ -6,7 +6,7 @@ with disjunctions, value ranges, etc.)."
 
 One benchmark per looseness level; each run performs a full discovery for
 every workload case at that level.  The per-level mean discovery time table
-is written to ``benchmarks/reports/e1_resolution_time.txt``.
+is written to ``REPORT_DIR/e1_resolution_time.txt``.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ not increase much (unless when there were too many missing values)."
 
 The benchmark runs the same resolution sweep as E1 but reports the number
 of satisfying queries per level; the table is written to
-``benchmarks/reports/e2_num_queries.txt``.
+``REPORT_DIR/e2_num_queries.txt``.
 
 The sweep runs under a *deterministic* budget — no wall-clock limit
 (``time_limit=math.inf``) and a count-based validation cap that never

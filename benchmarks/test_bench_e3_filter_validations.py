@@ -7,7 +7,7 @@ improve the filter scheduling."
 
 One benchmark per scheduler measures the wall-clock of running all cases;
 the validation-count table with per-case and aggregate gap reductions is
-written to ``benchmarks/reports/e3_filter_validations.txt``.
+written to ``REPORT_DIR/e3_filter_validations.txt``.
 
 Validation counts run under a *deterministic* budget — no wall-clock
 limit (``time_limit=math.inf``) and a count-based cap that never binds

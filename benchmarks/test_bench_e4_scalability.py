@@ -4,7 +4,7 @@ The search space is "exponential in the complexity of the desired schema
 mapping and the source database schema"; Prism bounds each discovery round
 at 60 seconds.  This benchmark sweeps the target-schema width and the
 ground-truth join size and checks every configuration stays interactive.
-The table is written to ``benchmarks/reports/e4_scalability.txt``.
+The table is written to ``REPORT_DIR/e4_scalability.txt``.
 """
 
 from __future__ import annotations

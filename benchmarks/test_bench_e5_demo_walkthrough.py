@@ -4,7 +4,7 @@ Benchmarks the complete interactive round a demo attendee triggers: parse
 the multiresolution constraints ("California || Nevada", "Lake Tahoe",
 "DataType=='decimal' AND MinValue>=0"), discover the mappings, and build the
 explanation graph of the selected query.  Verifies the paper's target SQL
-query is among the results.  Report: ``benchmarks/reports/e5_demo_walkthrough.txt``.
+query is among the results.  Report: ``REPORT_DIR/e5_demo_walkthrough.txt``.
 """
 
 from __future__ import annotations

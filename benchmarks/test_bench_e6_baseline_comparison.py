@@ -3,7 +3,7 @@
 A sample-driven system (MWeaver-style) requires complete rows of exact
 values, so it cannot even ingest the medium/low-resolution specs a user
 without precise knowledge can provide, while Prism still recovers the
-ground-truth mapping.  Report: ``benchmarks/reports/e6_baseline_comparison.txt``.
+ground-truth mapping.  Report: ``REPORT_DIR/e6_baseline_comparison.txt``.
 """
 
 from __future__ import annotations

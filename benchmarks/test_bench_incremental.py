@@ -10,7 +10,7 @@ date after appending batches of rows two ways:
 * **incremental refresh** — ``ArtifactStore.refresh()``: fold the append
   delta into the cached bundle in place (``docs/incremental.md``).
 
-The report (``benchmarks/reports/incremental_refresh.txt``) records both
+The report (``REPORT_DIR/incremental_refresh.txt``) records both
 latencies per delta size, and the final test asserts the PR's
 acceptance target: refresh is **≥5× faster than a rebuild for deltas of
 ≤1% appended rows**.  Golden equivalence of the two paths is proven
@@ -25,7 +25,7 @@ import pytest
 
 from benchmarks.conftest import write_report
 from repro.datasets import load_mondial
-from repro.service import ArtifactStore
+from repro.api import ArtifactStore
 
 DELTA_FRACTIONS = [0.01, 0.05]
 ROUNDS = 5
@@ -127,11 +127,10 @@ def test_bench_incremental_report(benchmark):
             f"({_RESULTS[f'refresh_{fraction}_rows']} rows): "
             f"{refresh_s * 1000:.2f} ms — {speedups[fraction]:.1f}x faster"
         )
-    write_report("incremental_refresh", "\n".join(lines))
+    report = write_report("incremental_refresh", "\n".join(lines))
     # Acceptance target: >=5x faster refresh for <=1% appended rows.
     assert 0.01 in speedups
     assert speedups[0.01] >= TARGET_SPEEDUP, (
         f"refresh of a 1% delta is only {speedups[0.01]:.1f}x faster than "
-        f"a rebuild (target {TARGET_SPEEDUP}x); see "
-        "benchmarks/reports/incremental_refresh.txt"
+        f"a rebuild (target {TARGET_SPEEDUP}x); see {report}"
     )

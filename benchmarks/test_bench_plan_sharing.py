@@ -17,7 +17,7 @@ asserts
   execution, and
 * the batched mode wins on wall clock,
 
-and writes the comparison to ``benchmarks/reports/plan_sharing.txt``.
+and writes the comparison to ``REPORT_DIR/plan_sharing.txt``.
 
 A tiny ``smoke`` benchmark (one batched pass over a four-probe batch on
 a hand-built database) runs in CI so planner/batching regressions fail

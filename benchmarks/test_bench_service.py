@@ -6,7 +6,7 @@ calling thread (``execute``), through the GIL-bound thread pool, and
 through the process-shard executor where each worker process owns its
 databases outright — over pre-warmed artifact stores, so the numbers
 isolate the serving path from preprocessing.  Requests/second for all
-three modes are written to ``benchmarks/reports/service_throughput.txt``.
+three modes are written to ``REPORT_DIR/service_throughput.txt``.
 
 CPython's GIL bounds the thread-pool speedup for this pure-Python
 engine; process shards sidestep the GIL entirely, so on a multi-core

@@ -8,8 +8,9 @@ filters let ``exists_batch`` prove a probe's pushed-down rows can never
 join *before* any join structure is built.
 
 This harness builds a 4-table chain of 100k-row tables with ``skew=1.1``
-and ``dangling_fk_fraction=0.98`` (numpy backend, so the kernel semijoin
-path is live) and drives two workloads with sketches on and off:
+and ``dangling_fk_fraction=0.98`` (far above ``KERNEL_MIN_ROWS``, so
+the kernel semijoin path is live) and drives two workloads with sketches
+on and off:
 
 * **discovery** — seven multi-sample specs whose samples constrain the
   tail table's ``label`` (and a second column on ``T1``); for the "dead"
@@ -23,10 +24,9 @@ path is live) and drives two workloads with sketches on and off:
 The report test asserts discovery results are bit-for-bit identical
 across modes, that sketches cut ``joins_performed`` by **>= 2x**, and
 that the probe-batch pass wins on wall clock; the comparison is written
-to ``benchmarks/reports/sketch_stats.txt``.
+to ``REPORT_DIR/sketch_stats.txt``.
 
-A small ``smoke`` benchmark (4k-row tables on the process-default
-backend) runs in CI on both ``PRISM_STORAGE_BACKEND`` values so sketch
+A small ``smoke`` benchmark (4k-row tables) runs in CI so sketch
 regressions fail fast without the full workload.
 """
 
@@ -48,7 +48,6 @@ from repro.discovery import GenerationLimits, Prism
 from repro.evaluation.reporting import format_table
 from repro.query.executor import BatchProbe
 from repro.query.pj_query import ProjectJoinQuery
-from repro.storage import default_backend, make_backend
 
 _MODES = ("sketches", "raw")
 _ROWS = 100_000
@@ -134,7 +133,7 @@ def _build_specs(dead, live_pairs, t1_labels):
 
 @pytest.fixture(scope="module")
 def skewed_db():
-    """Zipf-skewed chain with dangling FKs on the numpy kernel backend."""
+    """Zipf-skewed chain with dangling FKs."""
     return generate_synthetic_database(
         num_tables=4,
         rows_per_table=_ROWS,
@@ -142,7 +141,6 @@ def skewed_db():
         seed=_SEED,
         skew=_SKEW,
         dangling_fk_fraction=_DANGLING,
-        backend=make_backend("numpy"),
     )
 
 
@@ -366,8 +364,8 @@ def test_sketch_stats_report(benchmark, skewed_base, sketch_specs, probe_batch):
 
 
 # ----------------------------------------------------------------------
-# CI smoke: 4k-row tables on the process-default backend, sub-second
-# discovery, no wall-clock assertion (timing-free, both backends).
+# CI smoke: 4k-row tables, sub-second discovery, no wall-clock
+# assertion (timing-free).
 # ----------------------------------------------------------------------
 _SMOKE_ROWS = 4_000
 
@@ -381,7 +379,6 @@ def test_sketch_stats_smoke(benchmark):
         seed=_SEED,
         skew=_SKEW,
         dangling_fk_fraction=_DANGLING,
-        backend=default_backend(),
     )
     t2 = database.table("T2")
     by_label = defaultdict(list)

@@ -2,7 +2,7 @@
 
 Preprocessing (inverted index, metadata catalog, schema graph, Bayesian
 models) is built once per database state.  When the database then grows,
-:meth:`~repro.service.ArtifactStore.refresh` folds the appended rows into
+:meth:`~repro.api.ArtifactStore.refresh` folds the appended rows into
 the cached bundle instead of rebuilding it — so discovery over a live,
 mutating database keeps its interactive budget.  This example inserts a
 new NBA player, refreshes, and shows the new row being discovered with

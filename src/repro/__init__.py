@@ -27,8 +27,8 @@ Typical usage::
 
 Package map (see DESIGN.md for the full inventory):
 
-* :mod:`repro.storage` — pluggable columnar storage backends (dictionary
-  encoding, NULL masks, cached join-key hash indexes).
+* :mod:`repro.storage` — the NumPy column store (dictionary encoding,
+  NULL masks, cached join-key hash indexes).
 * :mod:`repro.dataset` — in-memory relational engine, inverted index,
   metadata catalog, schema graph.
 * :mod:`repro.datasets` — synthetic Mondial / IMDB / NBA databases.

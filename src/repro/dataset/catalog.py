@@ -77,7 +77,7 @@ class MetadataCatalog:
         # Statistics sketches (HyperLogLog / Bloom / equi-depth histogram)
         # per column; see repro.dataset.sketches.  Maintained alongside the
         # exact statistics: built vectorized over ColumnKernel snapshots
-        # when the backend provides them, folded through apply_delta(),
+        # of typed array columns, folded through apply_delta(),
         # and pickled with the catalog into artifact bundles and shards.
         self._sketches: dict[ColumnRef, ColumnSketches] = {}
         #: Artifact key of the database this catalog was built from (empty
@@ -101,7 +101,6 @@ class MetadataCatalog:
             join_keys.add(ColumnRef(fk.parent_table, fk.parent_column))
         for table in database:
             catalog._table_rows[table.name] = table.num_rows
-            kernel_of = getattr(table.backend, "column_kernel", None)
             for position, column in enumerate(table.columns):
                 ref = ColumnRef(table.name, column.name)
                 stats = None
@@ -121,8 +120,8 @@ class MetadataCatalog:
                     stats = catalog._collect(ref, column.data_type, values)
                 catalog._stats[ref] = stats
                 kernel = None
-                if dictionary is None and kernel_of is not None:
-                    kernel = kernel_of(table.name, position)
+                if dictionary is None:
+                    kernel = table.backend.column_kernel(table.name, position)
                 catalog._sketches[ref] = build_column_sketches(
                     column.data_type,
                     values=values,

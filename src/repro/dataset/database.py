@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from repro.dataset.schema import Column, ColumnRef, ForeignKey
 from repro.dataset.table import Table
 from repro.errors import SchemaError
-from repro.storage import StorageBackend, default_backend
+from repro.storage import ColumnStore, StorageBackend
 
 __all__ = ["Database"]
 
@@ -21,12 +21,11 @@ class Database:
     """A named collection of tables connected by foreign keys.
 
     All tables created through :meth:`create_table` share one storage
-    backend (:func:`~repro.storage.default_backend` — a
-    :class:`~repro.storage.ColumnStore` unless ``PRISM_STORAGE_BACKEND``
-    selects another — unless a backend is injected), so database-wide
-    consumers — the executor's join-index cache in particular — operate
-    against a single physical store.  Tables adopted via
-    :meth:`add_table` keep whatever backend they were built on.
+    backend (a fresh :class:`~repro.storage.ColumnStore` unless a backend
+    is injected), so database-wide consumers — the executor's join-index
+    cache in particular — operate against a single physical store.
+    Tables adopted via :meth:`add_table` keep whatever backend they were
+    built on.
     """
 
     def __init__(self, name: str, backend: Optional[StorageBackend] = None):
@@ -34,7 +33,7 @@ class Database:
             raise SchemaError("database name must be a non-empty string")
         self.name = name
         self._backend: StorageBackend = (
-            backend if backend is not None else default_backend()
+            backend if backend is not None else ColumnStore()
         )
         self._tables: dict[str, Table] = {}
         self._foreign_keys: list[ForeignKey] = []
@@ -212,7 +211,7 @@ class Database:
         """Identity token for preprocessing artifacts built from this state.
 
         ``(name, schema_version, data_version)`` — the key under which the
-        service layer's :class:`~repro.service.ArtifactStore` caches and
+        service layer's :class:`~repro.api.ArtifactStore` caches and
         persists preprocessing bundles.  Two databases with equal keys are
         treated as interchangeable sources for cached artifacts.
         """

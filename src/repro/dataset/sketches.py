@@ -17,17 +17,17 @@ summaries that close those gaps:
   instead of assuming uniformity.
 
 Every sketch hashes through the deterministic functions below — never
-Python's per-process salted ``hash()`` — so sketches built on the python
-and numpy storage backends are byte-identical, survive pickling into
-process shards, and fold appended deltas to the same registers a cold
-rebuild would produce (HLL registers and Bloom bits are order-insensitive
+Python's per-process salted ``hash()`` — so sketches built from array
+snapshots and from plain value lists are byte-identical, survive pickling
+into process shards, and fold appended deltas to the same registers a
+cold rebuild would produce (HLL registers and Bloom bits are order-insensitive
 ``max``/``or`` folds; histogram bucket *counts* fold while boundaries stay
 fixed, which is approximate by design).
 
 Hash canonicalization mirrors Python equality across numeric types:
 ``True == 1 == 1.0`` all hash identically, non-integral floats hash their
 IEEE-754 bits, and strings/objects hash a ``blake2b`` digest — all
-reproducible across processes, platforms, and backends.
+reproducible across processes and platforms.
 """
 
 from __future__ import annotations
@@ -39,10 +39,7 @@ from dataclasses import dataclass
 from hashlib import blake2b
 from typing import Any, Iterable, Optional, Sequence
 
-try:  # numpy is optional: sketches stay fully functional without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on minimal images
-    _np = None
+import numpy as _np
 
 __all__ = [
     "BloomFilter",
@@ -155,7 +152,7 @@ def _vector_hash_array(array):
 def hash_values(values: Any) -> Any:
     """Hash a batch of values: numpy array in, ``uint64`` array out;
     any other iterable in, list of ints out (``None`` entries skipped)."""
-    if _np is not None and isinstance(values, _np.ndarray) and values.dtype in (
+    if isinstance(values, _np.ndarray) and values.dtype in (
         _np.int64,
         _np.float64,
         _np.bool_,
@@ -194,7 +191,7 @@ class HyperLogLog:
 
     def add_hashes(self, hashes: Any) -> None:
         """Fold a batch of 64-bit hashes (vectorized for uint64 arrays)."""
-        if _np is not None and isinstance(hashes, _np.ndarray):
+        if isinstance(hashes, _np.ndarray):
             if not len(hashes):
                 return
             shift = _np.uint64(64 - self.precision)
@@ -242,14 +239,9 @@ class HyperLogLog:
         if other.precision != self.precision:
             raise ValueError("cannot merge HyperLogLogs of unequal precision")
         merged = HyperLogLog(self.precision)
-        if _np is not None:
-            left = _np.frombuffer(self.registers, dtype=_np.uint8)
-            right = _np.frombuffer(other.registers, dtype=_np.uint8)
-            merged.registers[:] = _np.maximum(left, right).tobytes()
-        else:  # pragma: no cover - exercised on minimal images
-            merged.registers[:] = bytes(
-                max(a, b) for a, b in zip(self.registers, other.registers)
-            )
+        left = _np.frombuffer(self.registers, dtype=_np.uint8)
+        right = _np.frombuffer(other.registers, dtype=_np.uint8)
+        merged.registers[:] = _np.maximum(left, right).tobytes()
         return merged
 
     def __eq__(self, other: object) -> bool:
@@ -288,10 +280,10 @@ class BloomFilter:
     """Double-hashing Bloom filter over deterministic 64-bit hashes.
 
     Membership positions derive purely from the value hash, so filters
-    built on either backend (or rebuilt after a delta fold) agree bit for
-    bit.  A present value is *never* reported absent; an absent value is
-    reported present with probability ~``0.5 ** num_hashes`` when sized
-    at :data:`BITS_PER_KEY`.
+    built from arrays or value lists (or rebuilt after a delta fold)
+    agree bit for bit.  A present value is *never* reported absent; an
+    absent value is reported present with probability
+    ~``0.5 ** num_hashes`` when sized at :data:`BITS_PER_KEY`.
 
     Sized at 16 bits per key (seven probes) the false-positive rate is
     under ``1e-3`` — low enough that pruning a multi-hundred-row probe
@@ -336,7 +328,7 @@ class BloomFilter:
         self.add_hash(hash_value(value))
 
     def add_hashes(self, hashes: Any) -> None:
-        if _np is not None and isinstance(hashes, _np.ndarray):
+        if isinstance(hashes, _np.ndarray):
             if not len(hashes):
                 return
             bits = _np.frombuffer(self.bits, dtype=_np.uint8).copy()
@@ -411,7 +403,8 @@ class EquiDepthHistogram:
     """Quantile histogram with boundaries frozen at build time.
 
     Built by index arithmetic over the sorted values (no interpolated
-    percentiles), so both backends produce identical boundaries.  Folding
+    percentiles), so arrays and value lists produce identical
+    boundaries.  Folding
     an appended value bumps the covering bucket's count and stretches the
     outer boundaries; boundaries are *not* re-balanced, so a folded
     histogram approximates (rather than equals) a cold rebuild — the
@@ -565,9 +558,9 @@ def build_column_sketches(
 ) -> ColumnSketches:
     """Build the sketches for one column from whichever source is best.
 
-    Exactly one of ``dictionary`` (text columns: the backend's distinct
-    set), ``kernel`` (numpy backend: a typed array snapshot), or
-    ``values`` (generic iteration) should carry the data; the resulting
+    ``dictionary`` (text columns: the backend's distinct set) wins, then
+    ``kernel`` (an array-kind column snapshot), then ``values`` (generic
+    iteration, e.g. date/time columns held as objects); the resulting
     sketches are identical whichever path ran, because all three hash
     through :func:`hash_value`'s equality classes.
     """
@@ -583,11 +576,7 @@ def build_column_sketches(
             sketches.bloom.add_hashes(hashes)
         return sketches
 
-    if (
-        kernel is not None
-        and _np is not None
-        and getattr(kernel, "kind", None) == "array"
-    ):
+    if kernel is not None and kernel.kind == "array":
         present = kernel.keys[kernel.valid]
         hashes = hash_values(present)
         sketches.hll.add_hashes(hashes)

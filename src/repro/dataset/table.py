@@ -3,10 +3,9 @@
 A :class:`Table` validates rows against the declared column types on
 insertion so that downstream code never has to defend against mis-typed
 cells, then delegates physical storage to a :class:`StorageBackend`
-(:func:`~repro.storage.default_backend` by default — the pure-Python
-:class:`~repro.storage.ColumnStore`, or the NumPy-kernel backend when
-``PRISM_STORAGE_BACKEND=numpy`` — typed column arrays with
-dictionary-encoded text, NULL masks and cached join-key hash indexes).
+(a fresh :class:`~repro.storage.ColumnStore` by default — typed column
+arrays with dictionary-encoded text, NULL masks and cached join-key hash
+indexes).
 The historical tuple API (``rows``/``row``/iteration) is preserved on top
 of the columnar representation, and column-oriented accessors expose the
 backend directly to the inverted index, the metadata catalog, the Bayesian
@@ -20,7 +19,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequenc
 from repro.dataset.schema import Column
 from repro.dataset.types import DataType, coerce_value, detect_type
 from repro.errors import DataError, SchemaError
-from repro.storage import StorageBackend, default_backend
+from repro.storage import ColumnStore, StorageBackend
 
 __all__ = ["Table"]
 
@@ -47,7 +46,7 @@ class Table:
             column.name: position for position, column in enumerate(columns)
         }
         self._backend: StorageBackend = (
-            backend if backend is not None else default_backend()
+            backend if backend is not None else ColumnStore()
         )
         self._backend.register_table(name, self.columns)
 

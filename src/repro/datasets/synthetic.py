@@ -56,9 +56,8 @@ def generate_synthetic_database(
             ``random`` (each table links to a random earlier table).
         seed: RNG seed controlling both structure and content.
         name: database name.
-        backend: storage backend for the generated tables (the process
-            default when omitted) — differential tests generate the same
-            seeded database once per backend under comparison.
+        backend: storage backend for the generated tables (a fresh
+            :class:`~repro.storage.ColumnStore` when omitted).
         skew: Zipf exponent for foreign-key values.  ``0.0`` (the
             default) keeps the historical uniform draw; larger values
             concentrate references on low parent ids (``s≈1`` is classic

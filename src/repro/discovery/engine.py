@@ -74,7 +74,7 @@ class Prism:
         Each preprocessing artifact (inverted index, metadata catalog,
         schema graph, Bayesian models) may be injected instead of built, so
         many engines can serve over one shared, immutable artifact set —
-        see :meth:`from_artifacts` and :class:`repro.service.ArtifactStore`.
+        see :meth:`from_artifacts` and :class:`repro.api.ArtifactStore`.
         An engine constructed from injected artifacts holds no mutable
         state of its own beyond its private :class:`Executor` caches.
 
@@ -147,8 +147,8 @@ class Prism:
     ) -> "Prism":
         """Build a per-request engine over a shared preprocessing bundle.
 
-        ``bundle`` is an :class:`repro.service.ArtifactBundle` (or any
-        object exposing ``database``, ``index``, ``catalog``,
+        ``bundle`` is a :class:`repro.service.artifacts.ArtifactBundle` (or
+        any object exposing ``database``, ``index``, ``catalog``,
         ``schema_graph`` and ``models``).  No preprocessing runs: the
         returned engine is a cheap, stateless view over the bundle's
         immutable artifacts plus a private executor, so constructing one

@@ -24,7 +24,7 @@ class ReproError(Exception):
     When raised: never directly — always through a subclass below.
 
     How to recover: catch this class at integration boundaries (the CLI
-    and :class:`~repro.service.DiscoveryService` already do) to translate
+    and :class:`~repro.api.DiscoveryService` already do) to translate
     any library failure into one error path; catch the specific
     subclasses when different failures need different handling.
     """
@@ -157,7 +157,7 @@ class TrainingError(ReproError):
 
     How to recover: retrain via
     :func:`~repro.bayesian.training.train_models`; for the delta case the
-    :class:`~repro.service.ArtifactStore` already does this automatically
+    :class:`~repro.api.ArtifactStore` already does this automatically
     by falling back to a full rebuild.
     """
 
@@ -177,7 +177,7 @@ class WorkloadError(ReproError):
 class SessionError(ReproError):
     """The workbench session was driven through an invalid state transition.
 
-    When raised: calling :class:`~repro.workbench.PrismSession` steps out
+    When raised: calling :class:`~repro.api.PrismSession` steps out
     of order — e.g. setting sample cells before ``configure()``, or
     ``explain()`` before a query was selected.
 
@@ -196,7 +196,7 @@ class ArtifactError(ReproError):
 
     How to recover: for build-time mutation, retry once writes have
     quiesced — the store's per-database build lock makes this safe.
-    Delta failures inside :meth:`~repro.service.ArtifactStore.refresh`
+    Delta failures inside :meth:`~repro.api.ArtifactStore.refresh`
     are handled internally via the counted rebuild fallback
     (``stats.rebuild_fallbacks``); corrupt or version-skewed persisted
     files never raise at all — they are treated as cache misses and
@@ -210,12 +210,12 @@ class ServiceError(ReproError):
     When raised: invalid construction parameters (non-positive workers,
     queue size or time limit), submitting to a shut-down service,
     requesting an unknown database, or a
-    :meth:`~repro.service.DiscoveryTicket.result` wait that exceeds its
+    :meth:`~repro.api.DiscoveryTicket.result` wait that exceeds its
     ``timeout`` argument.
 
     How to recover: configuration errors are programming errors — fix the
     caller.  For unknown databases, consult
-    :meth:`~repro.service.DiscoveryService.available_databases`.  A
+    :meth:`~repro.api.DiscoveryService.available_databases`.  A
     ticket-wait timeout does not cancel the request; call ``result()``
     again or ``cancel()`` the ticket.
     """
@@ -224,8 +224,8 @@ class ServiceError(ReproError):
 class WireFormatError(ServiceError):
     """A v1 wire message (JSON request/response) could not be decoded.
 
-    When raised: :meth:`~repro.service.DiscoveryRequest.from_json` /
-    :meth:`~repro.service.DiscoveryResponse.from_json` (and the
+    When raised: :meth:`~repro.api.DiscoveryRequest.from_json` /
+    :meth:`~repro.api.DiscoveryResponse.from_json` (and the
     :mod:`repro.service.wire` codec behind them) on a payload that is not
     a JSON object, misses a required field, carries an *unknown* field
     (v1 is strict: typos never pass silently), or declares an
@@ -244,7 +244,7 @@ class ServiceOverloaded(ServiceError):
 
     Callers should retry later or shed load; the request was never queued.
 
-    When raised: :meth:`~repro.service.DiscoveryService.submit` with
+    When raised: :meth:`~repro.api.DiscoveryService.submit` with
     ``block=False`` (the default) while ``queue_size`` requests are
     already waiting, or with ``block=True`` when the wait exceeds its
     ``timeout``.  Every rejection is counted in the service metrics

@@ -39,13 +39,13 @@ index-oriented:
 * **an existence-memo cache** — ``exists()`` outcomes can be memoized
   under a caller-supplied canonical (query, predicate) signature and are
   invalidated automatically when the database changes;
-* **array semijoin kernels on NumPy-backed tables** — when every table
-  of a probe lives in a backend exposing column array snapshots
-  (:class:`~repro.storage.numpy_store.NumpyColumnStore`), existence
-  probes — single and batched — are decided by a vectorized bottom-up
-  semijoin sweep (:mod:`repro.query.kernels`) instead of streaming
-  per-row assignments; outcomes and every :class:`ExecutionStats`
-  counter stay bit-for-bit identical to the generic path.
+* **array semijoin kernels** — once a probe joins a table of at least
+  :data:`KERNEL_MIN_ROWS` rows, existence probes — single and batched —
+  are decided by a vectorized bottom-up semijoin sweep
+  (:mod:`repro.query.kernels`) over the storage's column array snapshots
+  instead of streaming per-row assignments; outcomes and every
+  :class:`ExecutionStats` counter stay bit-for-bit identical to the
+  generic path, which still serves small tables and NaN join keys.
 
 Inner-join semantics follow SQL: NULL join keys never match.
 """
@@ -59,6 +59,7 @@ from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 from repro.dataset.database import Database
 from repro.dataset.schema import ColumnRef as _ColumnRef
 from repro.errors import QueryError
+from repro.query import kernels as _kernels
 from repro.query.pj_query import ProjectJoinQuery
 from repro.query.plan import (
     PlanNode,
@@ -68,11 +69,6 @@ from repro.query.plan import (
     join_prefix_key,
 )
 from repro.query.planner import Planner
-
-try:
-    from repro.query import kernels as _kernels
-except ImportError:  # numpy unavailable — array fast paths stay off
-    _kernels = None
 
 __all__ = ["Executor", "ExecutionStats", "BatchProbe"]
 
@@ -96,8 +92,8 @@ KERNEL_MIN_ROWS = 256
 
 # Bloom pre-filtering only probes selections at most this large: the
 # pushed-down selections it can kill cheaply are small by construction,
-# and a fixed row-count cap keeps the decision identical across backends
-# and independent of wall-clock.
+# and a fixed row-count cap keeps the decision deterministic and
+# independent of wall-clock.
 BLOOM_PROBE_MAX_ROWS = 2048
 
 
@@ -347,9 +343,9 @@ class Executor:
     ) -> bool:
         """Decide one existence probe (no memo).
 
-        Prefers the array semijoin kernel when every plan step's endpoint
-        columns expose array kernels; otherwise streams assignments and
-        stops at the first hit, exactly like ``execute(limit=1)``.  Both
+        Prefers the array semijoin kernel when :meth:`_kernel_edges`
+        admits the plan; otherwise streams assignments and stops at the
+        first hit, exactly like ``execute(limit=1)``.  Both
         routes account identically: the query and its pushdown scans via
         :meth:`_prepare`, then per probe step one join-index hit/build
         and one ``joins_performed``, then one ``rows_emitted`` iff the
@@ -756,15 +752,14 @@ class Executor:
     ) -> list[int]:
         """The subset of ``selection`` whose key might be in ``bloom``.
 
-        Vectorized over the column's array kernel when the backend
-        provides one; the scalar fallback hashes the same canonical
-        equality classes, so both routes keep exactly the same rows.
+        Vectorized over typed array columns; text and object columns
+        take the scalar route, which hashes the same canonical equality
+        classes, so both routes keep exactly the same rows.
         """
         rows = selection if isinstance(selection, list) else sorted(selection)
-        if _kernels is not None:
-            kernel = self._column_kernel(table, position)
-            if kernel is not None and getattr(kernel, "kind", None) == "array":
-                return _kernels.bloom_keep(kernel, rows, bloom)
+        kernel = self._column_kernel(table, position)
+        if kernel.kind == "array":
+            return _kernels.bloom_keep(kernel, rows, bloom)
         backing = self._database.table(table)
         read = backing.cell_reader(backing.columns[position].name)
         return [
@@ -981,22 +976,16 @@ class Executor:
     # Array semijoin kernels
     # ------------------------------------------------------------------
     def _column_kernel(self, table: str, position: int):
-        """The backend's column array snapshot, or None if unsupported."""
-        backend = self._database.table(table).backend
-        kernel_of = getattr(backend, "column_kernel", None)
-        if kernel_of is None:
-            return None
-        return kernel_of(table, position)
+        """The backend's column array snapshot."""
+        return self._database.table(table).backend.column_kernel(
+            table, position
+        )
 
     def _edge_kernel(self, step: _ProbeStep):
         """A cached aligned :class:`~repro.query.kernels.EdgeKernel` for
         one probe step, or None when the step cannot run vectorized."""
         existing = self._column_kernel(step.existing_table, step.existing_position)
-        if existing is None:
-            return None
         new = self._column_kernel(step.new_table, step.new_position)
-        if new is None:
-            return None
         if existing.nan_unsafe or new.nan_unsafe:
             # NaN never equals itself: array membership and the generic
             # dict-probing path disagree on such keys, so don't vectorize.
@@ -1018,13 +1007,11 @@ class Executor:
         """Per-step edge kernels when the whole plan can run vectorized.
 
         Returns None — falling back to the generic streaming path — when
-        numpy is unavailable, a step is not a plain probe step, a table's
-        backend exposes no array kernels, or a join-key column is NaN
-        unsafe.  An empty list (single-table plan) is valid: with no
-        steps, a non-empty pushdown already proves existence.
+        every table of the plan is below :data:`KERNEL_MIN_ROWS`, a step
+        is not a plain probe step, or a join-key column is NaN unsafe.
+        An empty list (single-table plan) is valid: with no steps, a
+        non-empty pushdown already proves existence.
         """
-        if _kernels is None:
-            return None
         if not any(
             self._database.table(table).num_rows >= KERNEL_MIN_ROWS
             for table in self._plan_tables(plan)

@@ -1,12 +1,11 @@
-"""Array kernels for existence probes over NumPy-backed tables.
+"""Array kernels for existence probes over the column store's arrays.
 
 The executor's generic existence path streams per-row join assignments
 through Python frames — perfect for early termination, but on a *false*
-probe it enumerates a join product just to prove nothing is there.  For
-backends that expose column array snapshots
-(:meth:`~repro.storage.numpy_store.NumpyColumnStore.column_kernel`),
-this module decides the same probes with a bottom-up semijoin sweep
-instead:
+probe it enumerates a join product just to prove nothing is there.  Over
+the storage's column array snapshots
+(:meth:`~repro.storage.ColumnStore.column_kernel`), this module decides
+the same probes with a bottom-up semijoin sweep instead:
 
 every physical plan is a tree of probe steps (each step attaches one new
 table), so processing the steps in *reverse* order visits every subtree

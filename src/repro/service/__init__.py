@@ -3,62 +3,21 @@
 This package separates Prism's two lifecycles:
 
 * **per-database preprocessing** — expensive, immutable once built, shared:
-  :class:`ArtifactStore` builds, caches and optionally disk-persists
-  :class:`ArtifactBundle` objects keyed by
-  :class:`ArtifactKey` ``(database, schema_version, data_version)``;
+  :class:`~repro.api.ArtifactStore` builds, caches and optionally
+  disk-persists :class:`~repro.service.artifacts.ArtifactBundle` objects
+  keyed by :class:`~repro.service.artifacts.ArtifactKey`
+  ``(database, schema_version, data_version)``;
 * **per-request discovery** — cheap, isolated, concurrent:
-  :class:`DiscoveryService` runs rounds on a thread pool or across
-  process shards (:mod:`repro.service.shards`), each on a fresh
-  :class:`~repro.discovery.engine.Prism` engine layered over a shared
-  bundle, with a bounded queue, deadlines, cancellation and metrics.
-  Requests and responses are wire-serializable v1 messages
+  :class:`~repro.api.DiscoveryService` runs rounds on a thread pool or
+  across process shards (:mod:`repro.service.shards`),
+  each on a fresh :class:`~repro.discovery.engine.Prism` engine layered
+  over a shared bundle, with a bounded queue, deadlines, cancellation and
+  metrics.  Requests and responses are wire-serializable v1 messages
   (:mod:`repro.service.wire`).
 
-Importing the public classes from this package still works but is
-deprecated: the stable import point is :mod:`repro.api` (or the
-top-level :mod:`repro` package).  The implementation submodules —
-``repro.service.service``, ``repro.service.artifacts``,
-``repro.service.wire``, ``repro.service.shards``,
-``repro.service.workload`` — remain importable without warnings.
+The public classes are imported from :mod:`repro.api` (or the top-level
+:mod:`repro` package); this package itself exports nothing.  The
+implementation submodules — ``repro.service.service``,
+``repro.service.artifacts``, ``repro.service.wire``,
+``repro.service.shards``, ``repro.service.workload`` — stay importable.
 """
-
-from importlib import import_module as _import_module
-from warnings import warn as _warn
-
-# Old public path → (implementation module, attribute).  Resolved lazily
-# by __getattr__ (PEP 562) so that touching any one name does not import
-# the whole serving layer — and so each use warns at its call site.
-_EXPORTS = {
-    "ArtifactBundle": "repro.service.artifacts",
-    "ArtifactKey": "repro.service.artifacts",
-    "ArtifactStore": "repro.service.artifacts",
-    "ArtifactStoreStats": "repro.service.artifacts",
-    "DiscoveryRequest": "repro.service.service",
-    "DiscoveryResponse": "repro.service.service",
-    "DiscoveryService": "repro.service.service",
-    "DiscoveryTicket": "repro.service.service",
-    "ServiceMetrics": "repro.service.service",
-    "demo_requests": "repro.service.workload",
-    "request_from_dict": "repro.service.workload",
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(
-            f"module 'repro.service' has no attribute {name!r}"
-        )
-    _warn(
-        f"importing {name} from 'repro.service' is deprecated; "
-        "import it from 'repro.api' (or the top-level 'repro' package)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(_import_module(module_name), name)
-
-
-def __dir__() -> list:
-    return sorted(set(globals()) | set(_EXPORTS))

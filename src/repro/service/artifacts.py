@@ -17,7 +17,7 @@ makes that split explicit:
 
 Bundles are read-only to every consumer
 (:class:`~repro.discovery.engine.Prism` engines, the
-:class:`~repro.service.DiscoveryService` worker pool): consumers layer
+:class:`~repro.api.DiscoveryService` worker pool): consumers layer
 their own mutable state (executor caches, statistics) on top.  The one
 writer is :meth:`ArtifactStore.refresh`, which — under the per-database
 build lock — upgrades a bundle to a newer database state by folding the

@@ -7,7 +7,7 @@ serving layer that makes the reproduction behave that way:
 * an **executor** runs discovery rounds concurrently, each on a cheap
   per-request :class:`~repro.discovery.engine.Prism` engine layered over
   shared immutable artifacts from an
-  :class:`~repro.service.ArtifactStore`.  Two shard modes exist:
+  :class:`~repro.api.ArtifactStore`.  Two shard modes exist:
   ``shard_mode="thread"`` (a worker-thread pool sharing one in-process
   store — simple, but the GIL serializes the pure-Python discovery work)
   and ``shard_mode="process"`` (long-lived worker *processes*, each
@@ -43,7 +43,6 @@ import itertools
 import queue
 import threading
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
@@ -75,20 +74,6 @@ _LATENCY_WINDOW = 1024
 _SHARD_MODES = ("thread", "process")
 
 
-def _deprecated_kwarg(canonical, legacy, canonical_name: str, legacy_name: str):
-    """Resolve a renamed keyword: prefer the canonical spelling, accept the
-    legacy one for a release with a :class:`DeprecationWarning`."""
-    if legacy is not None:
-        warnings.warn(
-            f"{legacy_name} is deprecated; use {canonical_name}",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if canonical is None:
-            return legacy
-    return canonical
-
-
 def _merge_counts(target: dict, delta: Mapping) -> dict:
     """Fold one nested counter dict into another (ints add, dicts recurse)."""
     for key, value in delta.items():
@@ -99,15 +84,13 @@ def _merge_counts(target: dict, delta: Mapping) -> dict:
     return target
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class DiscoveryRequest:
     """One discovery round as submitted to the service.
 
     ``deadline_s`` is the round's interactive budget in seconds — queue
     wait counts against it, so it is a *deadline*, not a pure execution
-    limit.  The pre-v1 name ``time_limit`` is still accepted as a
-    constructor keyword (and readable as a property) for one release,
-    with a :class:`DeprecationWarning`.
+    limit.
 
     Requests are wire-serializable: :meth:`to_json` /
     :meth:`from_json` round-trip through the versioned v1 format of
@@ -120,36 +103,6 @@ class DiscoveryRequest:
     scheduler: Optional[str] = None
     deadline_s: Optional[float] = None
     request_id: Optional[str] = None
-
-    def __init__(
-        self,
-        database: str,
-        spec: MappingSpec,
-        scheduler: Optional[str] = None,
-        deadline_s: Optional[float] = None,
-        request_id: Optional[str] = None,
-        time_limit: Optional[float] = None,
-    ):
-        deadline_s = _deprecated_kwarg(
-            deadline_s, time_limit,
-            "DiscoveryRequest(deadline_s=...)",
-            "DiscoveryRequest(time_limit=...)",
-        )
-        object.__setattr__(self, "database", database)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "scheduler", scheduler)
-        object.__setattr__(self, "deadline_s", deadline_s)
-        object.__setattr__(self, "request_id", request_id)
-
-    @property
-    def time_limit(self) -> Optional[float]:
-        """Deprecated alias for :attr:`deadline_s`."""
-        warnings.warn(
-            "DiscoveryRequest.time_limit is deprecated; use deadline_s",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.deadline_s
 
     def to_json(self) -> str:
         """This request as a versioned v1 wire message (JSON text)."""
@@ -502,17 +455,15 @@ class DiscoveryService:
         databases: Optional[Mapping[str, Database]] = None,
         loaders: Optional[Mapping[str, Callable[[], Database]]] = None,
         store: Optional[ArtifactStore] = None,
-        workers: Optional[int] = None,
+        workers: int = 4,
         queue_size: int = 64,
         default_scheduler: str = "bayesian",
-        default_deadline_s: Optional[float] = None,
+        default_deadline_s: float = DEFAULT_TIME_LIMIT_SECONDS,
         limits: Optional[GenerationLimits] = None,
         refresh_artifacts: bool = False,
         shard_mode: str = "thread",
         start_method: Optional[str] = None,
         replication: Optional[int] = None,
-        num_workers: Optional[int] = None,
-        default_time_limit: Optional[float] = None,
     ):
         """Create a service.
 
@@ -560,20 +511,7 @@ class DiscoveryService:
                 serve any request.  Lower values partition the databases
                 (memory-bounded sharding); requests are then routed only
                 to owning shards.
-            num_workers: deprecated alias for ``workers``.
-            default_time_limit: deprecated alias for ``default_deadline_s``.
         """
-        workers = _deprecated_kwarg(
-            workers, num_workers, "workers", "num_workers"
-        )
-        default_deadline_s = _deprecated_kwarg(
-            default_deadline_s, default_time_limit,
-            "default_deadline_s", "default_time_limit",
-        )
-        if workers is None:
-            workers = 4
-        if default_deadline_s is None:
-            default_deadline_s = DEFAULT_TIME_LIMIT_SECONDS
         if workers < 1:
             raise ServiceError("workers must be at least 1")
         if queue_size < 1:

@@ -1,7 +1,7 @@
 """Process-shard executor: long-lived worker processes behind JSON pipes.
 
 Discovery is pure Python, so the thread pool of
-:class:`~repro.service.DiscoveryService` cannot scale past one core — the
+:class:`~repro.api.DiscoveryService` cannot scale past one core — the
 GIL serializes every round.  This module is the ``shard_mode="process"``
 backend: each **shard** is a long-lived worker process that owns a subset
 of the databases (per :class:`ShardAssignment`), builds or warm-starts
@@ -17,7 +17,7 @@ Design rules, in decreasing order of importance:
   expressive as the public v1 wire format, which keeps the two honest:
   anything the service can serve, a remote client could submit.
 * **Warm start from the shared ``persist_dir``.**  Every shard opens its
-  own :class:`~repro.service.ArtifactStore` on the same directory as the
+  own :class:`~repro.api.ArtifactStore` on the same directory as the
   parent's, so bundles persisted by any earlier process are disk-loaded
   instead of rebuilt; a shard without a persist dir preprocesses its
   owned databases at spawn, before serving.
@@ -27,7 +27,7 @@ Design rules, in decreasing order of importance:
 * **Metrics flow back as deltas.**  Each response carries the shard's
   artifact-counter increments since its previous report; the parent
   accumulates them per shard and merges them in
-  :meth:`~repro.service.DiscoveryService.metrics`.
+  :meth:`~repro.api.DiscoveryService.metrics`.
 
 The queueing front door (backpressure, cancellation, deadline-in-queue)
 stays entirely in the parent — see
@@ -58,9 +58,15 @@ _READY_TIMEOUT_S = 300.0
 _GRACE_FLOOR_S = 60.0
 
 
+def _encode(payload: Mapping) -> bytes:
+    """One JSON frame's bytes; an unencodable value raises
+    ``WireFormatError``."""
+    return wire.dumps(payload).encode("utf-8")
+
+
 def _send(conn, payload: Mapping) -> None:
     """Write one JSON frame (the only thing that ever crosses the pipe)."""
-    conn.send_bytes(wire.dumps(payload).encode("utf-8"))
+    conn.send_bytes(_encode(payload))
 
 
 def _recv(conn) -> dict:
@@ -315,7 +321,7 @@ class _ShardHung(Exception):
 class ShardProcessPool:
     """The parent-side face of the shard processes.
 
-    One :class:`~repro.service.DiscoveryService` worker thread is pinned
+    One :class:`~repro.api.DiscoveryService` worker thread is pinned
     to each shard; :meth:`run` is its blocking round-trip RPC.  The pool
     owns spawn, warm-up handshake, crash detection/respawn and shutdown.
     """
@@ -451,20 +457,27 @@ class ShardProcessPool:
 
         Crashes and hangs never propagate: they come back as a
         ``status="error"`` response (after the shard has been respawned),
-        with ``delta=None``.
+        with ``delta=None``.  So does a request the wire format cannot
+        encode; it never reaches the shard, which keeps serving.
         """
-        frame = {
-            "api_version": wire.API_VERSION,
-            "kind": "run",
-            "request": wire.request_to_wire(request),
-            "request_id": request_id,
-            "budget_s": budget_s,
-            "queued_seconds": queued_seconds,
-        }
+        try:
+            frame = _encode({
+                "api_version": wire.API_VERSION,
+                "kind": "run",
+                "request": wire.request_to_wire(request),
+                "request_id": request_id,
+                "budget_s": budget_s,
+                "queued_seconds": queued_seconds,
+            })
+        except WireFormatError as exc:
+            return self._error_response(
+                request, request_id, queued_seconds,
+                f"request cannot be sent to shard {shard_id}: {exc}",
+            ), None
         shard = self._shards[shard_id]
         with shard.lock:
             try:
-                _send(shard.conn, frame)
+                shard.conn.send_bytes(frame)
                 reply = self._recv_reply(shard, budget_s)
             except (EOFError, OSError, BrokenPipeError):
                 self._respawn(shard)

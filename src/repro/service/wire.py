@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, NoReturn, Optional, Sequence
 
 from repro.constraints.metadata import (
     MetadataConjunction,
@@ -315,7 +315,7 @@ def spec_from_wire(payload: Any) -> MappingSpec:
 # Requests
 # ----------------------------------------------------------------------
 def request_to_wire(request) -> dict:
-    """Encode a :class:`~repro.service.DiscoveryRequest` as a JSON object."""
+    """Encode a :class:`~repro.api.DiscoveryRequest` as a JSON object."""
     payload: dict[str, Any] = {
         "api_version": API_VERSION,
         "kind": _REQUEST_KIND,
@@ -332,7 +332,7 @@ def request_to_wire(request) -> dict:
 
 
 def request_from_wire(payload: Any):
-    """Decode a :class:`~repro.service.DiscoveryRequest` from a JSON object."""
+    """Decode a :class:`~repro.api.DiscoveryRequest` from a JSON object."""
     from repro.service.service import DiscoveryRequest
 
     payload = _require_mapping(payload, "a discovery request")
@@ -444,7 +444,7 @@ def result_from_wire(payload: Any) -> Optional[DiscoveryResult]:
 
 
 def response_to_wire(response) -> dict:
-    """Encode a :class:`~repro.service.DiscoveryResponse` as a JSON object."""
+    """Encode a :class:`~repro.api.DiscoveryResponse` as a JSON object."""
     return {
         "api_version": API_VERSION,
         "kind": _RESPONSE_KIND,
@@ -459,7 +459,7 @@ def response_to_wire(response) -> dict:
 
 
 def response_from_wire(payload: Any):
-    """Decode a :class:`~repro.service.DiscoveryResponse` from a JSON object."""
+    """Decode a :class:`~repro.api.DiscoveryResponse` from a JSON object."""
     from repro.service.service import DiscoveryResponse
 
     payload = _require_mapping(payload, "a discovery response")
@@ -493,9 +493,26 @@ def response_from_wire(payload: Any):
 # ----------------------------------------------------------------------
 # JSON text helpers
 # ----------------------------------------------------------------------
+def _unencodable(value: Any) -> NoReturn:
+    raise TypeError(
+        f"{value!r} ({type(value).__name__}) has no JSON encoding"
+    )
+
+
 def dumps(payload: Mapping[str, Any]) -> str:
-    """Serialize a wire object to compact JSON text."""
-    return json.dumps(payload, separators=(",", ":"), sort_keys=True)
+    """Serialize a wire object to compact JSON text.
+
+    A value JSON cannot encode (a date, a set, ...) raises
+    :class:`WireFormatError` naming the value, as :func:`loads` does for
+    malformed text.
+    """
+    try:
+        return json.dumps(
+            payload, separators=(",", ":"), sort_keys=True,
+            default=_unencodable,
+        )
+    except (TypeError, ValueError) as exc:
+        raise WireFormatError(f"cannot encode wire JSON: {exc}") from exc
 
 
 def loads(text: str) -> Any:

@@ -1,6 +1,6 @@
 """Request builders for the service layer.
 
-Two producers of :class:`~repro.service.DiscoveryRequest` objects:
+Two producers of :class:`~repro.api.DiscoveryRequest` objects:
 
 * :func:`request_from_dict` — deserialize one request from the plain-dict
   shape used by ``prism serve-batch --requests FILE.json``;
@@ -79,22 +79,23 @@ def request_from_dict(entry: Mapping[str, Any]) -> DiscoveryRequest:
     (list of rows, each a list of cell texts; empty text means an
     unconstrained cell), ``metadata`` (mapping of column index → text),
     and optionally ``scheduler``, ``deadline_s`` and ``request_id``.
-    The pre-v1 key ``time_limit`` is still honored as an alias for
-    ``deadline_s``.
     """
     try:
         database = entry["database"]
         num_columns = int(entry["columns"])
     except KeyError as exc:
         raise ServiceError(f"request entry is missing key {exc}") from exc
+    if "time_limit" in entry:
+        raise ServiceError(
+            "request entry key 'time_limit' is no longer read; "
+            "rename it to 'deadline_s'"
+        )
     spec = _spec_from_texts(
         num_columns,
         entry.get("samples", ()),
         {int(key): value for key, value in (entry.get("metadata") or {}).items()},
     )
     deadline_s = entry.get("deadline_s")
-    if deadline_s is None:
-        deadline_s = entry.get("time_limit")
     return DiscoveryRequest(
         database=database,
         spec=spec,
@@ -109,7 +110,6 @@ def demo_requests(
     rounds: int = 1,
     scheduler: Optional[str] = None,
     deadline_s: Optional[float] = None,
-    time_limit: Optional[float] = None,
 ) -> list[DiscoveryRequest]:
     """The built-in mixed workload: one round per template per repetition.
 
@@ -119,18 +119,7 @@ def demo_requests(
         rounds: how many times to repeat the template set.
         scheduler: scheduling policy stamped on every request.
         deadline_s: per-round budget stamped on every request.
-        time_limit: deprecated alias for ``deadline_s``.
     """
-    if time_limit is not None:
-        import warnings
-
-        warnings.warn(
-            "demo_requests(time_limit=...) is deprecated; use deadline_s",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if deadline_s is None:
-            deadline_s = time_limit
     if rounds < 1:
         raise ServiceError("rounds must be at least 1")
     wanted = set(databases) if databases is not None else None

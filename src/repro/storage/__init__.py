@@ -1,4 +1,4 @@
-"""Pluggable columnar storage backends.
+"""Columnar storage for the engine's relations.
 
 The engine's relations live behind a :class:`StorageBackend`: tables are
 registered with their schema, rows are appended as prepared (validated,
@@ -6,27 +6,19 @@ coerced) tuples, and every consumer above — the inverted index, the
 metadata catalog, the Bayesian trainers and the query executor — reads
 either whole columns or individual cells through the backend interface.
 
-The default backend is :class:`ColumnStore`, which keeps each table as
-typed column arrays with dictionary encoding for text columns, per-column
+The backend is :class:`ColumnStore`, which keeps each table as typed
+NumPy column arrays with dictionary encoding for text columns, per-column
 NULL masks, and a cache of join-key hash indexes that the executor reuses
-across queries instead of rebuilding per join.
+across queries instead of rebuilding per join.  It also hands out column
+array snapshots that the executor scans with vectorized kernels.
 
-An alternative NumPy-kernel backend (:class:`NumpyColumnStore`, from
-:mod:`repro.storage.numpy_store`) keeps the same observable behavior but
-stores columns as typed arrays the executor can scan with vectorized
-kernels.  :func:`make_backend` builds a backend by name, and
-:func:`default_backend` honors the ``PRISM_STORAGE_BACKEND`` environment
-variable (``python`` — the default — or ``numpy``) so a whole process can
-be switched without touching call sites.
-
-Because storage is append-only, backends can additionally describe the
+Because storage is append-only, the backend can additionally describe the
 difference between two table states as an append delta
 (:class:`TableMark` / :class:`TableDelta`); the service layer's
 incremental artifact refresh is built on that capability.
 """
 
-import os
-
+from repro.errors import SchemaError
 from repro.storage.backend import StorageBackend
 from repro.storage.column_store import ColumnStore
 from repro.storage.delta import ColumnDelta, TableDelta, TableMark
@@ -34,52 +26,22 @@ from repro.storage.delta import ColumnDelta, TableDelta, TableMark
 __all__ = [
     "ColumnDelta",
     "ColumnStore",
-    "NumpyColumnStore",
     "StorageBackend",
     "TableDelta",
     "TableMark",
-    "default_backend",
     "make_backend",
 ]
-
-#: Environment variable consulted by :func:`default_backend`.
-BACKEND_ENV_VAR = "PRISM_STORAGE_BACKEND"
-
-_BACKEND_KINDS = ("python", "numpy")
 
 
 def make_backend(kind: str) -> StorageBackend:
     """Build a fresh storage backend by name.
 
-    ``"python"`` (or ``""``) builds the default pure-Python
-    :class:`ColumnStore`; ``"numpy"`` builds a :class:`NumpyColumnStore`.
-    Anything else raises :class:`~repro.errors.SchemaError` — a silently
-    misspelled backend name must not quietly fall back to the default.
+    ``"numpy"`` is the only name and builds a :class:`ColumnStore`.
+    Anything else raises :class:`~repro.errors.SchemaError` — a misspelled
+    backend name must not quietly fall back to a default.
     """
-    normalized = (kind or "python").strip().lower()
-    if normalized == "python":
+    if kind == "numpy":
         return ColumnStore()
-    if normalized == "numpy":
-        from repro.storage.numpy_store import NumpyColumnStore
-
-        return NumpyColumnStore()
-    from repro.errors import SchemaError
-
     raise SchemaError(
-        f"unknown storage backend {kind!r}; expected one of {_BACKEND_KINDS}"
+        f"unknown storage backend {kind!r}; the only backend is 'numpy'"
     )
-
-
-def default_backend() -> StorageBackend:
-    """Build the process-default backend per ``PRISM_STORAGE_BACKEND``."""
-    return make_backend(os.environ.get(BACKEND_ENV_VAR, "python"))
-
-
-def __getattr__(name: str):
-    # NumpyColumnStore imports numpy; keep that import lazy so merely
-    # importing repro.storage never requires numpy to be installed.
-    if name == "NumpyColumnStore":
-        from repro.storage.numpy_store import NumpyColumnStore
-
-        return NumpyColumnStore
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,7 +5,7 @@ logical layer (:class:`repro.dataset.table.Table`) validates and coerces
 cells, then hands fully prepared tuples to the backend; everything below
 the tuple API — column arrays, NULL masks, join-key hash indexes — is the
 backend's concern.  Keeping the surface here small is what makes
-alternative backends (numpy, sqlite, remote) drop-in replacements later.
+alternative backends (sqlite, remote) drop-in replacements later.
 
 Row indexes are stable: rows are append-only and never reordered, so a row
 index handed out by one call (e.g. a join-index posting) remains valid for
@@ -15,9 +15,12 @@ the lifetime of the table.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
 from repro.storage.delta import TableDelta, TableMark
+
+if TYPE_CHECKING:
+    from repro.storage.column_store import ColumnKernel
 
 __all__ = ["StorageBackend", "CellReader"]
 
@@ -157,6 +160,14 @@ class StorageBackend(ABC):
     @abstractmethod
     def has_cached_join_index(self, table: str, position: int) -> bool:
         """Whether a current join index for (table, column) is cached."""
+
+    @abstractmethod
+    def column_kernel(self, table: str, position: int) -> "ColumnKernel":
+        """An immutable array snapshot of one column for the executor.
+
+        A new snapshot object is handed out after every append, so
+        callers may key derived caches on kernel identity.
+        """
 
     # ------------------------------------------------------------------
     # Versioning

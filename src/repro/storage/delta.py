@@ -19,7 +19,7 @@ happened in between.
 A backend that cannot prove the change was pure append (column layout
 changed, version arithmetic doesn't match the row-count growth, a
 dictionary shrank) returns ``None`` instead of a delta, and consumers —
-:meth:`repro.service.ArtifactStore.refresh` above all — fall back to a
+:meth:`repro.api.ArtifactStore.refresh` above all — fall back to a
 full rebuild.  Deltas capture their cell values at creation time, so a
 delta stays valid even if the table keeps growing afterwards.
 """

@@ -1,36 +1,7 @@
 """Workbench: the demo's Configuration → Description → Result workflow.
 
-Importing :class:`PrismSession` from this package still works but is
-deprecated — the stable import point is :mod:`repro.api` (or the
-top-level :mod:`repro` package).  ``repro.workbench.session`` and
-``repro.workbench.cli`` remain importable without warnings.
+:class:`~repro.api.PrismSession` is imported from :mod:`repro.api` (or
+the top-level :mod:`repro` package); this package itself exports
+nothing.  ``repro.workbench.session`` and
+``repro.workbench.cli`` stay importable.
 """
-
-from importlib import import_module as _import_module
-from warnings import warn as _warn
-
-_EXPORTS = {
-    "PrismSession": "repro.workbench.session",
-    "SessionStage": "repro.workbench.session",
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(
-            f"module 'repro.workbench' has no attribute {name!r}"
-        )
-    _warn(
-        f"importing {name} from 'repro.workbench' is deprecated; "
-        "import it from 'repro.api' (or the top-level 'repro' package)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(_import_module(module_name), name)
-
-
-def __dir__() -> list:
-    return sorted(set(globals()) | set(_EXPORTS))

@@ -10,7 +10,7 @@ Subcommands mirror what a demo attendee would do in the web UI:
   optimized logical plan with estimated cardinalities and
   cross-candidate shared-prefix annotations;
 * ``prism serve-batch ...`` — drive many (mixed-database) rounds through
-  the concurrent :class:`~repro.service.DiscoveryService`;
+  the concurrent :class:`~repro.api.DiscoveryService`;
 * ``prism demo`` — replay the §3 Lake Tahoe walk-through end to end.
 
 Sample rows are given with ``--sample`` (repeatable, one per row) using
@@ -33,6 +33,7 @@ from repro.api import (
 )
 from repro.datasets import available_databases, load_database_by_name
 from repro.discovery.engine import DEFAULT_TIME_LIMIT_SECONDS
+from repro.discovery.result import DiscoveryResult
 from repro.errors import ReproError
 from repro.workbench.session import PrismSession
 
@@ -40,33 +41,15 @@ __all__ = ["main", "build_parser"]
 
 
 def _add_deadline_arguments(sub_parser: argparse.ArgumentParser) -> None:
-    """The canonical ``--deadline-s`` flag plus its deprecated spelling."""
+    """The ``--deadline-s`` per-round budget flag."""
     sub_parser.add_argument(
         "--deadline-s",
         dest="deadline_s",
         type=float,
-        default=None,
+        default=DEFAULT_TIME_LIMIT_SECONDS,
         help="per-round budget in seconds (queue wait counts against it); "
              f"default {DEFAULT_TIME_LIMIT_SECONDS:g}",
     )
-    sub_parser.add_argument(
-        "--time-limit",
-        dest="time_limit",
-        type=float,
-        default=None,
-        help="deprecated alias for --deadline-s",
-    )
-
-
-def _resolve_deadline(args: argparse.Namespace) -> float:
-    if args.time_limit is not None:
-        print("warning: --time-limit is deprecated; use --deadline-s",
-              file=sys.stderr)
-        if args.deadline_s is None:
-            return args.time_limit
-    if args.deadline_s is None:
-        return DEFAULT_TIME_LIMIT_SECONDS
-    return args.deadline_s
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,7 +216,7 @@ def _describe_session(args: argparse.Namespace) -> Optional[PrismSession]:
         num_samples=num_samples,
         use_metadata=True,
         scheduler=args.scheduler,
-        time_limit=_resolve_deadline(args),
+        time_limit=args.deadline_s,
     )
     for row, sample_text in enumerate(args.sample):
         cells = sample_text.split(";")
@@ -260,11 +243,22 @@ def _describe_session(args: argparse.Namespace) -> Optional[PrismSession]:
     return session
 
 
+def _search(session: PrismSession) -> Optional[DiscoveryResult]:
+    """Run the session's round; bad input prints one line (None)."""
+    try:
+        return session.search()
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def _command_search(args: argparse.Namespace) -> int:
     session = _describe_session(args)
     if session is None:
         return 2
-    result = session.search()
+    result = _search(session)
+    if result is None:
+        return 2
     stats = result.stats
     print(
         f"{result.num_queries} satisfying queries "
@@ -294,7 +288,9 @@ def _command_explain(args: argparse.Namespace) -> int:
     session = _describe_session(args)
     if session is None:
         return 2
-    result = session.search()
+    result = _search(session)
+    if result is None:
+        return 2
     if not result.num_queries:
         print("no satisfying queries to explain", file=sys.stderr)
         return 1
@@ -339,7 +335,7 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
             workers=args.workers,
             queue_size=args.queue_size,
             default_scheduler=args.scheduler,
-            default_deadline_s=_resolve_deadline(args),
+            default_deadline_s=args.deadline_s,
             refresh_artifacts=args.refresh,
             shard_mode=args.shard_mode,
             start_method=args.start_method,

@@ -62,10 +62,10 @@ class PrismSession:
                 When omitted, the bundled demo databases (mondial, imdb,
                 nba) are loaded lazily on first use.
             artifact_store: optional shared
-                :class:`~repro.service.ArtifactStore`.  When given, the
+                :class:`~repro.api.ArtifactStore`.  When given, the
                 session's engines are built from (and warm-start on) the
                 store's cached preprocessing bundles, so many sessions —
-                or a session and a :class:`~repro.service.DiscoveryService`
+                or a session and a :class:`~repro.api.DiscoveryService`
                 — share one preprocessing pass per database state.
         """
         self._databases = dict(databases) if databases is not None else None

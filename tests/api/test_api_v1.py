@@ -1,17 +1,14 @@
-"""The v1 public API surface: one import point, working deprecation shims.
+"""The v1 public API surface: one import point for every public name.
 
-``repro.api`` is the stable façade; deep imports from ``repro.service``
-and ``repro.workbench`` keep working for one release behind
-:class:`DeprecationWarning` shims, and the pre-v1 keyword names
-(``time_limit``, ``num_workers``, ``default_time_limit``) stay accepted
-as warned aliases of the canonical ``deadline_s``/``workers``.
+``repro.api`` is the stable façade; the ``repro.service`` and
+``repro.workbench`` packages export nothing themselves, and the
+canonical keyword names (``deadline_s``, ``workers``,
+``default_deadline_s``) are the only spellings.
 """
 
 from __future__ import annotations
 
 import warnings
-
-import pytest
 
 import repro
 import repro.api
@@ -60,53 +57,11 @@ class TestV1Surface:
             _ = repro.DiscoveryRequest
 
 
-class TestDeepImportShims:
-    def test_repro_service_attribute_access_warns_but_works(self):
-        import repro.service as legacy
-
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            service_cls = legacy.DiscoveryService
-        assert service_cls is repro.api.DiscoveryService
-        with pytest.warns(DeprecationWarning):
-            assert legacy.ArtifactStore is repro.api.ArtifactStore
-        with pytest.warns(DeprecationWarning):
-            assert legacy.demo_requests is repro.api.demo_requests
-
-    def test_repro_workbench_attribute_access_warns_but_works(self):
-        import repro.workbench as legacy
-
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            session_cls = legacy.PrismSession
-        assert session_cls is repro.api.PrismSession
-
-    def test_shimmed_names_still_appear_in_dir(self):
-        import repro.service as legacy
-
-        listing = dir(legacy)
-        assert "DiscoveryService" in listing
-        assert "ArtifactStore" in listing
-
-    def test_unknown_attribute_still_raises_attribute_error(self):
-        import repro.service as legacy
-
-        with pytest.raises(AttributeError):
-            _ = legacy.NoSuchThing
-
-
-class TestKeywordAliases:
+class TestCanonicalNames:
     def _spec(self):
         spec = repro.api.MappingSpec(1)
         spec.add_sample_cells([repro.api.parse_value_constraint("x")])
         return spec
-
-    def test_request_time_limit_alias_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="deadline_s"):
-            request = repro.api.DiscoveryRequest(
-                database="nba", spec=self._spec(), time_limit=7.0
-            )
-        assert request.deadline_s == 7.0
-        with pytest.warns(DeprecationWarning, match="deadline_s"):
-            assert request.time_limit == 7.0
 
     def test_canonical_request_kwargs_do_not_warn(self):
         with warnings.catch_warnings():
@@ -115,36 +70,3 @@ class TestKeywordAliases:
                 database="nba", spec=self._spec(), deadline_s=7.0
             )
         assert request.deadline_s == 7.0
-
-    def test_service_constructor_aliases_warn_and_map(self, company_db):
-        with pytest.warns(DeprecationWarning, match="workers"):
-            svc = repro.api.DiscoveryService(
-                databases={"company": company_db}, num_workers=2
-            )
-        try:
-            assert svc._workers_count == 2
-        finally:
-            svc.shutdown()
-        with pytest.warns(DeprecationWarning, match="default_deadline_s"):
-            svc = repro.api.DiscoveryService(
-                databases={"company": company_db}, default_time_limit=9.0
-            )
-        try:
-            assert svc._default_deadline_s == 9.0
-        finally:
-            svc.shutdown()
-
-    def test_demo_requests_time_limit_alias_warns(self):
-        with pytest.warns(DeprecationWarning, match="deadline_s"):
-            requests = repro.api.demo_requests(time_limit=3.0)
-        assert all(request.deadline_s == 3.0 for request in requests)
-
-    def test_request_from_dict_accepts_both_deadline_spellings(self):
-        base = {
-            "database": "nba",
-            "columns": 1,
-            "samples": [["Lakers"]],
-        }
-        canonical = repro.api.request_from_dict({**base, "deadline_s": 4})
-        legacy = repro.api.request_from_dict({**base, "time_limit": 4})
-        assert canonical.deadline_s == legacy.deadline_s == 4.0

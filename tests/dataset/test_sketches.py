@@ -13,10 +13,10 @@ point values, so they are tested as such over seeded random inputs:
   rate under its sizing target;
 * :class:`EquiDepthHistogram` CDFs are monotone and bounded before and
   after fixed-boundary folds;
-* a :class:`MetadataCatalog` built on the python and numpy storage
-  backends carries byte-identical sketches, ``apply_delta`` folds reach
-  the cold-rebuild state, and everything survives pickling (the
-  fork/spawn round trip process shards rely on).
+* sketches built vectorized from column array snapshots are
+  byte-identical to sketches built from the same columns' plain values,
+  ``apply_delta`` folds reach the cold-rebuild state, and everything
+  survives pickling (the fork/spawn round trip process shards rely on).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import pickle
 import random
 import struct
 
+import numpy as np
 import pytest
 
 from repro.dataset.catalog import MetadataCatalog
@@ -34,15 +35,11 @@ from repro.dataset.sketches import (
     BloomFilter,
     EquiDepthHistogram,
     HyperLogLog,
+    build_column_sketches,
     hash_value,
     hash_values,
 )
 from repro.datasets.synthetic import generate_synthetic_database
-from repro.storage import make_backend
-
-np = pytest.importorskip("numpy")
-
-BACKENDS = ("python", "numpy")
 
 
 def _random_values(rng: random.Random, count: int) -> list:
@@ -306,7 +303,7 @@ def _sketch_refs(database):
             yield ColumnRef(table.name, column.name)
 
 
-def _small_db(backend_kind: str, rows: int = 300):
+def _small_db(rows: int = 300):
     return generate_synthetic_database(
         num_tables=3,
         rows_per_table=rows,
@@ -314,27 +311,41 @@ def _small_db(backend_kind: str, rows: int = 300):
         seed=11,
         skew=0.8,
         dangling_fk_fraction=0.3,
-        backend=make_backend(backend_kind),
     )
 
 
 class TestCatalogSketches:
-    def test_backends_build_identical_sketches(self):
-        catalogs = {
-            kind: MetadataCatalog.build(_small_db(kind)) for kind in BACKENDS
-        }
-        refs = list(_sketch_refs(_small_db("python")))
-        assert refs
-        for ref in refs:
-            python_sketches = catalogs["python"].sketches(ref)
-            numpy_sketches = catalogs["numpy"].sketches(ref)
-            assert python_sketches is not None
-            assert python_sketches.hll == numpy_sketches.hll
-            assert python_sketches.bloom == numpy_sketches.bloom
-            assert python_sketches.histogram == numpy_sketches.histogram
+    def test_vectorized_and_scalar_builds_are_byte_equal(self):
+        database = _small_db()
+        catalog = MetadataCatalog.build(database)
+        array_columns = 0
+        for table in database.tables.values():
+            for position, column in enumerate(table.columns):
+                kernel = table.backend.column_kernel(table.name, position)
+                if kernel.kind != "array":
+                    continue  # text and object columns have no vector path
+                array_columns += 1
+                ref = ColumnRef(table.name, column.name)
+                options = dict(
+                    distinct_hint=table.distinct_count(column.name),
+                    want_bloom=True,
+                )
+                vectorized = build_column_sketches(
+                    column.data_type, kernel=kernel, **options
+                )
+                scalar = build_column_sketches(
+                    column.data_type,
+                    values=table.column_values(column.name),
+                    **options,
+                )
+                assert vectorized.hll.registers == scalar.hll.registers, ref
+                assert vectorized.bloom.bits == scalar.bloom.bits, ref
+                assert vectorized.histogram == scalar.histogram, ref
+                assert catalog.sketches(ref).hll == scalar.hll, ref
+        assert array_columns
 
     def test_join_keys_get_blooms_numerics_get_histograms(self):
-        database = _small_db("python")
+        database = _small_db()
         catalog = MetadataCatalog.build(database)
         join_key_refs = set()
         for fk in database.foreign_keys:
@@ -348,9 +359,8 @@ class TestCatalogSketches:
             if ref.column in ("label", "attr0", "attr1"):
                 assert sketches.histogram is None
 
-    @pytest.mark.parametrize("backend_kind", BACKENDS)
-    def test_delta_fold_reaches_cold_rebuild_state(self, backend_kind):
-        database = _small_db(backend_kind)
+    def test_delta_fold_reaches_cold_rebuild_state(self):
+        database = _small_db()
         catalog = MetadataCatalog.build(database)
         marks = database.storage_marks()
         assert marks is not None
@@ -386,7 +396,7 @@ class TestCatalogSketches:
                 assert folded.histogram.total == cold.histogram.total
 
     def test_bloom_never_loses_keys_across_delta_folds(self):
-        database = _small_db("numpy")
+        database = _small_db()
         catalog = MetadataCatalog.build(database)
         marks = database.storage_marks()
         table = database.table("T2")
@@ -403,9 +413,8 @@ class TestCatalogSketches:
         for parent in database.table("T2").column_values("parent_id"):
             assert bloom.might_contain(parent)
 
-    @pytest.mark.parametrize("backend_kind", BACKENDS)
-    def test_sketches_survive_pickling(self, backend_kind):
-        database = _small_db(backend_kind)
+    def test_sketches_survive_pickling(self):
+        database = _small_db()
         catalog = MetadataCatalog.build(database)
         clone = pickle.loads(pickle.dumps(catalog))
         for ref in _sketch_refs(database):

@@ -242,7 +242,7 @@ class TestInjectedArtifacts:
         return spec
 
     def test_from_artifacts_skips_preprocessing_and_matches(self, company_db):
-        from repro.service import ArtifactStore
+        from repro.api import ArtifactStore
 
         bundle = ArtifactStore().get(company_db)
         engine = Prism.from_artifacts(bundle)
@@ -256,7 +256,7 @@ class TestInjectedArtifacts:
         assert shared.sql() == baseline.sql()
 
     def test_engines_over_one_bundle_have_private_executors(self, company_db):
-        from repro.service import ArtifactStore
+        from repro.api import ArtifactStore
 
         bundle = ArtifactStore().get(company_db)
         first = Prism.from_artifacts(bundle)

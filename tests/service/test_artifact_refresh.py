@@ -22,7 +22,7 @@ from repro.constraints.values import ExactValue
 from repro.dataset.schema import Column
 from repro.dataset.types import DataType
 from repro.discovery.engine import Prism
-from repro.service import ArtifactKey, ArtifactStore
+from repro.service.artifacts import ArtifactKey, ArtifactStore
 from tests.conftest import build_company_database
 
 _FIRST = ["Ada", "Grace", "Alan", "Edsger", "Barbara", "Donald", "Tony",
@@ -266,7 +266,7 @@ class TestRefreshBookkeeping:
         assert warm.key == upgraded.key
 
     def test_service_metrics_expose_refresh_counters(self):
-        from repro.service import DiscoveryRequest, DiscoveryService
+        from repro.api import DiscoveryRequest, DiscoveryService
 
         database = build_company_database()
         store = ArtifactStore(max_delta_fraction=0.9)
@@ -275,7 +275,7 @@ class TestRefreshBookkeeping:
         with DiscoveryService(
             databases={"company": database},
             store=store,
-            num_workers=1,
+            workers=1,
             refresh_artifacts=True,
         ) as service:
             assert service.submit(DiscoveryRequest("company", spec)).result().ok

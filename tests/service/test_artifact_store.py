@@ -9,7 +9,7 @@ import pytest
 from repro.constraints.spec import MappingSpec
 from repro.constraints.values import ExactValue
 from repro.errors import DiscoveryError
-from repro.service import ArtifactKey, ArtifactStore
+from repro.service.artifacts import ArtifactKey, ArtifactStore
 
 
 def _company_spec() -> MappingSpec:

@@ -10,7 +10,7 @@ import pytest
 from repro.constraints.spec import MappingSpec
 from repro.constraints.values import ExactValue
 from repro.errors import ServiceError, ServiceOverloaded
-from repro.service import (
+from repro.api import (
     ArtifactStore,
     DiscoveryRequest,
     DiscoveryService,
@@ -29,7 +29,7 @@ def _company_request(**overrides) -> DiscoveryRequest:
 
 @pytest.fixture()
 def service(company_db):
-    svc = DiscoveryService(databases={"company": company_db}, num_workers=2)
+    svc = DiscoveryService(databases={"company": company_db}, workers=2)
     yield svc
     svc.shutdown()
 
@@ -86,7 +86,7 @@ class TestSubmission:
 
 class TestTimeouts:
     def test_tiny_budget_yields_structured_timeout(self, service):
-        response = service.execute(_company_request(time_limit=1e-9))
+        response = service.execute(_company_request(deadline_s=1e-9))
         assert response.status == "timeout"
         assert response.result is not None
         assert response.result.timed_out
@@ -103,12 +103,12 @@ class TestTimeouts:
         svc = DiscoveryService(
             databases={"company": company_db},
             loaders={"slow": blocking_loader},
-            num_workers=1,
+            workers=1,
             queue_size=8,
         )
         try:
             blocker = svc.submit(_company_request(database="slow"))
-            starved = svc.submit(_company_request(time_limit=0.05))
+            starved = svc.submit(_company_request(deadline_s=0.05))
             time.sleep(0.2)
             release.set()
             assert blocker.result(timeout=30).ok
@@ -133,7 +133,7 @@ class TestBackpressureAndCancellation:
         svc = DiscoveryService(
             databases={"company": company_db},
             loaders={"slow": blocking_loader},
-            num_workers=1,
+            workers=1,
             queue_size=1,
         )
         return svc, release
@@ -207,12 +207,12 @@ class TestMetrics:
 class TestConfigurationValidation:
     def test_invalid_pool_parameters(self, company_db):
         with pytest.raises(ServiceError):
-            DiscoveryService(databases={"company": company_db}, num_workers=0)
+            DiscoveryService(databases={"company": company_db}, workers=0)
         with pytest.raises(ServiceError):
             DiscoveryService(databases={"company": company_db}, queue_size=0)
         with pytest.raises(ServiceError):
             DiscoveryService(
-                databases={"company": company_db}, default_time_limit=0
+                databases={"company": company_db}, default_deadline_s=0
             )
 
     def test_nonpositive_request_budget_rejected(self, service):
@@ -236,7 +236,7 @@ class TestWorkloadBuilders:
                 "samples": [["Lakers", "LeBron James"], ["", ""]],
                 "metadata": {"0": "DataType=='text'"},
                 "scheduler": "filter",
-                "time_limit": 5,
+                "deadline_s": 5,
                 "request_id": "r1",
             }
         )
@@ -245,12 +245,19 @@ class TestWorkloadBuilders:
         assert len(request.spec.samples) == 1
         assert request.spec.metadata_for(0) is not None
         assert request.scheduler == "filter"
-        assert request.time_limit == 5.0
+        assert request.deadline_s == 5.0
         assert request.request_id == "r1"
 
     def test_request_from_dict_requires_core_keys(self):
         with pytest.raises(ServiceError, match="missing key"):
             request_from_dict({"columns": 2})
+
+    def test_request_from_dict_rejects_the_removed_time_limit_key(self):
+        with pytest.raises(ServiceError, match="deadline_s"):
+            request_from_dict(
+                {"database": "nba", "columns": 1, "samples": [["Lakers"]],
+                 "time_limit": 5}
+            )
 
     def test_demo_requests_cover_all_bundled_databases(self):
         requests = demo_requests(rounds=2)

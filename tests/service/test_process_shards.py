@@ -10,6 +10,7 @@ to the cheapest method the platform offers.
 
 from __future__ import annotations
 
+import datetime
 import multiprocessing
 import os
 import time
@@ -154,6 +155,24 @@ class TestProcessServing:
             recovered = svc.submit(_company_request()).result(timeout=120)
             assert recovered.ok
             assert svc._pool.respawns >= 1
+
+    def test_unencodable_request_fails_and_shard_keeps_serving(
+        self, company_db, start_method
+    ):
+        # JSON has no date type: the request cannot cross the pipe.
+        spec = MappingSpec(2)
+        spec.add_sample_cells(
+            [ExactValue(datetime.date(2023, 10, 24)), ExactValue("Alice Chen")]
+        )
+        with _company_service(company_db, start_method=start_method) as svc:
+            failed = svc.submit(
+                DiscoveryRequest(database="company", spec=spec)
+            ).result(timeout=30)
+            assert failed.status == "error"
+            assert "datetime.date(2023, 10, 24)" in failed.error
+            # The same shard's worker thread is still serving.
+            assert svc.submit(_company_request()).result(timeout=120).ok
+            assert svc._pool.respawns == 0
 
     def test_warm_start_from_persisted_bundles(
         self, company_db, start_method, tmp_path

@@ -13,7 +13,7 @@ import threading
 import pytest
 
 from repro.discovery.candidates import GenerationLimits
-from repro.service import ArtifactStore, DiscoveryService, demo_requests
+from repro.api import ArtifactStore, DiscoveryService, demo_requests
 
 # Keep every individual round fast while still validating real candidates.
 STRESS_LIMITS = GenerationLimits(
@@ -38,7 +38,7 @@ class TestServiceStress:
         service = DiscoveryService(
             databases=stress_databases,
             store=store,
-            num_workers=8,
+            workers=8,
             queue_size=32,
             limits=STRESS_LIMITS,
         )
@@ -76,7 +76,7 @@ class TestServiceStress:
         service = DiscoveryService(
             databases=stress_databases,
             store=store,
-            num_workers=4,
+            workers=4,
             queue_size=64,
             limits=STRESS_LIMITS,
         )

@@ -192,6 +192,12 @@ class TestStrictness:
         with pytest.raises(WireFormatError):
             DiscoveryRequest.from_json("{not json")
 
+    def test_unencodable_value_is_a_wire_format_error(self):
+        spec = MappingSpec(1)
+        spec.add_sample_cells([ExactValue({1, 2})])
+        with pytest.raises(WireFormatError, match=r"\{1, 2\} \(set\)"):
+            _request(spec=spec).to_json()
+
     def test_non_mapping_payload_is_rejected(self):
         with pytest.raises(WireFormatError):
             DiscoveryRequest.from_json("[1, 2, 3]")

@@ -1,9 +1,4 @@
-"""Unit tests for the columnar storage backends.
-
-Every test runs against both the pure-Python :class:`ColumnStore` and the
-NumPy-backed store — the whole point of the array backend is that no
-observable behavior here may differ.
-"""
+"""Unit tests for the columnar storage backend, :class:`ColumnStore`."""
 
 from __future__ import annotations
 
@@ -13,14 +8,12 @@ from repro.dataset.schema import Column
 from repro.dataset.table import Table
 from repro.dataset.types import DataType
 from repro.errors import SchemaError
-from repro.storage import make_backend
-
-_BACKENDS = ("python", "numpy")
+from repro.storage import ColumnStore, make_backend
 
 
-@pytest.fixture(params=_BACKENDS)
-def store_and_table(request):
-    backend = make_backend(request.param)
+@pytest.fixture
+def store_and_table(in_layout):
+    backend = ColumnStore()
     table = Table(
         "Cities",
         [
@@ -39,7 +32,7 @@ def store_and_table(request):
             (None, "Nevada", 100),
         ]
     )
-    return backend, table
+    return in_layout(backend, "Cities", table)
 
 
 class TestDictionaryEncoding:
@@ -140,11 +133,15 @@ class TestBackendLifecycle:
         with pytest.raises(SchemaError):
             Table("Cities", [Column("X", DataType.INT)], backend=backend)
 
-    @pytest.mark.parametrize("kind", _BACKENDS)
-    def test_unknown_table_rejected(self, kind):
-        backend = make_backend(kind)
+    def test_unknown_table_rejected(self):
         with pytest.raises(SchemaError):
-            backend.num_rows("Ghost")
+            ColumnStore().num_rows("Ghost")
+
+    def test_make_backend_accepts_only_numpy(self):
+        assert isinstance(make_backend("numpy"), ColumnStore)
+        for kind in ("python", "", "NumPy"):
+            with pytest.raises(SchemaError, match="only backend"):
+                make_backend(kind)
 
     def test_drop_frees_the_name(self, store_and_table):
         backend, __ = store_and_table

@@ -1,8 +1,9 @@
-"""Properties and edge cases of the NumPy-backed storage backend.
+"""Properties and edge cases of the column store's array representation.
 
-The cross-backend contract suites (``test_column_store``, ``test_delta``,
-``test_column_store_concurrency``) already run every shared behavior on
-both stores.  This module covers what is specific to the array store:
+The contract suites (``test_column_store``, ``test_delta``,
+``test_column_store_concurrency``) cover the :class:`StorageBackend`
+behavior.  This module covers what follows from keeping columns in typed
+NumPy arrays:
 
 * dictionary-code stability across appends (codes are immutable once
   assigned; the dictionary only ever grows at the tail);
@@ -11,16 +12,16 @@ both stores.  This module covers what is specific to the array store:
 * int64 overflow → object-column promotion, transparent to readers and
   to the delta path;
 * NaN float columns: excluded from the kernel path
-  (:attr:`ColumnKernel.nan_unsafe`) while scans stay backend-identical;
+  (:attr:`ColumnKernel.nan_unsafe`), with the executor's generic path
+  answering exactly as the kernel-disabled executor and the reference;
 * kernel snapshots — fresh identity after every append, stable decoded
   views;
 * pickle round-trips across real process boundaries under the
   ``PRISM_TEST_START_METHODS`` fork/spawn matrix, with delta lineage
   surviving the hop;
 * the stale-handle (drop → recreate) and ``insert_many`` failure-index
-  behaviors, bit-for-bit identical to the python store;
-* the ``ArtifactStore`` delta-overflow fallback on a numpy-backed
-  database.
+  behaviors;
+* the ``ArtifactStore`` delta-overflow fallback.
 """
 
 from __future__ import annotations
@@ -35,9 +36,7 @@ from repro.dataset.schema import Column
 from repro.dataset.table import Table
 from repro.dataset.types import DataType
 from repro.errors import DataError
-from repro.storage import BACKEND_ENV_VAR, NumpyColumnStore, make_backend
-
-_BACKENDS = ("python", "numpy")
+from repro.storage import ColumnStore
 
 
 def _start_methods() -> list[str]:
@@ -51,8 +50,8 @@ def _start_methods() -> list[str]:
 START_METHODS = _start_methods()
 
 
-def _cities(kind: str):
-    backend = make_backend(kind)
+def _cities():
+    backend = ColumnStore()
     table = Table(
         "Cities",
         [
@@ -75,9 +74,8 @@ def _cities(kind: str):
 
 
 class TestDictionaryStability:
-    @pytest.mark.parametrize("kind", _BACKENDS)
-    def test_codes_never_change_once_assigned(self, kind):
-        __, table = _cities(kind)
+    def test_codes_never_change_once_assigned(self):
+        __, table = _cities()
         before_codes, before_dictionary = table.text_column_codes("State")
         table.insert_many(
             [
@@ -93,26 +91,25 @@ class TestDictionaryStability:
         assert dictionary == ["Nevada", "California", "Oregon"]
         assert codes[5:] == [0, 2, codes[7]] and codes[7] < 0
 
-    def test_backends_assign_identical_codes(self):
-        tables = {kind: _cities(kind)[1] for kind in _BACKENDS}
-        for column in ("Name", "State"):
-            assert (
-                tables["numpy"].text_column_codes(column)
-                == tables["python"].text_column_codes(column)
-            )
+    def test_codes_follow_first_appearance(self):
+        __, table = _cities()
+        assert table.text_column_codes("Name") == (
+            [0, 1, 2, 3, -1], ["Reno", "Fresno", "Oakland", "Elko"]
+        )
+        assert table.text_column_codes("State") == (
+            [0, 1, 1, 0, 0], ["Nevada", "California"]
+        )
 
 
 class TestNullSemantics:
-    @pytest.mark.parametrize("kind", _BACKENDS)
-    def test_predicates_are_never_shown_null(self, kind):
-        __, table = _cities(kind)
+    def test_predicates_are_never_shown_null(self):
+        __, table = _cities()
         # These predicates raise on None — a NULL reaching them fails.
         assert table.select_rows("Name", lambda v: v.startswith("E")) == [3]
         assert table.select_rows("Population", lambda v: v > 0) == [0, 1, 2, 4]
 
-    @pytest.mark.parametrize("kind", _BACKENDS)
-    def test_join_index_never_contains_null(self, kind):
-        __, table = _cities(kind)
+    def test_join_index_never_contains_null(self):
+        __, table = _cities()
         for column in ("Name", "Population"):
             index = table.join_index(column)
             assert None not in index
@@ -122,7 +119,7 @@ class TestNullSemantics:
 
 class TestOverflowPromotion:
     def test_int64_overflow_promotes_to_object_column(self):
-        store = make_backend("numpy")
+        store = ColumnStore()
         store.register_table("T", [Column("n", DataType.INT)])
         store.append_row("T", (1,))
         mark = store.table_mark("T")
@@ -141,7 +138,7 @@ class TestOverflowPromotion:
         assert delta.columns[0].values == (huge, negative, None)
 
     def test_promoted_column_survives_pickle(self):
-        store = make_backend("numpy")
+        store = ColumnStore()
         store.register_table("T", [Column("n", DataType.INT)])
         store.append_row("T", (2**70,))
         copy = pickle.loads(pickle.dumps(store))
@@ -151,26 +148,25 @@ class TestOverflowPromotion:
 
 
 class TestNaNColumns:
-    def _scores(self, kind: str):
-        backend = make_backend(kind)
+    def _scores(self):
+        backend = ColumnStore()
         backend.register_table("S", [Column("x", DataType.DECIMAL)])
         for value in (1.0, float("nan"), None, 2.5):
             backend.append_row("S", (value,))
         return backend
 
-    def test_scans_agree_across_backends(self):
-        stores = {kind: self._scores(kind) for kind in _BACKENDS}
+    def test_scans_show_nan_to_predicates(self):
+        store = self._scores()
         # NaN != NaN rules row 1 out; NULL rules row 2 out.
-        for kind, store in stores.items():
-            assert store.select_rows("S", 0, lambda v: v == v) == [0, 3], kind
-            # An always-true predicate still sees the NaN cell (it is not
-            # NULL) — on both backends.
-            assert store.select_rows("S", 0, lambda v: True) == [0, 1, 3], kind
+        assert store.select_rows("S", 0, lambda v: v == v) == [0, 3]
+        # An always-true predicate still sees the NaN cell (it is not
+        # NULL), as a row-at-a-time scan would.
+        assert store.select_rows("S", 0, lambda v: True) == [0, 1, 3]
 
     def test_nan_column_is_kernel_unsafe(self):
-        store = self._scores("numpy")
+        store = self._scores()
         assert store.column_kernel("S", 0).nan_unsafe
-        clean = make_backend("numpy")
+        clean = ColumnStore()
         clean.register_table("S", [Column("x", DataType.DECIMAL)])
         clean.append_row("S", (1.5,))
         clean.append_row("S", (None,))
@@ -182,11 +178,15 @@ class TestNaNColumns:
         from repro.dataset.schema import ColumnRef
         from repro.query.executor import Executor
         from repro.query.pj_query import ProjectJoinQuery
+        from repro.query.reference import execute_reference
 
-        monkeypatch.setattr(executor_module, "KERNEL_MIN_ROWS", 0)
         results = {}
-        for kind in _BACKENDS:
-            database = Database(f"nan-{kind}", backend=make_backend(kind))
+        # Kernel-forced against kernel-disabled (above every row count).
+        for kernel_min_rows in (0, 10**9):
+            monkeypatch.setattr(
+                executor_module, "KERNEL_MIN_ROWS", kernel_min_rows
+            )
+            database = Database("nan")
             left = database.create_table(
                 "L", [Column("k", DataType.DECIMAL), Column("v", DataType.INT)]
             )
@@ -203,22 +203,24 @@ class TestNaNColumns:
                 tuple(database.foreign_keys),
             )
             executor = Executor(database)
-            results[kind] = (
+            results[kernel_min_rows] = (
                 executor.execute(query),
                 executor.exists(query, cell_predicates={0: lambda v: v > 11}),
                 executor.stats,
                 executor,
             )
+        forced, disabled = results[0], results[10**9]
         # NaN keys force the generic path: no edge kernels were built.
-        assert not results["numpy"][3]._edge_kernels
-        assert results["numpy"][0] == results["python"][0] == [(12, 20)]
-        assert results["numpy"][1] is results["python"][1] is True
-        assert results["numpy"][2] == results["python"][2]
+        assert not forced[3]._edge_kernels
+        assert forced[0] == disabled[0] == [(12, 20)]
+        assert execute_reference(database, query) == [(12, 20)]
+        assert forced[1] is disabled[1] is True
+        assert forced[2] == disabled[2]
 
 
 class TestKernelSnapshots:
     def test_fresh_kernel_identity_after_append(self):
-        store, table = _cities("numpy")
+        store, table = _cities()
         first = store.column_kernel("Cities", 1)
         assert store.column_kernel("Cities", 1) is first  # cached
         table.insert(("Sparks", "Nevada", 108_000))
@@ -228,7 +230,7 @@ class TestKernelSnapshots:
         assert len(first.keys) == 5 and len(second.keys) == 6
 
     def test_kernel_views_decode_to_column_values(self):
-        store, table = _cities("numpy")
+        store, table = _cities()
         for position, column in enumerate(("Name", "State", "Population")):
             kernel = store.column_kernel("Cities", position)
             assert kernel.python_keys() == table.column_values(column)
@@ -260,17 +262,15 @@ def _exercise_in_child(store, mark, queue):
 
 class TestPickleAcrossProcesses:
     @pytest.mark.parametrize("method", START_METHODS)
-    @pytest.mark.parametrize("kind", _BACKENDS)
-    def test_round_trip_preserves_data_and_delta_lineage(self, method, kind):
+    def test_round_trip_preserves_data_and_delta_lineage(self, method):
         context = multiprocessing.get_context(method)
-        store, table = _cities(kind)
+        store, table = _cities()
         # Warm every derived cache: none of them may leak into the child
         # half-built (or at all — pickling trims to logical state).
         table.join_index("State")
         table.select_rows("Population", lambda v: v > 0)
         parent_rows = table.rows
-        if isinstance(store, NumpyColumnStore):
-            store.column_kernel("Cities", 1)
+        store.column_kernel("Cities", 1)
         mark = store.table_mark("Cities")
 
         queue = context.Queue()
@@ -294,14 +294,13 @@ class TestPickleAcrossProcesses:
 
 
 # ----------------------------------------------------------------------
-# Regression: stale handles and bulk-load diagnostics match exactly
+# Regression: stale handles and bulk-load diagnostics
 # ----------------------------------------------------------------------
 class TestBackendRegressions:
-    @pytest.mark.parametrize("kind", _BACKENDS)
-    def test_stale_handle_stays_isolated_after_drop_recreate(self, kind):
+    def test_stale_handle_stays_isolated_after_drop_recreate(self):
         from repro.dataset import Database
 
-        database = Database(f"stale-{kind}", backend=make_backend(kind))
+        database = Database("stale")
         stale = database.create_table(
             "P", [Column("Code", DataType.TEXT), Column("N", DataType.INT)]
         )
@@ -316,12 +315,9 @@ class TestBackendRegressions:
         assert fresh.rows == [(42,)]
         assert database.table("P") is fresh
 
-    @pytest.mark.parametrize("kind", _BACKENDS)
-    def test_insert_many_failure_index_and_partial_load(self, kind):
+    def test_insert_many_failure_index_and_partial_load(self):
         table = Table(
-            "T",
-            [Column("Name", DataType.TEXT), Column("N", DataType.INT)],
-            backend=make_backend(kind),
+            "T", [Column("Name", DataType.TEXT), Column("N", DataType.INT)]
         )
         with pytest.raises(DataError, match=r"row 2:"):
             table.insert_many(
@@ -332,18 +328,12 @@ class TestBackendRegressions:
 
 
 class TestArtifactDeltaOverflow:
-    def test_overflow_falls_back_to_rebuild_on_numpy_backend(
-        self, monkeypatch
-    ):
+    def test_overflow_falls_back_to_rebuild(self):
         from repro.api import ArtifactStore
         from repro.service.artifacts import ArtifactKey
         from tests.conftest import build_company_database
 
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
         database = build_company_database()
-        assert isinstance(
-            database.table("Employee")._backend, NumpyColumnStore
-        )
         store = ArtifactStore(max_delta_fraction=0.05)
         store.get(database)
         for i in range(5):  # 5 rows > 5% of the ~19-row company database

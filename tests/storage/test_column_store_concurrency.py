@@ -14,17 +14,14 @@ import threading
 from repro.dataset.schema import Column
 from repro.dataset.table import Table
 from repro.dataset.types import DataType
-from repro.storage import StorageBackend, make_backend
+from repro.storage import ColumnStore, StorageBackend
 
 import pytest
 
-# Both stores publish caches copy-on-write and must pass identically.
-_BACKENDS = ("python", "numpy")
 
-
-@pytest.fixture(params=_BACKENDS)
-def backend(request):
-    return make_backend(request.param)
+@pytest.fixture
+def backend():
+    return ColumnStore()
 
 
 def _make_table(backend: StorageBackend, rows: int = 500) -> Table:

@@ -6,32 +6,20 @@ from repro.dataset.schema import Column
 from repro.dataset.types import DataType
 import pytest
 
-from repro.storage import TableDelta, TableMark, make_backend
+from repro.storage import ColumnStore, TableDelta, TableMark
 from repro.storage.delta import NO_DICTIONARY
-
-# The delta contract is backend-observable behavior: both stores must
-# mark, snapshot and reject identically.
-_BACKENDS = ("python", "numpy")
-
-
-@pytest.fixture(params=_BACKENDS)
-def store_kind(request):
-    return request.param
 
 
 @pytest.fixture
-def store(store_kind):
-    return _store_with_rows(store_kind)
-
-
-def _store_with_rows(kind="python"):
-    store = make_backend(kind)
+def store(in_layout):
+    store = ColumnStore()
     store.register_table("T", [
         Column("Name", DataType.TEXT),
         Column("Score", DataType.INT, nullable=True),
     ])
     for row in [("alpha", 1), ("beta", None), ("alpha", 3)]:
         store.append_row("T", row)
+    store, = in_layout(store, "T")
     return store
 
 
@@ -93,9 +81,9 @@ class TestDeltaSince:
         assert delta.columns[0].values == ("gamma",)
         assert delta.columns[1].values == (4,)
 
-    def test_mark_for_different_layout_is_rejected(self, store, store_kind):
+    def test_mark_for_different_layout_is_rejected(self, store):
         mark = store.table_mark("T")
-        other = make_backend(store_kind)
+        other = ColumnStore()
         other.register_table("T", [Column("Name", DataType.TEXT)])
         other.append_row("T", ("x",))
         assert other.delta_since("T", mark) is None
@@ -139,9 +127,9 @@ class TestDeltaSince:
         assert delta.num_rows == 1
         assert delta.columns[0].values == ("delta",)
 
-    def test_mark_from_the_future_is_rejected(self, store, store_kind):
+    def test_mark_from_the_future_is_rejected(self, store):
         future = store.table_mark("T")
-        fresh = make_backend(store_kind)
+        fresh = ColumnStore()
         fresh.register_table("T", [
             Column("Name", DataType.TEXT),
             Column("Score", DataType.INT, nullable=True),

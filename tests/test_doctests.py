@@ -2,8 +2,8 @@
 
 The docstring examples on :class:`~repro.discovery.engine.Prism`,
 :class:`~repro.constraints.spec.MappingSpec`,
-:class:`~repro.service.ArtifactStore` and
-:class:`~repro.service.DiscoveryService` double as the documentation's
+:class:`~repro.api.ArtifactStore` and
+:class:`~repro.api.DiscoveryService` double as the documentation's
 quickstart snippets (see ``docs/``); this module executes them on every
 test run so they can never drift from the API.  CI additionally runs the
 same modules through ``pytest --doctest-modules`` in the ``docs`` job.

@@ -138,6 +138,14 @@ class TestCommands:
         assert exit_code == 2
         assert "COLUMN:TEXT" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["search", "explain"])
+    def test_missing_constraint_prints_one_line(self, capsys, command):
+        exit_code = main([command, "--database", "nba", "--columns", "2"])
+        assert exit_code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "no constraints" in err
+
 
 class TestTimeoutSurface:
     def test_search_times_out_structurally_with_exit_code(self, capsys):
@@ -147,7 +155,7 @@ class TestTimeoutSurface:
                 "--database", "nba",
                 "--columns", "2",
                 "--sample", "Lakers;LeBron James",
-                "--time-limit", "0.000001",
+                "--deadline-s", "0.000001",
                 "--fail-on-timeout",
             ]
         )
@@ -165,7 +173,7 @@ class TestTimeoutSurface:
                 "--database", "nba",
                 "--columns", "2",
                 "--sample", "Lakers;LeBron James",
-                "--time-limit", "0.000001",
+                "--deadline-s", "0.000001",
             ]
         )
         assert exit_code == 0

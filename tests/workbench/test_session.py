@@ -281,7 +281,7 @@ class TestStructuredTimeouts:
 
 class TestArtifactStoreBackedSessions:
     def test_sessions_share_one_preprocessing_pass(self, company_db_session):
-        from repro.service import ArtifactStore
+        from repro.api import ArtifactStore
 
         store = ArtifactStore()
         first = PrismSession(
@@ -303,7 +303,7 @@ class TestArtifactStoreBackedSessions:
         assert first._engine().index is second._engine().index
 
     def test_store_backed_session_rebuilds_on_data_change(self, company_db):
-        from repro.service import ArtifactStore
+        from repro.api import ArtifactStore
 
         store = ArtifactStore()
         session = PrismSession(
