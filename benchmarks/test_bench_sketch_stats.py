@@ -8,9 +8,9 @@ filters let ``exists_batch`` prove a probe's pushed-down rows can never
 join *before* any join structure is built.
 
 This harness builds a 4-table chain of 100k-row tables with ``skew=1.1``
-and ``dangling_fk_fraction=0.98`` (far above ``KERNEL_MIN_ROWS``, so
-the kernel semijoin path is live) and drives two workloads with sketches
-on and off:
+and ``dangling_fk_fraction=0.98`` (every probe that survives the Bloom
+pre-filter pays a semijoin sweep over these tables) and drives two
+workloads with sketches on and off:
 
 * **discovery** — seven multi-sample specs whose samples constrain the
   tail table's ``label`` (and a second column on ``T1``); for the "dead"

@@ -3,16 +3,16 @@
 A filter passes when the result of its sub-PJ-query contains at least one
 row satisfying the sample constraint's cells at the filter's positions.
 The validator builds cell predicates from the constraints, pushes them into
-the executor (which applies them before joining and stops at the first
-match) and caches outcomes so a filter is never executed twice.
+the executor (which applies them before deciding the join with a semijoin
+sweep) and caches outcomes so a filter is never executed twice.
 
 Validation can be **batched across candidates**: filters whose sub-queries
 share one join structure (same tables, same edges —
 :func:`~repro.query.plan.join_prefix_key`) are decided together by
-:meth:`~repro.query.executor.Executor.exists_batch`, which streams the
-shared join once and tests every filter's pushed-down row selections
-against each assignment.  Outcomes are bit-for-bit identical to the
-per-candidate path; only the join work is shared.  The scheduling layer
+:meth:`~repro.query.executor.Executor.exists_batch`, which plans the
+shared structure once and shares pushdown scans, Bloom checks and edge
+kernels across the filters' probes.  Outcomes are bit-for-bit identical
+to the per-candidate path; only the join work is shared.  The scheduling layer
 (:class:`~repro.discovery.scheduler.ValidationDriver`) still chooses and
 counts filters one at a time, so validation counts are unaffected —
 batch-mates decided early simply become validator cache hits when the

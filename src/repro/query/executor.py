@@ -1,4 +1,4 @@
-"""Physical execution of logical plans with cached, vectorized hash joins.
+"""Physical execution of logical plans over the columnar storage backend.
 
 The executor is the third stage of the query pipeline
 
@@ -6,7 +6,7 @@ The executor is the third stage of the query pipeline
 
 and evaluates plans against an in-memory :class:`Database` whose tables
 live in a columnar storage backend.  The execution model is column- and
-index-oriented:
+array-oriented:
 
 * **predicate pushdown over column arrays** — per-projection cell
   predicates (derived from the user's value constraints) are evaluated
@@ -15,39 +15,31 @@ index-oriented:
   distinct value instead of once per row;
 * **cost-based physical plans shared across candidates** — the join
   order comes from the :class:`~repro.query.planner.Planner` (catalog
-  cardinalities when available) and the lowered probe/filter steps are
-  cached under the structure's *canonical plan hash*
+  cardinalities when available) and the lowered probe steps are cached
+  under the structure's *canonical plan hash*
   (:func:`~repro.query.plan.join_prefix_key`), so every candidate —
   and every filter of every candidate — joining the same tables over
   the same edges reuses one physical plan regardless of what it
   projects;
-* **reusable join indexes** — the value → row-indexes hash index for a
-  join key column is built once per (table, column) and cached on the
-  storage backend, so the thousands of existence probes issued during
-  filter validation reuse it instead of rebuilding hash tables per query
-  (hits and builds are counted in :class:`ExecutionStats`);
-* **lazy join evaluation with early termination** — join results are
-  produced as a stream of per-table row-index assignments, so an optional
-  ``limit`` (and in particular ``exists()``'s ``limit=1``) stops work at
-  the first match instead of materializing the full join;
-* **batched existence probes** — :meth:`Executor.exists_batch` decides
-  many (query, predicates) probes sharing one join structure in a single
-  pass over the shared join: per-probe pushdown runs exactly as in the
-  per-candidate path, then one assignment stream (over the union of the
-  surviving probes' selections) is tested against every still-undecided
-  probe, terminating as soon as all are decided;
-* **an existence-memo cache** — ``exists()`` outcomes can be memoized
+* **one existence-probe path** — :meth:`Executor.exists` (a batch of
+  one) and :meth:`Executor.exists_batch` decide every probe with the
+  vectorized bottom-up semijoin sweep of :mod:`repro.query.kernels`
+  over the storage's column array snapshots, whatever the table sizes
+  or key types.  A batch shares its plan, its pushdown scans, its Bloom
+  checks and its edge kernels across probes;
+* **an existence-memo cache** — existence outcomes can be memoized
   under a caller-supplied canonical (query, predicate) signature and are
   invalidated automatically when the database changes;
-* **array semijoin kernels** — once a probe joins a table of at least
-  :data:`KERNEL_MIN_ROWS` rows, existence probes — single and batched —
-  are decided by a vectorized bottom-up semijoin sweep
-  (:mod:`repro.query.kernels`) over the storage's column array snapshots
-  instead of streaming per-row assignments; outcomes and every
-  :class:`ExecutionStats` counter stay bit-for-bit identical to the
-  generic path, which still serves small tables and NaN join keys.
+* **lazy row enumeration** — :meth:`Executor.execute` and
+  :meth:`Executor.count` stream per-table row-index assignments through
+  join-key hash indexes that are built once per (table, column) and
+  cached on the storage backend (hits and builds are counted in
+  :class:`ExecutionStats`), so an optional ``limit`` stops work at the
+  first rows instead of materializing the full join.
 
-Inner-join semantics follow SQL: NULL join keys never match.
+Inner-join semantics follow SQL: NULL join keys never match, and
+neither do NaN keys (NaN never equals itself), exactly as in the
+reference evaluator :mod:`repro.query.reference`.
 """
 
 from __future__ import annotations
@@ -64,7 +56,6 @@ from repro.query.pj_query import ProjectJoinQuery
 from repro.query.plan import (
     PlanNode,
     PredicateSpec,
-    _connected_edge_order,
     attach_predicates,
     join_prefix_key,
 )
@@ -74,21 +65,14 @@ __all__ = ["Executor", "ExecutionStats", "BatchProbe"]
 
 CellPredicate = Callable[[Any], bool]
 
-# Selections are row-index lists; None means "every row" (no predicate).
-_Selection = Optional[list[int]]
+# Pushed-down selections: the row-index set of every table a predicate
+# constrains; a table without an entry selects every row.
+_Selections = dict[str, frozenset[int]]
 
 # Caps on the per-executor caches so a long-lived session over a static
 # database cannot grow without bound; oldest entries are evicted first.
 MAX_EXISTS_MEMO_ENTRIES = 100_000
 MAX_PLAN_CACHE_ENTRIES = 10_000
-
-# Array semijoin kernels only pay off once tables have enough rows to
-# amortize the per-call array overhead; below this many rows in every
-# joined table the generic streaming path is used instead.  The two
-# routes produce identical outcomes and identical ExecutionStats, so the
-# crossover is purely a performance knob (tests pin it to 0 to force the
-# kernels onto arbitrarily small databases).
-KERNEL_MIN_ROWS = 256
 
 # Bloom pre-filtering only probes selections at most this large: the
 # pushed-down selections it can kill cheaply are small by construction,
@@ -162,8 +146,8 @@ class BatchProbe:
 
 @dataclass(frozen=True)
 class _ProbeStep:
-    """One hash-join step: probe ``new_table``'s join index from the
-    already-joined ``existing_table`` side."""
+    """One join step: attach ``new_table`` to the already-joined
+    ``existing_table`` side through one edge."""
 
     existing_table: str
     existing_position: int
@@ -172,21 +156,11 @@ class _ProbeStep:
 
 
 @dataclass(frozen=True)
-class _FilterStep:
-    """Both endpoints already joined: apply the edge as a post-filter."""
-
-    child_table: str
-    child_position: int
-    parent_table: str
-    parent_position: int
-
-
-@dataclass(frozen=True)
 class _JoinPlan:
     """A structure's physical join strategy (no per-request state)."""
 
     start_table: str
-    steps: tuple[Any, ...]  # _ProbeStep | _FilterStep
+    steps: tuple[_ProbeStep, ...]
 
 
 class _ResolvedProbe:
@@ -202,18 +176,6 @@ class _ResolvedProbe:
         self.new_table = new_table
         self.index = index
         self.selection_set = selection_set
-
-
-class _ResolvedFilter:
-    """A _FilterStep bound to this execution's cell readers."""
-
-    __slots__ = ("child_table", "child_reader", "parent_table", "parent_reader")
-
-    def __init__(self, child_table, child_reader, parent_table, parent_reader):
-        self.child_table = child_table
-        self.child_reader = child_reader
-        self.parent_table = parent_table
-        self.parent_reader = parent_reader
 
 
 class Executor:
@@ -315,6 +277,9 @@ class Executor:
     ) -> bool:
         """Whether at least one result row satisfies all cell predicates.
 
+        Decided as a batch of one (see :meth:`exists_batch`); a true
+        outcome that reached the join counts one ``rows_emitted``.
+
         Args:
             query: the PJ query to probe.
             cell_predicates: optional per-projection-position predicates.
@@ -324,76 +289,24 @@ class Executor:
                 probes; the memo is dropped whenever the database changes.
                 Callers must guarantee the key fully determines the probe.
         """
-        if cache_key is None:
-            return self._exists_once(query, cell_predicates)
-        memo = self._current_memo()
-        cached = memo.get(cache_key)
-        if cached is not None:
-            self.stats.exists_cache_hits += 1
-            return cached
-        self.stats.exists_cache_misses += 1
-        outcome = self._exists_once(query, cell_predicates)
-        self._memoize(memo, cache_key, outcome)
-        return outcome
-
-    def _exists_once(
-        self,
-        query: ProjectJoinQuery,
-        cell_predicates: Optional[Mapping[int, CellPredicate]],
-    ) -> bool:
-        """Decide one existence probe (no memo).
-
-        Prefers the array semijoin kernel when :meth:`_kernel_edges`
-        admits the plan; otherwise streams assignments and stops at the
-        first hit, exactly like ``execute(limit=1)``.  Both
-        routes account identically: the query and its pushdown scans via
-        :meth:`_prepare`, then per probe step one join-index hit/build
-        and one ``joins_performed``, then one ``rows_emitted`` iff the
-        probe holds.
-        """
-        prepared = self._prepare(query, cell_predicates)
-        if prepared is None:
-            return False
-        selections, plan = prepared
-        selections = self._bloom_prune(selections, plan)
-        if selections is None:
-            return False
-        edges = self._kernel_edges(plan)
-        if edges is not None:
-            for step in plan.steps:
-                self._join_index(step.new_table, step.new_position)
-                self.stats.joins_performed += 1
-            masks = {
-                table: self._selection_mask(table, selection)
-                for table, selection in selections.items()
-            }
-            if _kernels.semijoin_exists(plan.start_table, plan.steps, edges, masks):
-                self.stats.rows_emitted += 1
-                return True
-            return False
-        for __ in self._assignments(selections, plan):
+        (outcome,), swept = self._decide(
+            (BatchProbe(query, cell_predicates, cache_key),)
+        )
+        if swept and outcome:
             self.stats.rows_emitted += 1
-            return True
-        return False
+        return outcome
 
     def exists_batch(self, probes: Sequence[BatchProbe]) -> list[bool]:
         """Decide many existence probes over one shared join structure.
 
-        Per-probe predicate pushdown runs exactly as in :meth:`exists`
-        (so probes emptied by pushdown never touch the join), then one
-        recursive pass over the shared join decides every surviving
-        probe at once: the walk carries a bitmask of the probes whose
-        pushed-down selections are consistent with the partial
-        assignment, prunes branches no undecided probe selects, and
-        satisfies a probe the moment a full assignment consistent with
-        it appears.  Because all cell predicates bind to base-table
-        columns, selection-mask consistency is exactly predicate
-        satisfaction.  The pass stops as soon as every probe is decided.
-
-        Outcomes equal per-probe :meth:`exists` calls bit for bit, but
-        the join work (index lookups, probe steps, streaming) is paid
-        once per batch instead of once per probe.  Memoization under each
-        probe's ``cache_key`` behaves exactly as in :meth:`exists`.
+        Outcomes equal per-probe :meth:`exists` calls bit for bit, and
+        memoization under each probe's ``cache_key`` behaves exactly as
+        in :meth:`exists`.  The batch plans once, runs each column scan
+        whose predicate several probes tag identically once, caches
+        Bloom checks across probes sharing a selection, and counts its
+        join steps (``joins_performed``) once instead of once per probe;
+        every probe whose selections survive pushdown and Bloom
+        pruning is then decided by its own semijoin sweep.
 
         Raises:
             QueryError: the probes do not share one join structure.
@@ -406,62 +319,11 @@ class Executor:
                 raise QueryError(
                     "exists_batch requires probes sharing one join structure"
                 )
-        memo = self._current_memo()
-        outcomes: list[Optional[bool]] = [None] * len(probes)
-        pending: list[int] = []
-        for index, probe in enumerate(probes):
-            if probe.cache_key is not None:
-                cached = memo.get(probe.cache_key)
-                if cached is not None:
-                    self.stats.exists_cache_hits += 1
-                    outcomes[index] = cached
-                    continue
-                self.stats.exists_cache_misses += 1
-            pending.append(index)
-
-        plan: Optional[_JoinPlan] = None
-        pushdown_cache: dict[tuple, frozenset[int]] = {}
-        bloom_keep_cache: dict = {}
-        survivors: list[tuple[int, dict[str, frozenset[int]]]] = []
-        for index in pending:
-            probe = probes[index]
-            query = probe.query
-            query.validate(self._database)
-            self.stats.queries_executed += 1
-            predicates = dict(probe.cell_predicates or {})
-            for position in predicates:
-                if position < 0 or position >= query.width:
-                    raise QueryError(
-                        f"cell predicate position {position} out of range "
-                        f"for a query of width {query.width}"
-                    )
-            constrained = self._pushdown_shared(
-                query, predicates, probe.predicate_tags, pushdown_cache
-            )
-            if constrained is None:
-                outcomes[index] = False
-                continue
-            if plan is None:
-                plan = self._plan(query)
-            pruned = self._bloom_prune_sets(constrained, plan, bloom_keep_cache)
-            if pruned is None:
-                outcomes[index] = False
-                continue
-            survivors.append((index, pruned))
-
-        if survivors:
-            assert plan is not None
+        outcomes, swept = self._decide(probes)
+        if swept:
             self.stats.batch_executions += 1
-            self.stats.batched_probes += len(survivors)
-            satisfied = self._run_batch_any(plan, [sets for __, sets in survivors])
-            for bit, (index, __) in enumerate(survivors):
-                outcomes[index] = bool(satisfied & (1 << bit))
-
-        for index in pending:
-            key = probes[index].cache_key
-            if key is not None:
-                self._memoize(memo, key, bool(outcomes[index]))
-        return [bool(outcome) for outcome in outcomes]
+            self.stats.batched_probes += swept
+        return outcomes
 
     def count(
         self,
@@ -497,28 +359,105 @@ class Executor:
         return plan
 
     # ------------------------------------------------------------------
+    # Existence probes: the semijoin sweep
+    # ------------------------------------------------------------------
+    def _decide(
+        self, probes: Sequence[BatchProbe]
+    ) -> tuple[list[bool], int]:
+        """Decide probes sharing one join structure.
+
+        Memo hits answer first.  Every other probe pushes its predicates
+        down, and the first probe to survive pushdown plans the shared
+        structure.  Join-key Bloom filters then prune each probe's
+        selections; a probe with rows left on every table is decided by
+        one semijoin sweep over the plan's edge kernels.  Returns the
+        outcomes and the number of probes that reached the sweep.
+        """
+        memo = self._current_memo()
+        outcomes: list[Optional[bool]] = [None] * len(probes)
+        pending: list[int] = []
+        for index, probe in enumerate(probes):
+            if probe.cache_key is not None:
+                cached = memo.get(probe.cache_key)
+                if cached is not None:
+                    self.stats.exists_cache_hits += 1
+                    outcomes[index] = cached
+                    continue
+                self.stats.exists_cache_misses += 1
+            pending.append(index)
+
+        plan: Optional[_JoinPlan] = None
+        edges: Optional[list] = None
+        scans: dict[tuple, frozenset[int]] = {}
+        bloom_keep: dict[tuple, frozenset[int]] = {}
+        swept = 0
+        for index in pending:
+            probe = probes[index]
+            outcome = False
+            selections = self._pushdown(
+                probe.query, probe.cell_predicates, probe.predicate_tags, scans
+            )
+            if selections is not None:
+                if plan is None:
+                    plan = self._plan(probe.query)
+                selections = self._bloom_prune(selections, plan, bloom_keep)
+            if selections is not None:
+                if edges is None:
+                    edges = [self._edge_kernel(step) for step in plan.steps]
+                masks = {
+                    table: _kernels.selection_mask(
+                        self._database.table(table).num_rows, rows
+                    )
+                    for table, rows in selections.items()
+                }
+                outcome = _kernels.semijoin_exists(
+                    plan.start_table, plan.steps, edges, masks
+                )
+                swept += 1
+            outcomes[index] = outcome
+            if probe.cache_key is not None:
+                self._memoize(memo, probe.cache_key, outcome)
+        if swept:
+            self.stats.joins_performed += len(plan.steps)
+        return [bool(outcome) for outcome in outcomes], swept
+
+    def _column_kernel(self, table: str, position: int):
+        """The backend's column array snapshot."""
+        return self._database.table(table).backend.column_kernel(
+            table, position
+        )
+
+    def _edge_kernel(self, step: _ProbeStep):
+        """The cached aligned :class:`~repro.query.kernels.EdgeKernel`
+        of one probe step, rebuilt when either column has grown."""
+        existing = self._column_kernel(step.existing_table, step.existing_position)
+        new = self._column_kernel(step.new_table, step.new_position)
+        key = (step.existing_table, step.existing_position,
+               step.new_table, step.new_position)
+        cached = self._edge_kernels.get(key)
+        if (
+            cached is not None
+            and cached.existing is existing
+            and cached.new is new
+        ):
+            return cached
+        edge = _kernels.EdgeKernel(existing, new)
+        self._edge_kernels[key] = edge
+        return edge
+
+    # ------------------------------------------------------------------
     # Preparation: validation, pushdown, planning
     # ------------------------------------------------------------------
     def _prepare(
         self,
         query: ProjectJoinQuery,
         cell_predicates: Optional[Mapping[int, CellPredicate]],
-    ) -> Optional[tuple[dict[str, _Selection], _JoinPlan]]:
-        """Validate, push predicates down and plan joins.
+    ) -> Optional[tuple[_Selections, _JoinPlan]]:
+        """Push predicates down and plan joins for row enumeration.
 
-        Returns ``None`` when pushdown proves the result empty.  Counts
-        the query and its scans in :attr:`stats` either way.
+        Returns ``None`` when pushdown proves the result empty.
         """
-        query.validate(self._database)
-        self.stats.queries_executed += 1
-        predicates = dict(cell_predicates or {})
-        for position in predicates:
-            if position < 0 or position >= query.width:
-                raise QueryError(
-                    f"cell predicate position {position} out of range "
-                    f"for a query of width {query.width}"
-                )
-        selections = self._pushdown(query, predicates)
+        selections = self._pushdown(query, cell_predicates)
         if selections is None:
             return None
         return selections, self._plan(query)
@@ -526,72 +465,40 @@ class Executor:
     def _pushdown(
         self,
         query: ProjectJoinQuery,
-        predicates: Mapping[int, CellPredicate],
-    ) -> Optional[dict[str, _Selection]]:
-        """Evaluate cell predicates against base-table columns.
+        cell_predicates: Optional[Mapping[int, CellPredicate]],
+        tags: Optional[Mapping[int, Any]] = None,
+        scans: Optional[dict[tuple, frozenset[int]]] = None,
+    ) -> Optional[_Selections]:
+        """Validate ``query`` and evaluate its cell predicates against
+        base-table columns.
 
-        Returns per-table row-index selections (``None`` entry = all rows),
-        or ``None`` overall when some table's selection is empty — the
-        inner-join result is then necessarily empty.
+        Returns the selected row set of every table some predicate
+        constrains, or ``None`` when the inner-join result is
+        necessarily empty: a constrained table selects no row, or an
+        unconstrained one has none.  NULL cells never satisfy a
+        predicate, and a table with several predicates keeps only the
+        rows passing all of them.  With a ``scans`` cache, a column scan
+        whose predicate carries the same ``tags`` entry runs once per
+        batch; an untagged predicate after a table's first one tests
+        only the rows still selected.  Counts the query and its scanned
+        rows in :attr:`stats`.
         """
-        per_table_predicates: dict[str, list[tuple[str, CellPredicate]]] = defaultdict(list)
-        for position, predicate in predicates.items():
-            ref = query.projections[position]
-            per_table_predicates[ref.table].append((ref.column, predicate))
-
-        selections: dict[str, _Selection] = {}
-        for table_name in query.tables:
-            table = self._database.table(table_name)
-            self.stats.rows_scanned += table.num_rows
-            checks = per_table_predicates.get(table_name)
-            if not checks:
-                selections[table_name] = None
-                if table.num_rows == 0:
-                    return None
-                continue
-            column_name, predicate = checks[0]
-            selected = table.select_rows(column_name, predicate)
-            # Further predicates probe only the surviving rows rather than
-            # re-scanning the whole column.
-            for column_name, predicate in checks[1:]:
-                if not selected:
-                    break
-                read = table.cell_reader(column_name)
-                selected = [
-                    index
-                    for index in selected
-                    if (value := read(index)) is not None and predicate(value)
-                ]
-            if not selected:
-                return None
-            selections[table_name] = selected
-        return selections
-
-    def _pushdown_shared(
-        self,
-        query: ProjectJoinQuery,
-        predicates: Mapping[int, CellPredicate],
-        tags: Optional[Mapping[int, Any]],
-        cache: dict[tuple, frozenset[int]],
-    ) -> Optional[dict[str, frozenset[int]]]:
-        """Pushdown for one batch probe, sharing column scans via ``cache``.
-
-        Semantics match :meth:`_pushdown` exactly (NULL cells never
-        match; a table with several predicates keeps only rows passing
-        all of them; an empty selection — or an empty unconstrained
-        table — proves the probe false).  The difference is the shape
-        (per-table row *sets*, constrained tables only) and the cache:
-        a column scan tagged with the same predicate content by several
-        probes of the batch runs once.
-        """
+        query.validate(self._database)
+        self.stats.queries_executed += 1
         tags = tags or {}
         per_table: dict[str, list[tuple[str, CellPredicate, Any]]] = defaultdict(list)
-        for position, predicate in predicates.items():
+        for position, predicate in (cell_predicates or {}).items():
+            if position < 0 or position >= query.width:
+                raise QueryError(
+                    f"cell predicate position {position} out of range "
+                    f"for a query of width {query.width}"
+                )
             ref = query.projections[position]
             per_table[ref.table].append(
                 (ref.column, predicate, tags.get(position))
             )
-        constrained: dict[str, frozenset[int]] = {}
+
+        selections: _Selections = {}
         for table_name in query.tables:
             table = self._database.table(table_name)
             self.stats.rows_scanned += table.num_rows
@@ -603,22 +510,30 @@ class Executor:
             combined: Optional[frozenset[int]] = None
             for column_name, predicate, tag in checks:
                 key = (
-                    (table_name, column_name, tag) if tag is not None else None
+                    (table_name, column_name, tag)
+                    if scans is not None and tag is not None
+                    else None
                 )
-                selection = cache.get(key) if key is not None else None
-                if selection is None:
-                    selection = frozenset(
-                        table.select_rows(column_name, predicate)
+                if key is None and combined is not None:
+                    # An unshared scan only tests the rows that survived
+                    # the table's earlier predicates.
+                    read = table.cell_reader(column_name)
+                    combined = frozenset(
+                        row
+                        for row in combined
+                        if (value := read(row)) is not None and predicate(value)
                     )
-                    if key is not None:
-                        cache[key] = selection
-                combined = (
-                    selection if combined is None else combined & selection
-                )
+                else:
+                    rows = scans.get(key) if key is not None else None
+                    if rows is None:
+                        rows = frozenset(table.select_rows(column_name, predicate))
+                        if key is not None:
+                            scans[key] = rows
+                    combined = rows if combined is None else combined & rows
                 if not combined:
                     return None
-            constrained[table_name] = combined
-        return constrained
+            selections[table_name] = combined
+        return selections
 
     # ------------------------------------------------------------------
     # Bloom pre-filtering of existence probes
@@ -651,8 +566,11 @@ class Executor:
         return sketches.bloom if sketches is not None else None
 
     def _bloom_prune(
-        self, selections: dict[str, Any], plan: _JoinPlan
-    ) -> Optional[dict[str, Any]]:
+        self,
+        selections: _Selections,
+        plan: _JoinPlan,
+        keep_cache: dict[tuple, frozenset[int]],
+    ) -> Optional[_Selections]:
         """Drop pushed-down rows whose join key a Bloom filter proves
         absent from the opposite endpoint of an edge.
 
@@ -661,57 +579,15 @@ class Executor:
         or provably absent keys cannot take part in any full assignment,
         so removing them (``bloom_rejections``) never changes an
         existence outcome — and an emptied selection decides the probe
-        ``False`` (returns ``None``) before any join structure is built.
-        The filter has no false negatives, so surviving rows are a
-        superset of the joinable ones.
+        ``False`` (returns ``None``) before the sweep runs.  The filter
+        has no false negatives, so surviving rows are a superset of the
+        joinable ones.  Probes of one batch share pushed-down selections,
+        so each (step side, selection) check is memoized in
+        ``keep_cache``; ``bloom_rejections`` is still counted per probe.
         """
         if not self._bloom_ready():
             return selections
         for step in plan.steps:
-            if not isinstance(step, _ProbeStep):
-                continue
-            sides = (
-                (step.existing_table, step.existing_position,
-                 step.new_table, step.new_position),
-                (step.new_table, step.new_position,
-                 step.existing_table, step.existing_position),
-            )
-            for table, position, other_table, other_position in sides:
-                selection = selections.get(table)
-                if selection is None or len(selection) > BLOOM_PROBE_MAX_ROWS:
-                    continue
-                bloom = self._bloom_for(other_table, other_position)
-                if bloom is None:
-                    continue
-                kept = self._bloom_keep(table, position, selection, bloom)
-                rejected = len(selection) - len(kept)
-                if rejected:
-                    self.stats.bloom_rejections += rejected
-                    if not kept:
-                        return None
-                    selections[table] = kept
-        return selections
-
-    def _bloom_prune_sets(
-        self,
-        constrained: dict[str, frozenset[int]],
-        plan: _JoinPlan,
-        keep_cache: Optional[dict] = None,
-    ) -> Optional[dict[str, frozenset[int]]]:
-        """Set-shaped :meth:`_bloom_prune` for the batched probe path.
-
-        Probes of one batch share pushed-down selections (the pushdown
-        cache returns one frozenset per distinct constraint tag), so the
-        per-(step-side, selection) filter checks are memoized in
-        ``keep_cache`` across the whole batch; ``bloom_rejections`` is
-        still counted per probe, exactly as the uncached path would.
-        """
-        if not self._bloom_ready():
-            return constrained
-        selections = dict(constrained)
-        for step in plan.steps:
-            if not isinstance(step, _ProbeStep):
-                continue
             sides = (
                 (step.existing_table, step.existing_position,
                  step.new_table, step.new_position),
@@ -725,11 +601,7 @@ class Executor:
                 cache_key = (
                     table, position, other_table, other_position, selection
                 )
-                kept = (
-                    keep_cache.get(cache_key)
-                    if keep_cache is not None
-                    else None
-                )
+                kept = keep_cache.get(cache_key)
                 if kept is None:
                     bloom = self._bloom_for(other_table, other_position)
                     if bloom is None:
@@ -737,8 +609,7 @@ class Executor:
                     kept = frozenset(
                         self._bloom_keep(table, position, selection, bloom)
                     )
-                    if keep_cache is not None:
-                        keep_cache[cache_key] = kept
+                    keep_cache[cache_key] = kept
                 rejected = len(selection) - len(kept)
                 if rejected:
                     self.stats.bloom_rejections += rejected
@@ -748,7 +619,7 @@ class Executor:
         return selections
 
     def _bloom_keep(
-        self, table: str, position: int, selection: Sequence[int], bloom
+        self, table: str, position: int, selection: frozenset[int], bloom
     ) -> list[int]:
         """The subset of ``selection`` whose key might be in ``bloom``.
 
@@ -756,7 +627,7 @@ class Executor:
         take the scalar route, which hashes the same canonical equality
         classes, so both routes keep exactly the same rows.
         """
-        rows = selection if isinstance(selection, list) else sorted(selection)
+        rows = sorted(selection)
         kernel = self._column_kernel(table, position)
         if kernel.kind == "array":
             return _kernels.bloom_keep(kernel, rows, bloom)
@@ -769,7 +640,7 @@ class Executor:
         ]
 
     def _plan(self, query: ProjectJoinQuery) -> _JoinPlan:
-        """Lower the optimized join order into concrete probe/filter steps.
+        """Lower the optimized join order into concrete probe steps.
 
         Physical plans depend only on join structure (plus the schema's
         column layout), so they are cached under the structure's
@@ -794,29 +665,18 @@ class Executor:
 
         order = self.planner.join_order(query)
         joined = {order.start_table}
-        steps: list[Any] = []
+        steps: list[_ProbeStep] = []
         for edge in order.edges:
             left, right = edge.tables()
-            if left in joined and right in joined:
-                # Both sides already joined (cannot happen for trees,
-                # but be defensive): apply the edge as a post-filter.
-                steps.append(
-                    _FilterStep(
-                        edge.child_table,
-                        self._column_position(edge.child_table, edge.child_column),
-                        edge.parent_table,
-                        self._column_position(edge.parent_table, edge.parent_column),
-                    )
+            if (left in joined) == (right in joined):
+                # validate() admits join trees only, and a connected
+                # order over a tree attaches one new table per edge.
+                raise QueryError(
+                    f"join edge {edge} does not attach one new table"
                 )
-                continue
-            if left in joined:
-                existing_table, new_table = left, right
-            elif right in joined:
-                existing_table, new_table = right, left
-            else:
-                # Neither endpoint joined yet — cannot happen when the
-                # planner produced a connected order; guard anyway.
-                raise QueryError("disconnected join order")
+            existing_table, new_table = (
+                (left, right) if left in joined else (right, left)
+            )
             existing_column, new_column = self._edge_columns(
                 edge, existing_table, new_table
             )
@@ -838,16 +698,6 @@ class Executor:
     def _column_position(self, table: str, column: str) -> int:
         return self._database.table(table).column_position(column)
 
-    def _join_order(self, query: ProjectJoinQuery):
-        """Structural edge ordering (connectivity check, no statistics).
-
-        Retained as the reference ordering: the cost-based planner may
-        emit any permutation, but both must reject disconnected edges.
-        """
-        if not query.joins:
-            return []
-        return _connected_edge_order(query)
-
     def _edge_columns(
         self, edge, existing_table: str, new_table: str
     ) -> tuple[str, str]:
@@ -860,7 +710,7 @@ class Executor:
         )
 
     # ------------------------------------------------------------------
-    # Lazy join evaluation
+    # Lazy row enumeration (execute and count)
     # ------------------------------------------------------------------
     def _join_index(self, table: str, position: int) -> Mapping[Any, Sequence[int]]:
         """The backend's cached join index, with hit/build accounting."""
@@ -873,24 +723,25 @@ class Executor:
 
     def _assignments(
         self,
-        selections: dict[str, _Selection],
+        selections: _Selections,
         plan: _JoinPlan,
     ) -> Iterator[dict[str, int]]:
         """Stream per-table row-index assignments satisfying all joins.
 
-        The stream is lazy end to end: a consumer that stops early (e.g. an
-        existence probe) leaves the remaining join work undone.  For speed
-        a single assignment dict is reused and mutated in place — consumers
+        The stream is lazy end to end: a consumer that stops early (e.g.
+        ``execute(limit=...)``) leaves the remaining join work undone.
+        The start table is walked in ascending row order.  For speed a
+        single assignment dict is reused and mutated in place — consumers
         must extract what they need before advancing the iterator.
         """
         start = plan.start_table
-        start_selection = selections[start]
+        start_selection = selections.get(start)
         if start_selection is None:
             start_rows: Sequence[int] = range(
                 self._database.table(start).num_rows
             )
         else:
-            start_rows = start_selection
+            start_rows = sorted(start_selection)
 
         assignment: dict[str, int] = {}
         if not plan.steps:
@@ -900,335 +751,49 @@ class Executor:
             return
 
         # Resolve each step's runtime machinery once per execution.
-        resolved: list[Any] = []
+        resolved: list[_ResolvedProbe] = []
         for step in plan.steps:
-            if isinstance(step, _ProbeStep):
-                selection = selections[step.new_table]
-                resolved.append(
-                    _ResolvedProbe(
-                        step.existing_table,
-                        self._database.table(step.existing_table).backend.cell_reader(
-                            step.existing_table, step.existing_position
-                        ),
-                        step.new_table,
-                        self._join_index(step.new_table, step.new_position),
-                        None if selection is None else set(selection),
-                    )
+            resolved.append(
+                _ResolvedProbe(
+                    step.existing_table,
+                    self._database.table(step.existing_table).backend.cell_reader(
+                        step.existing_table, step.existing_position
+                    ),
+                    step.new_table,
+                    self._join_index(step.new_table, step.new_position),
+                    selections.get(step.new_table),
                 )
-                self.stats.joins_performed += 1
-            else:
-                resolved.append(
-                    _ResolvedFilter(
-                        step.child_table,
-                        self._database.table(step.child_table).backend.cell_reader(
-                            step.child_table, step.child_position
-                        ),
-                        step.parent_table,
-                        self._database.table(step.parent_table).backend.cell_reader(
-                            step.parent_table, step.parent_position
-                        ),
-                    )
-                )
+            )
+            self.stats.joins_performed += 1
         last_depth = len(resolved) - 1
 
         def extend(depth: int) -> Iterator[dict[str, int]]:
             step = resolved[depth]
-            if isinstance(step, _ResolvedProbe):
-                key = step.existing_reader(assignment[step.existing_table])
-                if key is None:
-                    return
-                rows = step.index.get(key)
-                if not rows:
-                    return
-                new_table = step.new_table
-                selection_set = step.selection_set
-                if depth == last_depth:
-                    for row_index in rows:
-                        if selection_set is not None and row_index not in selection_set:
-                            continue
-                        assignment[new_table] = row_index
-                        yield assignment
-                else:
-                    for row_index in rows:
-                        if selection_set is not None and row_index not in selection_set:
-                            continue
-                        assignment[new_table] = row_index
-                        yield from extend(depth + 1)
+            key = step.existing_reader(assignment[step.existing_table])
+            if key is None:
+                return
+            rows = step.index.get(key)
+            if not rows:
+                return
+            new_table = step.new_table
+            selection_set = step.selection_set
+            if depth == last_depth:
+                for row_index in rows:
+                    if selection_set is not None and row_index not in selection_set:
+                        continue
+                    assignment[new_table] = row_index
+                    yield assignment
             else:
-                child_value = step.child_reader(assignment[step.child_table])
-                parent_value = step.parent_reader(assignment[step.parent_table])
-                if (
-                    child_value is not None
-                    and parent_value is not None
-                    and child_value == parent_value
-                ):
-                    if depth == last_depth:
-                        yield assignment
-                    else:
-                        yield from extend(depth + 1)
+                for row_index in rows:
+                    if selection_set is not None and row_index not in selection_set:
+                        continue
+                    assignment[new_table] = row_index
+                    yield from extend(depth + 1)
 
         for row_index in start_rows:
             assignment.clear()
             assignment[start] = row_index
             yield from extend(0)
-
-    # ------------------------------------------------------------------
-    # Array semijoin kernels
-    # ------------------------------------------------------------------
-    def _column_kernel(self, table: str, position: int):
-        """The backend's column array snapshot."""
-        return self._database.table(table).backend.column_kernel(
-            table, position
-        )
-
-    def _edge_kernel(self, step: _ProbeStep):
-        """A cached aligned :class:`~repro.query.kernels.EdgeKernel` for
-        one probe step, or None when the step cannot run vectorized."""
-        existing = self._column_kernel(step.existing_table, step.existing_position)
-        new = self._column_kernel(step.new_table, step.new_position)
-        if existing.nan_unsafe or new.nan_unsafe:
-            # NaN never equals itself: array membership and the generic
-            # dict-probing path disagree on such keys, so don't vectorize.
-            return None
-        key = (step.existing_table, step.existing_position,
-               step.new_table, step.new_position)
-        cached = self._edge_kernels.get(key)
-        if (
-            cached is not None
-            and cached.existing is existing
-            and cached.new is new
-        ):
-            return cached
-        edge = _kernels.EdgeKernel(existing, new)
-        self._edge_kernels[key] = edge
-        return edge
-
-    def _kernel_edges(self, plan: _JoinPlan) -> Optional[list]:
-        """Per-step edge kernels when the whole plan can run vectorized.
-
-        Returns None — falling back to the generic streaming path — when
-        every table of the plan is below :data:`KERNEL_MIN_ROWS`, a step
-        is not a plain probe step, or a join-key column is NaN unsafe.
-        An empty list (single-table plan) is valid: with no steps, a
-        non-empty pushdown already proves existence.
-        """
-        if not any(
-            self._database.table(table).num_rows >= KERNEL_MIN_ROWS
-            for table in self._plan_tables(plan)
-        ):
-            return None
-        edges = []
-        for step in plan.steps:
-            if not isinstance(step, _ProbeStep):
-                return None
-            edge = self._edge_kernel(step)
-            if edge is None:
-                return None
-            edges.append(edge)
-        return edges
-
-    @staticmethod
-    def _plan_tables(plan: _JoinPlan):
-        yield plan.start_table
-        for step in plan.steps:
-            if isinstance(step, _ProbeStep):
-                yield step.new_table
-
-    def _selection_mask(self, table: str, selection):
-        """A pushed-down selection as a row bitmask (None = every row)."""
-        if selection is None:
-            return None
-        return _kernels.selection_mask(
-            self._database.table(table).num_rows, selection
-        )
-
-    # ------------------------------------------------------------------
-    # Batched join evaluation
-    # ------------------------------------------------------------------
-    def _run_batch_any(
-        self, plan: _JoinPlan, probe_selections: Sequence[dict[str, set[int]]]
-    ) -> int:
-        """Decide a batch via semijoin kernels, else the generic walk.
-
-        The kernel route decides each probe with its own vectorized
-        semijoin sweep (cached edge kernels make the unconstrained folds
-        free across probes).  Accounting matches :meth:`_run_batch`
-        exactly: per probe step one join-index hit/build plus one
-        ``joins_performed`` for the whole batch, nothing per probe.
-        """
-        edges = self._kernel_edges(plan)
-        if edges is None:
-            return self._run_batch(plan, probe_selections)
-        for step in plan.steps:
-            self._join_index(step.new_table, step.new_position)
-            self.stats.joins_performed += 1
-        satisfied = 0
-        for bit, sets in enumerate(probe_selections):
-            masks = {
-                table: self._selection_mask(table, selection)
-                for table, selection in sets.items()
-            }
-            if _kernels.semijoin_exists(plan.start_table, plan.steps, edges, masks):
-                satisfied |= 1 << bit
-        return satisfied
-
-    def _run_batch(
-        self, plan: _JoinPlan, probe_selections: Sequence[dict[str, set[int]]]
-    ) -> int:
-        """Decide many probes in one recursive pass over a shared join.
-
-        ``probe_selections[i]`` maps each table probe ``i`` constrains to
-        its pushed-down row set.  The pass walks the physical plan once,
-        carrying a bitmask of the probes consistent with the partial
-        assignment so far: assigning table ``T`` row ``r`` ANDs in the
-        mask of probes that selected ``r`` (or don't constrain ``T``).
-        Branches no *undecided* probe is consistent with are pruned —
-        the per-probe selection pruning of the single-probe path, paid
-        once for the whole batch — and probes reaching a full assignment
-        are satisfied.  Returns the bitmask of satisfied probes.
-        """
-        full_mask = (1 << len(probe_selections)) - 1
-        # Per constrained table: a lazily filled row → mask cache, the
-        # (bit, row set) list of probes constraining it, and the mask of
-        # probes that don't.  Masks are computed only for rows the join
-        # actually reaches, so sparse streams never pay for the full
-        # selections.
-        masks: dict[str, tuple[dict[int, int], list[tuple[int, frozenset[int]]], int]] = {}
-        tables = {plan.start_table}
-        for step in plan.steps:
-            if isinstance(step, _ProbeStep):
-                tables.add(step.new_table)
-        for table in tables:
-            members: list[tuple[int, frozenset[int]]] = []
-            constrained_bits = 0
-            for bit, sets in enumerate(probe_selections):
-                selection = sets.get(table)
-                if selection is None:
-                    continue
-                constrained_bits |= 1 << bit
-                members.append((1 << bit, selection))
-            if constrained_bits:
-                masks[table] = ({}, members, full_mask & ~constrained_bits)
-
-        def mask_of(table: str, row_index: int, current: int) -> int:
-            entry = masks.get(table)
-            if entry is None:
-                return current
-            row_cache, members, unconstrained = entry
-            mask = row_cache.get(row_index)
-            if mask is None:
-                mask = unconstrained
-                for bit, rows in members:
-                    if row_index in rows:
-                        mask |= bit
-                row_cache[row_index] = mask
-            return current & mask
-
-        start = plan.start_table
-        start_entry = masks.get(start)
-        if start_entry is not None and not start_entry[2]:
-            # Every probe constrains the start table: only union rows
-            # can matter, so iterate exactly those.
-            union: set[int] = set()
-            for __, rows in start_entry[1]:
-                union.update(rows)
-            start_rows: Sequence[int] = sorted(union)
-        else:
-            start_rows = range(self._database.table(start).num_rows)
-
-        resolved: list[Any] = []
-        for step in plan.steps:
-            if isinstance(step, _ProbeStep):
-                resolved.append(
-                    _ResolvedProbe(
-                        step.existing_table,
-                        self._database.table(step.existing_table).backend.cell_reader(
-                            step.existing_table, step.existing_position
-                        ),
-                        step.new_table,
-                        self._join_index(step.new_table, step.new_position),
-                        None,
-                    )
-                )
-                self.stats.joins_performed += 1
-            else:
-                resolved.append(
-                    _ResolvedFilter(
-                        step.child_table,
-                        self._database.table(step.child_table).backend.cell_reader(
-                            step.child_table, step.child_position
-                        ),
-                        step.parent_table,
-                        self._database.table(step.parent_table).backend.cell_reader(
-                            step.parent_table, step.parent_position
-                        ),
-                    )
-                )
-
-        state = {"satisfied": 0, "undecided": full_mask}
-        assignment: dict[str, int] = {}
-        last_depth = len(resolved) - 1
-
-        def settle(mask: int) -> None:
-            newly = mask & state["undecided"]
-            state["satisfied"] |= newly
-            state["undecided"] &= ~newly
-
-        def extend(depth: int, mask: int) -> None:
-            step = resolved[depth]
-            if isinstance(step, _ResolvedProbe):
-                key = step.existing_reader(assignment[step.existing_table])
-                if key is None:
-                    return
-                rows = step.index.get(key)
-                if not rows:
-                    return
-                new_table = step.new_table
-                undecided = state["undecided"]
-                if depth == last_depth:
-                    for row_index in rows:
-                        narrowed = mask_of(new_table, row_index, mask)
-                        if not narrowed & undecided:
-                            continue
-                        settle(narrowed)
-                        undecided = state["undecided"]
-                        if not undecided:
-                            return
-                else:
-                    for row_index in rows:
-                        narrowed = mask_of(new_table, row_index, mask)
-                        if not narrowed & state["undecided"]:
-                            continue
-                        assignment[new_table] = row_index
-                        extend(depth + 1, narrowed)
-                        if not state["undecided"]:
-                            return
-            else:
-                child_value = step.child_reader(assignment[step.child_table])
-                parent_value = step.parent_reader(assignment[step.parent_table])
-                if (
-                    child_value is not None
-                    and parent_value is not None
-                    and child_value == parent_value
-                ):
-                    if depth == last_depth:
-                        settle(mask)
-                    else:
-                        extend(depth + 1, mask)
-
-        for row_index in start_rows:
-            mask = mask_of(start, row_index, full_mask)
-            if not mask & state["undecided"]:
-                continue
-            if not resolved:
-                settle(mask)
-            else:
-                assignment.clear()
-                assignment[start] = row_index
-                extend(0, mask)
-            if not state["undecided"]:
-                break
-        return state["satisfied"]
 
     # ------------------------------------------------------------------
     # Existence-memo cache

@@ -1,11 +1,13 @@
-"""Array kernels for existence probes over the column store's arrays.
+"""Array kernels that decide every existence probe of the executor.
 
-The executor's generic existence path streams per-row join assignments
-through Python frames — perfect for early termination, but on a *false*
-probe it enumerates a join product just to prove nothing is there.  Over
-the storage's column array snapshots
+Streaming per-row join assignments through Python frames would, on a
+*false* probe, enumerate a join product just to prove nothing is there.
+Over the storage's column array snapshots
 (:meth:`~repro.storage.ColumnStore.column_kernel`), this module decides
-the same probes with a bottom-up semijoin sweep instead:
+each probe with a bottom-up semijoin sweep instead; it is the only way
+:meth:`~repro.query.executor.Executor.exists` and
+:meth:`~repro.query.executor.Executor.exists_batch` decide a probe,
+whatever the table sizes or key types:
 
 every physical plan is a tree of probe steps (each step attaches one new
 table), so processing the steps in *reverse* order visits every subtree
@@ -16,7 +18,8 @@ the start table's mask is non-empty iff the join has at least one result
 row.  A probe over k tables of n rows costs O(k·n log n) in C instead of
 a Python-frame walk of the join.
 
-Key comparisons must match the generic path *exactly*:
+Key comparisons follow the reference evaluator
+(:mod:`repro.query.reference`) exactly:
 
 * **text ⋈ text** compares dictionary codes after translating one
   column's code space into the other's (a small translate array built
@@ -28,12 +31,13 @@ Key comparisons must match the generic path *exactly*:
   Python-``set`` membership kernel, preserving Python's cross-type
   equality (``True == 1 == 1.0``) bit for bit.
 
-Float columns containing NaN are rejected wholesale
-(:attr:`ColumnKernel.nan_unsafe` — NaN never equals itself, so array
-membership and the dict-probing reference disagree there); the executor
-then keeps the generic path.  NULL keys never match (SQL semantics): the
-text kernel's NULL code ``-1`` can never appear in a translated allowed
-set, and the array/set kernels intersect with the NULL masks explicitly.
+NULL keys never match (SQL semantics): the text kernel's NULL code
+``-1`` can never appear in a translated allowed set, and the array/set
+kernels intersect with the NULL masks explicitly.  NaN keys never match
+either, because NaN never equals itself: ``np.isin`` finds no NaN on a
+float ⋈ float edge, and on a set-kernel edge a float NaN only ever meets
+keys of another type.  ``tests/integration/test_kernel_differential.py``
+checks the sweep against the reference on seeded random databases.
 """
 
 from __future__ import annotations

@@ -91,6 +91,36 @@ def _require_mapping(payload: Any, what: str) -> Mapping[str, Any]:
     return payload
 
 
+def _require_list(payload: Any, what: str) -> list:
+    if not isinstance(payload, list):
+        raise WireFormatError(
+            f"{what} must be a JSON list, got {type(payload).__name__}"
+        )
+    return payload
+
+
+def _scalar(value: Any, what: str) -> Any:
+    """A JSON scalar or null: constraint operands are never lists or
+    objects."""
+    if value is not None and not isinstance(value, (str, int, float)):
+        raise WireFormatError(
+            f"{what} must be a JSON scalar, got {type(value).__name__}"
+        )
+    return value
+
+
+def _number(payload: Mapping[str, Any], key: str, what: str) -> Optional[float]:
+    value = payload.get(key)
+    if value is None:
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise WireFormatError(
+            f"{what}'s {key!r} must be a number, got {value!r}"
+        ) from exc
+
+
 def _check_fields(
     payload: Mapping[str, Any],
     what: str,
@@ -160,29 +190,39 @@ def value_constraint_from_wire(payload: Any) -> ValueConstraint:
     try:
         if kind == "exact":
             _check_fields(payload, "an 'exact' constraint", ["type", "value"])
-            return ExactValue(payload["value"])
+            return ExactValue(
+                _scalar(payload["value"], "an 'exact' constraint's 'value'")
+            )
         if kind == "one_of":
             _check_fields(payload, "a 'one_of' constraint", ["type", "values"])
-            return OneOf(list(payload["values"]))
+            values = _require_list(payload["values"],
+                                   "a 'one_of' constraint's 'values'")
+            return OneOf([_scalar(value, "a 'one_of' value")
+                          for value in values])
         if kind == "range":
             _check_fields(
                 payload, "a 'range' constraint", ["type"],
                 ["low", "high", "low_inclusive", "high_inclusive"],
             )
             return Range(
-                low=payload.get("low"),
-                high=payload.get("high"),
+                low=_scalar(payload.get("low"), "a 'range' bound"),
+                high=_scalar(payload.get("high"), "a 'range' bound"),
                 low_inclusive=bool(payload.get("low_inclusive", True)),
                 high_inclusive=bool(payload.get("high_inclusive", True)),
             )
         if kind == "predicate":
             _check_fields(payload, "a 'predicate' constraint",
                           ["type", "op", "constant"])
-            return Predicate(payload["op"], payload["constant"])
+            return Predicate(
+                _scalar(payload["op"], "a predicate's 'op'"),
+                _scalar(payload["constant"], "a predicate's 'constant'"),
+            )
         if kind in ("and", "or"):
             _check_fields(payload, f"an {kind!r} constraint", ["type", "parts"])
             parts = [value_constraint_from_wire(part)
-                     for part in payload["parts"]]
+                     for part in _require_list(
+                         payload["parts"], f"an {kind!r} constraint's 'parts'"
+                     )]
             return Conjunction(parts) if kind == "and" else Disjunction(parts)
         if kind == "any":
             _check_fields(payload, "an 'any' constraint", ["type"])
@@ -235,12 +275,20 @@ def metadata_constraint_from_wire(payload: Any) -> MetadataConstraint:
             _check_fields(payload, "a metadata predicate",
                           ["type", "field", "op", "constant"])
             field = MetadataField.from_name(str(payload["field"]))
-            return MetadataPredicate(field, payload["op"], payload["constant"])
+            return MetadataPredicate(
+                field,
+                _scalar(payload["op"], "a metadata predicate's 'op'"),
+                _scalar(payload["constant"],
+                        "a metadata predicate's 'constant'"),
+            )
         if kind in ("and", "or"):
             _check_fields(payload, f"a metadata {kind!r} constraint",
                           ["type", "parts"])
             parts = [metadata_constraint_from_wire(part)
-                     for part in payload["parts"]]
+                     for part in _require_list(
+                         payload["parts"],
+                         f"a metadata {kind!r} constraint's 'parts'",
+                     )]
             if kind == "and":
                 return MetadataConjunction(parts)
             return MetadataDisjunction(parts)
@@ -281,20 +329,23 @@ def spec_from_wire(payload: Any) -> MappingSpec:
                   ["samples", "metadata"])
     try:
         num_columns = int(payload["columns"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise WireFormatError(
             f"a mapping spec's 'columns' must be an integer, "
             f"got {payload['columns']!r}"
         ) from exc
     try:
         spec = MappingSpec(num_columns)
-        for row in payload.get("samples") or ():
+        samples = payload.get("samples")
+        for row in _require_list([] if samples is None else samples,
+                                 "a mapping spec's 'samples'"):
             cells = [
                 None if cell is None else value_constraint_from_wire(cell)
-                for cell in row
+                for cell in _require_list(row, "a sample row")
             ]
             spec.add_sample(SampleConstraint(cells))
-        metadata = _require_mapping(payload.get("metadata") or {},
+        metadata = payload.get("metadata")
+        metadata = _require_mapping({} if metadata is None else metadata,
                                     "a mapping spec's 'metadata'")
         for position, constraint in metadata.items():
             try:
@@ -350,20 +401,11 @@ def request_from_wire(payload: Any):
     if not isinstance(database, str) or not database:
         raise WireFormatError("a discovery request's 'database' must be a "
                               "non-empty string")
-    deadline_s = payload.get("deadline_s")
-    if deadline_s is not None:
-        try:
-            deadline_s = float(deadline_s)
-        except (TypeError, ValueError) as exc:
-            raise WireFormatError(
-                f"a discovery request's 'deadline_s' must be a number, "
-                f"got {payload['deadline_s']!r}"
-            ) from exc
     return DiscoveryRequest(
         database=database,
         spec=spec_from_wire(payload["spec"]),
         scheduler=payload.get("scheduler"),
-        deadline_s=deadline_s,
+        deadline_s=_number(payload, "deadline_s", "a discovery request"),
         request_id=payload.get("request_id"),
     )
 
@@ -437,9 +479,7 @@ def result_from_wire(payload: Any) -> Optional[DiscoveryResult]:
         return None
     payload = _require_mapping(payload, "a discovery result")
     _check_fields(payload, "a discovery result", ["sql", "stats"])
-    sql = payload["sql"]
-    if not isinstance(sql, Sequence) or isinstance(sql, (str, bytes)):
-        raise WireFormatError("a discovery result's 'sql' must be a list")
+    sql = _require_list(payload["sql"], "a discovery result's 'sql'")
     return RemoteDiscoveryResult(sql, stats_from_wire(payload["stats"]))
 
 
@@ -485,8 +525,10 @@ def response_from_wire(payload: Any):
         status=status,
         result=result_from_wire(payload.get("result")),
         error=payload.get("error"),
-        queued_seconds=float(payload.get("queued_seconds") or 0.0),
-        execution_seconds=float(payload.get("execution_seconds") or 0.0),
+        queued_seconds=_number(
+            payload, "queued_seconds", "a discovery response") or 0.0,
+        execution_seconds=_number(
+            payload, "execution_seconds", "a discovery response") or 0.0,
     )
 
 

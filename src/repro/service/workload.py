@@ -79,10 +79,18 @@ def request_from_dict(entry: Mapping[str, Any]) -> DiscoveryRequest:
     (list of rows, each a list of cell texts; empty text means an
     unconstrained cell), ``metadata`` (mapping of column index → text),
     and optionally ``scheduler``, ``deadline_s`` and ``request_id``.
+
+    Raises:
+        ServiceError: the entry is not an object, or a key is missing
+            or malformed; the message names the key.
     """
+    if not isinstance(entry, Mapping):
+        raise ServiceError(
+            f"request entry must be a JSON object, got {type(entry).__name__}"
+        )
     try:
         database = entry["database"]
-        num_columns = int(entry["columns"])
+        columns = entry["columns"]
     except KeyError as exc:
         raise ServiceError(f"request entry is missing key {exc}") from exc
     if "time_limit" in entry:
@@ -90,18 +98,63 @@ def request_from_dict(entry: Mapping[str, Any]) -> DiscoveryRequest:
             "request entry key 'time_limit' is no longer read; "
             "rename it to 'deadline_s'"
         )
-    spec = _spec_from_texts(
-        num_columns,
-        entry.get("samples", ()),
-        {int(key): value for key, value in (entry.get("metadata") or {}).items()},
-    )
     deadline_s = entry.get("deadline_s")
     return DiscoveryRequest(
         database=database,
-        spec=spec,
+        spec=_spec_from_texts(
+            _number("columns", columns, int),
+            _sample_rows(entry.get("samples")),
+            _metadata_texts(entry.get("metadata")),
+        ),
         scheduler=entry.get("scheduler"),
-        deadline_s=float(deadline_s) if deadline_s is not None else None,
+        deadline_s=(
+            None if deadline_s is None
+            else _number("deadline_s", deadline_s, float)
+        ),
         request_id=entry.get("request_id"),
+    )
+
+
+def _number(key: str, value: Any, kind: type) -> Any:
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        expected = "an integer" if kind is int else "a number"
+        raise ServiceError(
+            f"request entry key {key!r} must be {expected}, got {value!r}"
+        ) from exc
+
+
+def _sample_rows(samples: Any) -> list:
+    """The ``samples`` entry: rows of cell texts (``None`` = absent)."""
+    if samples is None:
+        return []
+    if isinstance(samples, list) and all(
+        isinstance(row, list)
+        and all(cell is None or isinstance(cell, str) for cell in row)
+        for row in samples
+    ):
+        return samples
+    raise ServiceError(
+        "request entry key 'samples' must be a list of rows, each a list "
+        f"of cell texts; got {samples!r}"
+    )
+
+
+def _metadata_texts(metadata: Any) -> dict[int, str]:
+    """The ``metadata`` entry: column index → constraint text."""
+    if metadata is None:
+        return {}
+    if isinstance(metadata, Mapping) and all(
+        isinstance(text, str) for text in metadata.values()
+    ):
+        try:
+            return {int(key): text for key, text in metadata.items()}
+        except ValueError:
+            pass
+    raise ServiceError(
+        "request entry key 'metadata' must map column indexes to "
+        f"constraint texts; got {metadata!r}"
     )
 
 

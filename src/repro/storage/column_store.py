@@ -14,8 +14,9 @@ tuples:
 * **date/time columns** — and int columns that overflow ``int64`` — fall
   back to object arrays, which stay correct but scan at Python speed;
 * **join-key hash indexes** (value → row indexes) are built lazily, cached
-  per (table, column) and invalidated on write, so repeated joins and
-  existence probes reuse them instead of rebuilding hash tables per query.
+  per (table, column) and invalidated on write, so the executor's repeated
+  row-enumerating joins reuse them instead of rebuilding hash tables per
+  query.
 
 Arrays grow by amortized doubling, so ``append_row`` (and therefore
 ``apply_delta`` consumers: append = array write, incremental dictionary
@@ -85,7 +86,7 @@ class ColumnKernel:
     """
 
     __slots__ = ("kind", "keys", "valid", "dictionary", "code_of",
-                 "_python_keys", "_nan_unsafe")
+                 "_python_keys")
 
     def __init__(
         self,
@@ -101,22 +102,6 @@ class ColumnKernel:
         self.dictionary = dictionary
         self.code_of = code_of
         self._python_keys: Optional[list[Any]] = None
-        self._nan_unsafe: Optional[bool] = None
-
-    @property
-    def nan_unsafe(self) -> bool:
-        """Whether the column holds float NaN values.
-
-        NaN never equals itself, so array equi-join kernels (which would
-        treat equal bit patterns as matches) cannot be trusted on such a
-        column; the executor falls back to the generic path.
-        """
-        if self._nan_unsafe is None:
-            if self.kind == "array" and self.keys.dtype == np.float64:
-                self._nan_unsafe = bool(np.isnan(self.keys[self.valid]).any())
-            else:
-                self._nan_unsafe = False
-        return self._nan_unsafe
 
     def python_keys(self) -> list[Any]:
         """Decoded per-row key values (``None`` where NULL), cached."""
@@ -531,7 +516,7 @@ class _TableStore:
         """One column fully decoded to Python scalars, cached per column.
 
         Row-at-a-time consumers (cell readers driving the executor's
-        generic join streaming above all) would otherwise pay a numpy
+        row-enumerating joins above all) would otherwise pay a numpy
         scalar extraction per cell; decoding once per column amortizes
         that to list indexing.
         """

@@ -1,0 +1,82 @@
+"""Discovery is deterministic across processes and hash seeds.
+
+String hashing is randomized per process (``PYTHONHASHSEED``), so any
+iteration over a ``set`` or ``frozenset`` of table or column names can
+reorder work between processes.  Discovery must not depend on that
+order: the same specification over the same database yields the same
+SQL and the same non-timing statistics in every process.  This test
+runs the quickstart's Mondial discovery (Lake Tahoe, California or
+Nevada, a non-negative decimal area) in fresh interpreters under several
+hash seeds and compares what they report.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+_SRC = Path(__file__).resolve().parents[2] / "src"
+_HASH_SEEDS = ("0", "1", "12345")
+_TIMING_FIELDS = {
+    "elapsed_seconds",
+    "related_column_seconds",
+    "candidate_seconds",
+    "validation_seconds",
+}
+
+_DISCOVER = f"""
+import dataclasses
+import json
+
+from repro import MappingSpec, Prism, load_mondial
+from repro.constraints import parse_metadata_constraint, parse_value_constraint
+
+spec = MappingSpec(num_columns=3)
+spec.add_sample_cells([
+    parse_value_constraint("California || Nevada"),
+    parse_value_constraint("Lake Tahoe"),
+    None,
+])
+spec.set_metadata(
+    2, parse_metadata_constraint("DataType=='decimal' AND MinValue>=0")
+)
+result = Prism(load_mondial()).discover(spec)
+stats = dataclasses.asdict(result.stats)
+for field in {sorted(_TIMING_FIELDS)!r}:
+    del stats[field]
+print(json.dumps({{"sql": result.sql(), "stats": stats}}))
+"""
+
+
+def _discover_under(hash_seed: str) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(_SRC))
+    return subprocess.Popen(
+        [sys.executable, "-c", _DISCOVER],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def test_discovery_is_identical_under_every_hash_seed():
+    processes = {seed: _discover_under(seed) for seed in _HASH_SEEDS}
+    reports = {}
+    try:
+        for seed, process in processes.items():
+            out, err = process.communicate(timeout=120)
+            assert process.returncode == 0, err
+            reports[seed] = json.loads(out)
+    finally:
+        for process in processes.values():
+            process.kill()
+            process.wait()
+
+    first = reports[_HASH_SEEDS[0]]
+    assert first["sql"] and not first["stats"]["timed_out"]
+    for seed in _HASH_SEEDS[1:]:
+        assert reports[seed]["sql"] == first["sql"], seed
+        assert reports[seed]["stats"] == first["stats"], seed

@@ -1,59 +1,50 @@
-"""Randomized differential harness: kernel path vs generic path vs reference.
+"""Randomized differential harness: the semijoin sweep vs the reference.
 
-The executor decides existence probes two ways over the same column
-store: vectorized semijoin kernels (:mod:`repro.query.kernels`) once a
-probe touches a table of at least ``KERNEL_MIN_ROWS`` rows, and the
-generic row-streaming path below that.  The kernels are only trustworthy
-if they are *observationally identical* to the generic path — not
-"close", but bit for bit, including the executor's accounting counters.
-This suite proves that the same way the planner was proven
+The executor decides every existence probe — ``exists`` and
+``exists_batch``, whatever the table sizes or key types — with the
+vectorized semijoin sweep of :mod:`repro.query.kernels`, and enumerates
+rows for ``execute`` by streaming join assignments.  Both are only
+trustworthy if they answer exactly as the naive reference oracle
+(:mod:`repro.query.reference`) does.  This suite proves that the same
+way the planner was proven
 (:mod:`tests.integration.test_planner_differential`): seeded random
-databases, random project-join workloads over them, and three-way
-equality between a kernel-forced executor (``KERNEL_MIN_ROWS = 0``), a
-kernel-disabled one (``KERNEL_MIN_ROWS`` above every table's row count)
-and the naive reference oracle (:mod:`repro.query.reference`) at every
-level —
+databases, random project-join workloads over them, and equality with
+the reference at every level —
 
-* ``execute`` / ``exists`` / ``exists_batch`` outcomes, with full
-  :class:`~repro.query.executor.ExecutionStats` equality between the two
-  executors (the kernel path is accounting-transparent by design);
+* ``execute`` / ``exists`` / ``exists_batch`` outcomes on 20 seeded
+  databases, including queries where several predicates constrain one
+  table and batches whose probes share tagged pushdown scans;
 * the same equalities again **after randomized append sequences**
-  (long-lived executors span the appends, so join-index invalidation and
-  kernel revalidation are under test, not just cold caches);
-* end-to-end discovery: identical SQL and identical non-timing stats on
-  both paths, and identical SQL to a brute-force reference decision over
-  the same candidate set;
+  (a long-lived executor spans the appends, so join-index invalidation
+  and edge-kernel revalidation are under test, not just cold caches);
+* end-to-end discovery: the SQL equals a brute-force reference decision
+  over the same candidate set;
+* sketches: Bloom pruning and HLL estimates never change a discovery
+  outcome;
 * the incremental artifact path: ``ArtifactStore.refresh`` matches a
-  cold rebuild, and discovery over the refreshed bundle on the kernel
-  path matches discovery over the cold bundle on the generic path.
-
-Each executor runs on its own identically built database: the join-index
-cache lives in the store and is counted in ``ExecutionStats``, so two
-executors sharing one store would see each other's builds as hits.
+  cold rebuild, and discovery over the refreshed bundle matches
+  discovery over the cold one.
 
 The generated databases deliberately concentrate the storage edge cases:
 NULLs in join keys and predicate columns, an empty table (which first
 gains rows mid-test), a single-row table, unicode text, duplicate
 low-cardinality join keys (int *and* text), dangling foreign keys, and
-numeric-looking TEXT values.
-
-Actual ``float('nan')`` cells are deliberately absent: NaN join keys
-decline the kernel path entirely, which ``tests/storage`` covers
-directly.
+numeric-looking TEXT values.  NaN join keys are checked against the
+reference in ``tests/storage/test_column_store_arrays.py``.
 """
 
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager, nullcontext
 
 import pytest
 
-import repro.query.executor as executor_module
 from repro.dataset import Column, Database, DataType
+from repro.dataset.schema import ColumnRef
 from repro.discovery.candidates import GenerationLimits
 from repro.discovery.engine import Prism
 from repro.query.executor import BatchProbe, Executor
+from repro.query.pj_query import ProjectJoinQuery
 from repro.query.reference import execute_reference, exists_reference
 from repro.query.sql import to_sql
 from repro.api import ArtifactStore
@@ -76,9 +67,6 @@ from tests.service.test_artifact_refresh import (
 # in its post-append (delta) states.
 _SEEDS = list(range(20))
 
-# Above every table's row count in this suite: no probe takes a kernel.
-_KERNEL_DISABLED_MIN_ROWS = 10**9
-
 # Unicode-heavy, deliberately collision-prone text vocabulary.
 _NAMES = [
     "Ada", "ada", "café", "CAFÉ", "北京", "naïve", "Ω-mega", "O'Brien",
@@ -89,25 +77,8 @@ _CODES = ["1", "2", "3", "0123", "3.14", "true", "False", "NaN"]
 _KINDS = ["café", "北京", "naïve", "Ω"]
 
 
-@pytest.fixture(autouse=True)
-def force_kernels(monkeypatch):
-    """Tiny differential databases must still exercise the kernel path."""
-    monkeypatch.setattr(executor_module, "KERNEL_MIN_ROWS", 0)
-
-
-@contextmanager
-def _generic_path():
-    """Run the block with the kernel path disabled."""
-    saved = executor_module.KERNEL_MIN_ROWS
-    executor_module.KERNEL_MIN_ROWS = _KERNEL_DISABLED_MIN_ROWS
-    try:
-        yield
-    finally:
-        executor_module.KERNEL_MIN_ROWS = saved
-
-
 # ----------------------------------------------------------------------
-# Seeded edge-case database pairs
+# Seeded edge-case databases
 # ----------------------------------------------------------------------
 def _maybe(rng: random.Random, value, null_probability: float = 0.15):
     return None if rng.random() < null_probability else value
@@ -146,7 +117,7 @@ def _empty_row(rng: random.Random, row_id: int) -> tuple:
 
 
 def _content(rng: random.Random) -> dict[str, list[tuple]]:
-    """One seeded database's rows — generated once, inserted per copy."""
+    """One seeded database's rows."""
     num_people = rng.randint(18, 30)
     num_events = rng.randint(24, 48)
     group_names = rng.sample(_CODES, k=rng.randint(4, len(_CODES)))
@@ -210,17 +181,10 @@ def _build(name: str, content: dict[str, list[tuple]]) -> Database:
     return database
 
 
-def _database_pair(seed: int) -> tuple[Database, Database]:
-    """Two identical databases: one per executor under comparison."""
-    content = _content(random.Random(seed))
-    return _build("diff-kernel", content), _build("diff-generic", content)
-
-
-def _grow_identically(rng: random.Random, databases: list[Database]) -> None:
-    """Apply one randomized append sequence to every database equally."""
-    reference = databases[0]
-    num_people = reference.table("Person").num_rows
-    num_events = reference.table("Event").num_rows
+def _grow(rng: random.Random, database: Database) -> None:
+    """Apply one randomized append sequence."""
+    num_people = database.table("Person").num_rows
+    num_events = database.table("Event").num_rows
     batch: dict[str, list[tuple]] = {
         "Person": [
             _person_row(rng, num_people + i)
@@ -235,91 +199,79 @@ def _grow_identically(rng: random.Random, databases: list[Database]) -> None:
         # entries and join-index state created *after* caches are warm.
         "Empty": [_empty_row(rng, i) for i in range(rng.randint(0, 3))],
     }
-    for database in databases:
-        for table_name, rows in batch.items():
-            database.table(table_name).insert_many(rows)
+    for table_name, rows in batch.items():
+        database.table(table_name).insert_many(rows)
 
 
 # ----------------------------------------------------------------------
-# Executor-level triple equality (>= 20 seeds, pre- and post-append)
+# Executor vs reference (>= 20 seeds, pre- and post-append)
 # ----------------------------------------------------------------------
-def _assert_paths_agree(kernel_db, generic_db, kernel_executor,
-                        generic_executor, workloads, batches) -> None:
+def _widen(database, query, rng) -> ProjectJoinQuery:
+    """``query`` projecting one more column of one of its tables, so
+    several predicates can constrain the same table."""
+    table = rng.choice(query.projections).table
+    column = rng.choice(database.table(table).columns).name
+    return ProjectJoinQuery(
+        query.projections + (ColumnRef(table, column),), query.joins
+    )
+
+
+def _assert_matches_reference(database, executor, workloads, batches) -> None:
     for query, predicates in workloads:
-        vectorized = kernel_executor.execute(query, cell_predicates=predicates)
-        with _generic_path():
-            streamed = generic_executor.execute(
-                query, cell_predicates=predicates
-            )
-        naive = execute_reference(
-            generic_db, query, cell_predicates=predicates
-        )
-        assert vectorized == streamed
-        assert sorted(map(repr, streamed)) == sorted(map(repr, naive))
-        expected = exists_reference(kernel_db, query, predicates)
-        assert kernel_executor.exists(query, cell_predicates=predicates) \
-            == expected
-        with _generic_path():
-            assert generic_executor.exists(
-                query, cell_predicates=predicates
-            ) == expected
+        rows = executor.execute(query, cell_predicates=predicates)
+        naive = execute_reference(database, query, cell_predicates=predicates)
+        assert sorted(map(repr, rows)) == sorted(map(repr, naive))
+        assert executor.exists(query, cell_predicates=predicates) \
+            == bool(naive)
     for batch in batches:
         expected = [
-            exists_reference(generic_db, probe.query, probe.cell_predicates)
+            exists_reference(database, probe.query, probe.cell_predicates)
             for probe in batch
         ]
-        assert kernel_executor.exists_batch(batch) == expected
-        with _generic_path():
-            assert generic_executor.exists_batch(batch) == expected
-    # The kernel path must be invisible in the executor's accounting.
-    assert kernel_executor.stats == generic_executor.stats
+        assert executor.exists_batch(batch) == expected
 
 
 @pytest.mark.parametrize("seed", _SEEDS)
 def test_probe_paths_agree_with_kernels_on_and_off(seed):
-    kernel_db, generic_db = _database_pair(seed)
+    """``execute``/``exists``/``exists_batch`` equal the reference on a
+    seeded database, before and after two randomized append batches."""
+    database = _build("diff-kernel", _content(random.Random(seed)))
     rng = random.Random(seed * 1_000 + 17)
-    queries = _random_queries(kernel_db, rng, count=8)
+    queries = _random_queries(database, rng, count=8)
+    queries += [_widen(database, query, rng) for query in queries]
     workloads = [
-        (query, _random_predicates(kernel_db, query, rng))
+        (query, _random_predicates(database, query, rng))
         for query in queries
     ]
-    batches = [
-        [
-            BatchProbe(query, _random_predicates(kernel_db, query, rng))
-            for __ in range(3)
+    batches = []
+    for query in queries[::2]:
+        # Tagging each predicate with itself lets probes that repeat a
+        # predicate share its column scan; the repeated first probe
+        # does.
+        probes = [
+            BatchProbe(query, predicates, predicate_tags=predicates)
+            for predicates in (
+                _random_predicates(database, query, rng) for __ in range(3)
+            )
         ]
-        for query in queries[::2]
-    ]
+        batches.append(probes + probes[:1])
 
-    # Long-lived executors: the second phase runs on warm plan caches,
+    # A long-lived executor: the second phase runs on warm plan caches,
     # join indexes and edge kernels that the appends must invalidate.
-    kernel_executor = Executor(kernel_db)
-    generic_executor = Executor(generic_db)
-    _assert_paths_agree(kernel_db, generic_db, kernel_executor,
-                        generic_executor, workloads, batches)
+    executor = Executor(database)
+    _assert_matches_reference(database, executor, workloads, batches)
 
     grow_rng = random.Random(seed * 977 + 5)
     for __ in range(2):
-        _grow_identically(grow_rng, [kernel_db, generic_db])
-        _assert_paths_agree(kernel_db, generic_db, kernel_executor,
-                            generic_executor, workloads, batches)
-    # Each executor really took its own path.
-    assert kernel_executor._edge_kernels
-    assert not generic_executor._edge_kernels
+        _grow(grow_rng, database)
+        _assert_matches_reference(database, executor, workloads, batches)
 
 
 # ----------------------------------------------------------------------
-# Discovery-level equality (SQL + stats) across paths and reference
+# Discovery-level equality with a brute-force reference
 # ----------------------------------------------------------------------
 _LIMITS = GenerationLimits(
     max_candidates=80, max_assignments=160, max_trees_per_assignment=4
-)
-_VOLATILE_STATS = (
-    "elapsed_seconds",
-    "related_column_seconds",
-    "candidate_seconds",
-    "validation_seconds",
 )
 
 
@@ -335,35 +287,21 @@ def _synthetic(seed: int) -> Database:
     (53, ResolutionLevel.EXACT),
 ])
 def test_discovery_is_identical_with_kernels_on_and_off(seed, level):
-    kernel_engine = Prism(_synthetic(seed), limits=_LIMITS, time_limit=60.0)
-    with _generic_path():
-        generic_engine = Prism(
-            _synthetic(seed), limits=_LIMITS, time_limit=60.0
-        )
+    """Discovery returns exactly the candidates a brute-force reference
+    decision confirms, the reference reading its own identical
+    database."""
+    engine = Prism(_synthetic(seed), limits=_LIMITS, time_limit=60.0)
     reference_db = _synthetic(seed)
     generator = WorkloadGenerator(reference_db, seed=seed)
     for __ in range(2):
         case = generator.generate_case(num_columns=3, num_tables=2)
         spec = spec_for_level(
-            case, level, reference_db, catalog=generic_engine.catalog,
-            seed=seed,
+            case, level, reference_db, catalog=engine.catalog, seed=seed,
         )
-        got = kernel_engine.discover(spec, scheduler="bayesian")
-        with _generic_path():
-            want = generic_engine.discover(spec, scheduler="bayesian")
-        assert got.sql() == want.sql()
-
-        got_stats, want_stats = got.stats.as_dict(), want.stats.as_dict()
-        for volatile in _VOLATILE_STATS:
-            got_stats.pop(volatile, None)
-            want_stats.pop(volatile, None)
-        assert got_stats == want_stats
-
-        # Both agree with the brute-force reference decision over the
-        # kernel engine's own candidate set — closing the triangle.
+        got = engine.discover(spec, scheduler="bayesian")
         reference_sqls = sorted(
             to_sql(candidate.query)
-            for candidate in kernel_engine.candidate_queries(spec)
+            for candidate in engine.candidate_queries(spec)
             if _reference_confirms(reference_db, spec, candidate.query)
         )
         assert sorted(got.sql()) == reference_sqls
@@ -378,9 +316,9 @@ def test_discovery_is_identical_with_kernels_on_and_off(seed, level):
 ])
 def test_sketches_never_change_discovery_outcomes(seed, level):
     """Sketch-informed discovery returns bit-for-bit the sketch-free
-    answer on adversarial (skewed, dangling-FK) data on both the kernel
-    and the generic path — the Bloom fast path and HLL estimates may
-    reorder and prune work, but never an outcome."""
+    answer on adversarial (skewed, dangling-FK) data — the Bloom fast
+    path and HLL estimates may reorder and prune work, but never an
+    outcome."""
     def _adversarial_db():
         return generate_synthetic_database(
             num_tables=4,
@@ -403,29 +341,26 @@ def test_sketches_never_change_discovery_outcomes(seed, level):
     ]
 
     sketch_estimates_used = 0
-    for path in (nullcontext, _generic_path):
-        with path():
-            sketched = Prism(_adversarial_db(), limits=_LIMITS,
-                             time_limit=60.0)
-            raw = Prism(
-                sketched.database,
-                limits=_LIMITS,
-                time_limit=60.0,
-                use_sketches=False,
-                index=sketched.index,
-                catalog=sketched.catalog,
-                schema_graph=sketched.schema_graph,
-                models=sketched.models,
-            )
-            for spec in specs:
-                got = sketched.discover(spec, scheduler="bayesian")
-                want = raw.discover(spec, scheduler="bayesian")
-                assert got.sql() == want.sql()
-                assert got.num_queries == want.num_queries
-                sketch_estimates_used += got.stats.sketch_estimates_used
-                # The raw engine must be genuinely sketch-free.
-                assert want.stats.sketch_estimates_used == 0
-                assert want.stats.bloom_rejections == 0
+    sketched = Prism(_adversarial_db(), limits=_LIMITS, time_limit=60.0)
+    raw = Prism(
+        sketched.database,
+        limits=_LIMITS,
+        time_limit=60.0,
+        use_sketches=False,
+        index=sketched.index,
+        catalog=sketched.catalog,
+        schema_graph=sketched.schema_graph,
+        models=sketched.models,
+    )
+    for spec in specs:
+        got = sketched.discover(spec, scheduler="bayesian")
+        want = raw.discover(spec, scheduler="bayesian")
+        assert got.sql() == want.sql()
+        assert got.num_queries == want.num_queries
+        sketch_estimates_used += got.stats.sketch_estimates_used
+        # The raw engine must be genuinely sketch-free.
+        assert want.stats.sketch_estimates_used == 0
+        assert want.stats.bloom_rejections == 0
     assert sketch_estimates_used > 0
 
 
@@ -452,7 +387,6 @@ class TestRefreshEquivalence:
 
         for spec in _specs():
             got = Prism.from_artifacts(refreshed).discover(spec)
-            with _generic_path():
-                want = Prism.from_artifacts(cold).discover(spec)
+            want = Prism.from_artifacts(cold).discover(spec)
             assert got.sql() == want.sql()
             assert got.num_queries == want.num_queries

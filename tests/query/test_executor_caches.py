@@ -10,6 +10,7 @@ from repro.dataset.schema import ColumnRef, ForeignKey
 from repro.errors import QueryError
 from repro.query.executor import Executor
 from repro.query.pj_query import ProjectJoinQuery
+from repro.query.plan import _connected_edge_order
 
 EMP_DEPT = ForeignKey("Employee", "Department", "Department", "Name")
 ASSIGN_EMP = ForeignKey("Assignment", "EmployeeId", "Employee", "Id")
@@ -170,9 +171,10 @@ class TestEdgeSemantics:
         with pytest.raises(QueryError):
             executor.execute(query, cell_predicates={-1: lambda v: True})
 
-    def test_disconnected_join_edges_raise(self, executor):
+    def test_disconnected_join_edges_raise(self):
         # Two edges that never touch a common table cannot be ordered into
-        # a connected join tree; _join_order reports that directly.
+        # a connected join tree; _connected_edge_order reports that
+        # directly.
         query = ProjectJoinQuery(
             (ColumnRef("A", "x"),),
             (
@@ -181,7 +183,7 @@ class TestEdgeSemantics:
             ),
         )
         with pytest.raises(QueryError, match="connected tree"):
-            executor._join_order(query)
+            _connected_edge_order(query)
 
     def test_empty_table_join_is_empty(self):
         database = Database("emptyjoin")

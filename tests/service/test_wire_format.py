@@ -2,13 +2,17 @@
 
 Everything that crosses the process-shard boundary goes through
 ``repro.service.wire``; these tests pin the codec's round-trip fidelity
-and its strictness (unknown fields, missing fields and wrong versions are
-structured :class:`~repro.errors.WireFormatError`\\ s, never silent drops).
+and its strictness (unknown fields, missing fields, wrong versions and
+wrongly typed values are structured
+:class:`~repro.errors.WireFormatError`\\ s, never silent drops), and fuzz
+the decoders on both sides of the shard pipe with seeded mutations of
+real frames.
 """
 
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -27,6 +31,7 @@ from repro.discovery.result import DiscoveryStats
 from repro.errors import ServiceError, WireFormatError
 from repro.service import wire
 from repro.service.service import DiscoveryRequest, DiscoveryResponse
+from repro.service.workload import demo_requests
 
 
 def _rich_spec() -> MappingSpec:
@@ -225,3 +230,137 @@ class TestStrictness:
     def test_wire_format_error_is_a_service_error(self):
         # Callers that already catch ServiceError keep working.
         assert issubclass(WireFormatError, ServiceError)
+
+
+# ----------------------------------------------------------------------
+# Wrongly typed values and fuzzed frames
+# ----------------------------------------------------------------------
+def _ok_response() -> DiscoveryResponse:
+    return DiscoveryResponse(
+        request_id="req-fuzz",
+        database="nba",
+        status="ok",
+        result=wire.RemoteDiscoveryResult(
+            sql_strings=["SELECT 1"],
+            stats=DiscoveryStats(num_candidates=3, validations=2),
+        ),
+        error=None,
+        queued_seconds=0.01,
+        execution_seconds=0.2,
+    )
+
+
+def _set_path(payload, path, value) -> None:
+    for key in path[:-1]:
+        payload = payload[key]
+    payload[path[-1]] = value
+
+
+class TestWronglyTypedValues:
+    @pytest.mark.parametrize("path,value", [
+        pytest.param(("spec", "samples"), [None], id="null-sample-row"),
+        pytest.param(("spec", "samples"), 5, id="samples-number"),
+        pytest.param(("spec", "samples", 0), "Lake Tahoe",
+                     id="sample-row-string"),
+        pytest.param(("spec", "metadata"), [], id="metadata-list"),
+        pytest.param(("spec", "metadata", "2", "parts"), 1.5,
+                     id="metadata-parts-number"),
+        pytest.param(("spec", "samples", 0, 0, "values"), None,
+                     id="one-of-values-null"),
+        pytest.param(("spec", "samples", 0, 1, "value"), {"a": 1},
+                     id="exact-value-object"),
+        pytest.param(("spec", "metadata", "2", "parts", 0, "op"), ["=="],
+                     id="metadata-op-list"),
+        pytest.param(("spec", "columns"), float("inf"),
+                     id="columns-infinite"),
+        pytest.param(("deadline_s",), [1], id="deadline-list"),
+    ])
+    def test_request_field_is_rejected(self, path, value):
+        # The Mondial demo request: an OneOf, an exact value and a
+        # conjunctive metadata constraint on column 2.
+        payload = json.loads(demo_requests(databases=["mondial"])[0].to_json())
+        _set_path(payload, path, value)
+        with pytest.raises(WireFormatError):
+            DiscoveryRequest.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("path,value", [
+        pytest.param(("queued_seconds",), {"a": 1}, id="queued-object"),
+        pytest.param(("execution_seconds",), "soon", id="execution-text"),
+        pytest.param(("result", "sql"), "SELECT 1", id="sql-string"),
+    ])
+    def test_response_field_is_rejected(self, path, value):
+        payload = json.loads(_ok_response().to_json())
+        _set_path(payload, path, value)
+        with pytest.raises(WireFormatError):
+            DiscoveryResponse.from_json(json.dumps(payload))
+
+
+# Values swapped into fuzzed frames: every JSON type, plus shapes that
+# look like parts of a real frame.
+_SWAP_VALUES = (
+    None, True, 0, -1, 1.5, 10**30, "", "x", [], {}, [None], [[None]],
+    {"type": "exact"}, {"a": 1},
+)
+
+
+def _paths(node, path=()):
+    """Every path to a value nested in a decoded JSON frame."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _get_path(payload, path):
+    for key in path:
+        payload = payload[key]
+    return payload
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    """One truncation, character flip or structural value swap."""
+    choice = rng.randrange(3)
+    if choice == 0:
+        return text[: rng.randrange(len(text))]
+    if choice == 1:
+        position = rng.randrange(len(text))
+        return text[:position] + chr(rng.randrange(32, 127)) + text[position + 1:]
+    payload = json.loads(text)
+    paths = list(_paths(payload))
+    target = rng.choice(paths)
+    if rng.random() < 0.3:
+        # Move another part of the same frame here.
+        value = json.loads(json.dumps(_get_path(payload, rng.choice(paths))))
+    else:
+        value = rng.choice(_SWAP_VALUES)
+    _set_path(payload, target, value)
+    return json.dumps(payload)
+
+
+def test_fuzzed_frames_raise_only_wire_format_errors():
+    frames = [
+        (DiscoveryRequest.from_json, request.to_json())
+        for request in demo_requests()
+    ]
+    frames.append((DiscoveryResponse.from_json, _ok_response().to_json()))
+    rng = random.Random(2024)
+    outcomes = {"decoded": 0, "rejected": 0}
+    for __ in range(4000):
+        decode, text = rng.choice(frames)
+        mutated = _mutate(text, rng)
+        try:
+            decode(mutated)
+        except WireFormatError:
+            outcomes["rejected"] += 1
+        except Exception as exc:  # pragma: no cover - the failure report
+            pytest.fail(f"{type(exc).__name__}: {exc} decoding {mutated!r}")
+        else:
+            outcomes["decoded"] += 1
+    # Both kinds of outcome occur: the mutations reach the decoders'
+    # accepting paths as well as their rejecting ones.
+    assert outcomes["decoded"] and outcomes["rejected"]

@@ -11,9 +11,9 @@ NumPy arrays:
   never contain one;
 * int64 overflow → object-column promotion, transparent to readers and
   to the delta path;
-* NaN float columns: excluded from the kernel path
-  (:attr:`ColumnKernel.nan_unsafe`), with the executor's generic path
-  answering exactly as the kernel-disabled executor and the reference;
+* NaN float cells: scans show them to predicates, and NaN join keys
+  never join on the executor's semijoin sweep, exactly as in the
+  reference evaluator;
 * kernel snapshots — fresh identity after every append, stable decoded
   views;
 * pickle round-trips across real process boundaries under the
@@ -29,6 +29,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import random
 
 import pytest
 
@@ -163,59 +164,69 @@ class TestNaNColumns:
         # NULL), as a row-at-a-time scan would.
         assert store.select_rows("S", 0, lambda v: True) == [0, 1, 3]
 
-    def test_nan_column_is_kernel_unsafe(self):
-        store = self._scores()
-        assert store.column_kernel("S", 0).nan_unsafe
-        clean = ColumnStore()
-        clean.register_table("S", [Column("x", DataType.DECIMAL)])
-        clean.append_row("S", (1.5,))
-        clean.append_row("S", (None,))
-        assert not clean.column_kernel("S", 0).nan_unsafe
-
-    def test_executor_declines_kernels_on_nan_join_keys(self, monkeypatch):
-        import repro.query.executor as executor_module
+    def test_nan_join_keys_never_join_on_the_sweep(self):
+        """Seeded small databases with NaN keys in float ⋈ float and
+        float ⋈ int joins: every probe the sweep decides, and every
+        ``execute``, equals the reference evaluator."""
         from repro.dataset import Database
-        from repro.dataset.schema import ColumnRef
-        from repro.query.executor import Executor
+        from repro.dataset.schema import ColumnRef, ForeignKey
+        from repro.query.executor import BatchProbe, Executor
         from repro.query.pj_query import ProjectJoinQuery
-        from repro.query.reference import execute_reference
+        from repro.query.reference import execute_reference, exists_reference
 
-        results = {}
-        # Kernel-forced against kernel-disabled (above every row count).
-        for kernel_min_rows in (0, 10**9):
-            monkeypatch.setattr(
-                executor_module, "KERNEL_MIN_ROWS", kernel_min_rows
-            )
-            database = Database("nan")
-            left = database.create_table(
-                "L", [Column("k", DataType.DECIMAL), Column("v", DataType.INT)]
-            )
-            right = database.create_table(
-                "R", [Column("k", DataType.DECIMAL), Column("w", DataType.INT)]
-            )
-            left.insert_many(
-                [(1.0, 10), (float("nan"), 11), (2.0, 12), (None, 13)]
-            )
-            right.insert_many([(2.0, 20), (float("nan"), 21), (3.0, 22)])
-            database.link("L.k", "R.k")
-            query = ProjectJoinQuery(
-                (ColumnRef("L", "v"), ColumnRef("R", "w")),
-                tuple(database.foreign_keys),
-            )
+        nan = float("nan")
+        float_keys = [nan, nan, None, 1.0, 2.0, 2.5, 3.0]
+        int_keys = [None, 1, 2, 3, 4]
+        float_float = ForeignKey("L", "k", "R", "k")
+        int_float = ForeignKey("N", "k", "L", "k")
+        queries = [
+            ProjectJoinQuery(
+                (ColumnRef("L", "v"), ColumnRef("R", "w")), (float_float,)
+            ),
+            ProjectJoinQuery(
+                (ColumnRef("L", "v"), ColumnRef("N", "u")), (int_float,)
+            ),
+            ProjectJoinQuery(
+                (ColumnRef("R", "w"), ColumnRef("N", "u"), ColumnRef("L", "v")),
+                (float_float, int_float),
+            ),
+        ]
+        for seed in range(60):
+            rng = random.Random(seed)
+            database = Database(f"nan-{seed}")
+            columns = {"L": "v", "R": "w", "N": "u"}
+            for name, payload in columns.items():
+                key_type = DataType.INT if name == "N" else DataType.DECIMAL
+                database.create_table(
+                    name,
+                    [Column("k", key_type), Column(payload, DataType.INT)],
+                )
+            for name in columns:
+                keys = int_keys if name == "N" else float_keys
+                rows = [
+                    (rng.choice(keys), rng.randrange(10))
+                    for __ in range(rng.randint(1, 8))
+                ]
+                if name != "N":
+                    rows.append((nan, rng.randrange(10)))
+                database.table(name).insert_many(rows)
             executor = Executor(database)
-            results[kernel_min_rows] = (
-                executor.execute(query),
-                executor.exists(query, cell_predicates={0: lambda v: v > 11}),
-                executor.stats,
-                executor,
-            )
-        forced, disabled = results[0], results[10**9]
-        # NaN keys force the generic path: no edge kernels were built.
-        assert not forced[3]._edge_kernels
-        assert forced[0] == disabled[0] == [(12, 20)]
-        assert execute_reference(database, query) == [(12, 20)]
-        assert forced[1] is disabled[1] is True
-        assert forced[2] == disabled[2]
+            for query in queries:
+                naive = execute_reference(database, query)
+                assert sorted(executor.execute(query)) == sorted(naive)
+                assert executor.exists(query) == bool(naive)
+                probes = [
+                    BatchProbe(query, {0: (lambda low: lambda v: v >= low)(low)})
+                    for low in range(0, 10, 3)
+                ]
+                assert executor.exists_batch(probes) == [
+                    exists_reference(database, query, probe.cell_predicates)
+                    for probe in probes
+                ]
+            # The sweep decided the probes: float ⋈ float compares arrays,
+            # float ⋈ int Python sets.
+            modes = {edge.mode for edge in executor._edge_kernels.values()}
+            assert modes == {"array", "set"}
 
 
 class TestKernelSnapshots:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.workbench.cli import build_parser, main
@@ -277,6 +279,25 @@ class TestServeBatch:
         not_list.write_text("{}", encoding="utf-8")
         assert main(["serve-batch", "--requests", str(not_list)]) == 2
         assert "JSON list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry,key", [
+        ({"database": "mondial", "columns": "x"}, "columns"),
+        ({"database": "mondial", "columns": 2, "samples": [None]}, "samples"),
+        ({"database": "mondial", "columns": 2, "metadata": {"a": "int"}},
+         "metadata"),
+        ({"database": "mondial", "columns": 2, "deadline_s": "soon"},
+         "deadline_s"),
+    ])
+    def test_serve_batch_malformed_entry_prints_one_line(
+        self, capsys, tmp_path, entry, key
+    ):
+        requests_path = tmp_path / "requests.json"
+        requests_path.write_text(json.dumps([entry]), encoding="utf-8")
+        assert main(["serve-batch", "--requests", str(requests_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(key) in err
+        assert "Traceback" not in err
 
     def test_serve_batch_rejects_bad_pool_configuration(self, capsys):
         assert main(["serve-batch", "--rounds", "0"]) == 2
