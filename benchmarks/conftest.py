@@ -1,7 +1,8 @@
 """Shared fixtures and report plumbing for the benchmark harness.
 
-Every benchmark module regenerates one experiment from DESIGN.md's
-per-experiment index (E1-E6 plus ablations and micro-benchmarks).  Besides
+Every benchmark module regenerates one experiment of the "Benchmarks"
+section of ``docs/performance.md`` (E1-E6 plus ablations and
+micro-benchmarks).  Besides
 the pytest-benchmark timings, each experiment writes the table it
 reproduces to ``<experiment>.txt`` under :data:`REPORT_DIR`, a directory
 in the system temp dir, so running the suite never rewrites tracked

@@ -1,6 +1,7 @@
 """Ablation — failure-probability estimator and filter granularity.
 
-DESIGN.md calls out two design choices worth ablating:
+Two design choices are worth ablating (the "Benchmarks" section of
+``docs/performance.md`` lists every experiment):
 
 * the failure-probability estimator behind filter scheduling (naive
   full-candidate validation vs path-length heuristic vs Bayesian models vs

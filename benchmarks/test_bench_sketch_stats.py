@@ -220,7 +220,7 @@ def _discovery_totals(results) -> dict:
 
 def _run_probe_batch(base: Prism, probes, sketches: bool) -> dict:
     executor = _fresh_engine(base, sketches).executor
-    executor.exists_batch(probes)  # warm plan, join indexes, edge kernels
+    executor.exists_batch(probes)  # warm plan and edge kernels
     timings = []
     outcomes = None
     for __ in range(9):

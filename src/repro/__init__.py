@@ -25,14 +25,15 @@ Typical usage::
     for sql in result.sql():
         print(sql)
 
-Package map (see DESIGN.md for the full inventory):
+Package map (the "Benchmarks" section of ``docs/performance.md`` indexes
+the experiments):
 
 * :mod:`repro.storage` — the NumPy column store (dictionary encoding,
-  NULL masks, cached join-key hash indexes).
+  NULL masks, column array snapshots).
 * :mod:`repro.dataset` — in-memory relational engine, inverted index,
   metadata catalog, schema graph.
 * :mod:`repro.datasets` — synthetic Mondial / IMDB / NBA databases.
-* :mod:`repro.query` — Project-Join queries, SQL rendering, hash-join executor.
+* :mod:`repro.query` — Project-Join queries, SQL rendering, semijoin executor.
 * :mod:`repro.constraints` — the multiresolution constraint language.
 * :mod:`repro.discovery` — related columns, candidates, filters, scheduling.
 * :mod:`repro.bayesian` — selectivity models driving the Prism scheduler.

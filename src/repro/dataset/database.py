@@ -22,8 +22,8 @@ class Database:
 
     All tables created through :meth:`create_table` share one storage
     backend (a fresh :class:`~repro.storage.ColumnStore` unless a backend
-    is injected), so database-wide consumers — the executor's join-index
-    cache in particular — operate against a single physical store.
+    is injected), so database-wide consumers — the executor's column
+    kernels in particular — operate against a single physical store.
     Tables adopted via :meth:`add_table` keep whatever backend they were
     built on.
     """

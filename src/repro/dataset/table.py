@@ -14,7 +14,7 @@ trainers and the vectorized executor.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.dataset.schema import Column
 from repro.dataset.types import DataType, coerce_value, detect_type
@@ -234,16 +234,6 @@ class Table:
         """Row indexes whose cell in ``name`` is non-NULL and matches."""
         return self._backend.select_rows(
             self.name, self.column_position(name), predicate
-        )
-
-    def join_index(self, name: str) -> Mapping[Any, Sequence[int]]:
-        """Cached value → row-indexes hash index over one column."""
-        return self._backend.join_index(self.name, self.column_position(name))
-
-    def has_cached_join_index(self, name: str) -> bool:
-        """Whether a current join index for ``name`` is cached."""
-        return self._backend.has_cached_join_index(
-            self.name, self.column_position(name)
         )
 
     # ------------------------------------------------------------------

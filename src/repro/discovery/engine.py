@@ -275,12 +275,6 @@ class Prism:
         stats.exists_cache_misses = (
             executor_after.exists_cache_misses - executor_before.exists_cache_misses
         )
-        stats.join_index_hits = (
-            executor_after.join_index_hits - executor_before.join_index_hits
-        )
-        stats.join_index_builds = (
-            executor_after.join_index_builds - executor_before.join_index_builds
-        )
         stats.joins_performed = (
             executor_after.joins_performed - executor_before.joins_performed
         )

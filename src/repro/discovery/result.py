@@ -20,6 +20,11 @@ class DiscoveryStats:
     counts, candidate/filter counts, the number of filter validations the
     scheduler actually paid for, implied (free) outcomes, and wall-clock
     time split by pipeline stage.
+
+    ``join_index_hits`` and ``join_index_builds`` are always 0: the
+    executor no longer builds join indexes.  They stay because the v1
+    wire format checks its stats fields strictly and the end-to-end
+    benchmark runner still reads them.
     """
 
     scheduler_name: str = "bayesian"

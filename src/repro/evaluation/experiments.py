@@ -1,8 +1,8 @@
 """Experiment runners reproducing the paper's evaluation (§2.4).
 
-Each function runs one experiment from DESIGN.md's per-experiment index and
-returns plain dictionaries (one per measurement) so the benchmark harness
-and EXPERIMENTS.md can render them as tables.  Aggregation helpers compute
+Each function runs one experiment of the "Benchmarks" section of
+``docs/performance.md`` and returns plain dictionaries (one per
+measurement) so the benchmark harness can render them as tables.  Aggregation helpers compute
 the per-level / per-scheduler summaries the paper reports narratively.
 
 * E1 / E2 — :func:`run_resolution_sweep`: execution time and number of

@@ -1,5 +1,5 @@
 """Project-Join query model, logical-plan IR, cost-based planner, SQL
-rendering and hash-join execution."""
+rendering and semijoin-kernel execution."""
 
 from repro.query.executor import BatchProbe, ExecutionStats, Executor
 from repro.query.pj_query import ProjectJoinQuery

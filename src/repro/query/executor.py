@@ -30,12 +30,12 @@ array-oriented:
 * **an existence-memo cache** — existence outcomes can be memoized
   under a caller-supplied canonical (query, predicate) signature and are
   invalidated automatically when the database changes;
-* **lazy row enumeration** — :meth:`Executor.execute` and
-  :meth:`Executor.count` stream per-table row-index assignments through
-  join-key hash indexes that are built once per (table, column) and
-  cached on the storage backend (hits and builds are counted in
-  :class:`ExecutionStats`), so an optional ``limit`` stops work at the
-  first rows instead of materializing the full join.
+* **one join mechanism** — :meth:`Executor.execute` and
+  :meth:`Executor.count` run the same semijoin sweep over the same edge
+  kernels, then enumerate the surviving rows with one array join per
+  plan step (:func:`~repro.query.kernels.join_rows`), in nested-loop
+  order; an optional ``limit`` cuts every step's output, so it bounds
+  the work, not just the result.
 
 Inner-join semantics follow SQL: NULL join keys never match, and
 neither do NaN keys (NaN never equals itself), exactly as in the
@@ -46,7 +46,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro.dataset.database import Database
 from repro.dataset.schema import ColumnRef as _ColumnRef
@@ -89,8 +91,6 @@ class ExecutionStats:
     rows_scanned: int = 0
     rows_emitted: int = 0
     joins_performed: int = 0
-    join_index_hits: int = 0
-    join_index_builds: int = 0
     exists_cache_hits: int = 0
     exists_cache_misses: int = 0
     plan_cache_hits: int = 0
@@ -110,8 +110,6 @@ class ExecutionStats:
         self.rows_scanned += other.rows_scanned
         self.rows_emitted += other.rows_emitted
         self.joins_performed += other.joins_performed
-        self.join_index_hits += other.join_index_hits
-        self.join_index_builds += other.join_index_builds
         self.exists_cache_hits += other.exists_cache_hits
         self.exists_cache_misses += other.exists_cache_misses
         self.plan_cache_hits += other.plan_cache_hits
@@ -161,21 +159,6 @@ class _JoinPlan:
 
     start_table: str
     steps: tuple[_ProbeStep, ...]
-
-
-class _ResolvedProbe:
-    """A _ProbeStep bound to this execution's index, readers and selection."""
-
-    __slots__ = ("existing_table", "existing_reader", "new_table", "index",
-                 "selection_set")
-
-    def __init__(self, existing_table, existing_reader, new_table, index,
-                 selection_set):
-        self.existing_table = existing_table
-        self.existing_reader = existing_reader
-        self.new_table = new_table
-        self.index = index
-        self.selection_set = selection_set
 
 
 class Executor:
@@ -249,24 +232,16 @@ class Executor:
                 predicate are excluded (and pruned before joining).
             limit: stop after this many result rows (None = no limit).
         """
-        prepared = self._prepare(query, cell_predicates)
-        if prepared is None or (limit is not None and limit <= 0):
-            return []
-        selections, plan = prepared
-
-        projectors = [
-            (self._database.table(ref.table).cell_reader(ref.column), ref.table)
+        rows = self._join_rows(query, cell_predicates, limit)
+        columns = [
+            list(map(
+                self._database.table(ref.table).cell_reader(ref.column),
+                rows[ref.table].tolist(),
+            ))
             for ref in query.projections
         ]
-
-        results: list[tuple[Any, ...]] = []
-        for assignment in self._assignments(selections, plan):
-            results.append(
-                tuple(reader(assignment[table]) for reader, table in projectors)
-            )
-            self.stats.rows_emitted += 1
-            if limit is not None and len(results) >= limit:
-                break
+        results = list(zip(*columns))
+        self.stats.rows_emitted += len(results)
         return results
 
     def exists(
@@ -330,12 +305,10 @@ class Executor:
         query: ProjectJoinQuery,
         cell_predicates: Optional[Mapping[int, CellPredicate]] = None,
     ) -> int:
-        """Number of result rows of ``query`` (no row materialization)."""
-        prepared = self._prepare(query, cell_predicates)
-        if prepared is None:
-            return 0
-        selections, plan = prepared
-        return sum(1 for _ in self._assignments(selections, plan))
+        """Number of result rows of ``query`` (no cell is read)."""
+        rows = self._join_rows(query, cell_predicates)
+        # Every table's row-index array has one entry per result row.
+        return len(next(iter(rows.values())))
 
     def logical_plan(
         self,
@@ -404,14 +377,8 @@ class Executor:
             if selections is not None:
                 if edges is None:
                     edges = [self._edge_kernel(step) for step in plan.steps]
-                masks = {
-                    table: _kernels.selection_mask(
-                        self._database.table(table).num_rows, rows
-                    )
-                    for table, rows in selections.items()
-                }
                 outcome = _kernels.semijoin_exists(
-                    plan.start_table, plan.steps, edges, masks
+                    plan.start_table, plan.steps, edges, self._masks(selections)
                 )
                 swept += 1
             outcomes[index] = outcome
@@ -420,6 +387,15 @@ class Executor:
         if swept:
             self.stats.joins_performed += len(plan.steps)
         return [bool(outcome) for outcome in outcomes], swept
+
+    def _masks(self, selections: _Selections) -> dict[str, np.ndarray]:
+        """Boolean row masks of the pushed-down selections."""
+        return {
+            table: _kernels.selection_mask(
+                self._database.table(table).num_rows, rows
+            )
+            for table, rows in selections.items()
+        }
 
     def _column_kernel(self, table: str, position: int):
         """The backend's column array snapshot."""
@@ -446,22 +422,46 @@ class Executor:
         return edge
 
     # ------------------------------------------------------------------
-    # Preparation: validation, pushdown, planning
+    # Row enumeration (execute and count)
     # ------------------------------------------------------------------
-    def _prepare(
+    def _join_rows(
         self,
         query: ProjectJoinQuery,
         cell_predicates: Optional[Mapping[int, CellPredicate]],
-    ) -> Optional[tuple[_Selections, _JoinPlan]]:
-        """Push predicates down and plan joins for row enumeration.
+        limit: Optional[int] = None,
+    ) -> dict[str, np.ndarray]:
+        """The result rows of ``query`` as aligned row-index arrays, one
+        per table, in nested-loop order and cut to ``limit`` rows.
 
-        Returns ``None`` when pushdown proves the result empty.
+        Pushdown and planning run as for a probe; the semijoin sweep
+        then reduces every table to its joinable rows, and
+        :func:`~repro.query.kernels.join_rows` enumerates them.
         """
+        empty = dict.fromkeys(query.tables, np.zeros(0, dtype=np.int64))
         selections = self._pushdown(query, cell_predicates)
         if selections is None:
-            return None
-        return selections, self._plan(query)
+            return empty
+        plan = self._plan(query)
+        if limit is not None and limit <= 0:
+            return empty
+        edges = [self._edge_kernel(step) for step in plan.steps]
+        masks = self._masks(selections)
+        if plan.start_table not in masks:  # enumeration starts from its mask
+            masks[plan.start_table] = np.ones(
+                self._database.table(plan.start_table).num_rows, dtype=np.bool_
+            )
+        self.stats.joins_performed += len(plan.steps)
+        if not _kernels.semijoin_exists(
+            plan.start_table, plan.steps, edges, masks
+        ):
+            return empty
+        return _kernels.join_rows(
+            plan.start_table, plan.steps, edges, masks, limit
+        )
 
+    # ------------------------------------------------------------------
+    # Pushdown
+    # ------------------------------------------------------------------
     def _pushdown(
         self,
         query: ProjectJoinQuery,
@@ -708,92 +708,6 @@ class Executor:
         raise QueryError(
             f"join edge {edge} does not connect {existing_table} and {new_table}"
         )
-
-    # ------------------------------------------------------------------
-    # Lazy row enumeration (execute and count)
-    # ------------------------------------------------------------------
-    def _join_index(self, table: str, position: int) -> Mapping[Any, Sequence[int]]:
-        """The backend's cached join index, with hit/build accounting."""
-        backend = self._database.table(table).backend
-        if backend.has_cached_join_index(table, position):
-            self.stats.join_index_hits += 1
-        else:
-            self.stats.join_index_builds += 1
-        return backend.join_index(table, position)
-
-    def _assignments(
-        self,
-        selections: _Selections,
-        plan: _JoinPlan,
-    ) -> Iterator[dict[str, int]]:
-        """Stream per-table row-index assignments satisfying all joins.
-
-        The stream is lazy end to end: a consumer that stops early (e.g.
-        ``execute(limit=...)``) leaves the remaining join work undone.
-        The start table is walked in ascending row order.  For speed a
-        single assignment dict is reused and mutated in place — consumers
-        must extract what they need before advancing the iterator.
-        """
-        start = plan.start_table
-        start_selection = selections.get(start)
-        if start_selection is None:
-            start_rows: Sequence[int] = range(
-                self._database.table(start).num_rows
-            )
-        else:
-            start_rows = sorted(start_selection)
-
-        assignment: dict[str, int] = {}
-        if not plan.steps:
-            for row_index in start_rows:
-                assignment[start] = row_index
-                yield assignment
-            return
-
-        # Resolve each step's runtime machinery once per execution.
-        resolved: list[_ResolvedProbe] = []
-        for step in plan.steps:
-            resolved.append(
-                _ResolvedProbe(
-                    step.existing_table,
-                    self._database.table(step.existing_table).backend.cell_reader(
-                        step.existing_table, step.existing_position
-                    ),
-                    step.new_table,
-                    self._join_index(step.new_table, step.new_position),
-                    selections.get(step.new_table),
-                )
-            )
-            self.stats.joins_performed += 1
-        last_depth = len(resolved) - 1
-
-        def extend(depth: int) -> Iterator[dict[str, int]]:
-            step = resolved[depth]
-            key = step.existing_reader(assignment[step.existing_table])
-            if key is None:
-                return
-            rows = step.index.get(key)
-            if not rows:
-                return
-            new_table = step.new_table
-            selection_set = step.selection_set
-            if depth == last_depth:
-                for row_index in rows:
-                    if selection_set is not None and row_index not in selection_set:
-                        continue
-                    assignment[new_table] = row_index
-                    yield assignment
-            else:
-                for row_index in rows:
-                    if selection_set is not None and row_index not in selection_set:
-                        continue
-                    assignment[new_table] = row_index
-                    yield from extend(depth + 1)
-
-        for row_index in start_rows:
-            assignment.clear()
-            assignment[start] = row_index
-            yield from extend(0)
 
     # ------------------------------------------------------------------
     # Existence-memo cache

@@ -1,12 +1,14 @@
-"""Array kernels that decide every existence probe of the executor.
+"""Array kernels: the executor's only join mechanism.
 
 Streaming per-row join assignments through Python frames would, on a
 *false* probe, enumerate a join product just to prove nothing is there.
 Over the storage's column array snapshots
-(:meth:`~repro.storage.ColumnStore.column_kernel`), this module decides
-each probe with a bottom-up semijoin sweep instead; it is the only way
+(:meth:`~repro.storage.ColumnStore.column_kernel`), this module runs
+Yannakakis' upward semijoin pass instead; it decides every
 :meth:`~repro.query.executor.Executor.exists` and
-:meth:`~repro.query.executor.Executor.exists_batch` decide a probe,
+:meth:`~repro.query.executor.Executor.exists_batch` probe, and it
+reduces the tables before :meth:`~repro.query.executor.Executor.execute`
+and :meth:`~repro.query.executor.Executor.count` enumerate rows,
 whatever the table sizes or key types:
 
 every physical plan is a tree of probe steps (each step attaches one new
@@ -18,6 +20,11 @@ the start table's mask is non-empty iff the join has at least one result
 row.  A probe over k tables of n rows costs O(k·n log n) in C instead of
 a Python-frame walk of the join.
 
+After the sweep every surviving row extends to a result row, so
+:func:`join_rows` enumerates the join with one array join per step
+(:meth:`EdgeKernel.matches`) and never builds a partial row that leads
+nowhere.
+
 Key comparisons follow the reference evaluator
 (:mod:`repro.query.reference`) exactly:
 
@@ -25,11 +32,12 @@ Key comparisons follow the reference evaluator
   column's code space into the other's (a small translate array built
   once per edge and cached);
 * **same-dtype arrays** (int ⋈ int, float ⋈ float, bool ⋈ bool) compare
-  raw values with ``np.isin`` masked by the NULL bitmasks;
+  raw values with ``np.isin`` (sweep) and ``np.searchsorted`` (matching)
+  masked by the NULL bitmasks;
 * **everything else** — mixed dtypes (int ⋈ float, bool ⋈ int, text ⋈
-  non-text) and object columns (dates, overflowed ints) — drops to a
-  Python-``set`` membership kernel, preserving Python's cross-type
-  equality (``True == 1 == 1.0``) bit for bit.
+  non-text) and object columns (dates, overflowed ints) — drops to
+  Python ``set`` and ``dict`` lookups of the keys, preserving Python's
+  cross-type equality (``True == 1 == 1.0``) bit for bit.
 
 NULL keys never match (SQL semantics): the text kernel's NULL code
 ``-1`` can never appear in a translated allowed set, and the array/set
@@ -37,7 +45,8 @@ kernels intersect with the NULL masks explicitly.  NaN keys never match
 either, because NaN never equals itself: ``np.isin`` finds no NaN on a
 float ⋈ float edge, and on a set-kernel edge a float NaN only ever meets
 keys of another type.  ``tests/integration/test_kernel_differential.py``
-checks the sweep against the reference on seeded random databases.
+checks the sweep and the enumeration against the reference on seeded
+random databases.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ import numpy as np
 
 from repro.dataset.sketches import hash_values
 
-__all__ = ["EdgeKernel", "bloom_keep", "selection_mask", "semijoin_exists"]
+__all__ = ["EdgeKernel", "bloom_keep", "join_rows", "selection_mask", "semijoin_exists"]
 
 # Row masks are ``np.ndarray`` (bool) or ``None`` meaning "every row".
 _Mask = Optional[np.ndarray]
@@ -169,6 +178,65 @@ class EdgeKernel:
             (key in allowed for key in keys), dtype=np.bool_, count=len(keys)
         )
 
+    def matches(
+        self, existing_rows: np.ndarray, new_mask: _Mask, limit: Optional[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Join existing-side rows to the new side's surviving rows.
+
+        Returns aligned ``(positions, new_rows)`` arrays: every pair of a
+        position into ``existing_rows`` and a new-side row (within
+        ``new_mask``) whose key equals that row's key, ordered by
+        position and then by ascending new row.  With a ``limit`` only
+        the first ``limit`` pairs are built.  ``existing_rows`` must be
+        rows the upward pass kept, so none has a NULL or NaN key.
+        """
+        new = self.new
+        rows = (
+            np.arange(len(new.keys)) if new_mask is None
+            else np.flatnonzero(new_mask)
+        )
+        # NULL keys never match.  Drop them before translating text
+        # codes: the NULL code -1 would index the last translate entry.
+        rows = rows[new.valid[rows]]
+        if self.mode == "set":
+            # Number the keys by Python equality (True == 1 == 1.0; NaN
+            # never equals itself) and match the numbers.
+            classes: dict[Any, int] = {}
+            new_keys = new.python_keys()
+            keys = np.array(
+                [classes.setdefault(new_keys[row], len(classes))
+                 for row in rows.tolist()],
+                dtype=np.int64,
+            )
+            existing_keys = self.existing.python_keys()
+            probe = np.array(
+                [classes.get(existing_keys[row], -1)
+                 for row in existing_rows.tolist()],
+                dtype=np.int64,
+            )
+        else:
+            keys = new.keys[rows]
+            if self.mode == "text":
+                keys = self._translate[keys]
+            probe = self.existing.keys[existing_rows]
+        # Stable, so rows stay ascending within each key.
+        order = np.argsort(keys, kind="stable")
+        keys, rows = keys[order], rows[order]
+        low = np.searchsorted(keys, probe, "left")
+        counts = np.searchsorted(keys, probe, "right") - low
+        if limit is not None:
+            ends = np.cumsum(counts)
+            if ends.size and ends[-1] > limit:
+                cut = int(np.searchsorted(ends, limit))
+                counts = counts[: cut + 1]
+                counts[cut] -= ends[cut] - limit
+                low = low[: cut + 1]
+        positions = np.repeat(np.arange(len(counts)), counts)
+        # Pair k of position p reads sorted row low[p] + (k - first[p]).
+        first = np.cumsum(counts) - counts
+        offsets = np.arange(len(positions)) - np.repeat(first - low, counts)
+        return positions, rows[offsets]
+
 
 def semijoin_exists(start_table: str, steps, edges, masks: dict) -> bool:
     """Whether the join admits at least one fully-assigned result row.
@@ -193,3 +261,26 @@ def semijoin_exists(start_table: str, steps, edges, masks: dict) -> bool:
             return False
         masks[step.existing_table] = combined
     return True
+
+
+def join_rows(
+    start_table: str, steps, edges, masks: dict, limit: Optional[int] = None
+) -> dict[str, np.ndarray]:
+    """The join's result rows as aligned row-index arrays, one per table.
+
+    Runs after :func:`semijoin_exists` returned True on ``masks``, which
+    must hold a mask for ``start_table``.  Starting from that table's
+    surviving rows in ascending order, each step joins the rows built so
+    far to the new table's surviving rows, so rows come out in
+    nested-loop order.  Every surviving row extends to a result row, so
+    cutting each step's output to ``limit`` rows keeps exactly the first
+    ``limit`` result rows.
+    """
+    rows = {start_table: np.flatnonzero(masks[start_table])[:limit]}
+    for step, edge in zip(steps, edges):
+        positions, new_rows = edge.matches(
+            rows[step.existing_table], masks.get(step.new_table), limit
+        )
+        rows = {table: column[positions] for table, column in rows.items()}
+        rows[step.new_table] = new_rows
+    return rows

@@ -312,8 +312,8 @@ class Planner:
 
         The result is a left-deep plan with the same Project/Exists
         wrappers and the same filtered scans; only the join order (and
-        therefore which side streams and which side is index-probed)
-        changes.  Optimization is a no-op for join-free plans.
+        therefore which table starts the executor's walk and which side
+        each step attaches) changes.  Optimization is a no-op for join-free plans.
         """
         wrappers: list[PlanNode] = []
         body = plan

@@ -7,10 +7,10 @@ metadata catalog, the Bayesian trainers and the query executor — reads
 either whole columns or individual cells through the backend interface.
 
 The backend is :class:`ColumnStore`, which keeps each table as typed
-NumPy column arrays with dictionary encoding for text columns, per-column
-NULL masks, and a cache of join-key hash indexes that the executor reuses
-across queries instead of rebuilding per join.  It also hands out column
-array snapshots that the executor scans with vectorized kernels.
+NumPy column arrays with dictionary encoding for text columns and
+per-column NULL masks.  It hands out column array snapshots that the
+executor joins with vectorized kernels, for existence probes and row
+enumeration alike.
 
 Because storage is append-only, the backend can additionally describe the
 difference between two table states as an append delta

@@ -3,19 +3,19 @@
 A backend owns the physical representation of one or more tables.  The
 logical layer (:class:`repro.dataset.table.Table`) validates and coerces
 cells, then hands fully prepared tuples to the backend; everything below
-the tuple API — column arrays, NULL masks, join-key hash indexes — is the
-backend's concern.  Keeping the surface here small is what makes
+the tuple API — column arrays, NULL masks, column array snapshots — is
+the backend's concern.  Keeping the surface here small is what makes
 alternative backends (sqlite, remote) drop-in replacements later.
 
 Row indexes are stable: rows are append-only and never reordered, so a row
-index handed out by one call (e.g. a join-index posting) remains valid for
-the lifetime of the table.
+index handed out by one call (e.g. a row selected by a scan) remains valid
+for the lifetime of the table.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.storage.delta import TableDelta, TableMark
 
@@ -137,29 +137,13 @@ class StorageBackend(ABC):
         """
 
     # ------------------------------------------------------------------
-    # Scans and indexes
+    # Scans and array snapshots
     # ------------------------------------------------------------------
     @abstractmethod
     def select_rows(
         self, table: str, position: int, predicate: Callable[[Any], bool]
     ) -> list[int]:
         """Row indexes whose cell is non-NULL and satisfies ``predicate``."""
-
-    @abstractmethod
-    def join_index(
-        self, table: str, position: int
-    ) -> Mapping[Any, Sequence[int]]:
-        """Key value → row indexes hash index over one column.
-
-        NULL keys are excluded (SQL join semantics).  The index is built at
-        most once per (table, column) and cached until the table changes.
-        The returned mapping is the shared cached instance — treat as
-        read-only.
-        """
-
-    @abstractmethod
-    def has_cached_join_index(self, table: str, position: int) -> bool:
-        """Whether a current join index for (table, column) is cached."""
 
     @abstractmethod
     def column_kernel(self, table: str, position: int) -> "ColumnKernel":

@@ -12,11 +12,7 @@ tuples:
   arrays with a separate NULL bitmask array (the cell slot of a NULL row
   holds a placeholder and is never read);
 * **date/time columns** — and int columns that overflow ``int64`` — fall
-  back to object arrays, which stay correct but scan at Python speed;
-* **join-key hash indexes** (value → row indexes) are built lazily, cached
-  per (table, column) and invalidated on write, so the executor's repeated
-  row-enumerating joins reuse them instead of rebuilding hash tables per
-  query.
+  back to object arrays, which stay correct but scan at Python speed.
 
 Arrays grow by amortized doubling, so ``append_row`` (and therefore
 ``apply_delta`` consumers: append = array write, incremental dictionary
@@ -38,7 +34,7 @@ disk persistence work unchanged.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 from uuid import uuid4
 
 import numpy as np
@@ -239,30 +235,6 @@ class _ColumnData:
             for value, null in zip(raw, self.nulls[: self.size].tolist())
         ]
 
-    def reader(self) -> CellReader:
-        if self.is_text:
-            codes = self.codes
-            dictionary = self.dictionary
-
-            def read_text(row_index: int) -> Any:
-                code = codes[row_index]
-                return None if code < 0 else dictionary[code]
-
-            return read_text
-        values = self.values
-        nulls = self.nulls
-        if self.kind == "object":
-
-            def read_object(row_index: int) -> Any:
-                return None if nulls[row_index] else values[row_index]
-
-            return read_object
-
-        def read_typed(row_index: int) -> Any:
-            return None if nulls[row_index] else values[row_index].item()
-
-        return read_typed
-
     def kernel(self) -> ColumnKernel:
         size = self.size
         if self.is_text:
@@ -278,8 +250,7 @@ class _ColumnData:
 class _TableStore:
     """All columns of one table plus its derived caches.
 
-    Derived caches (row tuples, join indexes, column kernels, decoded
-    columns) are published copy-on-write under ``_lock`` so concurrent
+    Derived caches (row tuples, column kernels, decoded columns) are published copy-on-write under ``_lock`` so concurrent
     readers either see a complete, immutable cache object or build their
     own: a reader holding a pre-write reference keeps a consistent (if
     stale) snapshot, never a half-built one.  Writes also run under the
@@ -287,8 +258,7 @@ class _TableStore:
     """
 
     __slots__ = ("name", "columns", "num_rows", "version", "store_token",
-                 "_rows_cache", "_join_indexes", "_kernels", "_decoded",
-                 "_lock")
+                 "_rows_cache", "_kernels", "_decoded", "_lock")
 
     def __init__(self, name: str, columns: Sequence[Any]):
         self.name = name
@@ -301,7 +271,6 @@ class _TableStore:
         # count both restart at 0, so the counters alone cannot tell).
         self.store_token = uuid4().hex
         self._rows_cache: Optional[list[tuple[Any, ...]]] = None
-        self._join_indexes: dict[int, dict[Any, list[int]]] = {}
         self._kernels: dict[int, ColumnKernel] = {}
         self._decoded: dict[int, list[Any]] = {}
         self._lock = threading.Lock()
@@ -361,7 +330,6 @@ class _TableStore:
                 column.code_of = {}
             self.columns.append(column)
         self._rows_cache = None
-        self._join_indexes = {}
         self._kernels = {}
         self._decoded = {}
         self._lock = threading.Lock()
@@ -375,7 +343,6 @@ class _TableStore:
             self.version += 1
             # Replace (never mutate) published caches.
             self._rows_cache = None
-            self._join_indexes = {}
             self._kernels = {}
             self._decoded = {}
 
@@ -469,56 +436,13 @@ class _TableStore:
         keep = np.isin(values, np.asarray(matching, dtype=values.dtype)) & valid
         return np.nonzero(keep)[0].tolist()
 
-    # -- join indexes --------------------------------------------------
-    def join_index(self, position: int) -> dict[Any, list[int]]:
-        index = self._join_indexes.get(position)
-        if index is None:
-            with self._lock:
-                index = self._join_indexes.get(position)
-                if index is None:
-                    index = self._build_join_index(position)
-                    published = dict(self._join_indexes)
-                    published[position] = index
-                    self._join_indexes = published
-        return index
-
-    def _build_join_index(self, position: int) -> dict[Any, list[int]]:
-        # Keys appear in first-occurrence order with ascending row lists,
-        # so the executor streams join assignments in row order.
-        index: dict[Any, list[int]] = {}
-        column = self.columns[position]
-        size = column.size
-        if column.is_text:
-            dictionary = column.dictionary
-            per_code: list[list[int]] = [[] for _ in dictionary]
-            for row_index, code in enumerate(column.codes[:size].tolist()):
-                if code >= 0:
-                    per_code[code].append(row_index)
-            for code, value in enumerate(dictionary):
-                if per_code[code]:
-                    index[value] = per_code[code]
-            return index
-        nulls = column.nulls[:size].tolist()
-        for row_index, (value, is_null) in enumerate(
-            zip(column.values[:size].tolist(), nulls)
-        ):
-            if is_null:
-                continue
-            bucket = index.get(value)
-            if bucket is None:
-                index[value] = [row_index]
-            else:
-                bucket.append(row_index)
-        return index
-
     # -- decoded-column cache ------------------------------------------
     def decoded_column(self, position: int) -> list[Any]:
         """One column fully decoded to Python scalars, cached per column.
 
-        Row-at-a-time consumers (cell readers driving the executor's
-        row-enumerating joins above all) would otherwise pay a numpy
-        scalar extraction per cell; decoding once per column amortizes
-        that to list indexing.
+        Cell readers (the executor's projections of result rows above
+        all) would otherwise pay a numpy scalar extraction per cell;
+        decoding once per column amortizes that to list indexing.
         """
         decoded = self._decoded.get(position)
         if decoded is None:
@@ -783,20 +707,12 @@ class ColumnStore(StorageBackend):
         return column.codes[: column.size].tolist(), column.dictionary
 
     # ------------------------------------------------------------------
-    # Scans and indexes
+    # Scans
     # ------------------------------------------------------------------
     def select_rows(
         self, table: str, position: int, predicate: Callable[[Any], bool]
     ) -> list[int]:
         return self._store(table).select_rows(position, predicate)
-
-    def join_index(
-        self, table: str, position: int
-    ) -> Mapping[Any, Sequence[int]]:
-        return self._store(table).join_index(position)
-
-    def has_cached_join_index(self, table: str, position: int) -> bool:
-        return position in self._store(table)._join_indexes
 
     # ------------------------------------------------------------------
     # Array kernels

@@ -225,7 +225,7 @@ class TestCacheObservability:
         assert first.stats.exists_cache_misses > 0
 
         # A repeated discovery on the same engine answers its probes from
-        # the executor's existence memo and reuses cached join indexes.
+        # the executor's existence memo; the join-index counters stay 0.
         second = engine.discover(spec)
         assert second.stats.exists_cache_hits > 0
         assert second.stats.exists_cache_misses == 0

@@ -1,8 +1,9 @@
 """Integration tests for the experiment runners (small, fast configurations).
 
-These exercise every experiment in DESIGN.md's per-experiment index on the
-small company database so the whole harness stays fast; the benchmarks run
-the same code on Mondial at full size.
+These exercise every experiment of the "Benchmarks" section of
+``docs/performance.md`` on the small company database so the whole
+harness stays fast; the benchmarks run the same code on Mondial at full
+size.
 """
 
 from __future__ import annotations

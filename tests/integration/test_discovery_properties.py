@@ -111,7 +111,7 @@ class TestJoinTreeProperties:
     @_SETTINGS
     @given(synthetic_database())
     def test_executor_join_matches_nested_loop_semantics(self, database):
-        # Compare the hash-join result against a brute-force nested loop on
+        # Compare the executor's join result against a brute-force nested loop on
         # the first foreign key of the database.
         fk = database.foreign_keys[0]
         from repro.dataset.schema import ColumnRef

@@ -3,8 +3,8 @@
 The executor decides every existence probe — ``exists`` and
 ``exists_batch``, whatever the table sizes or key types — with the
 vectorized semijoin sweep of :mod:`repro.query.kernels`, and enumerates
-rows for ``execute`` by streaming join assignments.  Both are only
-trustworthy if they answer exactly as the naive reference oracle
+rows for ``execute`` with array joins over the swept tables.  Both are
+only trustworthy if they answer exactly as the naive reference oracle
 (:mod:`repro.query.reference`) does.  This suite proves that the same
 way the planner was proven
 (:mod:`tests.integration.test_planner_differential`): seeded random
@@ -15,8 +15,8 @@ the reference at every level —
   databases, including queries where several predicates constrain one
   table and batches whose probes share tagged pushdown scans;
 * the same equalities again **after randomized append sequences**
-  (a long-lived executor spans the appends, so join-index invalidation
-  and edge-kernel revalidation are under test, not just cold caches);
+  (a long-lived executor spans the appends, so plan-cache and
+  edge-kernel revalidation are under test, not just cold caches);
 * end-to-end discovery: the SQL equals a brute-force reference decision
   over the same candidate set;
 * sketches: Bloom pruning and HLL estimates never change a discovery
@@ -196,7 +196,7 @@ def _grow(rng: random.Random, database: Database) -> None:
         ],
         "Tag": [_tag_row(rng, num_events) for __ in range(rng.randint(1, 5))],
         # The empty table gains its very first rows here: new dictionary
-        # entries and join-index state created *after* caches are warm.
+        # entries and column kernels created *after* caches are warm.
         "Empty": [_empty_row(rng, i) for i in range(rng.randint(0, 3))],
     }
     for table_name, rows in batch.items():
@@ -256,8 +256,8 @@ def test_probe_paths_agree_with_kernels_on_and_off(seed):
         ]
         batches.append(probes + probes[:1])
 
-    # A long-lived executor: the second phase runs on warm plan caches,
-    # join indexes and edge kernels that the appends must invalidate.
+    # A long-lived executor: the second phase runs on warm plan caches
+    # and edge kernels that the appends must invalidate.
     executor = Executor(database)
     _assert_matches_reference(database, executor, workloads, batches)
 

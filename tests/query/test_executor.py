@@ -1,4 +1,4 @@
-"""Unit tests for the hash-join executor."""
+"""Unit tests for the executor."""
 
 from __future__ import annotations
 

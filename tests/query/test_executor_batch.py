@@ -84,15 +84,6 @@ class TestWorkSharing:
         for p in probes:
             per_candidate.exists(p.query, cell_predicates=p.cell_predicates)
         assert per_candidate.stats.joins_performed == 3
-        # Probes run the semijoin sweep, which never touches the hash
-        # join indexes that execute() and count() stream through.
-        assert (
-            per_candidate.stats.join_index_hits
-            + per_candidate.stats.join_index_builds
-        ) == 0
-        assert (
-            executor.stats.join_index_hits + executor.stats.join_index_builds
-        ) == 0
 
     def test_plan_is_shared_across_differing_projections(self, executor):
         executor.exists_batch(

@@ -1,5 +1,5 @@
-"""Tests for the executor's reusable join indexes, existence memo and
-edge-case semantics of the vectorized path (ISSUE 2 satellite coverage)."""
+"""Tests for the executor's reusable edge kernels, existence memo and
+edge-case semantics of the vectorized path."""
 
 from __future__ import annotations
 
@@ -27,51 +27,56 @@ def executor(company_db):
     return Executor(company_db)
 
 
-class TestJoinIndexReuse:
-    def test_first_join_builds_then_reuses_the_index(self, executor):
-        executor.execute(JOIN_QUERY)
-        assert executor.stats.join_index_builds == 1
-        assert executor.stats.join_index_hits == 0
-        executor.execute(JOIN_QUERY)
-        executor.execute(JOIN_QUERY)
-        assert executor.stats.join_index_builds == 1
-        assert executor.stats.join_index_hits == 2
+def _edge_kernel(executor):
+    """The executor's only cached edge kernel (JOIN_QUERY has one edge)."""
+    (edge,) = executor._edge_kernels.values()
+    return edge
 
-    def test_index_is_shared_across_queries_on_the_same_key(self, executor):
+
+class TestEdgeKernelReuse:
+    def test_second_execute_reuses_the_edge_kernel(self, executor, company_db):
         executor.execute(JOIN_QUERY)
+        first = _edge_kernel(executor)
+        executor.execute(JOIN_QUERY)
+        assert _edge_kernel(executor) is first
+        # An append to either side publishes a new column kernel, so the
+        # edge kernel bound to the old one is replaced.
+        company_db.table("Employee").insert((7, "Grace Ito", "Sales", 88_000.0, 31))
+        executor.execute(JOIN_QUERY)
+        second = _edge_kernel(executor)
+        assert second is not first
+        company_db.table("Department").insert(("Support", "Toledo", 50_000.0))
+        executor.execute(JOIN_QUERY)
+        assert _edge_kernel(executor) is not second
+
+    def test_edge_kernel_is_shared_across_queries_on_the_same_edge(self, executor):
+        executor.execute(JOIN_QUERY)
+        first = _edge_kernel(executor)
         other = ProjectJoinQuery(
             (ColumnRef("Department", "Budget"), ColumnRef("Employee", "Salary")),
             (EMP_DEPT,),
         )
         executor.execute(other)
-        assert executor.stats.join_index_builds == 1
-        assert executor.stats.join_index_hits == 1
+        assert _edge_kernel(executor) is first
 
-    def test_insert_invalidates_the_cached_index(self, executor, company_db):
+    def test_insert_on_the_many_side_is_joined(self, executor, company_db):
         executor.execute(JOIN_QUERY)
-        # The cost-based plan streams Department (the smaller side) and
-        # probes the cached join index on Employee.Department; a write to
-        # Employee must invalidate that index.
         company_db.table("Employee").insert((7, "Grace Ito", "Sales", 88_000.0, 31))
         rows = executor.execute(JOIN_QUERY)
-        assert executor.stats.join_index_builds == 2
         assert len(rows) == 7
+        assert ("Chicago", "Grace Ito") in rows
 
-    def test_insert_into_unprobed_table_keeps_the_index(self, executor, company_db):
+    def test_insert_on_the_one_side_is_joined(self, executor, company_db):
         executor.execute(JOIN_QUERY)
-        # Department is streamed, not probed, so growing it does not
-        # invalidate the cached Employee-side index.
         company_db.table("Department").insert(("Support", "Toledo", 50_000.0))
         rows = executor.execute(JOIN_QUERY)
-        assert executor.stats.join_index_builds == 1
-        assert executor.stats.join_index_hits == 1
         assert len(rows) == 6  # nobody works in Support yet
 
-    def test_reused_index_gives_same_results_as_fresh_executor(self, executor, company_db):
+    def test_reused_executor_gives_same_rows_as_fresh_executor(self, executor, company_db):
         first = executor.execute(JOIN_QUERY)
         again = executor.execute(JOIN_QUERY)
         fresh = Executor(company_db).execute(JOIN_QUERY)
-        assert sorted(first) == sorted(again) == sorted(fresh)
+        assert first == again == fresh
 
 
 class TestExistsMemo:
@@ -149,7 +154,7 @@ class TestEdgeSemantics:
             (ForeignKey("L", "k", "R", "k"),),
         )
         executor = Executor(database)
-        # Twice: once building the join index, once reusing it.
+        # Twice: once building the edge kernel, once reusing it.
         assert executor.execute(query) == [(1, 10)]
         assert executor.execute(query) == [(1, 10)]
         assert executor.exists(query)

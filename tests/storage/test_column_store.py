@@ -96,35 +96,18 @@ class TestColumnStatsAccess:
         assert table.select_rows("Population", lambda v: True) == [0, 1, 2, 4]
 
 
-class TestJoinIndexCache:
-    def test_join_index_maps_values_to_row_indexes(self, store_and_table):
-        __, table = store_and_table
-        index = table.join_index("State")
-        assert index["Nevada"] == [0, 3, 4]
-        assert index["California"] == [1, 2]
-
-    def test_join_index_excludes_nulls(self, store_and_table):
-        __, table = store_and_table
-        index = table.join_index("Population")
-        assert None not in index
-        assert sum(len(rows) for rows in index.values()) == 4
-
-    def test_join_index_is_cached(self, store_and_table):
-        __, table = store_and_table
-        assert not table.has_cached_join_index("State")
-        first = table.join_index("State")
-        assert table.has_cached_join_index("State")
-        assert table.join_index("State") is first
-
-    def test_insert_invalidates_join_index_and_rows_cache(self, store_and_table):
-        __, table = store_and_table
-        table.join_index("State")
+class TestWriteInvalidation:
+    def test_insert_invalidates_kernel_and_rows_cache(self, store_and_table):
+        backend, table = store_and_table
+        table.rows  # publish the rows cache
+        kernel = backend.column_kernel("Cities", 1)
         before = table.storage_version
         table.insert(("Sparks", "Nevada", 108_000))
-        assert not table.has_cached_join_index("State")
-        assert table.storage_version > before
-        assert table.join_index("State")["Nevada"] == [0, 3, 4, 5]
         assert table.rows[5] == ("Sparks", "Nevada", 108_000)
+        assert table.storage_version > before
+        fresh = backend.column_kernel("Cities", 1)
+        assert fresh is not kernel
+        assert fresh.python_keys()[5] == "Nevada"
 
 
 class TestBackendLifecycle:

@@ -7,8 +7,7 @@ NumPy arrays:
 
 * dictionary-code stability across appends (codes are immutable once
   assigned; the dictionary only ever grows at the tail);
-* NULL-mask semantics — predicates are never shown a NULL, join indexes
-  never contain one;
+* NULL-mask semantics — predicates are never shown a NULL;
 * int64 overflow → object-column promotion, transparent to readers and
   to the delta path;
 * NaN float cells: scans show them to predicates, and NaN join keys
@@ -108,14 +107,6 @@ class TestNullSemantics:
         # These predicates raise on None — a NULL reaching them fails.
         assert table.select_rows("Name", lambda v: v.startswith("E")) == [3]
         assert table.select_rows("Population", lambda v: v > 0) == [0, 1, 2, 4]
-
-    def test_join_index_never_contains_null(self):
-        __, table = _cities()
-        for column in ("Name", "Population"):
-            index = table.join_index(column)
-            assert None not in index
-            total = sum(len(bucket) for bucket in index.values())
-            assert total == table.num_rows - table.null_count(column)
 
 
 class TestOverflowPromotion:
@@ -263,7 +254,7 @@ def _exercise_in_child(store, mark, queue):
         queue.put({
             "rows": store.rows("Cities"),
             "dictionary": store.text_dictionary("Cities", 1),
-            "index_nevada": store.join_index("Cities", 1)["Nevada"],
+            "nevada_rows": store.select_rows("Cities", 1, lambda v: v == "Nevada"),
             "delta_rows": None if delta is None else delta.num_rows,
             "delta_values": None if delta is None else delta.columns[0].values,
         })
@@ -278,7 +269,6 @@ class TestPickleAcrossProcesses:
         store, table = _cities()
         # Warm every derived cache: none of them may leak into the child
         # half-built (or at all — pickling trims to logical state).
-        table.join_index("State")
         table.select_rows("Population", lambda v: v > 0)
         parent_rows = table.rows
         store.column_kernel("Cities", 1)
@@ -296,7 +286,7 @@ class TestPickleAcrossProcesses:
         assert "error" not in report, report
         assert report["rows"] == parent_rows + [("Sparks", "Nevada", 108_000)]
         assert report["dictionary"] == ["Nevada", "California"]
-        assert report["index_nevada"] == [0, 3, 4, 5]
+        assert report["nevada_rows"] == [0, 3, 4, 5]
         # The parent's mark stayed a valid delta base across the hop.
         assert report["delta_rows"] == 1
         assert report["delta_values"] == ("Sparks",)

@@ -1,7 +1,7 @@
 """Concurrency stress tests for the columnar backend's derived caches.
 
-Join-index and row-cache construction is lazy, so concurrent readers race
-to build them.  The backend publishes caches copy-on-write under a
+Column-kernel and row-cache construction is lazy, so concurrent readers
+race to build them.  The backend publishes caches copy-on-write under a
 per-table lock: every reader must observe either a complete cache or
 build its own — never a half-built one — and version tokens must always
 be at least as new as the data a reader observed alongside them.
@@ -51,31 +51,30 @@ def _run_threads(workers, timeout: float = 60.0) -> list[str]:
 
 
 class TestConcurrentReaders:
-    def test_racing_join_index_builds_are_consistent(self, backend):
+    def test_racing_column_kernel_builds_are_consistent(self, backend):
         table = _make_table(backend)
         num_threads = 8
         barrier = threading.Barrier(num_threads)
-        results: list[dict] = []
+        results: list = []
         errors: list[str] = []
 
-        def reader():
+        def read():
             try:
                 barrier.wait(timeout=30)
-                index = table.join_index("Kind")
-                results.append(index)
+                results.append(backend.column_kernel("Events", 1))
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(repr(exc))
 
-        _run_threads([reader] * num_threads)
+        _run_threads([read] * num_threads)
         assert not errors
         assert len(results) == num_threads
-        # Every reader got a complete index over all 500 rows.
-        for index in results:
-            assert sorted(index) == [f"kind-{i}" for i in range(7)]
-            assert sum(len(rows) for rows in index.values()) == 500
-        # The winning build was published once and shared thereafter.
-        assert backend.has_cached_join_index("Events", 1)
-        assert table.join_index("Kind") is results[0]
+        # Every reader got a complete kernel over all 500 rows.
+        for kernel in results:
+            assert len(kernel.keys) == 500 and kernel.valid.all()
+            assert kernel.python_keys() == table.column_values("Kind")
+        # One build was published and shared thereafter.
+        assert all(kernel is results[0] for kernel in results)
+        assert backend.column_kernel("Events", 1) is results[0]
 
     def test_racing_rows_cache_builds_are_consistent(self, backend):
         table = _make_table(backend, rows=200)
@@ -83,7 +82,7 @@ class TestConcurrentReaders:
         barrier = threading.Barrier(num_threads)
         errors: list[str] = []
 
-        def reader():
+        def read():
             try:
                 barrier.wait(timeout=30)
                 rows = table.rows
@@ -92,7 +91,7 @@ class TestConcurrentReaders:
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(repr(exc))
 
-        _run_threads([reader] * num_threads)
+        _run_threads([read] * num_threads)
         assert not errors
 
     def test_readers_race_one_writer_without_corruption(self, backend):
@@ -109,26 +108,23 @@ class TestConcurrentReaders:
             finally:
                 stop.set()
 
-        def reader():
+        def read():
             try:
                 while not stop.is_set():
                     version = table.storage_version
-                    index = table.join_index("Id")
+                    kernel = backend.column_kernel("Events", 0)
                     rows = table.rows
                     # A cache snapshot may trail the writer but must be
-                    # internally complete: every bucket points at a valid
-                    # row holding exactly that key.
-                    total = sum(len(bucket) for bucket in index.values())
-                    if total < 100 or len(rows) < 100:
+                    # internally complete: row i holds key i.
+                    keys = kernel.keys.tolist()
+                    if len(keys) < 100 or len(rows) < 100:
                         errors.append(
-                            f"lost rows: index={total}, rows={len(rows)}"
+                            f"lost rows: kernel={len(keys)}, rows={len(rows)}"
                         )
                         return
-                    for key in (0, 50, 99):
-                        bucket = index.get(key)
-                        if not bucket:
-                            errors.append(f"missing join key {key}")
-                            return
+                    if keys != list(range(len(keys))) or not kernel.valid.all():
+                        errors.append(f"torn kernel of {len(keys)} rows")
+                        return
                     # Version tokens never run backwards.
                     if table.storage_version < version:
                         errors.append("version token went backwards")
@@ -136,12 +132,12 @@ class TestConcurrentReaders:
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(repr(exc))
 
-        workers = [writer] + [reader] * 6
+        workers = [writer] + [read] * 6
         _run_threads(workers)
         assert not errors
-        # After the writer finishes, a fresh index covers everything.
-        final = table.join_index("Id")
-        assert sum(len(bucket) for bucket in final.values()) == 400
+        # After the writer finishes, a fresh kernel covers everything.
+        final = backend.column_kernel("Events", 0)
+        assert final.keys.tolist() == list(range(400))
 
     def test_concurrent_version_token_reads_with_writes(self, backend):
         table = _make_table(backend, rows=10)
