@@ -23,8 +23,11 @@ workloads with sketches on and off:
 
 The report test asserts discovery results are bit-for-bit identical
 across modes, that sketches cut ``joins_performed`` by **>= 2x**, and
-that the probe-batch pass wins on wall clock; the comparison is written
-to ``REPORT_DIR/sketch_stats.txt``.
+that the probe-batch pass wins on wall clock.  It times that pass
+itself: one untimed warm-up pass per mode, then timed passes in
+alternating pairs, so drift between runs hits both modes alike; the
+median per-pair ratio of raw to sketch seconds must be above 1.  The
+comparison is written to ``REPORT_DIR/sketch_stats.txt``.
 
 A small ``smoke`` benchmark (4k-row tables) runs in CI so sketch
 regressions fail fast without the full workload.
@@ -50,6 +53,7 @@ from repro.query.executor import BatchProbe
 from repro.query.pj_query import ProjectJoinQuery
 
 _MODES = ("sketches", "raw")
+_TIMED_PAIRS = 9
 _ROWS = 100_000
 _SKEW = 1.1
 _DANGLING = 0.98
@@ -60,7 +64,6 @@ _LIMITS = GenerationLimits(
 #: Deterministic run budget: infinite wall clock, count-capped validations.
 _BUDGET = {"time_limit": math.inf, "validation_budget": 10_000}
 _DISCOVERY: dict[str, dict] = {}
-_PROBES: dict[str, dict] = {}
 
 
 # ----------------------------------------------------------------------
@@ -218,21 +221,40 @@ def _discovery_totals(results) -> dict:
     }
 
 
-def _run_probe_batch(base: Prism, probes, sketches: bool) -> dict:
-    executor = _fresh_engine(base, sketches).executor
-    executor.exists_batch(probes)  # warm plan and edge kernels
-    timings = []
-    outcomes = None
-    for __ in range(9):
-        started = time.perf_counter()
-        outcomes = executor.exists_batch(probes)
-        timings.append(time.perf_counter() - started)
-    return {
-        "seconds": statistics.median(timings),
-        "outcomes": outcomes,
-        "joins_performed": executor.stats.joins_performed,
-        "bloom_rejections": executor.stats.bloom_rejections,
+def _time_probe_pairs(base: Prism, probes) -> tuple[dict, list[float]]:
+    """Time the batched probe pass of both modes in alternating pairs.
+
+    One untimed warm-up pass per mode builds the plan and edge kernels
+    and yields the outcomes; then ``_TIMED_PAIRS`` pairs alternate which
+    mode runs first.  Returns per-mode results and the per-pair ratios
+    of raw to sketch seconds.
+    """
+    executors = {
+        mode: _fresh_engine(base, mode == "sketches").executor
+        for mode in _MODES
     }
+    outcomes = {
+        mode: executor.exists_batch(probes)
+        for mode, executor in executors.items()
+    }
+    seconds: dict[str, list[float]] = {mode: [] for mode in _MODES}
+    ratios = []
+    for pair in range(_TIMED_PAIRS):
+        for mode in _MODES if pair % 2 == 0 else reversed(_MODES):
+            started = time.perf_counter()
+            executors[mode].exists_batch(probes)
+            seconds[mode].append(time.perf_counter() - started)
+        ratios.append(seconds["raw"][-1] / seconds["sketches"][-1])
+    probes_by_mode = {
+        mode: {
+            "seconds": statistics.median(seconds[mode]),
+            "outcomes": outcomes[mode],
+            "joins_performed": executors[mode].stats.joins_performed,
+            "bloom_rejections": executors[mode].stats.bloom_rejections,
+        }
+        for mode in _MODES
+    }
+    return probes_by_mode, ratios
 
 
 # ----------------------------------------------------------------------
@@ -258,20 +280,6 @@ def test_sketch_discovery(benchmark, skewed_base, sketch_specs, mode):
     ]
 
 
-@pytest.mark.parametrize("mode", _MODES)
-def test_sketch_probe_batch(benchmark, skewed_base, probe_batch, mode):
-    sketches = mode == "sketches"
-    measured = benchmark.pedantic(
-        _run_probe_batch,
-        args=(skewed_base, probe_batch, sketches),
-        rounds=1,
-        iterations=1,
-    )
-    _PROBES[mode] = measured
-    benchmark.extra_info["mode"] = mode
-    benchmark.extra_info["batch_seconds"] = measured["seconds"]
-
-
 def test_sketch_stats_report(benchmark, skewed_base, sketch_specs, probe_batch):
     """Join both modes into the sketch report and assert the wins."""
     for mode in _MODES:
@@ -283,8 +291,7 @@ def test_sketch_stats_report(benchmark, skewed_base, sketch_specs, probe_batch):
                 "totals": _discovery_totals(results),
                 "seconds": time.perf_counter() - started,
             }
-        if mode not in _PROBES:
-            _PROBES[mode] = _run_probe_batch(skewed_base, probe_batch, sketches)
+    probes, ratios = _time_probe_pairs(skewed_base, probe_batch)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
     sketched = _DISCOVERY["sketches"]
@@ -292,12 +299,12 @@ def test_sketch_stats_report(benchmark, skewed_base, sketch_specs, probe_batch):
 
     # Bit-for-bit identical discovery output across estimators.
     assert sketched["totals"]["queries"] == raw["totals"]["queries"]
-    assert _PROBES["sketches"]["outcomes"] == _PROBES["raw"]["outcomes"]
+    assert probes["sketches"]["outcomes"] == probes["raw"]["outcomes"]
 
     join_ratio = raw["totals"]["joins_performed"] / max(
         sketched["totals"]["joins_performed"], 1
     )
-    probe_speedup = _PROBES["raw"]["seconds"] / _PROBES["sketches"]["seconds"]
+    probe_speedup = statistics.median(ratios)
 
     discovery_rows = [
         {
@@ -315,9 +322,9 @@ def test_sketch_stats_report(benchmark, skewed_base, sketch_specs, probe_batch):
     probe_rows = [
         {
             "mode": mode,
-            "batch_ms": round(_PROBES[mode]["seconds"] * 1e3, 3),
-            "joins_performed": _PROBES[mode]["joins_performed"],
-            "bloom_rejections": _PROBES[mode]["bloom_rejections"],
+            "batch_ms": round(probes[mode]["seconds"] * 1e3, 3),
+            "joins_performed": probes[mode]["joins_performed"],
+            "bloom_rejections": probes[mode]["bloom_rejections"],
         }
         for mode in _MODES
     ]
@@ -334,15 +341,17 @@ def test_sketch_stats_report(benchmark, skewed_base, sketch_specs, probe_batch):
         columns=["mode", "batch_ms", "joins_performed", "bloom_rejections"],
         title="Bloom pre-filtered exists_batch "
               f"(one {len(probe_batch)}-probe batch over T3-T2-T1, "
-              "median of 9 passes)",
+              f"median of {_TIMED_PAIRS} alternating passes)",
     )
     summary_table = format_table(
         [{
             "join_reduction": f"{join_ratio:.1f}x",
             "probe_batch_speedup": f"{probe_speedup:.2f}x",
+            "pair_ratios": " ".join(f"{ratio:.2f}" for ratio in ratios),
             "identical_results": True,
         }],
-        columns=["join_reduction", "probe_batch_speedup", "identical_results"],
+        columns=["join_reduction", "probe_batch_speedup", "pair_ratios",
+                 "identical_results"],
         title="Sketch summary (target: >=2x fewer joins built, "
               "wall-clock win on the batched probe pass)",
     )
@@ -359,7 +368,8 @@ def test_sketch_stats_report(benchmark, skewed_base, sketch_specs, probe_batch):
         f"sketches only reduced joins_performed by {join_ratio:.2f}x"
     )
     assert probe_speedup > 1.0, (
-        f"Bloom pre-filtering was not a wall-clock win ({probe_speedup:.2f}x)"
+        f"Bloom pre-filtering was not a wall-clock win (median pair ratio "
+        f"{probe_speedup:.2f}x)"
     )
 
 

@@ -92,7 +92,7 @@ from repro.service.service import (
     DiscoveryTicket,
     ServiceMetrics,
 )
-from repro.storage import ColumnStore, StorageBackend, TableDelta, TableMark
+from repro.storage import ColumnStore, TableDelta, TableMark
 from repro.workbench.session import PrismSession
 
 __version__ = "0.1.0"
@@ -129,7 +129,6 @@ __all__ = [
     "Resolution",
     "SampleConstraint",
     "SchemaGraph",
-    "StorageBackend",
     "Table",
     "TableDelta",
     "TableMark",

@@ -124,15 +124,6 @@ class JoinIndicatorModel:
     # ------------------------------------------------------------------
     # Incremental maintenance
     # ------------------------------------------------------------------
-    @property
-    def supports_delta(self) -> bool:
-        """Whether the model retains the counters :meth:`apply_delta`
-        folds into (models unpickled from bundles built before
-        incremental maintenance existed, or constructed by hand, do not)."""
-        return getattr(self, "_child_counts", None) is not None and (
-            getattr(self, "_parent_counts", None) is not None
-        )
-
     def apply_delta(
         self,
         child_values,
@@ -148,10 +139,9 @@ class JoinIndicatorModel:
         (``None`` keeps the side's current count).  The counters are
         exact, so the recomputed probabilities equal a from-scratch fit
         bit-for-bit.  Raises :class:`~repro.errors.TrainingError` when
-        the model lacks its sufficient statistics (see
-        :attr:`supports_delta`).
+        the model lacks its sufficient statistics (hand-built models).
         """
-        if not self.supports_delta:
+        if self._child_counts is None or self._parent_counts is None:
             raise TrainingError(
                 f"join model for {self.foreign_key} carries no sufficient "
                 "statistics; refit it"

@@ -43,13 +43,6 @@ class BayesianModelSet:
     # ------------------------------------------------------------------
     # Incremental maintenance
     # ------------------------------------------------------------------
-    @property
-    def supports_delta(self) -> bool:
-        """Whether every member model can fold append deltas in place."""
-        return all(
-            model.supports_delta for model in self.join_models.values()
-        )
-
     def apply_delta(
         self,
         database: Database,

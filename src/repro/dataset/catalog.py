@@ -16,7 +16,7 @@ from repro.dataset.database import Database
 from repro.dataset.schema import ColumnRef
 from repro.dataset.sketches import ColumnSketches, build_column_sketches
 from repro.dataset.types import DataType
-from repro.errors import ArtifactError, SchemaError
+from repro.errors import SchemaError
 
 __all__ = ["ColumnStats", "MetadataCatalog"]
 
@@ -68,10 +68,9 @@ class MetadataCatalog:
         self._stats: dict[ColumnRef, ColumnStats] = {}
         self._table_rows: dict[str, int] = {}
         # Sufficient statistics for incremental maintenance: per-column
-        # distinct-value sets (columns collected via the generic path) and
-        # (sum, sum-of-squares) running moments for numeric columns.  Text
-        # columns collected from a backend dictionary need neither — the
-        # dictionary itself is the distinct set.
+        # distinct-value sets (non-text columns) and (sum, sum-of-squares)
+        # running moments for numeric columns.  Text columns need neither
+        # — the store's dictionary itself is the distinct set.
         self._distinct_values: dict[ColumnRef, set] = {}
         self._numeric_moments: dict[ColumnRef, tuple[float, float]] = {}
         # Statistics sketches (HyperLogLog / Bloom / equi-depth histogram)
@@ -88,10 +87,10 @@ class MetadataCatalog:
     def build(cls, database: Database) -> "MetadataCatalog":
         """Collect statistics for every column of ``database``.
 
-        Columns are read straight from the storage backend.  Text columns
-        never materialize their values: min/max, max length and the
-        distinct count all come from the backend's dictionary of distinct
-        strings, and the NULL count from the column's NULL mask.
+        Columns are read straight from the store.  Text columns never
+        materialize their values: min/max, max length and the distinct
+        count all come from the store's dictionary of distinct strings,
+        and the NULL count from the column's NULL mask.
         """
         catalog = cls()
         catalog.built_from = database.artifact_key()
@@ -103,25 +102,20 @@ class MetadataCatalog:
             catalog._table_rows[table.name] = table.num_rows
             for position, column in enumerate(table.columns):
                 ref = ColumnRef(table.name, column.name)
-                stats = None
-                dictionary = None
+                values = kernel = dictionary = None
                 if column.data_type is DataType.TEXT:
                     dictionary = table.text_dictionary(column.name)
-                    if dictionary is not None:
-                        stats = cls._collect_text_from_dictionary(
-                            ref,
-                            dictionary,
-                            row_count=table.num_rows,
-                            null_count=table.null_count(column.name),
-                        )
-                values = None
-                if stats is None:
+                    stats = cls._collect_text_from_dictionary(
+                        ref,
+                        dictionary,
+                        row_count=table.num_rows,
+                        null_count=table.null_count(column.name),
+                    )
+                else:
                     values = table.column_values(column.name)
                     stats = catalog._collect(ref, column.data_type, values)
-                catalog._stats[ref] = stats
-                kernel = None
-                if dictionary is None:
                     kernel = table.backend.column_kernel(table.name, position)
+                catalog._stats[ref] = stats
                 catalog._sketches[ref] = build_column_sketches(
                     column.data_type,
                     values=values,
@@ -166,7 +160,7 @@ class MetadataCatalog:
     def _collect(
         self, ref: ColumnRef, data_type: DataType, values: list[Any]
     ) -> ColumnStats:
-        """Generic statistics collection, recording the sufficient
+        """Statistics of a non-text column, recording the sufficient
         statistics (distinct set, numeric running moments) that
         :meth:`apply_delta` later folds appended rows into."""
         non_null = [value for value in values if value is not None]
@@ -178,22 +172,16 @@ class MetadataCatalog:
 
         min_value: Optional[Any] = None
         max_value: Optional[Any] = None
-        max_text_length: Optional[int] = None
         mean: Optional[float] = None
         stddev: Optional[float] = None
 
         if non_null:
-            if data_type is DataType.TEXT:
-                max_text_length = max(len(str(value)) for value in non_null)
-                min_value = min(str(value) for value in non_null)
-                max_value = max(str(value) for value in non_null)
-            else:
-                try:
-                    min_value = min(non_null)
-                    max_value = max(non_null)
-                except TypeError:
-                    min_value = None
-                    max_value = None
+            try:
+                min_value = min(non_null)
+                max_value = max(non_null)
+            except TypeError:
+                min_value = None
+                max_value = None
         if data_type.is_numeric:
             numeric = [float(value) for value in non_null]
             self._numeric_moments[ref] = (
@@ -211,7 +199,6 @@ class MetadataCatalog:
             distinct_count=distinct_count,
             min_value=min_value,
             max_value=max_value,
-            max_text_length=max_text_length,
             mean=mean,
             stddev=stddev,
         )
@@ -219,15 +206,6 @@ class MetadataCatalog:
     # ------------------------------------------------------------------
     # Incremental maintenance
     # ------------------------------------------------------------------
-    @property
-    def supports_delta(self) -> bool:
-        """Whether this catalog carries the sufficient statistics that
-        :meth:`apply_delta` needs (catalogs unpickled from bundles built
-        before incremental maintenance existed do not)."""
-        return hasattr(self, "_distinct_values") and hasattr(
-            self, "_numeric_moments"
-        )
-
     def apply_delta(
         self,
         database: Database,
@@ -240,36 +218,26 @@ class MetadataCatalog:
         Counts, min/max and distinct counts come out identical to a
         from-scratch build; the numeric mean/stddev are maintained as
         running moments and may differ from a cold two-pass computation
-        by floating-point rounding only.  Raises
-        :class:`~repro.errors.ArtifactError` when the catalog lacks the
-        sufficient statistics for a column (see :attr:`supports_delta`).
+        by floating-point rounding only.
         """
-        if not self.supports_delta:
-            raise ArtifactError(
-                "this catalog predates incremental maintenance; rebuild it"
-            )
-        sketch_map = getattr(self, "_sketches", None)
         for table_name, delta in deltas.items():
             table = database.table(table_name)
             for column, column_delta in zip(table.columns, delta.columns):
                 ref = ColumnRef(table_name, column.name)
                 old = self.stats(ref)
-                text_delta = (
-                    column_delta.is_text and column_delta.dictionary is not None
-                )
-                if text_delta:
+                if column_delta.is_text:
                     self._stats[ref] = self._fold_text_delta(old, column_delta)
                 else:
                     self._stats[ref] = self._fold_generic_delta(
                         ref, old, column_delta
                     )
-                sketches = sketch_map.get(ref) if sketch_map else None
+                sketches = self._sketches.get(ref)
                 if sketches is not None:
                     # HLL registers and Bloom bits fold to exactly the
                     # state a cold rebuild would reach (max/or are
                     # order-insensitive); histogram boundaries stay fixed,
                     # only bucket counts grow.
-                    if text_delta:
+                    if column_delta.is_text:
                         for entry in column_delta.new_dictionary_entries:
                             sketches.fold_distinct_value(entry)
                     else:
@@ -280,9 +248,9 @@ class MetadataCatalog:
 
     @staticmethod
     def _fold_text_delta(old: ColumnStats, column_delta) -> ColumnStats:
-        """Update a dictionary-encoded text column's statistics.
+        """Update a text column's statistics.
 
-        The backend dictionary is an append-only distinct set, so the
+        The store's dictionary is an append-only distinct set, so the
         delta's ``new_dictionary_entries`` are exactly the strings first
         seen in the appended rows.
         """
@@ -319,33 +287,15 @@ class MetadataCatalog:
     def _fold_generic_delta(
         self, ref: ColumnRef, old: ColumnStats, column_delta
     ) -> ColumnStats:
-        """Update a generically collected column's statistics."""
-        distinct = self._distinct_values.get(ref)
-        if distinct is None:
-            raise ArtifactError(
-                f"no sufficient statistics recorded for column {ref}"
-            )
+        """Update a non-text column's statistics."""
+        distinct = self._distinct_values[ref]
         non_null = column_delta.non_null_values
         distinct.update(non_null)
 
         min_value = old.min_value
         max_value = old.max_value
-        max_text_length = old.max_text_length
         if non_null:
-            if old.data_type is DataType.TEXT:
-                as_text = [str(value) for value in non_null]
-                delta_longest = max(len(value) for value in as_text)
-                max_text_length = (
-                    delta_longest
-                    if max_text_length is None or delta_longest > max_text_length
-                    else max_text_length
-                )
-                pool = as_text if min_value is None else [min_value, *as_text]
-                min_value = min(pool)
-                max_value = max(
-                    as_text if max_value is None else [max_value, *as_text]
-                )
-            elif old.non_null_count and old.min_value is None:
+            if old.non_null_count and old.min_value is None:
                 # The pre-delta values were mutually uncomparable; a cold
                 # rebuild over the grown column would fail the same way.
                 pass
@@ -386,7 +336,6 @@ class MetadataCatalog:
             distinct_count=len(distinct),
             min_value=min_value,
             max_value=max_value,
-            max_text_length=max_text_length,
             mean=mean,
             stddev=stddev,
         )
@@ -407,11 +356,8 @@ class MetadataCatalog:
 
     def sketches(self, ref: ColumnRef) -> Optional[ColumnSketches]:
         """Statistics sketches for one column, or ``None`` when absent
-        (hand-assembled catalogs, bundles built before sketches existed)."""
-        sketch_map = getattr(self, "_sketches", None)
-        if not sketch_map:
-            return None
-        return sketch_map.get(ref)
+        (hand-assembled catalogs)."""
+        return self._sketches.get(ref)
 
     def table_row_count(self, table: str) -> int:
         """Number of rows recorded for ``table`` at build time."""

@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from repro.dataset.schema import Column, ColumnRef, ForeignKey
 from repro.dataset.table import Table
 from repro.errors import SchemaError
-from repro.storage import ColumnStore, StorageBackend
+from repro.storage import ColumnStore
 
 __all__ = ["Database"]
 
@@ -20,19 +20,19 @@ __all__ = ["Database"]
 class Database:
     """A named collection of tables connected by foreign keys.
 
-    All tables created through :meth:`create_table` share one storage
-    backend (a fresh :class:`~repro.storage.ColumnStore` unless a backend
-    is injected), so database-wide consumers — the executor's column
+    All tables created through :meth:`create_table` share one
+    :class:`~repro.storage.ColumnStore` (a fresh one unless a store is
+    injected), so database-wide consumers — the executor's column
     kernels in particular — operate against a single physical store.
-    Tables adopted via :meth:`add_table` keep whatever backend they were
+    Tables adopted via :meth:`add_table` keep whatever store they were
     built on.
     """
 
-    def __init__(self, name: str, backend: Optional[StorageBackend] = None):
+    def __init__(self, name: str, backend: Optional[ColumnStore] = None):
         if not name or not name.strip():
             raise SchemaError("database name must be a non-empty string")
         self.name = name
-        self._backend: StorageBackend = (
+        self._backend: ColumnStore = (
             backend if backend is not None else ColumnStore()
         )
         self._tables: dict[str, Table] = {}
@@ -43,8 +43,8 @@ class Database:
     # Tables
     # ------------------------------------------------------------------
     @property
-    def backend(self) -> StorageBackend:
-        """The storage backend shared by tables created on this database."""
+    def backend(self) -> ColumnStore:
+        """The store shared by tables created on this database."""
         return self._backend
 
     def create_table(self, name: str, columns: Sequence[Column]) -> Table:
@@ -68,9 +68,9 @@ class Database:
             raise SchemaError(f"no such table: {name!r}")
         table = self._tables.pop(name)
         if table.backend is self._backend:
-            # Free the name on the shared backend for reuse, but keep the
+            # Free the name on the shared store for reuse, but keep the
             # dropped Table handle functional and isolated on a private
-            # backend — a stale reference must never alias a successor
+            # store — a stale reference must never alias a successor
             # table's storage.
             table.detach_storage()
         self._foreign_keys = [
@@ -220,21 +220,17 @@ class Database:
     # ------------------------------------------------------------------
     # Append deltas
     # ------------------------------------------------------------------
-    def storage_marks(self) -> Optional[dict]:
+    def storage_marks(self) -> dict:
         """Per-table :class:`~repro.storage.TableMark` fingerprints.
 
         Captured when preprocessing artifacts are published, so a later
         :meth:`storage_deltas_since` can derive exactly which rows were
-        appended in between.  Returns ``None`` when any table's backend
-        does not support delta tracking.
+        appended in between.
         """
-        marks = {}
-        for table in self._tables.values():
-            mark = table.backend.table_mark(table.name)
-            if mark is None:
-                return None
-            marks[table.name] = mark
-        return marks
+        return {
+            table.name: table.backend.table_mark(table.name)
+            for table in self._tables.values()
+        }
 
     def storage_deltas_since(self, marks: dict) -> Optional[dict]:
         """Append deltas for every table that changed since ``marks``.
@@ -243,8 +239,8 @@ class Database:
         :class:`~repro.storage.TableDelta` covering only the tables with
         appended rows (unchanged tables are omitted), or ``None`` when
         the difference cannot be expressed as pure appends: the table set
-        changed, a backend does not track deltas, or a table saw a
-        non-append write.  Callers fall back to full rebuilds on ``None``.
+        changed, or a table saw a non-append write.  Callers fall back to
+        full rebuilds on ``None``.
         """
         if set(marks) != set(self._tables):
             return None

@@ -87,30 +87,27 @@ class InvertedIndex:
     def build(cls, database: Database) -> "InvertedIndex":
         """Build the index over every table of ``database``.
 
-        Columns are read directly from the storage backend.  For
-        dictionary-encoded text columns the per-value work (normalizing,
-        tokenizing) is done once per distinct string and fanned out over
-        the rows via the integer codes.
+        Columns are read directly from the store.  For text columns (all
+        dictionary-encoded) the per-value work (normalizing, tokenizing)
+        is done once per distinct string and fanned out over the rows via
+        the integer codes.
         """
         index = cls()
         index.built_from = database.artifact_key()
         for table in database:
             for column in table.columns:
                 if column.data_type is DataType.TEXT:
-                    encoded = table.text_column_codes(column.name)
-                    if encoded is not None:
-                        codes, dictionary = encoded
-                        index._add_encoded(
-                            table.name, column.name, codes, dictionary
-                        )
-                        continue
+                    codes, dictionary = table.text_column_codes(column.name)
+                    index._add_encoded(
+                        table.name, column.name, codes, dictionary
+                    )
+                    continue
                 for row_index, value in enumerate(
                     table.column_values(column.name)
                 ):
                     if value is None:
                         continue
-                    index._add(table.name, column.name, row_index, value,
-                               column.data_type)
+                    index._add(table.name, column.name, row_index, value)
         return index
 
     def apply_delta(
@@ -144,8 +141,7 @@ class InvertedIndex:
                     if value is None:
                         continue
                     self._add(table_name, column.name,
-                              delta.start_row + offset, value,
-                              column.data_type)
+                              delta.start_row + offset, value)
         self.built_from = built_from
 
     def _add_encoded_delta(
@@ -204,22 +200,13 @@ class InvertedIndex:
             for token in token_lists[code]:
                 tokens[token].append(posting)
 
-    def _add(
-        self,
-        table: str,
-        column: str,
-        row_index: int,
-        value: Any,
-        data_type: DataType,
-    ) -> None:
-        posting = Posting(table, column, row_index)
-        key = normalize_term(value)
-        self._exact[key].append(posting)
+    def _add(self, table: str, column: str, row_index: int, value: Any) -> None:
+        """Index one non-text cell (text columns go through the
+        dictionary-encoded paths, the only ones that tokenize)."""
+        self._exact[normalize_term(value)].append(
+            Posting(table, column, row_index)
+        )
         self._indexed_cells += 1
-        if data_type is DataType.TEXT and isinstance(value, str):
-            for token in _tokenize(value):
-                if token != key:
-                    self._tokens[token].append(posting)
 
     # ------------------------------------------------------------------
     # Lookups

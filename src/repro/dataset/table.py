@@ -1,14 +1,13 @@
-"""In-memory relation: schema logic over a pluggable storage backend.
+"""In-memory relation: schema logic over the columnar store.
 
 A :class:`Table` validates rows against the declared column types on
 insertion so that downstream code never has to defend against mis-typed
-cells, then delegates physical storage to a :class:`StorageBackend`
-(a fresh :class:`~repro.storage.ColumnStore` by default — typed column
-arrays with dictionary-encoded text, NULL masks and cached join-key hash
-indexes).
+cells, then delegates physical storage to a
+:class:`~repro.storage.ColumnStore` (a fresh one by default — typed
+column arrays with dictionary-encoded text and NULL masks).
 The historical tuple API (``rows``/``row``/iteration) is preserved on top
 of the columnar representation, and column-oriented accessors expose the
-backend directly to the inverted index, the metadata catalog, the Bayesian
+store directly to the inverted index, the metadata catalog, the Bayesian
 trainers and the vectorized executor.
 """
 
@@ -19,7 +18,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 from repro.dataset.schema import Column
 from repro.dataset.types import DataType, coerce_value, detect_type
 from repro.errors import DataError, SchemaError
-from repro.storage import ColumnStore, StorageBackend
+from repro.storage import ColumnStore
 
 __all__ = ["Table"]
 
@@ -31,7 +30,7 @@ class Table:
         self,
         name: str,
         columns: Sequence[Column],
-        backend: Optional[StorageBackend] = None,
+        backend: Optional[ColumnStore] = None,
     ):
         if not name or not name.strip():
             raise SchemaError("table name must be a non-empty string")
@@ -45,7 +44,7 @@ class Table:
         self._column_index: dict[str, int] = {
             column.name: position for position, column in enumerate(columns)
         }
-        self._backend: StorageBackend = (
+        self._backend: ColumnStore = (
             backend if backend is not None else ColumnStore()
         )
         self._backend.register_table(name, self.columns)
@@ -84,8 +83,8 @@ class Table:
     # Storage backend
     # ------------------------------------------------------------------
     @property
-    def backend(self) -> StorageBackend:
-        """The storage backend holding this table's data."""
+    def backend(self) -> ColumnStore:
+        """The store holding this table's data."""
         return self._backend
 
     @property
@@ -94,10 +93,10 @@ class Table:
         return self._backend.version(self.name)
 
     def detach_storage(self) -> None:
-        """Move this table's data onto a private backend.
+        """Move this table's data onto a private store.
 
         Called when the table is dropped from a database whose shared
-        backend frees the name for reuse: this handle keeps its data and
+        store frees the name for reuse: this handle keeps its data and
         stays functional, fully isolated from any successor table.
         """
         self._backend = self._backend.detach_table(self.name)
@@ -199,10 +198,6 @@ class Table:
     def distinct_count(self, name: str) -> int:
         """Number of distinct non-NULL values of one column."""
         return self._backend.distinct_count(self.name, self.column_position(name))
-
-    def null_mask(self, name: str) -> list[bool]:
-        """Per-row NULL mask of one column (True where the cell is NULL)."""
-        return self._backend.null_mask(self.name, self.column_position(name))
 
     def null_count(self, name: str) -> int:
         """Number of NULL cells in one column."""

@@ -16,7 +16,7 @@ from repro.dataset.database import Database
 from repro.dataset.schema import Column
 from repro.dataset.types import DataType
 from repro.errors import WorkloadError
-from repro.storage import StorageBackend
+from repro.storage import ColumnStore
 
 __all__ = ["generate_synthetic_database"]
 
@@ -37,7 +37,7 @@ def generate_synthetic_database(
     topology: Topology = "chain",
     seed: int = 0,
     name: str = "synthetic",
-    backend: Optional[StorageBackend] = None,
+    backend: Optional[ColumnStore] = None,
     skew: float = 0.0,
     dangling_fk_fraction: float = 0.0,
 ) -> Database:
@@ -56,8 +56,8 @@ def generate_synthetic_database(
             ``random`` (each table links to a random earlier table).
         seed: RNG seed controlling both structure and content.
         name: database name.
-        backend: storage backend for the generated tables (a fresh
-            :class:`~repro.storage.ColumnStore` when omitted).
+        backend: the :class:`~repro.storage.ColumnStore` holding the
+            generated tables (a fresh one when omitted).
         skew: Zipf exponent for foreign-key values.  ``0.0`` (the
             default) keeps the historical uniform draw; larger values
             concentrate references on low parent ids (``s≈1`` is classic

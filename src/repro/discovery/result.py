@@ -75,6 +75,9 @@ class DiscoveryStats:
             "validation_batches": self.validation_batches,
             "batched_outcomes": self.batched_outcomes,
             "elapsed_seconds": self.elapsed_seconds,
+            "related_column_seconds": self.related_column_seconds,
+            "candidate_seconds": self.candidate_seconds,
+            "validation_seconds": self.validation_seconds,
             "timed_out": self.timed_out,
         }
 

@@ -151,9 +151,8 @@ class TrainingError(ReproError):
     """A Bayesian model could not be trained from the supplied database.
 
     When raised: training over a database with no tables, asking a fitted
-    model for an unknown column, or folding an append delta into a model
-    that lacks its sufficient statistics (hand-built models, or models
-    unpickled from bundles that predate incremental maintenance).
+    model for an unknown column, or folding an append delta into a
+    hand-built model, which lacks its sufficient statistics.
 
     How to recover: retrain via
     :func:`~repro.bayesian.training.train_models`; for the delta case the
@@ -191,16 +190,17 @@ class ArtifactError(ReproError):
 
     When raised: the source database was mutated *while* its bundle was
     being built (the store detects the torn state and refuses to cache
-    it), or an artifact cannot fold an append delta because it lacks its
-    incremental-maintenance state.
+    it), or an :class:`~repro.api.ArtifactStore` is configured with a
+    non-positive ``max_delta_fraction``.
 
     How to recover: for build-time mutation, retry once writes have
     quiesced — the store's per-database build lock makes this safe.
     Delta failures inside :meth:`~repro.api.ArtifactStore.refresh`
     are handled internally via the counted rebuild fallback
-    (``stats.rebuild_fallbacks``); corrupt or version-skewed persisted
-    files never raise at all — they are treated as cache misses and
-    rebuilt (counted in ``stats.disk_errors``).
+    (``stats.rebuild_fallbacks``); corrupt persisted files never raise at
+    all — they are treated as cache misses and rebuilt (counted in
+    ``stats.disk_errors``), and files written under another
+    ``ARTIFACT_FORMAT`` are never looked up.
     """
 
 

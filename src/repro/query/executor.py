@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -62,6 +62,9 @@ from repro.query.plan import (
     join_prefix_key,
 )
 from repro.query.planner import Planner
+
+if TYPE_CHECKING:
+    from repro.dataset.catalog import MetadataCatalog
 
 __all__ = ["Executor", "ExecutionStats", "BatchProbe"]
 
@@ -167,7 +170,7 @@ class Executor:
     def __init__(
         self,
         database: Database,
-        catalog: Optional[object] = None,
+        catalog: Optional["MetadataCatalog"] = None,
         *,
         use_sketches: bool = True,
     ):
@@ -205,7 +208,7 @@ class Executor:
         self._exists_memo: dict[Any, bool] = {}
         self._memo_data_version: Optional[tuple[int, int, int]] = None
         # Aligned edge kernels keyed by the probe step's column endpoints,
-        # revalidated by column-kernel identity (backends publish a fresh
+        # revalidated by column-kernel identity (the store publishes a fresh
         # kernel after every append, so a stale edge can never be reused).
         self._edge_kernels: dict[tuple, Any] = {}
 
@@ -541,22 +544,18 @@ class Executor:
     def _bloom_ready(self) -> bool:
         """Whether join-key Bloom filters may prune probe rows.
 
-        True only when sketches are enabled, the catalog carries them,
-        and — the soundness guard — the catalog was built from (or
+        True only when sketches are enabled, a catalog is attached, and
+        — the soundness guard — the catalog was built from (or
         delta-folded up to) exactly the database's current artifact key:
         a filter that has not seen every row of a column could otherwise
         report a genuinely present key as absent.
         """
         if not self._use_sketches or self._catalog is None:
             return False
-        if getattr(self._catalog, "sketches", None) is None:
-            return False
         key = self._database.artifact_key()
         if key != self._bloom_key:
             self._bloom_key = key
-            self._bloom_fresh = (
-                getattr(self._catalog, "built_from", None) == key
-            )
+            self._bloom_fresh = self._catalog.built_from == key
         return self._bloom_fresh
 
     def _bloom_for(self, table: str, position: int):

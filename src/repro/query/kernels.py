@@ -94,8 +94,8 @@ def bloom_keep(kernel, rows: list, bloom) -> list:
 class EdgeKernel:
     """One join edge lowered onto two :class:`ColumnKernel` snapshots.
 
-    Bound to specific kernel objects (``existing``/``new``): backends
-    publish a fresh kernel after every append, so callers revalidate a
+    Bound to specific kernel objects (``existing``/``new``): the store
+    publishes a fresh kernel after every append, so callers revalidate a
     cached edge by kernel identity and rebuild on mismatch.  The
     fully-unconstrained fold (``new_mask is None`` — by far the common
     case for interior tables of a probe) is computed once and cached.

@@ -27,7 +27,7 @@ cacheable by canonical plan hash.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.dataset.database import Database
 from repro.dataset.schema import ColumnRef, ForeignKey
@@ -44,6 +44,9 @@ from repro.query.plan import (
     join_prefix_key,
     logical_plan_for_query,
 )
+
+if TYPE_CHECKING:
+    from repro.dataset.catalog import MetadataCatalog
 
 __all__ = ["Planner", "JoinOrder", "DEFAULT_FILTER_SELECTIVITY"]
 
@@ -70,7 +73,7 @@ class Planner:
     def __init__(
         self,
         database: Database,
-        catalog: Optional[object] = None,
+        catalog: Optional["MetadataCatalog"] = None,
         *,
         use_sketches: bool = True,
         stats: Optional[object] = None,
@@ -132,13 +135,7 @@ class Planner:
         catalog = self._catalog
         if catalog is None or not self._use_sketches:
             return None
-        getter = getattr(catalog, "sketches", None)
-        if getter is None:
-            return None
-        try:
-            return getter(ColumnRef(table, column))
-        except Exception:
-            return None
+        return catalog.sketches(ColumnRef(table, column))
 
     def _count_sketch_estimate(self) -> None:
         stats = self._stats
@@ -147,7 +144,8 @@ class Planner:
 
     def _memo_guard(self) -> None:
         """Drop sketch memos when the catalog has folded a delta."""
-        version = getattr(self._catalog, "built_from", None)
+        catalog = self._catalog
+        version = catalog.built_from if catalog is not None else None
         if version != self._memo_version:
             self._edge_memo.clear()
             self._structure_memo.clear()

@@ -10,7 +10,9 @@ makes that split explicit:
   models) for one database state;
 * :class:`ArtifactKey` — the bundle's identity:
   ``(database, schema_version, data_version)``.  Any schema or data change
-  yields a new key, so stale bundles are never served;
+  yields a new key, so stale bundles are never served; the persisted file
+  name also carries :data:`ARTIFACT_FORMAT`, so a bundle pickled by code
+  with another layout is never loaded;
 * :class:`ArtifactStore` — a thread-safe build-once cache of bundles,
   optionally persisted to disk so process restarts and sibling processes
   warm-start instead of re-preprocessing.
@@ -42,7 +44,18 @@ from repro.dataset.index import InvertedIndex
 from repro.dataset.schema_graph import SchemaGraph
 from repro.errors import ArtifactError, ReproError
 
-__all__ = ["ArtifactKey", "ArtifactBundle", "ArtifactStore", "ArtifactStoreStats"]
+__all__ = [
+    "ARTIFACT_FORMAT",
+    "ArtifactKey",
+    "ArtifactBundle",
+    "ArtifactStore",
+    "ArtifactStoreStats",
+]
+
+#: Layout version of persisted bundles, part of every bundle's file name.
+#: Bump it whenever a pickled class changes shape: bundles written under
+#: another number are then never found, and the store rebuilds them.
+ARTIFACT_FORMAT = 1
 
 _PICKLE_PROTOCOL = 4
 _UNSAFE_FILENAME = re.compile(r"[^A-Za-z0-9_.-]+")
@@ -69,10 +82,14 @@ class ArtifactKey:
         return cls(name, schema_version, data_version)
 
     def filename(self) -> str:
-        """A filesystem-safe file name for this key's persisted bundle."""
+        """A filesystem-safe file name for this key's persisted bundle,
+        stamped with :data:`ARTIFACT_FORMAT`."""
         safe_name = _UNSAFE_FILENAME.sub("_", self.database)
         data_token = "-".join(str(part) for part in self.data_version)
-        return f"{safe_name}.s{self.schema_version}.d{data_token}.artifacts.pkl"
+        return (
+            f"{safe_name}.s{self.schema_version}.d{data_token}"
+            f".f{ARTIFACT_FORMAT}.artifacts.pkl"
+        )
 
 
 @dataclass(frozen=True)
@@ -96,7 +113,7 @@ class ArtifactBundle:
     catalog: MetadataCatalog
     schema_graph: SchemaGraph
     models: Optional[BayesianModelSet]
-    marks: Optional[dict] = None
+    marks: dict
 
     @property
     def trained(self) -> bool:
@@ -253,9 +270,9 @@ class ArtifactStore:
         ``stats.fallback_reasons``) when the change is not expressible as
         pure appends or would mutate shared state unsafely: a schema
         change, a dropped/recreated table, a non-append storage write, a
-        delta larger than ``max_delta_fraction`` of the bundle, a bundle
-        loaded from disk (whose database is a private copy detached from
-        the live one), or a bundle that predates delta support.
+        delta larger than ``max_delta_fraction`` of the bundle, or a
+        bundle loaded from disk (whose database is a private copy
+        detached from the live one).
 
         Concurrency: the upgrade runs under the same per-database build
         lock as :meth:`get`.  Artifacts are upgraded additively in place,
@@ -324,9 +341,7 @@ class ArtifactStore:
             # bundle references the live database and refreshes fine from
             # then on.
             return self._fallback("detached_database")
-        marks = getattr(bundle, "marks", None)
-        if not marks or not self._bundle_supports_delta(bundle):
-            return self._fallback("unsupported_bundle")
+        marks = bundle.marks
         deltas = database.storage_deltas_since(marks)
         if deltas is None:
             return self._fallback("non_append_change")
@@ -386,17 +401,6 @@ class ArtifactStore:
         return replace(
             bundle, key=target_key, database=database, marks=new_marks
         )
-
-    @staticmethod
-    def _bundle_supports_delta(bundle: ArtifactBundle) -> bool:
-        """Whether every artifact carries its incremental-maintenance
-        state (bundles persisted before this feature existed do not)."""
-        if not getattr(bundle.catalog, "supports_delta", False):
-            return False
-        models = bundle.models
-        if models is not None and not getattr(models, "supports_delta", False):
-            return False
-        return True
 
     def _fallback(self, reason: str) -> None:
         """Record why the delta path was abandoned; returns ``None`` so
@@ -500,7 +504,8 @@ class ArtifactStore:
                 self.stats.disk_errors += 1
             return None
         if self._train_bayesian and bundle.models is None:
-            # The persisted bundle predates model training; rebuild.
+            # A store built with train_bayesian=False wrote this bundle;
+            # this store needs the models, so rebuild.
             return None
         with self._mutex:
             self.stats.disk_loads += 1

@@ -40,6 +40,7 @@ its budget returns ``status="timeout"`` with the partial
 from __future__ import annotations
 
 import itertools
+import logging
 import queue
 import threading
 import time
@@ -70,6 +71,8 @@ __all__ = [
 ]
 
 _LATENCY_WINDOW = 1024
+
+_log = logging.getLogger(__name__)
 
 _SHARD_MODES = ("thread", "process")
 
@@ -941,6 +944,18 @@ class DiscoveryService:
                 response = self._run(
                     request, request_id, remaining, queued_seconds
                 )
+        except Exception as exc:
+            # Whatever escapes the round or the shard RPC (a bug, a reply
+            # frame the parent cannot decode) fails this ticket only: the
+            # worker thread must survive to serve the tickets behind it.
+            _log.exception("request %s failed", request_id)
+            response = DiscoveryResponse(
+                request_id=request_id,
+                database=request.database,
+                status="error",
+                error=f"{type(exc).__name__}: {exc}",
+                queued_seconds=queued_seconds,
+            )
         finally:
             with self._metrics_lock:
                 self._in_flight -= 1

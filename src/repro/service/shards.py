@@ -608,9 +608,12 @@ class ShardProcessPool:
         self._respawns += 1
 
     def _kill(self, shard: _Shard) -> None:
+        # SIGKILL, not SIGTERM: a stopped or wedged process never acts on
+        # SIGTERM.  A shard being killed has already failed, and bundle
+        # writes go through a temp file and a rename, so nothing is torn.
         try:
             if shard.process.is_alive():
-                shard.process.terminate()
+                shard.process.kill()
             shard.process.join(timeout=5.0)
         except (OSError, ValueError):
             pass

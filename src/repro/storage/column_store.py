@@ -1,7 +1,12 @@
-"""The columnar storage backend: typed NumPy arrays per column.
+"""The storage contract: typed NumPy arrays per column.
 
-Each table is stored as one array per column instead of a list of row
-tuples:
+:class:`ColumnStore` owns the physical representation of every table.
+The logical layer (:class:`repro.dataset.table.Table`) validates and
+coerces cells, then hands fully prepared tuples to the store; everything
+below the tuple API is the store's concern.  Tables are identified by
+name and columns by 0-based position in the table's declared column
+order.  Each table is stored as one array per column instead of a list
+of row tuples:
 
 * **text columns are dictionary-encoded** — an ``int64`` code array plus
   the per-column dictionary of distinct strings (NULL is code ``-1``), so
@@ -17,9 +22,12 @@ tuples:
 Arrays grow by amortized doubling, so ``append_row`` (and therefore
 ``apply_delta`` consumers: append = array write, incremental dictionary
 extension) stays O(1) amortized.  Rows are append-only and never
-reordered, so a sliced view of the first *n* rows stays valid forever —
-the executor's array kernels (:mod:`repro.query.kernels`) lean on that
-through the cached :class:`ColumnKernel` snapshots this backend exposes.
+reordered, so a row index handed out once stays valid for the lifetime
+of the table and a sliced view of the first *n* rows stays valid
+forever — the executor's array kernels (:mod:`repro.query.kernels`) lean
+on that through the cached :class:`ColumnKernel` snapshots the store
+exposes, and :meth:`ColumnStore.delta_since` describes every change
+between two table states as an append delta.
 
 Every public accessor returns pure Python values (``tolist()`` at the
 boundary), so consumers above — the inverted index, the metadata catalog,
@@ -41,10 +49,12 @@ import numpy as np
 
 from repro.dataset.types import DataType
 from repro.errors import SchemaError
-from repro.storage.backend import CellReader, StorageBackend
 from repro.storage.delta import NO_DICTIONARY, ColumnDelta, TableDelta, TableMark
 
-__all__ = ["ColumnStore", "ColumnKernel"]
+__all__ = ["CellReader", "ColumnStore", "ColumnKernel"]
+
+CellReader = Callable[[int], Any]
+"""Reads one cell of a fixed (table, column) by row index."""
 
 _NULL_CODE = -1
 _MIN_CAPACITY = 16
@@ -74,9 +84,9 @@ class ColumnKernel:
 
     ``keys`` is the comparable key array (dictionary codes for text,
     typed values otherwise) and ``valid`` the non-NULL mask, both sliced
-    views of the backend's live arrays.  Append-only storage never
+    views of the store's live arrays.  Append-only storage never
     mutates published rows, so a kernel stays a consistent snapshot even
-    while the table keeps growing; the backend hands out a *new* kernel
+    while the table keeps growing; the store hands out a *new* kernel
     after every append, which is what lets consumers cache derived
     structures keyed by kernel identity.
     """
@@ -306,7 +316,7 @@ class _TableStore:
         self.name = state["name"]
         self.num_rows = state["num_rows"]
         self.version = state["version"]
-        self.store_token = state.get("store_token") or uuid4().hex
+        self.store_token = state["store_token"]
         self.columns = []
         for column_state in state["columns"]:
             column = _ColumnData.__new__(_ColumnData)
@@ -551,17 +561,18 @@ class _TableStore:
             )
 
 
-class ColumnStore(StorageBackend):
-    """In-memory columnar backend over typed NumPy arrays.
+class ColumnStore:
+    """In-memory columnar storage for registered tables.
 
     Reads are safe under concurrent readers: derived caches are published
     copy-on-write inside each table store (see :class:`_TableStore`).
     Table registration/removal is guarded by a store-level lock;
     concurrent writers to the *same* table serialize on that table's
-    lock.  Besides the tuple and column accessors of
-    :class:`StorageBackend`, the store hands out :meth:`column_kernel`
-    snapshots that the executor's array kernels scan without
-    materializing Python objects.
+    lock.  Besides tuple and column accessors, the store hands out
+    :meth:`column_kernel` snapshots that the executor's array kernels
+    scan without materializing Python objects, and append-delta marks
+    (:meth:`table_mark`, :meth:`delta_since`) for incremental artifact
+    maintenance.
     """
 
     def __init__(self) -> None:
@@ -579,18 +590,22 @@ class ColumnStore(StorageBackend):
     # Table lifecycle
     # ------------------------------------------------------------------
     def register_table(self, name: str, columns: Sequence[Any]) -> None:
+        """Register an empty table with its :class:`Column` definitions."""
         with self._registry_lock:
             if name in self._tables:
                 raise SchemaError(
-                    f"table {name!r} is already registered with this backend"
+                    f"table {name!r} is already registered with this store"
                 )
             self._tables[name] = _TableStore(name, columns)
 
-    def drop_table(self, name: str) -> None:
-        with self._registry_lock:
-            self._tables.pop(name, None)
-
     def detach_table(self, name: str) -> "ColumnStore":
+        """Remove a table but keep its data, returning a private store.
+
+        Frees the name on this store while leaving any live
+        :class:`~repro.dataset.table.Table` handle functional on the
+        returned single-table store — used when a database drops a
+        table from its shared store.
+        """
         detached = ColumnStore()
         with self._registry_lock:
             store = self._tables.pop(name, None)
@@ -598,21 +613,19 @@ class ColumnStore(StorageBackend):
             detached._tables[name] = store
         return detached
 
-    def has_table(self, name: str) -> bool:
-        return name in self._tables
-
     def _store(self, name: str) -> _TableStore:
         try:
             return self._tables[name]
         except KeyError as exc:
             raise SchemaError(
-                f"table {name!r} is not registered with this backend"
+                f"table {name!r} is not registered with this store"
             ) from exc
 
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
     def append_row(self, table: str, prepared: Sequence[Any]) -> None:
+        """Append one prepared (validated, coerced) row."""
         self._store(table).append(prepared)
 
     # ------------------------------------------------------------------
@@ -625,6 +638,7 @@ class ColumnStore(StorageBackend):
         return self._store(table).row(index)
 
     def rows(self, table: str) -> list[tuple[Any, ...]]:
+        """All rows as tuples (cached until the next write; read-only)."""
         return self._store(table).rows()
 
     def cell(self, table: str, row_index: int, position: int) -> Any:
@@ -642,10 +656,6 @@ class ColumnStore(StorageBackend):
         # Fresh list (callers may mutate), but copied from the cached
         # decode instead of re-decoding the arrays.
         return list(self._store(table).decoded_column(position))
-
-    def null_mask(self, table: str, position: int) -> list[bool]:
-        column = self._store(table).columns[position]
-        return column.nulls[: column.size].tolist()
 
     def null_count(self, table: str, position: int) -> int:
         return self._store(table).columns[position].null_count
@@ -695,12 +705,22 @@ class ColumnStore(StorageBackend):
         return dict(zip(unique.tolist(), counts.tolist()))
 
     def text_dictionary(self, table: str, position: int) -> Optional[list[str]]:
+        """The dictionary of a text column (``None`` for other columns).
+
+        This is the store's live list — treat it as read-only; mutating
+        it corrupts the encoding for every row.
+        """
         column = self._store(table).columns[position]
         return column.dictionary if column.is_text else None
 
     def text_column_codes(
         self, table: str, position: int
     ) -> Optional[tuple[list[int], list[str]]]:
+        """(codes, dictionary) of a text column (``None`` for others).
+
+        Codes are per-row dictionary offsets; NULL cells carry a negative
+        code.  The dictionary is the store's live list — read-only.
+        """
         column = self._store(table).columns[position]
         if not column.is_text:
             return None
@@ -712,6 +732,7 @@ class ColumnStore(StorageBackend):
     def select_rows(
         self, table: str, position: int, predicate: Callable[[Any], bool]
     ) -> list[int]:
+        """Row indexes whose cell is non-NULL and satisfies ``predicate``."""
         return self._store(table).select_rows(position, predicate)
 
     # ------------------------------------------------------------------
@@ -729,13 +750,24 @@ class ColumnStore(StorageBackend):
     # Versioning
     # ------------------------------------------------------------------
     def version(self, table: str) -> int:
+        """Monotonic per-table data version (bumped on every append)."""
         return self._store(table).version
 
     # ------------------------------------------------------------------
     # Append deltas
     # ------------------------------------------------------------------
-    def table_mark(self, table: str) -> Optional[TableMark]:
+    def table_mark(self, table: str) -> TableMark:
+        """A :class:`TableMark` fingerprint of the table's current state,
+        captured atomically with respect to writes."""
         return self._store(table).mark()
 
     def delta_since(self, table: str, mark: TableMark) -> Optional[TableDelta]:
+        """The append delta between ``mark`` and the table's current state.
+
+        Returns ``None`` whenever the difference cannot be proven to be
+        pure appends: the mark belongs to a different physical store or
+        layout, or the version counter does not match the row-count
+        growth.  The returned delta snapshots its cell values, so it
+        stays valid under further concurrent appends.
+        """
         return self._store(table).delta_since(mark)

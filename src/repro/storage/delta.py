@@ -16,9 +16,9 @@ happened in between.
   :class:`ColumnDelta` per column and the :class:`TableMark` describing
   the post-delta state.
 
-A backend that cannot prove the change was pure append (column layout
+When the store cannot prove the change was pure append (column layout
 changed, version arithmetic doesn't match the row-count growth, a
-dictionary shrank) returns ``None`` instead of a delta, and consumers —
+dictionary shrank) it returns ``None`` instead of a delta, and consumers —
 :meth:`repro.api.ArtifactStore.refresh` above all — fall back to a
 full rebuild.  Deltas capture their cell values at creation time, so a
 delta stays valid even if the table keeps growing afterwards.
@@ -41,7 +41,7 @@ class TableMark:
 
     Marks are tiny (a handful of integers) and are persisted alongside
     preprocessing bundles; comparing a mark against the live table is how
-    a backend derives the append delta between the two states.
+    the store derives the append delta between the two states.
     """
 
     table: str
@@ -54,9 +54,9 @@ class TableMark:
     #: Identity of the physical table store the mark was taken from.
     #: Version/row-count arithmetic alone cannot distinguish pure appends
     #: from a drop-and-recreate under the same table name (both counters
-    #: restart together), so backends stamp each store with a unique token
-    #: and refuse to derive a delta across different tokens.
-    store_token: str = ""
+    #: restart together), so the store stamps each table with a unique
+    #: token and refuses to derive a delta across different tokens.
+    store_token: str
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class ColumnDelta:
     ``new_dictionary_entries`` lists exactly the distinct strings first
     introduced by this delta's rows.
 
-    ``dictionary`` may be the backend's live list; it is append-only, and
+    ``dictionary`` may be the store's live list; it is append-only, and
     ``codes`` only ever reference offsets below ``dict_len``, so readers
     must treat it as read-only and never index past ``dict_len``.
     """

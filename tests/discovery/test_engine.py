@@ -206,6 +206,18 @@ class TestMondialMotivatingExample:
 
 
 class TestCacheObservability:
+    def test_as_dict_exports_stage_timings(self, company_db):
+        spec = MappingSpec(2)
+        spec.add_sample_cells(
+            [ExactValue("Engineering"), ExactValue("Query Optimizer")]
+        )
+        stats = Prism(company_db).discover(spec).stats.as_dict()
+        stages = (
+            "related_column_seconds", "candidate_seconds", "validation_seconds"
+        )
+        assert all(stats[stage] >= 0 for stage in stages)
+        assert sum(stats[stage] for stage in stages) <= stats["elapsed_seconds"]
+
     def test_discovery_stats_surface_executor_cache_counters(self, company_db):
         engine = Prism(company_db)
         spec = MappingSpec(2)

@@ -22,6 +22,7 @@ from repro.constraints.values import ExactValue
 from repro.dataset.schema import Column
 from repro.dataset.types import DataType
 from repro.discovery.engine import Prism
+from repro.service import artifacts
 from repro.service.artifacts import ArtifactKey, ArtifactStore
 from tests.conftest import build_company_database
 
@@ -392,17 +393,21 @@ class TestRebuildFallbacks:
         assert rebuilt.key == ArtifactKey.for_database(database)
         _assert_bundles_equivalent(rebuilt, ArtifactStore().build(database))
 
-    def test_bundle_without_marks_falls_back(self):
-        from dataclasses import replace
-
+    def test_bundle_of_another_format_is_rebuilt(self, tmp_path, monkeypatch):
         database = build_company_database()
-        store = ArtifactStore(max_delta_fraction=0.9)
-        bundle = store.get(database)
-        store._bundles["company"] = replace(bundle, marks=None)
-        database.table("Project").insert(("P903", "Legacy", 1.0))
-        store.refresh(database)
-        assert store.stats.refreshes == 0
-        assert store.stats.fallback_reasons["unsupported_bundle"] == 1
+        key = ArtifactStore(persist_dir=tmp_path).get(database).key
+        assert f".f{artifacts.ARTIFACT_FORMAT}." in key.filename()
+        # Code with another pickled layout never finds this bundle.
+        monkeypatch.setattr(artifacts, "ARTIFACT_FORMAT", 2)
+        restarted = ArtifactStore(persist_dir=tmp_path)
+        restarted.get(database)
+        assert restarted.stats.builds == 1
+        assert restarted.stats.disk_loads == 0
+        monkeypatch.undo()
+        reloaded = ArtifactStore(persist_dir=tmp_path)
+        reloaded.get(database)
+        assert reloaded.stats.disk_loads == 1
+        assert reloaded.stats.builds == 0
 
     def test_fallback_serves_correct_results(self):
         database = build_company_database()

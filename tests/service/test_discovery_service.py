@@ -84,6 +84,33 @@ class TestSubmission:
         assert all(ticket.result(timeout=1).ok for ticket in tickets)
 
 
+class TestFailureContainment:
+    def test_unexpected_exception_resolves_the_ticket(
+        self, company_db, monkeypatch
+    ):
+        from repro.discovery.engine import Prism
+
+        original = Prism.discover
+        calls = []
+
+        def fail_first_round(self, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("round blew up")
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Prism, "discover", fail_first_round)
+        with DiscoveryService(
+            databases={"company": company_db}, workers=1
+        ) as svc:
+            # Both tickets queue for the single worker thread.
+            failed = svc.submit(_company_request())
+            queued = svc.submit(_company_request())
+            assert failed.result(timeout=10).status == "error"
+            assert failed.result().error == "RuntimeError: round blew up"
+            assert queued.result(timeout=10).ok
+
+
 class TestTimeouts:
     def test_tiny_budget_yields_structured_timeout(self, service):
         response = service.execute(_company_request(deadline_s=1e-9))

@@ -13,6 +13,8 @@ from __future__ import annotations
 import datetime
 import multiprocessing
 import os
+import signal
+import sys
 import time
 
 import pytest
@@ -28,7 +30,8 @@ from repro.api import (
 )
 from repro.datasets import load_imdb, load_mondial, load_nba
 from repro.discovery.candidates import GenerationLimits
-from repro.errors import ServiceError
+from repro.errors import ServiceError, WireFormatError
+from repro.service import shards, wire
 
 _LIMITS = GenerationLimits(max_candidates=200, max_assignments=400)
 
@@ -173,6 +176,50 @@ class TestProcessServing:
             # The same shard's worker thread is still serving.
             assert svc.submit(_company_request()).result(timeout=120).ok
             assert svc._pool.respawns == 0
+
+    def test_undecodable_reply_fails_the_ticket_only(
+        self, company_db, start_method, monkeypatch
+    ):
+        def malformed(payload):
+            raise WireFormatError("malformed response frame")
+
+        with _company_service(company_db, start_method=start_method) as svc:
+            # Patched in the parent only: the shard still answers normally.
+            monkeypatch.setattr(wire, "response_from_wire", malformed)
+            failed = svc.submit(_company_request()).result(timeout=60)
+            assert failed.status == "error"
+            assert failed.error == "WireFormatError: malformed response frame"
+            monkeypatch.undo()
+            assert svc.submit(_company_request()).result(timeout=60).ok
+            assert svc._pool.respawns == 0
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"),
+        reason="stops the shard with SIGSTOP",
+    )
+    def test_hung_shard_is_killed_and_respawned(
+        self, company_db, start_method, monkeypatch
+    ):
+        monkeypatch.setattr(shards, "_GRACE_FLOOR_S", 0.5)
+        with _company_service(company_db, start_method=start_method) as svc:
+            hung = svc._pool._shards[0].process
+            os.kill(hung.pid, signal.SIGSTOP)
+            try:
+                started = time.monotonic()
+                failed = svc.submit(
+                    _company_request(deadline_s=0.5)
+                ).result(timeout=60)
+                waited = time.monotonic() - started
+                hung.join(timeout=1.0)
+                assert not hung.is_alive()
+            finally:
+                if hung.is_alive():
+                    os.kill(hung.pid, signal.SIGKILL)
+            assert failed.status == "error"
+            assert "did not respond" in failed.error
+            assert waited < 5.0
+            assert svc._pool.respawns == 1
+            assert svc.submit(_company_request()).result(timeout=120).ok
 
     def test_warm_start_from_persisted_bundles(
         self, company_db, start_method, tmp_path

@@ -1,8 +1,8 @@
 """Properties and edge cases of the column store's array representation.
 
 The contract suites (``test_column_store``, ``test_delta``,
-``test_column_store_concurrency``) cover the :class:`StorageBackend`
-behavior.  This module covers what follows from keeping columns in typed
+``test_column_store_concurrency``) cover the :class:`ColumnStore`
+contract.  This module covers what follows from keeping columns in typed
 NumPy arrays:
 
 * dictionary-code stability across appends (codes are immutable once
@@ -236,7 +236,9 @@ class TestKernelSnapshots:
         for position, column in enumerate(("Name", "State", "Population")):
             kernel = store.column_kernel("Cities", position)
             assert kernel.python_keys() == table.column_values(column)
-            assert (~kernel.valid).tolist() == table.null_mask(column)
+            assert (~kernel.valid).tolist() == [
+                value is None for value in table.column_values(column)
+            ]
         text = store.column_kernel("Cities", 1)
         assert text.kind == "text"
         assert text.dictionary == ["Nevada", "California"]

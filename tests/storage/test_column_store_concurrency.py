@@ -14,7 +14,7 @@ import threading
 from repro.dataset.schema import Column
 from repro.dataset.table import Table
 from repro.dataset.types import DataType
-from repro.storage import ColumnStore, StorageBackend
+from repro.storage import ColumnStore
 
 import pytest
 
@@ -24,7 +24,7 @@ def backend():
     return ColumnStore()
 
 
-def _make_table(backend: StorageBackend, rows: int = 500) -> Table:
+def _make_table(backend: ColumnStore, rows: int = 500) -> Table:
     table = Table(
         "Events",
         [

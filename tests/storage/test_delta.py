@@ -33,14 +33,6 @@ class TestTableMark:
         assert mark.column_count == 2
         assert mark.text_dict_lens == (2, NO_DICTIONARY)  # alpha, beta
 
-    def test_base_backend_reports_no_capability(self):
-        from repro.storage.backend import StorageBackend
-
-        # The default implementations (used by exotic backends that never
-        # override them) disable the delta path gracefully.
-        assert StorageBackend.table_mark(object(), "T") is None
-        assert StorageBackend.delta_since(object(), "T", None) is None
-
 
 class TestDeltaSince:
     def test_empty_delta_for_unchanged_table(self, store):
@@ -90,7 +82,7 @@ class TestDeltaSince:
 
     def test_drop_and_recreate_is_rejected(self, store):
         mark = store.table_mark("T")
-        store.drop_table("T")
+        store.detach_table("T")
         store.register_table("T", [
             Column("Name", DataType.TEXT),
             Column("Score", DataType.INT, nullable=True),
@@ -102,7 +94,7 @@ class TestDeltaSince:
 
     def test_drop_and_recreate_with_more_rows_is_rejected(self, store):
         mark = store.table_mark("T")
-        store.drop_table("T")
+        store.detach_table("T")
         store.register_table("T", [
             Column("Name", DataType.TEXT),
             Column("Score", DataType.INT, nullable=True),
