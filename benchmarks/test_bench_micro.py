@@ -69,8 +69,8 @@ def test_micro_filtered_existence_probe(benchmark, mondial_db):
         (ColumnRef("geo_lake", "Province"), ColumnRef("Lake", "Name")),
         (ForeignKey("geo_lake", "Lake", "Lake", "Name"),),
     )
-    predicates = {0: OneOf(["California", "Nevada"]).matches,
-                  1: ExactValue("Lake Tahoe").matches}
+    predicates = {0: OneOf(["California", "Nevada"]),
+                  1: ExactValue("Lake Tahoe")}
     exists = benchmark(executor.exists, query, predicates)
     assert exists
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import write_report
+from repro.constraints.values import ExactValue, Predicate
 from repro.dataset import Column, Database, DataType
 from repro.dataset.schema import ColumnRef, ForeignKey
 from repro.evaluation.reporting import format_table
@@ -101,8 +102,7 @@ def _workload() -> tuple[list[tuple[int, int]], list[list[tuple[int, int]]]]:
 
 
 def _predicates(a: int, b: int) -> dict:
-    ga, hb = f"g{a}", f"h{b}"
-    return {0: lambda v: v == ga, 1: lambda v: v == hb}
+    return {0: ExactValue(f"g{a}"), 1: ExactValue(f"h{b}")}
 
 
 def _expected_outcomes() -> list[bool]:
@@ -206,7 +206,7 @@ def test_numpy_kernels_smoke(benchmark):
     )
     bounds = (10, 500, 1_500, 1_999)
     probes = [
-        BatchProbe(query, {0: (lambda bound: lambda v: v > bound)(b)})
+        BatchProbe(query, {0: Predicate(">", b)})
         for b in bounds
     ]
 

@@ -33,6 +33,7 @@ import time
 import pytest
 
 from benchmarks.conftest import write_report
+from repro.constraints.values import Predicate
 from repro.dataset import Column, Database, DataType
 from repro.dataset.schema import ColumnRef, ForeignKey
 from repro.datasets.synthetic import generate_synthetic_database
@@ -208,7 +209,7 @@ def test_plan_sharing_smoke(benchmark):
         (ForeignKey("L", "k", "R", "k"),),
     )
     probes = [
-        BatchProbe(query, {0: (lambda bound: lambda v: v > bound)(b)})
+        BatchProbe(query, {0: Predicate(">", b)})
         for b in (10, 100, 200, 399)
     ]
 

@@ -13,12 +13,19 @@ trainers and the vectorized executor.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence
+)
+
+import numpy as np
 
 from repro.dataset.schema import Column
 from repro.dataset.types import DataType, coerce_value, detect_type
 from repro.errors import DataError, SchemaError
 from repro.storage import ColumnStore
+
+if TYPE_CHECKING:
+    from repro.constraints.values import ValueConstraint
 
 __all__ = ["Table"]
 
@@ -224,11 +231,12 @@ class Table:
         return self._backend.cell_reader(self.name, self.column_position(name))
 
     def select_rows(
-        self, name: str, predicate: Callable[[Any], bool]
-    ) -> list[int]:
-        """Row indexes whose cell in ``name`` is non-NULL and matches."""
+        self, name: str, constraint: "ValueConstraint"
+    ) -> np.ndarray:
+        """One bool per row: whether its cell in ``name`` is non-NULL and
+        satisfies ``constraint``."""
         return self._backend.select_rows(
-            self.name, self.column_position(name), predicate
+            self.name, self.column_position(name), constraint
         )
 
     # ------------------------------------------------------------------

@@ -9,8 +9,8 @@ that could plausibly map to it:
   resolved through the inverted index;
 * value constraints without seeds (ranges, comparison predicates) are first
   screened against the metadata catalog (type and min/max overlap) and then
-  confirmed by a bounded scan with early exit — the same work an index-only
-  DBMS probe would do;
+  confirmed by one column mask (:meth:`ValueConstraint.mask`) on columns
+  within the scan limit — the same work an index-only DBMS probe would do;
 * metadata constraints filter the surviving columns through the catalog.
 
 Sample-constraint validation (which requires joins) is deliberately *not*
@@ -203,17 +203,18 @@ class RelatedColumnFinder:
         return True
 
     def _scan_confirms(self, ref: ColumnRef, constraint: ValueConstraint) -> bool:
-        """Confirm a catalog screen by scanning the column (early exit)."""
-        values = self._database.column_values(ref)
-        for scanned, value in enumerate(values):
-            if scanned >= self._scan_limit:
-                # Give the column the benefit of the doubt past the budget.
-                return True
-            if value is None:
-                continue
-            if constraint.matches(value):
-                return True
-        return False
+        """Confirm a catalog screen by scanning the column.
+
+        A column longer than the scan limit gets the benefit of the
+        doubt; otherwise some cell must satisfy ``constraint``.
+        """
+        table = self._database.table(ref.table)
+        if table.num_rows > self._scan_limit:
+            return True
+        kernel = table.backend.column_kernel(
+            ref.table, table.column_position(ref.column)
+        )
+        return bool(constraint.mask(kernel).any())
 
 
 def _as_float(value) -> Optional[float]:

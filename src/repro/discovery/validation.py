@@ -2,8 +2,8 @@
 
 A filter passes when the result of its sub-PJ-query contains at least one
 row satisfying the sample constraint's cells at the filter's positions.
-The validator builds cell predicates from the constraints, pushes them into
-the executor (which applies them before deciding the join with a semijoin
+The validator hands those cell constraints to the executor (which pushes
+them down as column masks before deciding the join with a semijoin
 sweep) and caches outcomes so a filter is never executed twice.
 
 Validation can be **batched across candidates**: filters whose sub-queries
@@ -70,29 +70,27 @@ class FilterValidator:
             filter_.query.signature(),
         )
 
-    def _memo_key(self, filter_: Filter) -> tuple:
-        """Canonical (query, predicate) signature for the executor memo.
+    def _probe(self, filter_: Filter) -> BatchProbe:
+        """The executor probe deciding ``filter_``.
 
-        Unlike :meth:`_cache_key`, this keys on the *constraint contents*
-        rather than the sample index, so identical probes are shared
-        across samples, validators and discovery runs on one executor.
+        Its cell constraints are the sample's, keyed by projection
+        position.  Its memo key is the canonical (query, constraints)
+        signature: unlike :meth:`_cache_key`, it keys on the *constraint
+        contents* rather than the sample index, so identical probes are
+        shared across samples, validators and discovery runs on one
+        executor.
         """
         sample = self._spec.samples[filter_.sample_index]
-        constraints = tuple(
-            (projection_index, constraint)
+        constraints = {
+            projection_index: constraint
             for projection_index, position in enumerate(filter_.positions)
             if (constraint := sample.cell(position)) is not None
+        }
+        return BatchProbe(
+            query=filter_.query,
+            cell_predicates=constraints,
+            cache_key=(filter_.query.signature(), tuple(constraints.items())),
         )
-        return (filter_.query.signature(), constraints)
-
-    def _predicates(self, filter_: Filter) -> dict[int, callable]:
-        sample = self._spec.samples[filter_.sample_index]
-        predicates: dict[int, callable] = {}
-        for projection_index, position in enumerate(filter_.positions):
-            constraint = sample.cell(position)
-            if constraint is not None:
-                predicates[projection_index] = constraint.matches
-        return predicates
 
     def validate(self, filter_: Filter) -> bool:
         """Validate ``filter_`` (counted; cached)."""
@@ -142,28 +140,11 @@ class FilterValidator:
             self._cache[key] = outcome
             self.stats.record(outcome)
             return outcome
-        probes = []
-        for member in batch:
-            sample = self._spec.samples[member.sample_index]
-            predicates: dict[int, callable] = {}
-            tags: dict[int, object] = {}
-            for projection_index, position in enumerate(member.positions):
-                constraint = sample.cell(position)
-                if constraint is not None:
-                    predicates[projection_index] = constraint.matches
-                    # Tagging by the (hashable, content-compared)
-                    # constraint lets the executor scan each column once
-                    # per distinct constraint across the whole batch.
-                    tags[projection_index] = constraint
-            probes.append(
-                BatchProbe(
-                    query=member.query,
-                    cell_predicates=predicates,
-                    cache_key=self._memo_key(member),
-                    predicate_tags=tags,
-                )
-            )
-        outcomes = self._executor.exists_batch(probes)
+        # Constraints hash and compare by content, so the executor scans
+        # each column once per distinct constraint across the batch.
+        outcomes = self._executor.exists_batch(
+            [self._probe(member) for member in batch]
+        )
         self.stats.batches += 1
         self.stats.batched_outcomes += len(batch) - 1
         for member, outcome in zip(batch, outcomes):
@@ -181,11 +162,11 @@ class FilterValidator:
         return outcome
 
     def _execute(self, filter_: Filter) -> bool:
-        predicates = self._predicates(filter_)
+        probe = self._probe(filter_)
         return self._executor.exists(
-            filter_.query,
-            cell_predicates=predicates,
-            cache_key=self._memo_key(filter_),
+            probe.query,
+            cell_predicates=probe.cell_predicates,
+            cache_key=probe.cache_key,
         )
 
     @property

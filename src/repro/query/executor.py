@@ -8,11 +8,11 @@ and evaluates plans against an in-memory :class:`Database` whose tables
 live in a columnar storage backend.  The execution model is column- and
 array-oriented:
 
-* **predicate pushdown over column arrays** — per-projection cell
-  predicates (derived from the user's value constraints) are evaluated
-  directly against base-table columns, producing row-index selections;
-  dictionary-encoded text columns evaluate each predicate once per
-  distinct value instead of once per row;
+* **constraint pushdown over column arrays** — per-projection value
+  constraints are evaluated against base-table column snapshots as
+  boolean row masks (:meth:`~repro.constraints.values.ValueConstraint.mask`:
+  one vectorized comparison on numeric columns, one test per dictionary
+  entry on text), and the masks flow unchanged into the sweep;
 * **cost-based physical plans shared across candidates** — the join
   order comes from the :class:`~repro.query.planner.Planner` (catalog
   cardinalities when available) and the lowered probe steps are cached
@@ -25,11 +25,12 @@ array-oriented:
   one) and :meth:`Executor.exists_batch` decide every probe with the
   vectorized bottom-up semijoin sweep of :mod:`repro.query.kernels`
   over the storage's column array snapshots, whatever the table sizes
-  or key types.  A batch shares its plan, its pushdown scans, its Bloom
-  checks and its edge kernels across probes;
+  or key types.  A batch shares its plan, its pushdown scans (keyed by
+  table, column and constraint), its Bloom checks and its edge kernels
+  across probes;
 * **an existence-memo cache** — existence outcomes can be memoized
-  under a caller-supplied canonical (query, predicate) signature and are
-  invalidated automatically when the database changes;
+  under a caller-supplied canonical (query, constraints) signature and
+  are invalidated automatically when the database changes;
 * **one join mechanism** — :meth:`Executor.execute` and
   :meth:`Executor.count` run the same semijoin sweep over the same edge
   kernels, then enumerate the surviving rows with one array join per
@@ -46,10 +47,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.constraints.values import ValueConstraint
 from repro.dataset.database import Database
 from repro.dataset.schema import ColumnRef as _ColumnRef
 from repro.errors import QueryError
@@ -68,11 +70,13 @@ if TYPE_CHECKING:
 
 __all__ = ["Executor", "ExecutionStats", "BatchProbe"]
 
-CellPredicate = Callable[[Any], bool]
+# The value constraints of each constrained table, as (column,
+# constraint) pairs.
+_Checks = dict[str, list[tuple[str, ValueConstraint]]]
 
-# Pushed-down selections: the row-index set of every table a predicate
-# constrains; a table without an entry selects every row.
-_Selections = dict[str, frozenset[int]]
+# Pushed-down selections: a boolean row mask for every table a
+# constraint restricts; a table without an entry selects every row.
+_Selections = dict[str, np.ndarray]
 
 # Caps on the per-executor caches so a long-lived session over a static
 # database cannot grow without bound; oldest entries are evicted first.
@@ -129,20 +133,18 @@ class BatchProbe:
 
     All probes of a batch must share one join structure (same tables,
     same edges — :func:`~repro.query.plan.join_prefix_key`); projections
-    and predicates are free to differ.
-
-    ``predicate_tags`` optionally names each predicate's *content* with a
-    hashable token (the validation layer passes the constraint object
-    itself).  Probes of one batch that tag a column's predicate
-    identically share a single pushdown scan of that column — the common
-    case when filters derived from the same sample constraint are
-    batched across candidates.
+    and constraints are free to differ.  ``cell_predicates`` maps
+    projection positions to
+    :class:`~repro.constraints.values.ValueConstraint` objects, which
+    hash and compare by content: probes of one batch constraining a
+    column with equal constraints share a single pushdown scan of that
+    column — the common case when filters derived from the same sample
+    constraint are batched across candidates.
     """
 
     query: ProjectJoinQuery
-    cell_predicates: Optional[Mapping[int, CellPredicate]] = None
+    cell_predicates: Optional[Mapping[int, ValueConstraint]] = None
     cache_key: Optional[Any] = None
-    predicate_tags: Optional[Mapping[int, Any]] = None
 
 
 @dataclass(frozen=True)
@@ -223,17 +225,22 @@ class Executor:
     def execute(
         self,
         query: ProjectJoinQuery,
-        cell_predicates: Optional[Mapping[int, CellPredicate]] = None,
+        cell_predicates: Optional[Mapping[int, ValueConstraint]] = None,
         limit: Optional[int] = None,
     ) -> list[tuple[Any, ...]]:
         """Execute ``query`` and return its projected result rows.
 
         Args:
             query: the PJ query to execute.
-            cell_predicates: optional mapping from projection position to a
-                predicate the projected cell must satisfy; rows failing any
-                predicate are excluded (and pruned before joining).
+            cell_predicates: optional mapping from projection position to
+                a :class:`~repro.constraints.values.ValueConstraint` the
+                projected cell must satisfy; rows failing any constraint
+                are excluded (and pruned before joining).
             limit: stop after this many result rows (None = no limit).
+
+        Raises:
+            QueryError: the query is invalid, or a ``cell_predicates``
+                key is out of range or its value not a constraint.
         """
         rows = self._join_rows(query, cell_predicates, limit)
         columns = [
@@ -250,17 +257,17 @@ class Executor:
     def exists(
         self,
         query: ProjectJoinQuery,
-        cell_predicates: Optional[Mapping[int, CellPredicate]] = None,
+        cell_predicates: Optional[Mapping[int, ValueConstraint]] = None,
         cache_key: Optional[Any] = None,
     ) -> bool:
-        """Whether at least one result row satisfies all cell predicates.
+        """Whether at least one result row satisfies all cell constraints.
 
         Decided as a batch of one (see :meth:`exists_batch`); a true
         outcome that reached the join counts one ``rows_emitted``.
 
         Args:
             query: the PJ query to probe.
-            cell_predicates: optional per-projection-position predicates.
+            cell_predicates: optional per-projection-position constraints.
             cache_key: optional hashable canonical signature of
                 ``(query, cell_predicates)``.  When given, the outcome is
                 memoized on this executor and returned directly on repeat
@@ -279,9 +286,9 @@ class Executor:
 
         Outcomes equal per-probe :meth:`exists` calls bit for bit, and
         memoization under each probe's ``cache_key`` behaves exactly as
-        in :meth:`exists`.  The batch plans once, runs each column scan
-        whose predicate several probes tag identically once, caches
-        Bloom checks across probes sharing a selection, and counts its
+        in :meth:`exists`.  The batch plans once, scans each (table,
+        column, constraint) once, caches Bloom checks across probes
+        whose constraints select the same rows, and counts its
         join steps (``joins_performed``) once instead of once per probe;
         every probe whose selections survive pushdown and Bloom
         pruning is then decided by its own semijoin sweep.
@@ -306,7 +313,7 @@ class Executor:
     def count(
         self,
         query: ProjectJoinQuery,
-        cell_predicates: Optional[Mapping[int, CellPredicate]] = None,
+        cell_predicates: Optional[Mapping[int, ValueConstraint]] = None,
     ) -> int:
         """Number of result rows of ``query`` (no cell is read)."""
         rows = self._join_rows(query, cell_predicates)
@@ -342,12 +349,14 @@ class Executor:
     ) -> tuple[list[bool], int]:
         """Decide probes sharing one join structure.
 
-        Memo hits answer first.  Every other probe pushes its predicates
-        down, and the first probe to survive pushdown plans the shared
-        structure.  Join-key Bloom filters then prune each probe's
-        selections; a probe with rows left on every table is decided by
-        one semijoin sweep over the plan's edge kernels.  Returns the
-        outcomes and the number of probes that reached the sweep.
+        Memo hits answer first.  Every other probe pushes its
+        constraints down, sharing each (table, column, constraint) scan
+        with the call's other probes, and the first probe to survive
+        pushdown plans the shared structure.  Join-key Bloom filters
+        then prune each probe's selections; a probe with rows left on
+        every table is decided by one semijoin sweep over the plan's
+        edge kernels.  Returns the outcomes and the number of probes
+        that reached the sweep.
         """
         memo = self._current_memo()
         outcomes: list[Optional[bool]] = [None] * len(probes)
@@ -364,24 +373,25 @@ class Executor:
 
         plan: Optional[_JoinPlan] = None
         edges: Optional[list] = None
-        scans: dict[tuple, frozenset[int]] = {}
-        bloom_keep: dict[tuple, frozenset[int]] = {}
+        scans: dict[tuple, np.ndarray] = {}
+        bloom_keep: dict[tuple, tuple[np.ndarray, int]] = {}
         swept = 0
         for index in pending:
             probe = probes[index]
             outcome = False
-            selections = self._pushdown(
-                probe.query, probe.cell_predicates, probe.predicate_tags, scans
-            )
+            checks = self._checks(probe.query, probe.cell_predicates)
+            selections = self._pushdown(probe.query, checks, scans)
             if selections is not None:
                 if plan is None:
                     plan = self._plan(probe.query)
-                selections = self._bloom_prune(selections, plan, bloom_keep)
+                selections = self._bloom_prune(
+                    selections, checks, plan, bloom_keep
+                )
             if selections is not None:
                 if edges is None:
                     edges = [self._edge_kernel(step) for step in plan.steps]
                 outcome = _kernels.semijoin_exists(
-                    plan.start_table, plan.steps, edges, self._masks(selections)
+                    plan.start_table, plan.steps, edges, selections
                 )
                 swept += 1
             outcomes[index] = outcome
@@ -390,15 +400,6 @@ class Executor:
         if swept:
             self.stats.joins_performed += len(plan.steps)
         return [bool(outcome) for outcome in outcomes], swept
-
-    def _masks(self, selections: _Selections) -> dict[str, np.ndarray]:
-        """Boolean row masks of the pushed-down selections."""
-        return {
-            table: _kernels.selection_mask(
-                self._database.table(table).num_rows, rows
-            )
-            for table, rows in selections.items()
-        }
 
     def _column_kernel(self, table: str, position: int):
         """The backend's column array snapshot."""
@@ -430,7 +431,7 @@ class Executor:
     def _join_rows(
         self,
         query: ProjectJoinQuery,
-        cell_predicates: Optional[Mapping[int, CellPredicate]],
+        cell_predicates: Optional[Mapping[int, ValueConstraint]],
         limit: Optional[int] = None,
     ) -> dict[str, np.ndarray]:
         """The result rows of ``query`` as aligned row-index arrays, one
@@ -441,14 +442,13 @@ class Executor:
         :func:`~repro.query.kernels.join_rows` enumerates them.
         """
         empty = dict.fromkeys(query.tables, np.zeros(0, dtype=np.int64))
-        selections = self._pushdown(query, cell_predicates)
-        if selections is None:
+        masks = self._pushdown(query, self._checks(query, cell_predicates))
+        if masks is None:
             return empty
         plan = self._plan(query)
         if limit is not None and limit <= 0:
             return empty
         edges = [self._edge_kernel(step) for step in plan.steps]
-        masks = self._masks(selections)
         if plan.start_table not in masks:  # enumeration starts from its mask
             masks[plan.start_table] = np.ones(
                 self._database.table(plan.start_table).num_rows, dtype=np.bool_
@@ -465,75 +465,73 @@ class Executor:
     # ------------------------------------------------------------------
     # Pushdown
     # ------------------------------------------------------------------
-    def _pushdown(
+    def _checks(
         self,
         query: ProjectJoinQuery,
-        cell_predicates: Optional[Mapping[int, CellPredicate]],
-        tags: Optional[Mapping[int, Any]] = None,
-        scans: Optional[dict[tuple, frozenset[int]]] = None,
-    ) -> Optional[_Selections]:
-        """Validate ``query`` and evaluate its cell predicates against
-        base-table columns.
+        cell_predicates: Optional[Mapping[int, ValueConstraint]],
+    ) -> _Checks:
+        """``cell_predicates`` grouped by the table each constrains.
 
-        Returns the selected row set of every table some predicate
-        constrains, or ``None`` when the inner-join result is
-        necessarily empty: a constrained table selects no row, or an
-        unconstrained one has none.  NULL cells never satisfy a
-        predicate, and a table with several predicates keeps only the
-        rows passing all of them.  With a ``scans`` cache, a column scan
-        whose predicate carries the same ``tags`` entry runs once per
-        batch; an untagged predicate after a table's first one tests
-        only the rows still selected.  Counts the query and its scanned
-        rows in :attr:`stats`.
+        Raises:
+            QueryError: a position is out of range for ``query``, or its
+                value is not a :class:`ValueConstraint`.
         """
-        query.validate(self._database)
-        self.stats.queries_executed += 1
-        tags = tags or {}
-        per_table: dict[str, list[tuple[str, CellPredicate, Any]]] = defaultdict(list)
-        for position, predicate in (cell_predicates or {}).items():
+        checks: _Checks = defaultdict(list)
+        for position, constraint in (cell_predicates or {}).items():
             if position < 0 or position >= query.width:
                 raise QueryError(
                     f"cell predicate position {position} out of range "
                     f"for a query of width {query.width}"
                 )
+            if not isinstance(constraint, ValueConstraint):
+                raise QueryError(
+                    f"cell predicate at position {position} must be a "
+                    f"ValueConstraint, got {type(constraint).__name__}"
+                )
             ref = query.projections[position]
-            per_table[ref.table].append(
-                (ref.column, predicate, tags.get(position))
-            )
+            checks[ref.table].append((ref.column, constraint))
+        return checks
 
+    def _pushdown(
+        self,
+        query: ProjectJoinQuery,
+        checks: _Checks,
+        scans: Optional[dict[tuple, np.ndarray]] = None,
+    ) -> Optional[_Selections]:
+        """Validate ``query`` and evaluate its constraints against
+        base-table columns.
+
+        Returns the row mask of every table some constraint restricts,
+        or ``None`` when the inner-join result is necessarily empty: a
+        constrained table selects no row, or an unconstrained one has
+        none.  NULL cells never satisfy a constraint, and a table with
+        several constraints keeps only the rows passing all of them.
+        With a ``scans`` cache, each (table, column, constraint) scan
+        runs once across calls sharing it; the masks are shared, so
+        nothing may write to them.  Counts the query and its scanned
+        rows in :attr:`stats`.
+        """
+        query.validate(self._database)
+        self.stats.queries_executed += 1
         selections: _Selections = {}
         for table_name in query.tables:
             table = self._database.table(table_name)
             self.stats.rows_scanned += table.num_rows
-            checks = per_table.get(table_name)
-            if not checks:
+            table_checks = checks.get(table_name)
+            if not table_checks:
                 if table.num_rows == 0:
                     return None
                 continue
-            combined: Optional[frozenset[int]] = None
-            for column_name, predicate, tag in checks:
-                key = (
-                    (table_name, column_name, tag)
-                    if scans is not None and tag is not None
-                    else None
-                )
-                if key is None and combined is not None:
-                    # An unshared scan only tests the rows that survived
-                    # the table's earlier predicates.
-                    read = table.cell_reader(column_name)
-                    combined = frozenset(
-                        row
-                        for row in combined
-                        if (value := read(row)) is not None and predicate(value)
-                    )
-                else:
-                    rows = scans.get(key) if key is not None else None
-                    if rows is None:
-                        rows = frozenset(table.select_rows(column_name, predicate))
-                        if key is not None:
-                            scans[key] = rows
-                    combined = rows if combined is None else combined & rows
-                if not combined:
+            combined: Optional[np.ndarray] = None
+            for column_name, constraint in table_checks:
+                key = (table_name, column_name, constraint)
+                mask = scans.get(key) if scans is not None else None
+                if mask is None:
+                    mask = table.select_rows(column_name, constraint)
+                    if scans is not None:
+                        scans[key] = mask
+                combined = mask if combined is None else combined & mask
+                if not combined.any():
                     return None
             selections[table_name] = combined
         return selections
@@ -567,8 +565,9 @@ class Executor:
     def _bloom_prune(
         self,
         selections: _Selections,
+        checks: _Checks,
         plan: _JoinPlan,
-        keep_cache: dict[tuple, frozenset[int]],
+        keep_cache: dict[tuple, tuple[np.ndarray, int]],
     ) -> Optional[_Selections]:
         """Drop pushed-down rows whose join key a Bloom filter proves
         absent from the opposite endpoint of an edge.
@@ -580,9 +579,11 @@ class Executor:
         existence outcome — and an emptied selection decides the probe
         ``False`` (returns ``None``) before the sweep runs.  The filter
         has no false negatives, so surviving rows are a superset of the
-        joinable ones.  Probes of one batch share pushed-down selections,
-        so each (step side, selection) check is memoized in
-        ``keep_cache``; ``bloom_rejections`` is still counted per probe.
+        joinable ones.  A table's selection at each step is determined by
+        its constraints (``checks``) and the plan, so each (step side,
+        constraints) check is memoized in ``keep_cache`` across the
+        probes of one call; ``bloom_rejections`` is still counted per
+        probe.
         """
         if not self._bloom_ready():
             return selections
@@ -595,48 +596,60 @@ class Executor:
             )
             for table, position, other_table, other_position in sides:
                 selection = selections.get(table)
-                if selection is None or len(selection) > BLOOM_PROBE_MAX_ROWS:
+                if selection is None:
+                    continue
+                selected = int(np.count_nonzero(selection))
+                if selected > BLOOM_PROBE_MAX_ROWS:
                     continue
                 cache_key = (
-                    table, position, other_table, other_position, selection
+                    table, position, other_table, other_position,
+                    frozenset(checks[table]),
                 )
-                kept = keep_cache.get(cache_key)
-                if kept is None:
+                cached = keep_cache.get(cache_key)
+                if cached is None:
                     bloom = self._bloom_for(other_table, other_position)
                     if bloom is None:
                         continue
-                    kept = frozenset(
-                        self._bloom_keep(table, position, selection, bloom)
-                    )
-                    keep_cache[cache_key] = kept
-                rejected = len(selection) - len(kept)
+                    kept = self._bloom_keep(table, position, selection, bloom)
+                    cached = (kept, int(np.count_nonzero(kept)))
+                    keep_cache[cache_key] = cached
+                kept, survivors = cached
+                rejected = selected - survivors
                 if rejected:
                     self.stats.bloom_rejections += rejected
-                    if not kept:
+                    if not survivors:
                         return None
                     selections[table] = kept
         return selections
 
     def _bloom_keep(
-        self, table: str, position: int, selection: frozenset[int], bloom
-    ) -> list[int]:
-        """The subset of ``selection`` whose key might be in ``bloom``.
+        self, table: str, position: int, selection: np.ndarray, bloom
+    ) -> np.ndarray:
+        """The rows of ``selection`` whose key might be in ``bloom``.
 
         Vectorized over typed array columns; text and object columns
         take the scalar route, which hashes the same canonical equality
         classes, so both routes keep exactly the same rows.
         """
-        rows = sorted(selection)
+        rows = np.flatnonzero(selection)
         kernel = self._column_kernel(table, position)
         if kernel.kind == "array":
-            return _kernels.bloom_keep(kernel, rows, bloom)
-        backing = self._database.table(table)
-        read = backing.cell_reader(backing.columns[position].name)
-        return [
-            row
-            for row in rows
-            if (value := read(row)) is not None and bloom.might_contain(value)
-        ]
+            keep = _kernels.bloom_keep(kernel, rows, bloom)
+        else:
+            backing = self._database.table(table)
+            read = backing.cell_reader(backing.columns[position].name)
+            keep = np.fromiter(
+                (
+                    (value := read(row)) is not None
+                    and bloom.might_contain(value)
+                    for row in rows.tolist()
+                ),
+                dtype=np.bool_,
+                count=len(rows),
+            )
+        kept = np.zeros(len(selection), dtype=np.bool_)
+        kept[rows[keep]] = True
+        return kept
 
     def _plan(self, query: ProjectJoinQuery) -> _JoinPlan:
         """Lower the optimized join order into concrete probe steps.

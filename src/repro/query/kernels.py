@@ -13,7 +13,10 @@ whatever the table sizes or key types:
 
 every physical plan is a tree of probe steps (each step attaches one new
 table), so processing the steps in *reverse* order visits every subtree
-before its root.  One step folds the new table's surviving-row mask into
+before its root.  The sweep starts from the pushdown's boolean row masks
+(:meth:`~repro.constraints.values.ValueConstraint.mask` over the same
+column snapshots) and never writes to them, so one mask may serve many
+probes.  One step folds the new table's surviving-row mask into
 the existing side — ``mask[existing] &= existing key ∈ keys(new rows
 still alive)`` — as one vectorized membership test, and after the sweep
 the start table's mask is non-empty iff the join has at least one result
@@ -57,38 +60,30 @@ import numpy as np
 
 from repro.dataset.sketches import hash_values
 
-__all__ = ["EdgeKernel", "bloom_keep", "join_rows", "selection_mask", "semijoin_exists"]
+__all__ = ["EdgeKernel", "bloom_keep", "join_rows", "semijoin_exists"]
 
 # Row masks are ``np.ndarray`` (bool) or ``None`` meaning "every row".
 _Mask = Optional[np.ndarray]
 
 
-def selection_mask(size: int, selection) -> np.ndarray:
-    """A boolean row mask with exactly ``selection``'s indexes set."""
-    mask = np.zeros(size, dtype=np.bool_)
-    if selection:
-        mask[np.fromiter(selection, dtype=np.int64, count=len(selection))] = True
-    return mask
-
-
-def bloom_keep(kernel, rows: list, bloom) -> list:
-    """Rows of ``rows`` whose key in ``kernel`` may be in ``bloom``.
+def bloom_keep(kernel, rows: np.ndarray, bloom) -> np.ndarray:
+    """Whether each row of ``rows`` has a key in ``kernel`` that may be in
+    ``bloom``, as one bool per row.
 
     Vectorized pre-filter for the executor's Bloom probe pruning: gathers
     the selected rows' keys from an array-kind :class:`ColumnKernel`,
     hashes them through the sketch layer's canonical value hash, and
     keeps only rows whose key the Bloom filter does not rule out.  NULL
     keys are dropped (they can never join).  The hash equality classes
-    match the scalar path exactly, so this returns the same subset, in
-    the same order, as a per-row ``bloom.might_contain`` loop.
+    match the scalar path exactly, so this keeps the same rows as a
+    per-row ``bloom.might_contain`` loop.
     """
-    index = np.fromiter(rows, dtype=np.int64, count=len(rows))
-    valid = kernel.valid[index]
+    valid = kernel.valid[rows]
     keep = valid.copy()
     if keep.any():
-        hashes = hash_values(kernel.keys[index][valid])
+        hashes = hash_values(kernel.keys[rows][valid])
         keep[valid] = bloom.contains_hashes(hashes)
-    return [row for row, kept in zip(rows, keep.tolist()) if kept]
+    return keep
 
 
 class EdgeKernel:
@@ -243,7 +238,8 @@ def semijoin_exists(start_table: str, steps, edges, masks: dict) -> bool:
 
     ``steps``/``edges`` are the plan's probe steps with their aligned
     :class:`EdgeKernel` per step; ``masks`` maps table name → pushed-down
-    row mask (missing or ``None`` = every row).  Iterating the steps in
+    row mask (missing or ``None`` = every row).  Folds replace the
+    dict's entries and never write to a mask.  Iterating the steps in
     reverse visits children before parents (a step's new table can only
     serve as the existing side of *later* steps), so each fold sees the
     new side's mask already narrowed by its whole subtree — the upward

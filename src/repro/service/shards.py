@@ -608,9 +608,11 @@ class ShardProcessPool:
         self._respawns += 1
 
     def _kill(self, shard: _Shard) -> None:
-        # SIGKILL, not SIGTERM: a stopped or wedged process never acts on
-        # SIGTERM.  A shard being killed has already failed, and bundle
-        # writes go through a temp file and a rename, so nothing is torn.
+        # SIGKILL, not SIGTERM: a stopped process does not act on
+        # SIGTERM until it is resumed, and a running one may catch or
+        # ignore it; SIGKILL ends either at once.  A shard being killed
+        # has already failed, and bundle writes go through a temp file
+        # and a rename, so nothing is torn.
         try:
             if shard.process.is_alive():
                 shard.process.kill()

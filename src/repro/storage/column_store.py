@@ -11,11 +11,12 @@ of row tuples:
 * **text columns are dictionary-encoded** — an ``int64`` code array plus
   the per-column dictionary of distinct strings (NULL is code ``-1``), so
   repeated strings cost one int and per-distinct-value work (normalizing,
-  tokenizing, predicate evaluation) runs once per dictionary entry
-  followed by a vectorized ``isin`` over the codes;
+  tokenizing, constraint tests) runs once per dictionary entry, fanned
+  out over the rows through the codes;
 * **int/decimal/boolean columns** are ``int64``/``float64``/``bool``
   arrays with a separate NULL bitmask array (the cell slot of a NULL row
-  holds a placeholder and is never read);
+  holds a placeholder and is never read); numeric constraint scans over
+  them are single vectorized comparisons;
 * **date/time columns** — and int columns that overflow ``int64`` — fall
   back to object arrays, which stay correct but scan at Python speed.
 
@@ -29,9 +30,13 @@ on that through the cached :class:`ColumnKernel` snapshots the store
 exposes, and :meth:`ColumnStore.delta_since` describes every change
 between two table states as an append delta.
 
-Every public accessor returns pure Python values (``tolist()`` at the
+Every value accessor returns pure Python values (``tolist()`` at the
 boundary), so consumers above — the inverted index, the metadata catalog,
 the Bayesian trainers, the delta machinery — never see NumPy scalars.
+Scans are the exception: :meth:`ColumnStore.select_rows` answers with
+one boolean NumPy mask per column
+(:meth:`~repro.constraints.values.ValueConstraint.mask`), which the
+executor carries into its semijoin sweep unchanged.
 The tuple-oriented API (``rows()``/``row()``) is a compatibility layer:
 tuples are materialized lazily and cached until the next write.  The
 store pickles cleanly (arrays are trimmed to their logical length; locks
@@ -42,7 +47,7 @@ disk persistence work unchanged.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 from uuid import uuid4
 
 import numpy as np
@@ -50,6 +55,9 @@ import numpy as np
 from repro.dataset.types import DataType
 from repro.errors import SchemaError
 from repro.storage.delta import NO_DICTIONARY, ColumnDelta, TableDelta, TableMark
+
+if TYPE_CHECKING:
+    from repro.constraints.values import ValueConstraint
 
 __all__ = ["CellReader", "ColumnStore", "ColumnKernel"]
 
@@ -379,73 +387,6 @@ class _TableStore:
                     self._rows_cache = cache
         return cache
 
-    # -- scans ---------------------------------------------------------
-    def select_rows(
-        self, position: int, predicate: Callable[[Any], bool]
-    ) -> list[int]:
-        column = self.columns[position]
-        size = column.size
-        if column.is_text:
-            # One predicate call per distinct value, then a vectorized
-            # membership scan over the integer codes.
-            matching = [
-                code
-                for code, value in enumerate(column.dictionary)
-                if predicate(value)
-            ]
-            if not matching:
-                return []
-            codes = column.codes[:size]
-            if len(matching) == len(column.dictionary) and not column.null_count:
-                return list(range(size))
-            if len(matching) == 1:
-                keep = codes == matching[0]
-            else:
-                # Codes are small non-negative ints, so the table method
-                # (O(n) lookup array) beats isin's sort-based default.
-                keep = np.isin(
-                    codes, np.asarray(matching, dtype=np.int64), kind="table"
-                )
-            return np.nonzero(keep)[0].tolist()
-        if column.kind == "object":
-            nulls = column.nulls[:size].tolist()
-            return [
-                row_index
-                for row_index, (value, is_null) in enumerate(
-                    zip(column.values[:size].tolist(), nulls)
-                )
-                if not is_null and predicate(value)
-            ]
-        values = column.values[:size]
-        valid = ~column.nulls[:size]
-        candidates = values[valid]
-        if column.kind == "float":
-            # NaN needs special casing twice over: ``np.unique`` folds
-            # all NaNs into one and ``isin`` would never match it back
-            # (NaN != NaN), while the row-at-a-time reference evaluates
-            # the predicate on each NaN cell and keeps it on True.
-            nan_rows = np.isnan(candidates)
-            has_nan = bool(nan_rows.any())
-            if has_nan:
-                candidates = candidates[~nan_rows]
-            unique = np.unique(candidates)
-            matching = [v for v in unique.tolist() if predicate(v)]
-            keep = (
-                np.isin(values, np.asarray(matching, dtype=values.dtype))
-                if matching
-                else np.zeros(size, dtype=np.bool_)
-            )
-            if has_nan and predicate(float("nan")):
-                keep = keep | np.isnan(values)
-            keep &= valid
-            return np.nonzero(keep)[0].tolist()
-        unique = np.unique(candidates)
-        matching = [v for v in unique.tolist() if predicate(v)]
-        if not matching:
-            return []
-        keep = np.isin(values, np.asarray(matching, dtype=values.dtype)) & valid
-        return np.nonzero(keep)[0].tolist()
-
     # -- decoded-column cache ------------------------------------------
     def decoded_column(self, position: int) -> list[Any]:
         """One column fully decoded to Python scalars, cached per column.
@@ -730,10 +671,12 @@ class ColumnStore:
     # Scans
     # ------------------------------------------------------------------
     def select_rows(
-        self, table: str, position: int, predicate: Callable[[Any], bool]
-    ) -> list[int]:
-        """Row indexes whose cell is non-NULL and satisfies ``predicate``."""
-        return self._store(table).select_rows(position, predicate)
+        self, table: str, position: int, constraint: "ValueConstraint"
+    ) -> np.ndarray:
+        """One bool per row: whether the cell is non-NULL and satisfies
+        ``constraint`` (its :meth:`~repro.constraints.values.ValueConstraint.mask`
+        over the column's kernel)."""
+        return constraint.mask(self.column_kernel(table, position))
 
     # ------------------------------------------------------------------
     # Array kernels

@@ -219,3 +219,22 @@ class TestConstraintIdentityTypes:
         assert ExactValue(1) == ExactValue(1)
         assert OneOf(["a", "b"]) == OneOf(["a", "b"])
         assert hash(Range(1, 5)) == hash(Range(1, 5))
+
+
+class TestWordPatternCache:
+    def test_distinct_targets_never_outgrow_the_cache(self):
+        from repro.constraints import values
+
+        size = values._WORD_PATTERN_CACHE_SIZE
+        values._word_pattern.cache_clear()
+        targets = [f"sample{i}" for i in range(size + 1)]
+        for target in targets:
+            constraint = ExactValue(target)
+            assert constraint.matches(f"a {target} text")
+            assert not constraint.matches(f"{target}x")
+        info = values._word_pattern.cache_info()
+        assert info.maxsize == size
+        assert info.currsize <= size
+        # The first target was evicted; matching it again is unchanged.
+        assert ExactValue(targets[0]).matches(f"({targets[0]})")
+        assert not ExactValue(targets[0]).matches(f"{targets[0]}1")

@@ -122,3 +122,73 @@ class TestStructure:
         assert related.total_columns == len(related.columns_for(0)) + len(
             related.columns_for(1)
         )
+
+
+def _scan_loop(values, constraint, scan_limit) -> bool:
+    """The row-at-a-time confirmation scan the column mask replaced."""
+    for scanned, value in enumerate(values):
+        if scanned >= scan_limit:
+            return True
+        if value is None:
+            continue
+        if constraint.matches(value):
+            return True
+    return False
+
+
+class TestScanConfirmation:
+    """The mask-based confirmation answers exactly as the old loop did:
+    ``mask[:scan_limit].any() or num_rows > scan_limit``."""
+
+    CONSTRAINTS = [
+        Range(400, 520), Range(None, 10), Range(1_000, None),
+        Predicate(">", 499.5), Predicate("<", 0), Predicate("!=", 300),
+        Predicate(">=", "m"), Range("a", "c"), ExactValue("Nevada"),
+        OneOf([7, "x"]),
+    ]
+
+    def _database(self):
+        from repro.dataset import Column, Database, DataType
+
+        database = Database("scan")
+        table = database.create_table(
+            "T",
+            [Column("n", DataType.INT), Column("s", DataType.TEXT),
+             Column("x", DataType.DECIMAL)],
+        )
+        table.insert_many([
+            (None, None, 1.5),
+            (300, "apple", None),
+            (None, "Nevada", 2.5),
+            (420, None, 510.0),
+            (7, "melon", float("nan")),
+            (500, "banana", -1.0),
+        ])
+        return database
+
+    @pytest.mark.parametrize("scan_limit", [0, 1, 2, 3, 5, 6, 100])
+    def test_answers_equal_the_row_loop(self, scan_limit):
+        database = self._database()
+        finder = RelatedColumnFinder(
+            database,
+            InvertedIndex.build(database),
+            MetadataCatalog.build(database),
+            scan_limit=scan_limit,
+        )
+        answers = {True: 0, False: 0}
+        for column in ("n", "s", "x"):
+            ref = ColumnRef("T", column)
+            values = database.column_values(ref)
+            assert None in values
+            for constraint in self.CONSTRAINTS:
+                expected = _scan_loop(values, constraint, scan_limit)
+                assert finder._scan_confirms(ref, constraint) == expected, (
+                    column, constraint, scan_limit
+                )
+                answers[expected] += 1
+        if scan_limit >= 6:
+            # Within the limit the scan decides: both answers occur.
+            assert answers[True] and answers[False]
+        else:
+            # Past the limit every column gets the benefit of the doubt.
+            assert answers == {True: 30, False: 0}

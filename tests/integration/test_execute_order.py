@@ -30,6 +30,7 @@ import tracemalloc
 from itertools import islice
 from typing import Iterator
 
+import numpy as np
 import pytest
 
 from repro.dataset import Column, Database, DataType
@@ -60,7 +61,9 @@ def _oracle(executor, query, cell_predicates=None) -> Iterator[tuple]:
     mechanism differs: each step looks the existing row's key up in a
     dict from key to ascending new-table rows (NULL keys left out).
     """
-    selections = executor._pushdown(query, cell_predicates)
+    selections = executor._pushdown(
+        query, executor._checks(query, cell_predicates)
+    )
     if selections is None:
         return
     plan = executor._plan(query)
@@ -95,13 +98,15 @@ def _oracle(executor, query, cell_predicates=None) -> Iterator[tuple]:
             return
         read_key, existing_table, new_table, index, selection = steps[depth]
         for row in index.get(read_key(assignment[existing_table]), ()):
-            if selection is None or row in selection:
+            if selection is None or selection[row]:
                 yield from extend({**assignment, new_table: row}, depth + 1)
 
     start = selections.get(plan.start_table)
     if start is None:
         start = range(database.table(plan.start_table).num_rows)
-    for row in sorted(start):
+    else:
+        start = np.flatnonzero(start).tolist()
+    for row in start:
         yield from extend({plan.start_table: row}, 0)
 
 

@@ -53,6 +53,7 @@ from repro.workloads.generator import WorkloadGenerator
 from repro.datasets.synthetic import generate_synthetic_database
 from tests.conftest import build_company_database
 from tests.integration.test_planner_differential import (
+    _callables,
     _random_predicates,
     _random_queries,
     _reference_confirms,
@@ -219,13 +220,17 @@ def _widen(database, query, rng) -> ProjectJoinQuery:
 def _assert_matches_reference(database, executor, workloads, batches) -> None:
     for query, predicates in workloads:
         rows = executor.execute(query, cell_predicates=predicates)
-        naive = execute_reference(database, query, cell_predicates=predicates)
+        naive = execute_reference(
+            database, query, cell_predicates=_callables(predicates)
+        )
         assert sorted(map(repr, rows)) == sorted(map(repr, naive))
         assert executor.exists(query, cell_predicates=predicates) \
             == bool(naive)
     for batch in batches:
         expected = [
-            exists_reference(database, probe.query, probe.cell_predicates)
+            exists_reference(
+                database, probe.query, _callables(probe.cell_predicates)
+            )
             for probe in batch
         ]
         assert executor.exists_batch(batch) == expected
@@ -245,11 +250,10 @@ def test_probe_paths_agree_with_kernels_on_and_off(seed):
     ]
     batches = []
     for query in queries[::2]:
-        # Tagging each predicate with itself lets probes that repeat a
-        # predicate share its column scan; the repeated first probe
-        # does.
+        # Probes constraining a column with equal constraints share its
+        # scan; the repeated first probe does.
         probes = [
-            BatchProbe(query, predicates, predicate_tags=predicates)
+            BatchProbe(query, predicates)
             for predicates in (
                 _random_predicates(database, query, rng) for __ in range(3)
             )

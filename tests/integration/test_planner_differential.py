@@ -73,7 +73,7 @@ def _random_queries(database, rng, count=12):
 
 
 def _random_predicates(database, query, rng):
-    """Random cell predicates over a query's projections (half the time)."""
+    """Random cell constraints over a query's projections (half the time)."""
     predicates = {}
     for position, ref in enumerate(query.projections):
         if rng.random() < 0.5:
@@ -87,11 +87,20 @@ def _random_predicates(database, query, rng):
             continue
         if rng.random() < 0.7:
             wanted = rng.choice(values)
-            predicates[position] = ExactValue(wanted).matches
+            predicates[position] = ExactValue(wanted)
         else:
-            wanted = OneOf(rng.sample(values, k=min(3, len(values))))
-            predicates[position] = wanted.matches
+            predicates[position] = OneOf(
+                rng.sample(values, k=min(3, len(values)))
+            )
     return predicates
+
+
+def _callables(constraints):
+    """The reference evaluator's form of cell constraints."""
+    return {
+        position: constraint.matches
+        for position, constraint in (constraints or {}).items()
+    }
 
 
 @pytest.mark.parametrize("topology,seed", [
@@ -106,7 +115,9 @@ class TestExecutorVsReference:
         for query in _random_queries(database, rng):
             predicates = _random_predicates(database, query, rng)
             fast = Executor(database).execute(query, cell_predicates=predicates)
-            naive = execute_reference(database, query, cell_predicates=predicates)
+            naive = execute_reference(
+                database, query, cell_predicates=_callables(predicates)
+            )
             assert sorted(map(repr, fast)) == sorted(map(repr, naive))
 
     def test_exists_batch_matches_reference(self, topology, seed):
@@ -123,7 +134,9 @@ class TestExecutorVsReference:
             ]
             outcomes = executor.exists_batch(probes)
             expected = [
-                exists_reference(database, p.query, p.cell_predicates)
+                exists_reference(
+                    database, p.query, _callables(p.cell_predicates)
+                )
                 for p in probes
             ]
             assert outcomes == expected

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.constraints.values import AnyValue, ExactValue, Predicate
 from repro.dataset import Column, Database, DataType
 from repro.dataset.schema import ColumnRef, ForeignKey
 from repro.errors import QueryError
@@ -105,7 +106,9 @@ class TestJoins:
         )
         rows = executor.execute(
             query,
-            cell_predicates={0: lambda v: v == "Marketing", 1: lambda v: v == "Field Outreach"},
+            cell_predicates={
+                0: ExactValue("Marketing"), 1: ExactValue("Field Outreach")
+            },
         )
         assert rows == []
 
@@ -116,7 +119,7 @@ class TestPredicates:
             (ColumnRef("Department", "City"), ColumnRef("Employee", "Name")),
             (EMP_DEPT,),
         )
-        rows = executor.execute(query, cell_predicates={0: lambda v: v == "Ann Arbor"})
+        rows = executor.execute(query, cell_predicates={0: ExactValue("Ann Arbor")})
         assert len(rows) == 4
         assert all(city == "Ann Arbor" for city, __ in rows)
 
@@ -126,10 +129,10 @@ class TestPredicates:
             (EMP_DEPT, ASSIGN_EMP, ASSIGN_PROJ),
         )
         assert executor.exists(
-            query, cell_predicates={1: lambda v: v == "Schema Mapping"}
+            query, cell_predicates={1: ExactValue("Schema Mapping")}
         )
         assert not executor.exists(
-            query, cell_predicates={1: lambda v: v == "No Such Project"}
+            query, cell_predicates={1: ExactValue("No Such Project")}
         )
 
     def test_predicates_on_same_table_combine_with_and(self, executor):
@@ -138,14 +141,20 @@ class TestPredicates:
         )
         rows = executor.execute(
             query,
-            cell_predicates={0: lambda v: "Alice" in v, 1: lambda v: v > 40},
+            cell_predicates={0: ExactValue("Alice"), 1: Predicate(">", 40)},
         )
         assert rows == []
 
     def test_out_of_range_predicate_position_raises(self, executor):
         query = ProjectJoinQuery((ColumnRef("Employee", "Name"),))
         with pytest.raises(QueryError):
-            executor.execute(query, cell_predicates={3: lambda v: True})
+            executor.execute(query, cell_predicates={3: AnyValue()})
+
+    def test_callable_cell_predicate_is_rejected(self, executor):
+        query = ProjectJoinQuery((ColumnRef("Employee", "Name"),))
+        for call in (executor.execute, executor.exists, executor.count):
+            with pytest.raises(QueryError, match="ValueConstraint"):
+                call(query, {0: lambda v: True})
 
     def test_predicates_never_match_null_cells(self):
         database = Database("nullpred")
@@ -155,7 +164,7 @@ class TestPredicates:
         table.insert_many([("x", None), ("y", 5)])
         query = ProjectJoinQuery((ColumnRef("T", "a"), ColumnRef("T", "b")))
         rows = Executor(database).execute(
-            query, cell_predicates={1: lambda v: True}
+            query, cell_predicates={1: AnyValue()}
         )
         assert rows == [("y", 5)]
 

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from repro.constraints.values import AnyValue, ExactValue, Predicate
+from repro.dataset import Table
 from repro.dataset.schema import ColumnRef, ForeignKey
 from repro.errors import QueryError
 from repro.query.executor import BatchProbe, Executor
@@ -33,12 +37,14 @@ def probe(query=JOIN_QUERY, predicates=None, key=None):
 class TestOutcomeEquivalence:
     def test_batch_matches_individual_exists(self, executor, company_db):
         probes = [
-            probe(predicates={1: lambda v: "Alice" in v}),
-            probe(predicates={1: lambda v: v == "Nobody"}),
-            probe(predicates={0: lambda v: v == "Detroit"}),
+            probe(predicates={1: ExactValue("Alice")}),
+            probe(predicates={1: ExactValue("Nobody")}),
+            probe(predicates={0: ExactValue("Detroit")}),
             probe(
                 query=OTHER_PROJECTIONS,
-                predicates={0: lambda v: v > 1_000_000, 1: lambda v: v > 100_000},
+                predicates={
+                    0: Predicate(">", 1_000_000), 1: Predicate(">", 100_000)
+                },
             ),
             probe(),
         ]
@@ -52,7 +58,7 @@ class TestOutcomeEquivalence:
 
     def test_empty_pushdown_probe_never_joins(self, executor):
         outcomes = executor.exists_batch(
-            [probe(predicates={0: lambda v: False})]
+            [probe(predicates={0: ExactValue("Nowhere")})]
         )
         assert outcomes == [False]
         assert executor.stats.joins_performed == 0
@@ -70,7 +76,7 @@ class TestOutcomeEquivalence:
 class TestWorkSharing:
     def test_batch_joins_once_for_many_probes(self, executor, company_db):
         probes = [
-            probe(predicates={1: (lambda name: lambda v: v == name)(n)})
+            probe(predicates={1: ExactValue(n)})
             for n in ["Alice Chen", "Bob Diaz", "Carol Evans", "Nobody"]
         ]
         executor.exists_batch(probes)
@@ -97,46 +103,44 @@ class TestWorkSharing:
         assert executor.stats.plan_cache_hits == 1
         assert executor.stats.plan_cache_builds == 1
 
-    def test_batch_shares_pushdown_scans_across_probes(self, executor):
-        calls = {"count": 0}
+    def test_batch_shares_pushdown_scans_across_probes(
+        self, executor, monkeypatch
+    ):
+        scans = Counter()
+        select_rows = Table.select_rows
 
-        def city_is_ann_arbor(value):
-            calls["count"] += 1
-            return value == "Ann Arbor"
+        def counting_select_rows(table, name, constraint):
+            scans[table.name, name] += 1
+            return select_rows(table, name, constraint)
 
+        monkeypatch.setattr(Table, "select_rows", counting_select_rows)
         probes = [
+            BatchProbe(JOIN_QUERY, {0: ExactValue("Ann Arbor")}),
             BatchProbe(
-                JOIN_QUERY,
-                {0: city_is_ann_arbor},
-                predicate_tags={0: "city=AnnArbor"},
-            ),
-            BatchProbe(
-                JOIN_QUERY,
-                {0: city_is_ann_arbor, 1: lambda v: True},
-                predicate_tags={0: "city=AnnArbor"},
+                JOIN_QUERY, {0: ExactValue("Ann Arbor"), 1: AnyValue()}
             ),
         ]
         assert executor.exists_batch(probes) == [True, True]
-        # Department.City is dictionary-encoded with 3 distinct values;
-        # an unshared pushdown would evaluate the predicate 6 times.
-        assert calls["count"] == 3
+        # Equal constraints share one scan of their column; an unshared
+        # pushdown would scan Department.City twice.
+        assert scans == {("Department", "City"): 1, ("Employee", "Name"): 1}
 
 
 class TestMemoInteraction:
     def test_batch_memoizes_every_probe(self, executor):
         probes = [
-            probe(predicates={1: lambda v: "Alice" in v}, key=("p", 1)),
-            probe(predicates={1: lambda v: v == "Nobody"}, key=("p", 2)),
+            probe(predicates={1: ExactValue("Alice")}, key=("p", 1)),
+            probe(predicates={1: ExactValue("Nobody")}, key=("p", 2)),
         ]
         executor.exists_batch(probes)
         assert executor.stats.exists_cache_misses == 2
         assert executor.exists_memo_size == 2
         # Every outcome — including the batched peer's — now hits.
         assert executor.exists(
-            JOIN_QUERY, {1: lambda v: "Alice" in v}, cache_key=("p", 1)
+            JOIN_QUERY, {1: ExactValue("Alice")}, cache_key=("p", 1)
         )
         assert not executor.exists(
-            JOIN_QUERY, {1: lambda v: v == "Nobody"}, cache_key=("p", 2)
+            JOIN_QUERY, {1: ExactValue("Nobody")}, cache_key=("p", 2)
         )
         assert executor.stats.exists_cache_hits == 2
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.constraints.values import AnyValue, ExactValue
 from repro.dataset import Column, Database, DataType
 from repro.dataset.schema import ColumnRef, ForeignKey
 from repro.errors import QueryError
@@ -81,7 +82,7 @@ class TestEdgeKernelReuse:
 
 class TestExistsMemo:
     def test_memo_hit_and_miss_counters(self, executor):
-        predicates = {1: lambda v: "Alice" in v}
+        predicates = {1: ExactValue("Alice")}
         key = ("probe", "alice")
         assert executor.exists(JOIN_QUERY, predicates, cache_key=key)
         assert executor.stats.exists_cache_misses == 1
@@ -105,7 +106,7 @@ class TestExistsMemo:
         assert executor.exists_memo_size == 0
 
     def test_memo_invalidated_when_database_changes(self, executor, company_db):
-        predicates = {1: lambda v: v == "Grace Ito"}
+        predicates = {1: ExactValue("Grace Ito")}
         key = ("probe", "grace")
         assert not executor.exists(JOIN_QUERY, predicates, cache_key=key)
         company_db.table("Employee").insert(
@@ -130,11 +131,11 @@ class TestCountWithoutMaterialization:
 
     def test_count_with_predicates(self, executor):
         assert (
-            executor.count(JOIN_QUERY, {0: lambda city: city == "Ann Arbor"}) == 4
+            executor.count(JOIN_QUERY, {0: ExactValue("Ann Arbor")}) == 4
         )
 
     def test_count_empty_pushdown(self, executor):
-        assert executor.count(JOIN_QUERY, {0: lambda city: False}) == 0
+        assert executor.count(JOIN_QUERY, {0: ExactValue("Nowhere")}) == 0
 
 
 class TestEdgeSemantics:
@@ -172,9 +173,9 @@ class TestEdgeSemantics:
     def test_cell_predicate_position_out_of_range(self, executor):
         query = ProjectJoinQuery((ColumnRef("Employee", "Name"),))
         with pytest.raises(QueryError):
-            executor.execute(query, cell_predicates={1: lambda v: True})
+            executor.execute(query, cell_predicates={1: AnyValue()})
         with pytest.raises(QueryError):
-            executor.execute(query, cell_predicates={-1: lambda v: True})
+            executor.execute(query, cell_predicates={-1: AnyValue()})
 
     def test_disconnected_join_edges_raise(self):
         # Two edges that never touch a common table cannot be ordered into
@@ -240,7 +241,7 @@ class TestSchemaChangeInvalidation:
         query = ProjectJoinQuery((ColumnRef("T", "a"),))
         executor = Executor(database)
         key = ("has-beta",)
-        predicates = {0: lambda v: v == "beta"}
+        predicates = {0: ExactValue("beta")}
         assert not executor.exists(query, predicates, cache_key=key)
         # Drop and recreate with the same name and one matching row: the
         # naive (count, summed-versions) token would collide here.

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.constraints.values import ExactValue
 from repro.dataset import Column, Database, DataType
 from repro.dataset.schema import ColumnRef, ForeignKey
 from repro.query.executor import BatchProbe, Executor
@@ -82,7 +83,7 @@ class TestPlanCacheKeyedByPlanHash:
 class TestMemoInvalidationThroughBatches:
     def test_batched_outcomes_invalidate_on_data_change(self, company_db):
         executor = Executor(company_db)
-        predicates = {1: lambda v: v == "Grace Ito"}
+        predicates = {1: ExactValue("Grace Ito")}
         key = ("probe", "grace")
         assert executor.exists_batch(
             [BatchProbe(JOIN_QUERY, predicates, key)]

@@ -234,6 +234,28 @@ class TestProcessServing:
         assert metrics.artifacts["disk_loads"] >= 1
         assert metrics.artifacts["builds"] == 0
 
+    def test_warm_start_rebuilds_and_heals_a_corrupt_bundle(
+        self, company_db, start_method, tmp_path
+    ):
+        persisted = ArtifactStore(persist_dir=tmp_path)
+        key = persisted.get(company_db).key
+        persisted.persisted_path(key).write_bytes(b"not a pickle")
+        with _company_service(
+            company_db,
+            start_method=start_method,
+            store=ArtifactStore(persist_dir=tmp_path),
+        ) as svc:
+            assert svc.submit(_company_request()).result(timeout=120).ok
+            metrics = svc.metrics()
+        # The shard counts the unreadable file, builds the bundle once
+        # and writes it back over the bad one.
+        assert metrics.artifacts["disk_errors"] == 1
+        assert metrics.artifacts["builds"] == 1
+        healed = ArtifactStore(persist_dir=tmp_path)
+        healed.get(company_db)
+        assert healed.stats.disk_loads == 1
+        assert healed.stats.builds == 0
+
 
 class TestMetricsMergeAcrossPartitionedShards:
     def test_totals_equal_sum_over_shards(self):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.constraints.values import AnyValue, ExactValue, Predicate
 from repro.dataset.schema import Column
 from repro.dataset.table import Table
 from repro.dataset.types import DataType
@@ -33,6 +35,11 @@ def store_and_table(in_layout):
         ]
     )
     return in_layout(backend, "Cities", table)
+
+
+def _rows(mask) -> list[int]:
+    """The row indexes a scan mask selects."""
+    return np.flatnonzero(mask).tolist()
 
 
 class TestDictionaryEncoding:
@@ -93,12 +100,14 @@ class TestColumnStatsAccess:
 
     def test_select_rows_vectorizes_over_dictionary(self, store_and_table):
         __, table = store_and_table
-        assert table.select_rows("State", lambda v: v == "Nevada") == [0, 3, 4]
-        assert table.select_rows("Population", lambda v: v > 400_000) == [1, 2]
+        assert _rows(table.select_rows("State", ExactValue("Nevada"))) == [0, 3, 4]
+        assert _rows(
+            table.select_rows("Population", Predicate(">", 400_000))
+        ) == [1, 2]
 
     def test_select_rows_never_matches_nulls(self, store_and_table):
         __, table = store_and_table
-        assert table.select_rows("Population", lambda v: True) == [0, 1, 2, 4]
+        assert _rows(table.select_rows("Population", AnyValue())) == [0, 1, 2, 4]
 
 
 class TestWriteInvalidation:

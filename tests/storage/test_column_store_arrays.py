@@ -7,10 +7,10 @@ NumPy arrays:
 
 * dictionary-code stability across appends (codes are immutable once
   assigned; the dictionary only ever grows at the tail);
-* NULL-mask semantics — predicates are never shown a NULL;
+* NULL-mask semantics — scans never select a NULL cell;
 * int64 overflow → object-column promotion, transparent to readers and
   to the delta path;
-* NaN float cells: scans show them to predicates, and NaN join keys
+* NaN float cells: scans show them to constraints, and NaN join keys
   never join on the executor's semijoin sweep, exactly as in the
   reference evaluator;
 * kernel snapshots — fresh identity after every append, stable decoded
@@ -30,8 +30,15 @@ import os
 import pickle
 import random
 
+import numpy as np
 import pytest
 
+from repro.constraints.values import (
+    AnyValue,
+    Conjunction,
+    ExactValue,
+    Predicate,
+)
 from repro.dataset.schema import Column
 from repro.dataset.table import Table
 from repro.dataset.types import DataType
@@ -73,6 +80,11 @@ def _cities():
     return backend, table
 
 
+def _rows(mask) -> list[int]:
+    """The row indexes a scan mask selects."""
+    return np.flatnonzero(mask).tolist()
+
+
 class TestDictionaryStability:
     def test_codes_never_change_once_assigned(self):
         __, table = _cities()
@@ -104,9 +116,13 @@ class TestDictionaryStability:
 class TestNullSemantics:
     def test_predicates_are_never_shown_null(self):
         __, table = _cities()
-        # These predicates raise on None — a NULL reaching them fails.
-        assert table.select_rows("Name", lambda v: v.startswith("E")) == [3]
-        assert table.select_rows("Population", lambda v: v > 0) == [0, 1, 2, 4]
+        # Every non-NULL cell is tested; the NULL name (row 4) and the
+        # NULL population (row 3) are never selected.
+        starts_with_e = Conjunction([Predicate(">=", "E"), Predicate("<", "F")])
+        assert _rows(table.select_rows("Name", starts_with_e)) == [3]
+        assert _rows(table.select_rows("Population", Predicate(">", 0))) == [
+            0, 1, 2, 4,
+        ]
 
 
 class TestOverflowPromotion:
@@ -121,7 +137,7 @@ class TestOverflowPromotion:
         store.append_row("T", (None,))
         assert store.column_values("T", 0) == [1, huge, negative, None]
         assert store.cell("T", 1, 0) == huge
-        assert store.select_rows("T", 0, lambda v: v > 10) == [1]
+        assert _rows(store.select_rows("T", 0, Predicate(">", 10))) == [1]
         assert store.distinct_values("T", 0) == {1, huge, negative}
         assert store.value_counts("T", 0) == {1: 1, huge: 1, negative: 1}
         # The delta path is agnostic to the physical promotion.
@@ -149,11 +165,14 @@ class TestNaNColumns:
 
     def test_scans_show_nan_to_predicates(self):
         store = self._scores()
-        # NaN != NaN rules row 1 out; NULL rules row 2 out.
-        assert store.select_rows("S", 0, lambda v: v == v) == [0, 3]
-        # An always-true predicate still sees the NaN cell (it is not
-        # NULL), as a row-at-a-time scan would.
-        assert store.select_rows("S", 0, lambda v: True) == [0, 1, 3]
+        # NaN fails every ordering, which rules row 1 out; NULL rules
+        # row 2 out.
+        assert _rows(store.select_rows("S", 0, Predicate(">=", float("-inf")))) \
+            == [0, 3]
+        # A constraint every non-NULL cell passes still sees the NaN cell
+        # (it is not NULL), as a row-at-a-time scan would.
+        assert _rows(store.select_rows("S", 0, AnyValue())) == [0, 1, 3]
+        assert _rows(store.select_rows("S", 0, Predicate("!=", 2.5))) == [0, 1]
 
     def test_nan_join_keys_never_join_on_the_sweep(self):
         """Seeded small databases with NaN keys in float ⋈ float and
@@ -206,13 +225,14 @@ class TestNaNColumns:
                 naive = execute_reference(database, query)
                 assert sorted(executor.execute(query)) == sorted(naive)
                 assert executor.exists(query) == bool(naive)
+                constraints = [Predicate(">=", low) for low in range(0, 10, 3)]
                 probes = [
-                    BatchProbe(query, {0: (lambda low: lambda v: v >= low)(low)})
-                    for low in range(0, 10, 3)
+                    BatchProbe(query, {0: constraint})
+                    for constraint in constraints
                 ]
                 assert executor.exists_batch(probes) == [
-                    exists_reference(database, query, probe.cell_predicates)
-                    for probe in probes
+                    exists_reference(database, query, {0: constraint.matches})
+                    for constraint in constraints
                 ]
             # The sweep decided the probes: float ⋈ float compares arrays,
             # float ⋈ int Python sets.
@@ -256,7 +276,9 @@ def _exercise_in_child(store, mark, queue):
         queue.put({
             "rows": store.rows("Cities"),
             "dictionary": store.text_dictionary("Cities", 1),
-            "nevada_rows": store.select_rows("Cities", 1, lambda v: v == "Nevada"),
+            "nevada_rows": _rows(
+                store.select_rows("Cities", 1, ExactValue("Nevada"))
+            ),
             "delta_rows": None if delta is None else delta.num_rows,
             "delta_values": None if delta is None else delta.columns[0].values,
         })
@@ -271,7 +293,7 @@ class TestPickleAcrossProcesses:
         store, table = _cities()
         # Warm every derived cache: none of them may leak into the child
         # half-built (or at all — pickling trims to logical state).
-        table.select_rows("Population", lambda v: v > 0)
+        table.select_rows("Population", Predicate(">", 0))
         parent_rows = table.rows
         store.column_kernel("Cities", 1)
         mark = store.table_mark("Cities")

@@ -4,7 +4,8 @@ setuptools.
 ``setup.py`` is a bare shim, so a missing or unreadable
 ``pyproject.toml`` would leave an install named ``UNKNOWN`` with no
 dependencies and no ``prism`` script; an undeclared third-party import
-would make ``import repro`` fail in a clean environment.
+would make ``import repro`` fail in a clean environment, and one in the
+tests would stop the tier-1 suite at collection.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import pytest
 import repro
 
 ROOT = Path(__file__).resolve().parent.parent
+#: Top-level packages of this checkout, never third-party.
+LOCAL_PACKAGES = frozenset({"repro", "tests", "benchmarks"})
 
 
 def test_setup_reports_the_package_name_and_version():
@@ -36,25 +39,44 @@ def test_setup_reports_the_package_name_and_version():
     assert completed.stdout.split() == ["repro", repro.__version__]
 
 
+def _names(requirements: list[str]) -> set[str]:
+    return {
+        re.split(r"[\s<>=!~;\[]", requirement, maxsplit=1)[0].lower()
+        for requirement in requirements
+    }
+
+
+def _third_party_imports(*directories: str) -> set[str]:
+    imported = set()
+    for directory in directories:
+        for path in (ROOT / directory).rglob("*.py"):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported.update(
+                        alias.name.split(".")[0] for alias in node.names
+                    )
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+    return {
+        name for name in imported
+        if name not in sys.stdlib_module_names and name not in LOCAL_PACKAGES
+    }
+
+
 def test_every_third_party_import_is_a_declared_dependency():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    declared = {
-        re.split(r"[\s<>=!~;\[]", requirement, maxsplit=1)[0].lower()
-        for requirement in project["dependencies"]
-    }
-    imported = set()
-    for path in (ROOT / "src").rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                imported.update(alias.name.split(".")[0] for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                imported.add(node.module.split(".")[0])
-    third_party = {
-        name for name in imported
-        if name not in sys.stdlib_module_names and name != "repro"
-    }
-    assert third_party <= declared, (
-        f"imported but not declared in pyproject.toml: "
-        f"{sorted(third_party - declared)}"
+    declared = _names(project["dependencies"])
+    undeclared = _third_party_imports("src") - declared
+    assert not undeclared, (
+        f"src/ imports but pyproject.toml does not declare: "
+        f"{sorted(undeclared)}"
+    )
+    # The suites may also import the `test` extra.
+    declared |= _names(project["optional-dependencies"]["test"])
+    undeclared = _third_party_imports("tests", "benchmarks") - declared
+    assert not undeclared, (
+        f"tests/ or benchmarks/ import but neither the dependencies nor "
+        f"the `test` extra declare: {sorted(undeclared)}"
     )
