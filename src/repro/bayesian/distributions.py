@@ -9,6 +9,7 @@ satisfies a given value constraint on this column?*
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Any, Optional, Sequence
 
@@ -251,5 +252,8 @@ def _as_float(value: Any) -> Optional[float]:
         return None
     try:
         return float(value)
+    except OverflowError:
+        # An int beyond float range lies beyond every finite float.
+        return math.inf if value > 0 else -math.inf
     except (TypeError, ValueError):
         return None

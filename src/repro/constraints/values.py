@@ -121,7 +121,11 @@ def _values_equal(cell: Any, target: Any) -> bool:
     if isinstance(cell, bool) or isinstance(target, bool):
         return cell is target
     if isinstance(cell, (int, float)) and isinstance(target, (int, float)):
-        return float(cell) == float(target)
+        try:
+            return float(cell) == float(target)
+        except OverflowError:
+            # An int beyond float range equals no float: compare exactly.
+            return cell == target
     return cell == target
 
 

@@ -141,17 +141,40 @@ class FilterSet:
     # Dependency structure
     # ------------------------------------------------------------------
     def _compute_containment(self) -> None:
+        """Find every pair :meth:`Filter.contains` relates, by shape.
+
+        A filter's joins form a tree over its tables, so a filter it
+        contains spans a connected subtree of that tree, and in a tree
+        a subtree's edges are exactly those among its tables.  Indexing
+        filters by ``(sample, tables, joins)`` therefore lets each
+        filter find every filter it may contain under the shapes of its
+        own subtrees; only their cells remain to be compared.
+        """
         ancestors: dict[int, set[int]] = {f.id: set() for f in self.filters}
         descendants: dict[int, set[int]] = {f.id: set() for f in self.filters}
-        by_sample: dict[int, list[Filter]] = {}
+        by_shape: dict[tuple, list[Filter]] = {}
         for filter_ in self.filters:
-            by_sample.setdefault(filter_.sample_index, []).append(filter_)
-        for group in by_sample.values():
-            for outer in group:
-                for inner in group:
-                    if outer.id == inner.id:
-                        continue
-                    if outer.contains(inner):
+            tree = (filter_.tables, frozenset(filter_.query.joins))
+            by_shape.setdefault((filter_.sample_index, *tree), []).append(filter_)
+        # The subtree shapes of each join tree, enumerated once: many
+        # filters share one tree.
+        subtrees: dict[tuple, list[tuple]] = {}
+        for outer in self.filters:
+            tree = (outer.tables, frozenset(outer.query.joins))
+            shapes = subtrees.get(tree)
+            if shapes is None:
+                shapes = subtrees[tree] = [
+                    (nodes, frozenset(edges))
+                    for nodes, edges in _connected_subtrees(
+                        outer.tables, outer.query.joins
+                    )
+                ]
+            own_cells = set(zip(outer.positions, outer.query.projections))
+            for nodes, edges in shapes:
+                for inner in by_shape.get((outer.sample_index, nodes, edges), ()):
+                    if inner.id != outer.id and own_cells.issuperset(
+                        zip(inner.positions, inner.query.projections)
+                    ):
                         ancestors[inner.id].add(outer.id)
                         descendants[outer.id].add(inner.id)
         self._ancestors = ancestors

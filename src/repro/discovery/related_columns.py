@@ -19,6 +19,7 @@ done here; that is step 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -222,5 +223,8 @@ def _as_float(value) -> Optional[float]:
         return None
     try:
         return float(value)
+    except OverflowError:
+        # An int beyond float range lies beyond every finite float.
+        return math.inf if value > 0 else -math.inf
     except (TypeError, ValueError):
         return None

@@ -514,7 +514,9 @@ class Executor:
         query.validate(self._database)
         self.stats.queries_executed += 1
         selections: _Selections = {}
-        for table_name in query.tables:
+        # Sorted, so the tables scanned before an empty selection stops
+        # the walk (and ``rows_scanned``) do not depend on string hashing.
+        for table_name in sorted(query.tables):
             table = self._database.table(table_name)
             self.stats.rows_scanned += table.num_rows
             table_checks = checks.get(table_name)

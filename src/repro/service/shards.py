@@ -576,7 +576,8 @@ class ShardProcessPool:
         shard.process.join(timeout=10.0)
 
     def shutdown(self, wait: bool = True) -> None:
-        """Stop every shard (graceful frame first, then terminate)."""
+        """Stop every shard: a shutdown frame first, then, after a grace
+        period, SIGKILL for any shard still alive (see :meth:`_kill`)."""
         for shard in self._shards:
             with shard.lock:
                 try:
@@ -588,13 +589,7 @@ class ShardProcessPool:
                     pass
         for shard in self._shards:
             shard.process.join(timeout=10.0 if wait else 0.2)
-            if shard.process.is_alive():
-                shard.process.terminate()
-                shard.process.join(timeout=5.0)
-            try:
-                shard.conn.close()
-            except OSError:
-                pass
+            self._kill(shard)
         self._started = False
 
     def _respawn(self, shard: _Shard) -> None:

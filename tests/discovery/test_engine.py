@@ -205,6 +205,39 @@ class TestMondialMotivatingExample:
         )
 
 
+class TestHugeIntegerSamples:
+    """A sample number beyond float range compares exactly (it equals
+    no float) or bounds a range as an infinity; it raises nowhere."""
+
+    HUGE = "1" + "0" * 400
+    SAMPLES = [
+        f"!= {HUGE}", f"== {HUGE}", f"> {HUGE}", f"< -{HUGE}", f"> -{HUGE}",
+        f"[0, {HUGE}]", f"[-{HUGE}, 5]",
+    ]
+    #: Specs each huge range must answer like.
+    EQUIVALENT = {f"[0, {HUGE}]": ">= 0", f"[-{HUGE}, 5]": "<= 5"}
+
+    @staticmethod
+    def _sql(engine, text, scheduler):
+        spec = MappingSpec(1).add_sample_cells([parse_value_constraint(text)])
+        return engine.discover(spec, scheduler=scheduler).sql()
+
+    @pytest.mark.parametrize(
+        "text", SAMPLES, ids=["!=", "==", ">", "<-", ">-", "[0,N]", "[-N,5]"]
+    )
+    def test_every_scheduler_answers(self, mondial_prism, text):
+        answers = {
+            scheduler: self._sql(mondial_prism, text, scheduler)
+            for scheduler in ("naive", "filter", "bayesian", "optimal")
+        }
+        assert len({tuple(sql) for sql in answers.values()}) == 1
+        if text in self.EQUIVALENT:
+            expected = self._sql(mondial_prism, self.EQUIVALENT[text], "naive")
+            assert answers["naive"] == expected and expected
+        if text.startswith(("==", f"> {self.HUGE}", "<")):
+            assert answers["naive"] == []
+
+
 class TestCacheObservability:
     def test_as_dict_exports_stage_timings(self, company_db):
         spec = MappingSpec(2)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.bayesian.training import train_models
@@ -181,3 +183,64 @@ class TestValidationCounts:
             assert result.confirmed_candidate_ids == [2]
         bayes = run_with(BayesianPolicy(), company_db, estimator, spec=spec)
         assert bayes.confirmed_candidate_ids == [2]
+
+
+class _RowsPlanner:
+    """A planner stub whose join-cardinality estimate is ``rows``."""
+
+    def __init__(self, rows: float):
+        self.rows = rows
+
+    def structure_rows(self, query) -> float:
+        return self.rows
+
+
+class _CountingEstimator:
+    """Wraps an estimator, counting ``failure_probability`` calls."""
+
+    def __init__(self, estimator):
+        self._estimator = estimator
+        self.calls = 0
+
+    def failure_probability(self, query, cell_constraints):
+        self.calls += 1
+        return self._estimator.failure_probability(query, cell_constraints)
+
+
+class TestIncrementalSelection:
+    @pytest.mark.parametrize("rows", [math.nan, math.inf, -math.inf, 1e308])
+    def test_any_cost_estimate_ends_the_run(self, company_db, estimator, rows):
+        spec = build_spec()
+        filter_set = build_filters(spec, build_candidates())
+        validator = FilterValidator(Executor(company_db), spec)
+        result = ValidationDriver(
+            filter_set,
+            validator,
+            BayesianPolicy(),
+            estimator=estimator,
+            planner=_RowsPlanner(rows),
+        ).run()
+        assert result.confirmed_candidate_ids == [2]
+        assert result.pruned_candidate_ids == [0, 1]
+
+    def test_each_filter_is_scored_once(self, company_db, estimator):
+        spec = build_spec()
+        filter_set = build_filters(spec, build_candidates())
+        counting = _CountingEstimator(estimator)
+        result = run_with(BayesianPolicy(), company_db, counting, spec=spec)
+        assert result.validations > 1
+        assert counting.calls == filter_set.num_filters
+
+    @pytest.mark.parametrize("stop", [{"max_validations": 0}, {"deadline": 0.0}])
+    def test_a_run_that_stops_first_calls_no_policy(self, company_db, estimator, stop):
+        """No filter is scored, and a missing estimator raises nothing."""
+        spec = build_spec()
+        counting = _CountingEstimator(estimator)
+        for model in (counting, None):
+            filter_set = build_filters(spec, build_candidates())
+            validator = FilterValidator(Executor(company_db), spec)
+            result = ValidationDriver(
+                filter_set, validator, BayesianPolicy(), estimator=model, **stop
+            ).run()
+            assert result.timed_out and result.validations == 0
+        assert counting.calls == 0

@@ -4,10 +4,11 @@ String hashing is randomized per process (``PYTHONHASHSEED``), so any
 iteration over a ``set`` or ``frozenset`` of table or column names can
 reorder work between processes.  Discovery must not depend on that
 order: the same specification over the same database yields the same
-SQL and the same non-timing statistics in every process.  This test
-runs the quickstart's Mondial discovery (Lake Tahoe, California or
+SQL and the same non-timing statistics in every process.  The first
+test runs the quickstart's Mondial discovery (Lake Tahoe, California or
 Nevada, a non-negative decimal area) in fresh interpreters under several
-hash seeds and compares what they report.
+hash seeds and compares what they report; the second compares the rows
+one existence probe scans before its pushdown meets an empty selection.
 """
 
 from __future__ import annotations
@@ -80,3 +81,36 @@ def test_discovery_is_identical_under_every_hash_seed():
     for seed in _HASH_SEEDS[1:]:
         assert reports[seed]["sql"] == first["sql"], seed
         assert reports[seed]["stats"] == first["stats"], seed
+
+
+_PROBE = """
+from repro import ColumnRef, Executor, ProjectJoinQuery, generate_synthetic_database
+from repro.constraints.values import ExactValue
+
+database = generate_synthetic_database(4, 50, topology="chain", seed=0)
+query = ProjectJoinQuery(
+    (ColumnRef("T0", "label"), ColumnRef("T3", "label")),
+    tuple(database.foreign_keys),
+)
+executor = Executor(database)
+assert not executor.exists(query, cell_predicates={1: ExactValue("no such label")})
+print(executor.stats.rows_scanned)
+"""
+
+
+def test_rows_scanned_is_identical_under_every_hash_seed():
+    """A probe whose pushdown meets an empty selection stops scanning
+    there; which tables it scanned first must not depend on hashing."""
+    scanned = {}
+    for seed in _HASH_SEEDS:
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(_SRC))
+        done = subprocess.run(
+            [sys.executable, "-c", _PROBE],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        scanned[seed] = int(done.stdout)
+    assert len(set(scanned.values())) == 1, scanned

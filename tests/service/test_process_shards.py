@@ -221,6 +221,30 @@ class TestProcessServing:
             assert svc._pool.respawns == 1
             assert svc.submit(_company_request()).result(timeout=120).ok
 
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"),
+        reason="stops the shard with SIGSTOP",
+    )
+    def test_shutdown_ends_a_stopped_shard(self, company_db, start_method):
+        """A stopped shard reads no shutdown frame and does not act on
+        SIGTERM until resumed; shutdown must still end it."""
+        svc = _company_service(
+            company_db, workers=2, start_method=start_method
+        ).start()
+        processes = [shard.process for shard in svc._pool._shards]
+        assert len(processes) == 2
+        os.kill(processes[0].pid, signal.SIGSTOP)
+        try:
+            svc.shutdown(wait=False)
+            for process in processes:
+                process.join(timeout=5.0)
+            assert [process.is_alive() for process in processes] == [False, False]
+        finally:
+            for process in processes:
+                if process.is_alive():
+                    os.kill(process.pid, signal.SIGKILL)
+                    process.join(timeout=5.0)
+
     def test_warm_start_from_persisted_bundles(
         self, company_db, start_method, tmp_path
     ):

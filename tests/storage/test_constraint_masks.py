@@ -61,11 +61,13 @@ _TEXTS = [
 _DATES = [datetime.date(2019, 1, 1), datetime.date(2020, 6, 15),
           datetime.date(1999, 12, 31)]
 _BIG_INTS = [2**70, -(2**70), 2**63, _INT64_MAX, 0, 12, -5]
+#: Ints beyond float range: ``float()`` of them overflows.
+_HUGE = [10**400, -(10**400)]
 
 #: Every target a constraint may carry, whatever the column.
 _TARGETS = (
     _BOOLS + _INTS + [2**63, 2**64, -(2**64), 10**30, 2**70]
-    + _FLOATS + _TEXTS + _DATES
+    + _FLOATS + _TEXTS + _DATES + _HUGE
 )
 
 _COLUMNS = {
@@ -103,7 +105,7 @@ def _table(in_layout, rng: random.Random) -> tuple[ColumnStore, Table]:
 
 
 def _range(rng: random.Random) -> ValueConstraint:
-    pools = [_INTS + _FLOATS + [2**64, -(2**64)], _TEXTS, _DATES]
+    pools = [_INTS + _FLOATS + [2**64, -(2**64)] + _HUGE, _TEXTS, _DATES]
     pool = rng.choice(pools)
     low, high = rng.choice(pool), rng.choice(pool)
     if isinstance(low, str) or isinstance(high, str):
@@ -182,6 +184,11 @@ _PINNED = [
     ExactValue(5), ExactValue(2.5), Predicate(">", "E"), Predicate("<", 3),
     Predicate("!=", "no such text"), OneOf(["Tahoe", 5, True]),
     Range("E", "F"), Range("e", None), Range(None, "Reno", high_inclusive=False),
+    # Ints beyond float range equal no cell but themselves, and bound
+    # every finite one.
+    ExactValue(10**400), Predicate("!=", 10**400), Predicate("==", -(10**400)),
+    OneOf([10**400, 12]), Predicate(">", 10**400), Predicate("<", -(10**400)),
+    Predicate(">", -(10**400)), Range(0, 10**400), Range(-(10**400), 5),
     # Dates.
     ExactValue(_DATES[0]), Range(_DATES[2], _DATES[0]),
     Predicate(">", _DATES[0]), Predicate("!=", _DATES[1]),
