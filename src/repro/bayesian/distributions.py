@@ -1,15 +1,14 @@
 """Per-column value distributions.
 
 A :class:`ColumnDistribution` summarises one column of one relation:
-frequencies of (case-folded) values plus a numeric histogram for numeric
-columns.  It answers the question the Bayesian scheduler keeps asking:
+frequencies of (case-folded) values plus the multiset of values of a
+numeric column.  It answers the question the Bayesian scheduler keeps asking:
 *what is the probability that a uniformly random row of this relation
 satisfies a given value constraint on this column?*
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from typing import Any, Optional, Sequence
 
@@ -26,11 +25,10 @@ from repro.constraints.values import (
     ValueConstraint,
 )
 from repro.dataset.index import normalize_term
-from repro.dataset.types import DataType
+from repro.dataset.types import DataType, to_float
 
 __all__ = ["ColumnDistribution"]
 
-_HISTOGRAM_BINS = 16
 _UNSEEN_PROBABILITY = 0.5  # chance assigned to a keyword never seen in the column
 
 
@@ -94,12 +92,11 @@ class ColumnDistribution:
         # _numeric is a multiset (order is never observed): values expanded
         # by their counts.
         self._numeric: Optional[np.ndarray] = None
-        self._histogram: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._fold_pairs(pairs)
 
     def _fold_pairs(self, pairs: list[tuple[Any, int]]) -> None:
         """Accumulate (non-NULL value, count) pairs into the frequency
-        counters and the numeric multiset + histogram.
+        counters and the numeric multiset.
 
         Both the cold fit and :meth:`apply_delta` run this one fold, so a
         refreshed distribution cannot diverge from a rebuilt one.
@@ -114,15 +111,13 @@ class ColumnDistribution:
                         self._token_frequencies[token_key] += count
         if self.data_type.is_numeric and pairs:
             appended = np.repeat(
-                np.asarray([float(value) for value, __ in pairs]),
+                np.asarray([to_float(value) for value, __ in pairs]),
                 np.asarray([count for __, count in pairs], dtype=np.int64),
             )
             self._numeric = (
                 appended if self._numeric is None
                 else np.concatenate([self._numeric, appended])
             )
-            counts, edges = np.histogram(self._numeric, bins=_HISTOGRAM_BINS)
-            self._histogram = (counts, edges)
 
     # ------------------------------------------------------------------
     # Incremental maintenance
@@ -136,7 +131,7 @@ class ColumnDistribution:
         rows; ``added_rows`` is the total number of appended rows
         including NULLs.  Frequencies and counts come out identical to a
         from-scratch fit over the grown column (Counter addition is
-        exact); the numeric multiset and its histogram are recomputed so
+        exact), and the numeric multiset grows by the appended values, so
         range probabilities match a cold fit bit-for-bit.
         """
         self.row_count += added_rows
@@ -251,9 +246,6 @@ def _as_float(value: Any) -> Optional[float]:
     if value is None:
         return None
     try:
-        return float(value)
-    except OverflowError:
-        # An int beyond float range lies beyond every finite float.
-        return math.inf if value > 0 else -math.inf
+        return to_float(value)
     except (TypeError, ValueError):
         return None

@@ -8,7 +8,7 @@ during preprocessing, and a schema graph supporting join-tree enumeration.
 
 from repro.dataset.catalog import ColumnStats, MetadataCatalog
 from repro.dataset.database import Database
-from repro.dataset.index import InvertedIndex, Posting, normalize_term
+from repro.dataset.index import InvertedIndex, normalize_term
 from repro.dataset.loader import load_database, save_database
 from repro.dataset.schema import Column, ColumnRef, ForeignKey
 from repro.dataset.schema_graph import SchemaGraph
@@ -24,7 +24,6 @@ __all__ = [
     "ForeignKey",
     "InvertedIndex",
     "MetadataCatalog",
-    "Posting",
     "SchemaGraph",
     "Table",
     "coerce_value",

@@ -15,7 +15,7 @@ from typing import Any, Mapping, Optional
 from repro.dataset.database import Database
 from repro.dataset.schema import ColumnRef
 from repro.dataset.sketches import ColumnSketches, build_column_sketches
-from repro.dataset.types import DataType
+from repro.dataset.types import DataType, to_float
 from repro.errors import SchemaError
 
 __all__ = ["ColumnStats", "MetadataCatalog"]
@@ -183,7 +183,7 @@ class MetadataCatalog:
                 min_value = None
                 max_value = None
         if data_type.is_numeric:
-            numeric = [float(value) for value in non_null]
+            numeric = [to_float(value) for value in non_null]
             self._numeric_moments[ref] = (
                 sum(numeric),
                 sum(value * value for value in numeric),
@@ -319,15 +319,17 @@ class MetadataCatalog:
         if old.data_type.is_numeric:
             total, sum_squares = self._numeric_moments.get(ref, (0.0, 0.0))
             for value in non_null:
-                as_float = float(value)
+                as_float = to_float(value)
                 total += as_float
                 sum_squares += as_float * as_float
             self._numeric_moments[ref] = (total, sum_squares)
             count = old.non_null_count + len(non_null)
             if count:
                 mean = total / count
-                variance = max(0.0, sum_squares / count - mean * mean)
-                stddev = variance ** 0.5
+                variance = sum_squares / count - mean * mean
+                # Rounding may push a zero variance below 0; an infinite
+                # cell makes it NaN, as in a cold build, and NaN stays.
+                stddev = (0.0 if variance < 0 else variance) ** 0.5
 
         return replace(
             old,

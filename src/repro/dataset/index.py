@@ -1,9 +1,10 @@
 """Inverted index over cell values.
 
 The paper validates value constraints on columns "leveraging the inverted
-index provided in most DBMS systems" (§2.3).  This module provides that
-substrate: a value → posting-list index built once per database, plus
-column-level lookups used by related-column discovery.
+index provided in most DBMS systems" (§2.3).  Discovery only ever asks
+that index one question — *which columns hold this keyword?* — so this
+module maps every term straight to the set of columns holding it, built
+once per database.
 
 Text values are indexed both as whole (case-folded) strings and as
 individual word tokens so that a keyword such as ``"Tahoe"`` locates the
@@ -14,14 +15,14 @@ mapping systems.
 from __future__ import annotations
 
 import re
-from collections import defaultdict
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping
+
+import numpy as np
 
 from repro.dataset.database import Database
 from repro.dataset.schema import ColumnRef
-from repro.dataset.types import DataType
 
-__all__ = ["InvertedIndex", "Posting", "normalize_term"]
+__all__ = ["InvertedIndex", "normalize_term"]
 
 _TOKEN_PATTERN = re.compile(r"[A-Za-z0-9]+")
 
@@ -38,43 +39,67 @@ def _tokenize(text: str) -> list[str]:
     return [match.group(0).casefold() for match in _TOKEN_PATTERN.finditer(text)]
 
 
-class Posting:
-    """A single occurrence of an indexed term: (table, column, row index)."""
+def _distinct_values(values: Iterable[Any]) -> list[Any]:
+    """The distinct non-NULL values, one per (type, value) class.
 
-    __slots__ = ("table", "column", "row_index")
+    Keyed by type as well as value: a plain ``set`` would merge ``True``,
+    ``1`` and ``1.0``, whose terms (``"true"``, ``"1"``) differ.
+    """
+    return list({
+        (type(value), value): value for value in values if value is not None
+    }.values())
 
-    def __init__(self, table: str, column: str, row_index: int):
-        self.table = table
-        self.column = column
-        self.row_index = row_index
 
-    @property
-    def column_ref(self) -> ColumnRef:
-        """The occurrence's column as a :class:`ColumnRef`."""
-        return ColumnRef(self.table, self.column)
+class _Linker:
+    """Adds columns to terms' column sets during one build or delta.
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Posting):
-            return NotImplemented
-        return (
-            self.table == other.table
-            and self.column == other.column
-            and self.row_index == other.row_index
-        )
+    Equal column sets are shared between terms: most terms live in one
+    column, and a term met in another column moves to the one interned
+    union of its old set and that column, so memory grows with the
+    distinct sets, not with the terms.  The sets are immutable, so
+    sharing them is safe.
+    """
 
-    def __hash__(self) -> int:
-        return hash((self.table, self.column, self.row_index))
+    __slots__ = ("_unions",)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Posting({self.table}.{self.column}[{self.row_index}])"
+    def __init__(self) -> None:
+        self._unions: dict[tuple, frozenset[ColumnRef]] = {}
+
+    def _union(
+        self, columns: frozenset[ColumnRef], ref: ColumnRef
+    ) -> frozenset[ColumnRef]:
+        union = self._unions.get((columns, ref))
+        if union is None:
+            union = self._unions[(columns, ref)] = columns | {ref}
+        return union
+
+    def link(
+        self, terms: dict[str, frozenset[ColumnRef]], keys: Iterable[str],
+        ref: ColumnRef,
+    ) -> None:
+        """Add ``ref`` to the column set of every term in ``keys``."""
+        single = self._union(frozenset(), ref)
+        for key in keys:
+            columns = terms.get(key)
+            if columns is None:
+                terms[key] = single
+            elif ref not in columns:
+                terms[key] = self._union(columns, ref)
 
 
 class InvertedIndex:
-    """Value → posting list index over an entire database."""
+    """Term → column-set index over an entire database.
+
+    Every term maps to the columns (:class:`ColumnRef`) holding it in at
+    least one row: whole (normalized) cell values in ``_exact``, word
+    tokens of text cells in ``_tokens``.  The per-value work
+    (normalizing, tokenizing) runs once per distinct value of a column,
+    never once per cell.
+    """
 
     def __init__(self) -> None:
-        self._exact: dict[str, list[Posting]] = defaultdict(list)
-        self._tokens: dict[str, list[Posting]] = defaultdict(list)
+        self._exact: dict[str, frozenset[ColumnRef]] = {}
+        self._tokens: dict[str, frozenset[ColumnRef]] = {}
         self._indexed_cells = 0
         #: Artifact key of the database this index was built from (empty
         #: for hand-assembled indexes); see :meth:`Database.artifact_key`.
@@ -87,27 +112,29 @@ class InvertedIndex:
     def build(cls, database: Database) -> "InvertedIndex":
         """Build the index over every table of ``database``.
 
-        Columns are read directly from the store.  For text columns (all
-        dictionary-encoded) the per-value work (normalizing, tokenizing)
-        is done once per distinct string and fanned out over the rows via
-        the integer codes.
+        Columns are read from the store's array snapshots: text columns
+        are indexed once per dictionary entry some row references, typed
+        columns once per distinct array value.
         """
         index = cls()
         index.built_from = database.artifact_key()
+        linker = _Linker()
         for table in database:
-            for column in table.columns:
-                if column.data_type is DataType.TEXT:
-                    codes, dictionary = table.text_column_codes(column.name)
-                    index._add_encoded(
-                        table.name, column.name, codes, dictionary
+            for position, column in enumerate(table.columns):
+                ref = ColumnRef(table.name, column.name)
+                kernel = table.backend.column_kernel(table.name, position)
+                present = kernel.keys[kernel.valid]
+                index._indexed_cells += len(present)
+                if kernel.kind == "text":
+                    index._add_entries(linker, ref, kernel.dictionary, present)
+                elif kernel.kind == "array":
+                    index._add_values(
+                        linker, ref, np.unique(present).tolist()
                     )
-                    continue
-                for row_index, value in enumerate(
-                    table.column_values(column.name)
-                ):
-                    if value is None:
-                        continue
-                    index._add(table.name, column.name, row_index, value)
+                else:
+                    index._add_values(
+                        linker, ref, _distinct_values(present.tolist())
+                    )
         return index
 
     def apply_delta(
@@ -119,94 +146,52 @@ class InvertedIndex:
         """Fold appended rows into the index instead of rebuilding it.
 
         ``deltas`` maps table name → :class:`~repro.storage.TableDelta`
-        as produced by :meth:`Database.storage_deltas_since`.  Only new
-        postings are appended — existing postings are never touched, so
-        the result is identical (as a multiset of postings per term) to a
-        from-scratch build over the grown database.  ``built_from`` is
-        the artifact key of the post-delta state.
+        as produced by :meth:`Database.storage_deltas_since`.  Each
+        appended value's column joins its terms' column sets — a set
+        union, so the result equals a from-scratch build over the grown
+        database.  ``built_from`` is the artifact key of the post-delta
+        state.
         """
+        linker = _Linker()
         for table_name, delta in deltas.items():
             table = database.table(table_name)
             for column, column_delta in zip(table.columns, delta.columns):
+                ref = ColumnRef(table_name, column.name)
+                self._indexed_cells += (
+                    len(column_delta.values) - column_delta.null_count
+                )
                 if column_delta.codes is not None:
-                    self._add_encoded_delta(
-                        table_name,
-                        column.name,
-                        column_delta.codes,
-                        column_delta.dictionary,
-                        row_offset=delta.start_row,
+                    codes = np.asarray(column_delta.codes, dtype=np.int64)
+                    self._add_entries(
+                        linker, ref, column_delta.dictionary, codes[codes >= 0]
                     )
-                    continue
-                for offset, value in enumerate(column_delta.values):
-                    if value is None:
-                        continue
-                    self._add(table_name, column.name,
-                              delta.start_row + offset, value)
+                else:
+                    self._add_values(
+                        linker, ref, _distinct_values(column_delta.values)
+                    )
         self.built_from = built_from
 
-    def _add_encoded_delta(
-        self,
-        table: str,
-        column: str,
-        codes: Sequence[int],
-        dictionary: Sequence[str],
-        row_offset: int,
+    def _add_entries(
+        self, linker: _Linker, ref: ColumnRef, dictionary: Any,
+        codes: np.ndarray,
     ) -> None:
-        """Index appended rows of an encoded text column.
+        """Index the dictionary entries of a text column that ``codes``
+        (non-NULL) reference: each entry's whole value and word tokens."""
+        keys: list[str] = []
+        tokens: list[str] = []
+        for code in np.unique(codes).tolist():
+            value = dictionary[code]
+            key = normalize_term(value)
+            keys.append(key)
+            tokens.extend(token for token in _tokenize(value) if token != key)
+        linker.link(self._exact, keys, ref)
+        linker.link(self._tokens, tokens, ref)
 
-        Normalizing and tokenizing run once per *referenced* dictionary
-        entry (not once per entry, as the cold build does), so the work is
-        proportional to the delta, not to the column's distinct set.
-        """
-        cache: dict[int, tuple[str, list[str]]] = {}
-        exact = self._exact
-        tokens = self._tokens
-        for offset, code in enumerate(codes):
-            if code < 0:
-                continue
-            entry = cache.get(code)
-            if entry is None:
-                value = dictionary[code]
-                key = normalize_term(value)
-                entry = (key, [t for t in _tokenize(value) if t != key])
-                cache[code] = entry
-            posting = Posting(table, column, row_offset + offset)
-            exact[entry[0]].append(posting)
-            self._indexed_cells += 1
-            for token in entry[1]:
-                tokens[token].append(posting)
-
-    def _add_encoded(
-        self,
-        table: str,
-        column: str,
-        codes: list[int],
-        dictionary: list[str],
+    def _add_values(
+        self, linker: _Linker, ref: ColumnRef, values: Iterable[Any]
     ) -> None:
-        """Index a dictionary-encoded text column."""
-        keys = [normalize_term(value) for value in dictionary]
-        token_lists = [
-            [token for token in _tokenize(value) if token != key]
-            for value, key in zip(dictionary, keys)
-        ]
-        exact = self._exact
-        tokens = self._tokens
-        for row_index, code in enumerate(codes):
-            if code < 0:
-                continue
-            posting = Posting(table, column, row_index)
-            exact[keys[code]].append(posting)
-            self._indexed_cells += 1
-            for token in token_lists[code]:
-                tokens[token].append(posting)
-
-    def _add(self, table: str, column: str, row_index: int, value: Any) -> None:
-        """Index one non-text cell (text columns go through the
-        dictionary-encoded paths, the only ones that tokenize)."""
-        self._exact[normalize_term(value)].append(
-            Posting(table, column, row_index)
-        )
-        self._indexed_cells += 1
+        """Index distinct non-text values (only text cells tokenize)."""
+        linker.link(self._exact, map(normalize_term, values), ref)
 
     # ------------------------------------------------------------------
     # Lookups
@@ -221,27 +206,20 @@ class InvertedIndex:
         """Number of distinct exact terms in the index."""
         return len(self._exact)
 
-    def lookup(self, value: Any, include_tokens: bool = True) -> list[Posting]:
-        """All postings whose cell equals ``value`` (or contains it as a word).
+    def columns_containing(
+        self, value: Any, include_tokens: bool = True
+    ) -> set[ColumnRef]:
+        """Distinct columns that contain ``value`` in at least one row.
 
         Args:
             value: the keyword or literal to search for.
             include_tokens: also match word tokens inside text cells.
         """
         key = normalize_term(value)
-        postings = list(self._exact.get(key, ()))
+        columns = set(self._exact.get(key, ()))
         if include_tokens:
-            postings.extend(self._tokens.get(key, ()))
-        return postings
-
-    def columns_containing(
-        self, value: Any, include_tokens: bool = True
-    ) -> set[ColumnRef]:
-        """Distinct columns that contain ``value`` in at least one row."""
-        return {
-            posting.column_ref
-            for posting in self.lookup(value, include_tokens=include_tokens)
-        }
+            columns.update(self._tokens.get(key, ()))
+        return columns
 
     def columns_containing_any(
         self, values: Iterable[Any], include_tokens: bool = True
@@ -251,19 +229,3 @@ class InvertedIndex:
         for value in values:
             result |= self.columns_containing(value, include_tokens=include_tokens)
         return result
-
-    def row_indexes(self, column: ColumnRef, value: Any) -> set[int]:
-        """Row indexes of ``column`` whose cell matches ``value``."""
-        return {
-            posting.row_index
-            for posting in self.lookup(value)
-            if posting.table == column.table and posting.column == column.column
-        }
-
-    def term_frequency(self, value: Any) -> int:
-        """Number of cells whose exact value equals ``value``."""
-        return len(self._exact.get(normalize_term(value), ()))
-
-    def column_term_frequency(self, column: ColumnRef, value: Any) -> int:
-        """Number of cells of ``column`` matching ``value`` (incl. tokens)."""
-        return len(self.row_indexes(column, value))

@@ -41,6 +41,8 @@ from typing import Any, Iterable, Optional, Sequence
 
 import numpy as _np
 
+from repro.dataset.types import to_float
+
 __all__ = [
     "BloomFilter",
     "ColumnSketches",
@@ -213,19 +215,25 @@ class HyperLogLog:
     def estimate(self) -> float:
         """The classic HLL estimate with the small-range correction.
 
-        Computed scalar from the register bytes so the result is
-        identical however the registers were populated.
+        The harmonic sum ``Σ 2**-register`` is taken exactly from a
+        histogram of the register ranks: scaled by ``2**top`` (the
+        largest rank) it is the integer ``Σ count[rank] << (top - rank)``,
+        and the raw estimate is one correctly rounded int/int division.
+        The result depends only on the register bytes, however they were
+        populated.
         """
-        registers = self.registers
-        num = len(registers)
-        harmonic = 0.0
-        zeros = 0
-        for register in registers:
-            harmonic += 2.0 ** -register
-            if register == 0:
-                zeros += 1
+        num = len(self.registers)
+        counts = _np.bincount(
+            _np.frombuffer(self.registers, dtype=_np.uint8)
+        ).tolist()
+        top = len(counts) - 1
+        scaled = sum(
+            count << (top - rank) for rank, count in enumerate(counts)
+        )
         alpha = 0.7213 / (1.0 + 1.079 / num)
-        raw = alpha * num * num / harmonic
+        numerator, denominator = (alpha * num * num).as_integer_ratio()
+        raw = (numerator << top) / (denominator * scaled)
+        zeros = counts[0]
         if raw <= 2.5 * num and zeros:
             return num * math.log(num / zeros)
         return raw
@@ -426,15 +434,17 @@ class EquiDepthHistogram:
     def from_values(
         cls, values: Iterable[Any], max_buckets: int = MAX_BUCKETS
     ) -> Optional["EquiDepthHistogram"]:
-        """Build from an iterable of numeric values; ``None`` when the
-        column is empty or holds values a float cannot represent."""
+        """Build from an iterable of numeric values over their finite
+        floats (an int beyond float range counts as an infinity and is
+        skipped); ``None`` when no value is finite or one is not a
+        number."""
         try:
             ordered = sorted(
                 as_float
-                for as_float in (float(value) for value in values)
+                for as_float in (to_float(value) for value in values)
                 if math.isfinite(as_float)
             )
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, ValueError):
             return None
         if not ordered:
             return None
@@ -457,8 +467,8 @@ class EquiDepthHistogram:
     def fold(self, value: Any) -> None:
         """Fold one appended value into the fixed-boundary buckets."""
         try:
-            as_float = float(value)
-        except (TypeError, ValueError, OverflowError):
+            as_float = to_float(value)
+        except (TypeError, ValueError):
             return
         if not math.isfinite(as_float):
             return

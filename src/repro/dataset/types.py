@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import enum
+import math
 from typing import Any, Iterable, Optional
 
 from repro.errors import DataError
@@ -20,6 +21,7 @@ __all__ = [
     "detect_type",
     "coerce_value",
     "values_comparable",
+    "to_float",
     "parse_date",
     "parse_time",
     "NUMERIC_TYPES",
@@ -214,3 +216,12 @@ def values_comparable(left: Any, right: Any) -> bool:
     if left_type in NUMERIC_TYPES and right_type in NUMERIC_TYPES:
         return True
     return left_type == right_type
+
+
+def to_float(value: Any) -> float:
+    """``float(value)``, with an int beyond float range mapped to ``±inf``
+    (it lies beyond every finite float) instead of raising."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf

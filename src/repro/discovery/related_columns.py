@@ -19,7 +19,6 @@ done here; that is step 2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -39,7 +38,7 @@ from repro.dataset.catalog import ColumnStats, MetadataCatalog
 from repro.dataset.database import Database
 from repro.dataset.index import InvertedIndex
 from repro.dataset.schema import ColumnRef
-from repro.dataset.types import DataType
+from repro.dataset.types import to_float
 
 __all__ = ["RelatedColumns", "RelatedColumnFinder"]
 
@@ -222,9 +221,6 @@ def _as_float(value) -> Optional[float]:
     if value is None:
         return None
     try:
-        return float(value)
-    except OverflowError:
-        # An int beyond float range lies beyond every finite float.
-        return math.inf if value > 0 else -math.inf
+        return to_float(value)
     except (TypeError, ValueError):
         return None

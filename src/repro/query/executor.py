@@ -31,12 +31,12 @@ array-oriented:
 * **an existence-memo cache** — existence outcomes can be memoized
   under a caller-supplied canonical (query, constraints) signature and
   are invalidated automatically when the database changes;
-* **one join mechanism** — :meth:`Executor.execute` and
-  :meth:`Executor.count` run the same semijoin sweep over the same edge
-  kernels, then enumerate the surviving rows with one array join per
-  plan step (:func:`~repro.query.kernels.join_rows`), in nested-loop
-  order; an optional ``limit`` cuts every step's output, so it bounds
-  the work, not just the result.
+* **one join mechanism** — :meth:`Executor.execute` runs the same
+  semijoin sweep over the same edge kernels, then enumerates the
+  surviving rows with one array join per plan step
+  (:func:`~repro.query.kernels.join_rows`), in nested-loop order; an
+  optional ``limit`` cuts every step's output, so it bounds the work,
+  not just the result.
 
 Inner-join semantics follow SQL: NULL join keys never match, and
 neither do NaN keys (NaN never equals itself), exactly as in the
@@ -202,6 +202,11 @@ class Executor:
         # artifact key.
         self._bloom_key: Optional[tuple] = None
         self._bloom_fresh = False
+        # Bloom membership masks keyed by (table, position, other table,
+        # other position), revalidated by column-kernel identity and
+        # dropped with every new artifact key, the only time the
+        # catalog's Bloom bits can change; None: no filter on that side.
+        self._bloom_masks: dict[tuple, Optional[_kernels.BloomMask]] = {}
         # Physical plans keyed by canonical join-structure hash, so
         # every query over the same structure — across candidates and
         # across differing projections — shares one lowered plan.
@@ -310,16 +315,6 @@ class Executor:
             self.stats.batched_probes += swept
         return outcomes
 
-    def count(
-        self,
-        query: ProjectJoinQuery,
-        cell_predicates: Optional[Mapping[int, ValueConstraint]] = None,
-    ) -> int:
-        """Number of result rows of ``query`` (no cell is read)."""
-        rows = self._join_rows(query, cell_predicates)
-        # Every table's row-index array has one entry per result row.
-        return len(next(iter(rows.values())))
-
     def logical_plan(
         self,
         query: ProjectJoinQuery,
@@ -426,7 +421,7 @@ class Executor:
         return edge
 
     # ------------------------------------------------------------------
-    # Row enumeration (execute and count)
+    # Row enumeration (execute)
     # ------------------------------------------------------------------
     def _join_rows(
         self,
@@ -556,13 +551,8 @@ class Executor:
         if key != self._bloom_key:
             self._bloom_key = key
             self._bloom_fresh = self._catalog.built_from == key
+            self._bloom_masks.clear()
         return self._bloom_fresh
-
-    def _bloom_for(self, table: str, position: int):
-        """The catalog's Bloom filter over one join-key column, if any."""
-        column = self._database.table(table).columns[position].name
-        sketches = self._catalog.sketches(_ColumnRef(table, column))
-        return sketches.bloom if sketches is not None else None
 
     def _bloom_prune(
         self,
@@ -609,10 +599,12 @@ class Executor:
                 )
                 cached = keep_cache.get(cache_key)
                 if cached is None:
-                    bloom = self._bloom_for(other_table, other_position)
-                    if bloom is None:
+                    mask = self._bloom_mask(
+                        table, position, other_table, other_position
+                    )
+                    if mask is None:
                         continue
-                    kept = self._bloom_keep(table, position, selection, bloom)
+                    kept = mask.keep(selection)
                     cached = (kept, int(np.count_nonzero(kept)))
                     keep_cache[cache_key] = cached
                 kept, survivors = cached
@@ -624,34 +616,25 @@ class Executor:
                     selections[table] = kept
         return selections
 
-    def _bloom_keep(
-        self, table: str, position: int, selection: np.ndarray, bloom
-    ) -> np.ndarray:
-        """The rows of ``selection`` whose key might be in ``bloom``.
-
-        Vectorized over typed array columns; text and object columns
-        take the scalar route, which hashes the same canonical equality
-        classes, so both routes keep exactly the same rows.
-        """
-        rows = np.flatnonzero(selection)
+    def _bloom_mask(
+        self, table: str, position: int, other_table: str, other_position: int
+    ) -> Optional[_kernels.BloomMask]:
+        """The cached membership mask of one join-key column's keys in the
+        catalog's Bloom filter over the edge's other endpoint (``None``
+        when that endpoint has no filter), rebuilt when the column has
+        grown."""
         kernel = self._column_kernel(table, position)
-        if kernel.kind == "array":
-            keep = _kernels.bloom_keep(kernel, rows, bloom)
-        else:
-            backing = self._database.table(table)
-            read = backing.cell_reader(backing.columns[position].name)
-            keep = np.fromiter(
-                (
-                    (value := read(row)) is not None
-                    and bloom.might_contain(value)
-                    for row in rows.tolist()
-                ),
-                dtype=np.bool_,
-                count=len(rows),
-            )
-        kept = np.zeros(len(selection), dtype=np.bool_)
-        kept[rows[keep]] = True
-        return kept
+        key = (table, position, other_table, other_position)
+        if key in self._bloom_masks:
+            mask = self._bloom_masks[key]
+            if mask is None or mask.kernel is kernel:
+                return mask
+        column = self._database.table(other_table).columns[other_position].name
+        sketches = self._catalog.sketches(_ColumnRef(other_table, column))
+        bloom = sketches.bloom if sketches is not None else None
+        mask = None if bloom is None else _kernels.BloomMask(kernel, bloom)
+        self._bloom_masks[key] = mask
+        return mask
 
     def _plan(self, query: ProjectJoinQuery) -> _JoinPlan:
         """Lower the optimized join order into concrete probe steps.

@@ -55,7 +55,7 @@ __all__ = [
 #: Layout version of persisted bundles, part of every bundle's file name.
 #: Bump it whenever a pickled class changes shape: bundles written under
 #: another number are then never found, and the store rebuilds them.
-ARTIFACT_FORMAT = 1
+ARTIFACT_FORMAT = 2
 
 _PICKLE_PROTOCOL = 4
 _UNSAFE_FILENAME = re.compile(r"[^A-Za-z0-9_.-]+")
@@ -336,8 +336,8 @@ class ArtifactStore:
         if bundle.database is not database:
             # A disk-loaded bundle's database is a private unpickled copy
             # frozen at load time; folding the live delta into artifacts
-            # shared with readers of that copy would hand them postings
-            # past the copy's row count.  Rebuild once — the rebuilt
+            # shared with readers of that copy would hand them terms of
+            # rows past the copy's row count.  Rebuild once — the rebuilt
             # bundle references the live database and refreshes fine from
             # then on.
             return self._fallback("detached_database")

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.dataset.index import InvertedIndex, Posting, normalize_term
+from repro.dataset import Column, Database, DataType
+from repro.dataset.index import (
+    InvertedIndex,
+    _distinct_values,
+    _tokenize,
+    normalize_term,
+)
 from repro.dataset.schema import ColumnRef
 
 
@@ -39,10 +47,12 @@ class TestBuild:
 
 class TestLookup:
     def test_exact_value_lookup(self, index):
-        postings = index.lookup("Engineering")
-        assert Posting("Department", "Name", 0) in postings
-        # Also appears as Employee.Department values.
-        assert any(p.table == "Employee" for p in postings)
+        columns = index.columns_containing("Engineering", include_tokens=False)
+        # Department.Name holds it, and so do Employee.Department values.
+        assert columns == {
+            ColumnRef("Department", "Name"),
+            ColumnRef("Employee", "Department"),
+        }
 
     def test_lookup_is_case_insensitive(self, index):
         assert index.columns_containing("engineering") == index.columns_containing(
@@ -63,7 +73,6 @@ class TestLookup:
         assert ColumnRef("Employee", "Salary") in columns
 
     def test_missing_value_returns_empty(self, index):
-        assert index.lookup("no such value") == []
         assert index.columns_containing("no such value") == set()
 
     def test_columns_containing_any(self, index):
@@ -71,26 +80,159 @@ class TestLookup:
         assert ColumnRef("Project", "Code") in columns
         assert ColumnRef("Department", "Name") in columns
 
-    def test_row_indexes(self, index):
-        rows = index.row_indexes(ColumnRef("Employee", "Department"), "Research")
-        assert rows == {3, 4}
-
-    def test_term_frequency(self, index):
-        # 'Engineering' appears once in Department.Name and twice in
-        # Employee.Department.
-        assert index.term_frequency("Engineering") == 3
-
-    def test_column_term_frequency(self, index):
-        assert index.column_term_frequency(
-            ColumnRef("Employee", "Department"), "Engineering"
-        ) == 2
+    def test_lookup_result_is_a_fresh_set(self, index):
+        columns = index.columns_containing("Engineering")
+        columns.clear()
+        assert index.columns_containing("Engineering")
 
 
-class TestPosting:
-    def test_equality_and_hash(self):
-        assert Posting("T", "c", 1) == Posting("T", "c", 1)
-        assert len({Posting("T", "c", 1), Posting("T", "c", 1)}) == 1
-        assert Posting("T", "c", 1) != Posting("T", "c", 2)
+# ----------------------------------------------------------------------
+# Differential: the index against a per-cell scan
+# ----------------------------------------------------------------------
+_WORDS = ["Lake", "tahoe", "CRATER", "river", "Mont", "blanc", "42", "x1"]
 
-    def test_column_ref(self):
-        assert Posting("T", "c", 0).column_ref == ColumnRef("T", "c")
+_TYPES = (DataType.TEXT, DataType.INT, DataType.DECIMAL, DataType.BOOLEAN)
+
+
+def _cell(rng: random.Random, data_type: DataType):
+    if rng.random() < 0.15:
+        return None
+    if data_type is DataType.TEXT:
+        words = rng.sample(_WORDS, rng.randint(1, 3))
+        separator = rng.choice([" ", ", ", "-", "  "])
+        return separator.join(words) + rng.choice(["", " ", "!"])
+    if data_type is DataType.INT:
+        return rng.choice([0, 1, -1, 2, 7, 42, rng.randint(-50, 50)])
+    if data_type is DataType.DECIMAL:
+        return rng.choice(
+            [0.0, -0.0, 1.0, 2.5, -3.25, 42.0, 7.0, 1e20, float(rng.randint(-9, 9))]
+        )
+    return rng.choice([True, False])
+
+
+def _random_database(rng: random.Random) -> Database:
+    database = Database(f"random{rng.random()}")
+    for table_index in range(rng.randint(1, 3)):
+        types = [rng.choice(_TYPES) for __ in range(rng.randint(1, 4))]
+        table = database.create_table(
+            f"T{table_index}",
+            [Column(f"c{i}", data_type) for i, data_type in enumerate(types)],
+        )
+        _append(rng, table, rng.randint(0, 30))
+    return database
+
+
+def _append(rng: random.Random, table, count: int) -> None:
+    table.insert_many(
+        tuple(_cell(rng, column.data_type) for column in table.columns)
+        for __ in range(count)
+    )
+
+
+def _scan(database: Database) -> tuple[dict, dict]:
+    """Term → column sets, built one cell at a time."""
+    exact: dict[str, set] = {}
+    tokens: dict[str, set] = {}
+    for table in database:
+        for column in table.columns:
+            ref = ColumnRef(table.name, column.name)
+            for value in table.column_values(column.name):
+                if value is None:
+                    continue
+                key = normalize_term(value)
+                exact.setdefault(key, set()).add(ref)
+                if column.data_type is DataType.TEXT:
+                    for token in _tokenize(value):
+                        if token != key:
+                            tokens.setdefault(token, set()).add(ref)
+    return exact, tokens
+
+
+def _assert_matches_scan(index: InvertedIndex, database: Database) -> None:
+    exact, tokens = _scan(database)
+    assert {key: set(refs) for key, refs in index._exact.items()} == exact
+    assert {key: set(refs) for key, refs in index._tokens.items()} == tokens
+    probes = [
+        value
+        for table in database
+        for column in table.columns
+        for value in table.column_values(column.name)
+        if value is not None
+    ]
+    probes += [token for value in probes if isinstance(value, str)
+               for token in _tokenize(value)]
+    for value in probes:
+        key = normalize_term(value)
+        assert index.columns_containing(value, include_tokens=False) == \
+            exact.get(key, set())
+        assert index.columns_containing(value) == \
+            exact.get(key, set()) | tokens.get(key, set())
+    assert index.indexed_cells == sum(
+        value is not None
+        for table in database
+        for column in table.columns
+        for value in table.column_values(column.name)
+    )
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_index_equals_a_per_cell_scan(seed):
+    rng = random.Random(seed)
+    database = _random_database(rng)
+    _assert_matches_scan(InvertedIndex.build(database), database)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_apply_delta_equals_a_cold_build(seed):
+    rng = random.Random(1000 + seed)
+    database = _random_database(rng)
+    index = InvertedIndex.build(database)
+    for __ in range(3):
+        marks = database.storage_marks()
+        for table in database:
+            _append(rng, table, rng.randint(0, 10))
+        index.apply_delta(
+            database,
+            database.storage_deltas_since(marks),
+            database.artifact_key(),
+        )
+        cold = InvertedIndex.build(database)
+        assert index._exact == cold._exact
+        assert index._tokens == cold._tokens
+        assert index.indexed_cells == cold.indexed_cells
+        assert index.num_terms == cold.num_terms
+        assert index.built_from == cold.built_from
+        _assert_matches_scan(index, database)
+
+
+def test_equal_values_of_different_types_keep_their_terms():
+    """``True == 1 == 1.0`` (and ``0.0 == -0.0``), but their terms are
+    "true", "1" and "1" (and "0"): no value class may swallow another."""
+    assert sorted(
+        map(normalize_term, _distinct_values([True, 1, 1.0, None, False, 0, -0.0]))
+    ) == ["0", "0", "1", "1", "false", "true"]
+    database = Database("mixed")
+    table = database.create_table("T", [
+        Column("flag", DataType.BOOLEAN),
+        Column("count", DataType.INT),
+        Column("amount", DataType.DECIMAL),
+    ])
+    table.insert_many([(True, 1, 1.0), (False, 0, -0.0), (None, None, None)])
+    index = InvertedIndex.build(database)
+    _assert_matches_scan(index, database)
+    flag, count, amount = (ColumnRef("T", name)
+                           for name in ("flag", "count", "amount"))
+    assert index.columns_containing(True) == {flag}
+    assert index.columns_containing(1) == index.columns_containing(1.0) == {
+        count, amount
+    }
+    assert index.columns_containing(0.0) == {count, amount}
+
+
+def test_huge_integer_column_is_indexed():
+    database = Database("huge")
+    table = database.create_table("T", [Column("n", DataType.INT)])
+    table.insert_many([(1,), (10**400,), (-(10**400),), (None,), (1,)])
+    index = InvertedIndex.build(database)
+    _assert_matches_scan(index, database)
+    assert index.columns_containing(10**400) == {ColumnRef("T", "n")}

@@ -164,6 +164,66 @@ class TestHyperLogLog:
         assert clone.estimate() == sketch.estimate()
 
 
+def _loop_estimate(sketch: HyperLogLog) -> float:
+    """``HyperLogLog.estimate`` as it was before the rank histogram: a
+    Python loop over the registers, kept verbatim as the oracle."""
+    registers = sketch.registers
+    num = len(registers)
+    harmonic = 0.0
+    zeros = 0
+    for register in registers:
+        harmonic += 2.0 ** -register
+        if register == 0:
+            zeros += 1
+    alpha = 0.7213 / (1.0 + 1.079 / num)
+    raw = alpha * num * num / harmonic
+    if raw <= 2.5 * num and zeros:
+        return num * math.log(num / zeros)
+    return raw
+
+
+class TestHyperLogLogEstimate:
+    """The exact rank-histogram estimate equals the register loop.
+
+    With every rank at most 41 each partial sum of the loop is exact in
+    a double (the sum stays below 2**12, so its last place is at most
+    2**-41), which makes bit-for-bit equality the expected outcome, not
+    a coincidence of rounding.
+    """
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_registers(self, seed):
+        rng = random.Random(seed)
+        sketch = HyperLogLog(rng.choice([4, 8, 12, 16]))
+        top = rng.choice([1, 2, 5, 20, 41])
+        zero_share = rng.random()
+        for index in range(len(sketch.registers)):
+            if rng.random() >= zero_share:
+                sketch.registers[index] = min(
+                    top, 1 + int(rng.expovariate(rng.choice([0.3, 1.0, 3.0])))
+                )
+        assert sketch.estimate() == _loop_estimate(sketch)
+
+    def test_all_zero_registers(self):
+        for precision in (4, 12, 16):
+            sketch = HyperLogLog(precision)
+            assert sketch.estimate() == _loop_estimate(sketch) == 0.0
+
+    def test_every_catalog_sketch(self, mondial_db, imdb_db, nba_db):
+        databases = [mondial_db, imdb_db, nba_db, generate_synthetic_database(
+            num_tables=6, rows_per_table=5_000, topology="random", seed=0,
+            skew=1.1, dangling_fk_fraction=0.3,
+        )]
+        checked = 0
+        for database in databases:
+            catalog = MetadataCatalog.build(database)
+            for ref in _sketch_refs(database):
+                sketch = catalog.sketches(ref).hll
+                assert sketch.estimate() == _loop_estimate(sketch), ref
+                checked += 1
+        assert checked > 75
+
+
 class TestBloomFilter:
     def test_with_capacity_sizes_power_of_two_within_clamps(self):
         for expected in (0, 1, 10, 1000, 10 ** 5, 10 ** 9):

@@ -118,7 +118,6 @@ def _assert_matches_oracle(executor, workloads) -> int:
         for limit in _LIMITS:
             got = executor.execute(query, cell_predicates=predicates, limit=limit)
             assert got == expected[:limit], (query, predicates, limit)
-        assert executor.count(query, cell_predicates=predicates) == len(expected)
         checked += len(expected)
     return checked
 

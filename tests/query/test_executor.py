@@ -43,7 +43,7 @@ class TestSingleTable:
 
     def test_count(self, executor):
         query = ProjectJoinQuery((ColumnRef("Assignment", "Hours"),))
-        assert executor.count(query) == 7
+        assert len(executor.execute(query)) == 7
 
 
 class TestJoins:
@@ -152,7 +152,7 @@ class TestPredicates:
 
     def test_callable_cell_predicate_is_rejected(self, executor):
         query = ProjectJoinQuery((ColumnRef("Employee", "Name"),))
-        for call in (executor.execute, executor.exists, executor.count):
+        for call in (executor.execute, executor.exists):
             with pytest.raises(QueryError, match="ValueConstraint"):
                 call(query, {0: lambda v: True})
 
