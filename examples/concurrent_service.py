@@ -1,14 +1,14 @@
 """Concurrent serving: many mixed-database requests, one preprocessing pass.
 
 The paper's demo is an interactive multi-user system (§2.2).  This example
-drives N concurrent discovery requests across all three bundled databases
-through the :class:`~repro.api.DiscoveryService` — first over the
-GIL-bound thread pool, then over process shards, where each worker
-process owns its databases outright and requests cross the boundary as
-versioned JSON messages.  The artifact store preprocesses each database
-once per owning process — every other request warm-starts from the
-shared, immutable bundle — and the service metrics show the in-flight
-accounting, latency distribution and (per-shard) cache counters.
+queues N discovery requests across all three bundled databases at the
+:class:`~repro.api.DiscoveryService` — first for thread mode's one
+worker thread, then for process shards, where every worker process holds
+every database and requests cross the boundary as versioned JSON
+messages.  The artifact store preprocesses each database once per
+process — every other request warm-starts from the shared, immutable
+bundle — and the service metrics show the in-flight accounting, latency
+distribution and (per-shard) cache counters.
 Run with::
 
     python examples/concurrent_service.py
@@ -19,15 +19,15 @@ from __future__ import annotations
 from repro.api import ArtifactStore, DiscoveryService, demo_requests
 from repro.discovery.candidates import GenerationLimits
 
-ROUNDS = 4          # 4 rounds x 3 databases = 12 concurrent requests
-WORKERS = 4
+ROUNDS = 4          # 4 rounds x 3 databases = 12 queued requests
+SHARDS = 2
 
 
-def serve(shard_mode: str) -> None:
+def serve(shard_mode: str, workers: int) -> None:
     store = ArtifactStore()
     service = DiscoveryService(
         store=store,
-        workers=WORKERS,
+        workers=workers,
         queue_size=32,
         shard_mode=shard_mode,
         limits=GenerationLimits(max_candidates=200, max_assignments=400),
@@ -37,12 +37,10 @@ def serve(shard_mode: str) -> None:
         f"\n=== shard_mode={shard_mode!r} ===\n"
         f"submitting {len(requests)} requests across "
         f"{len({r.database for r in requests})} databases "
-        f"to a {WORKERS}-worker service"
+        f"to a {workers}-worker service"
     )
 
     with service:
-        # Submit everything up front so the executor genuinely runs
-        # concurrently, then collect the responses.
         tickets = [service.submit(request, block=True) for request in requests]
         responses = [ticket.result() for ticket in tickets]
         metrics = service.metrics()
@@ -76,8 +74,8 @@ def serve(shard_mode: str) -> None:
 
 
 def main() -> None:
-    serve("thread")
-    serve("process")
+    serve("thread", workers=1)
+    serve("process", workers=SHARDS)
 
 
 if __name__ == "__main__":

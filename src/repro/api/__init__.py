@@ -3,20 +3,20 @@
 ``repro.api`` is the stable, versioned surface of the reproduction —
 import from here (or from the top-level :mod:`repro` package, which
 re-exports the same names) rather than from implementation modules like
-``repro.service.service``; those deep paths still work for one release
-behind :class:`DeprecationWarning` shims, but only this module carries a
-compatibility promise.
+``repro.service.service``.  Those deep paths stay importable, but they
+carry no compatibility promise and may move without notice; only this
+module does.
 
 The surface, by lifecycle:
 
-* **Serving** — :class:`DiscoveryService` (thread- or process-sharded
-  executor), :class:`DiscoveryRequest` / :class:`DiscoveryResponse` (the
-  wire-serializable round-trip: ``to_json()``/``from_json()`` with an
-  ``api_version`` stamp, strict decoding via :class:`WireFormatError`),
-  :class:`DiscoveryTicket` (cancellable future) and
-  :class:`ServiceMetrics`.
+* **Serving** — :class:`DiscoveryService` (one worker thread or
+  process shards), :class:`DiscoveryRequest` /
+  :class:`DiscoveryResponse` (the wire-serializable round-trip:
+  ``to_json()``/``from_json()`` with an ``api_version`` stamp, strict
+  decoding via :class:`WireFormatError`), :class:`DiscoveryTicket`
+  (cancellable future) and :class:`ServiceMetrics`.
 * **Preprocessing** — :class:`ArtifactStore`: build-once, optionally
-  disk-persisted bundles that both thread workers and shard processes
+  disk-persisted bundles that the thread worker and shard processes
   warm-start from.
 * **Embedding** — :class:`Prism`, the in-process engine, for callers
   that do not need a serving front door; :class:`MappingSpec` and the
@@ -49,7 +49,6 @@ from repro.service.service import (
     DiscoveryTicket,
     ServiceMetrics,
 )
-from repro.service.shards import ShardAssignment
 from repro.service.wire import API_VERSION
 from repro.service.workload import demo_requests, request_from_dict
 from repro.workbench.session import PrismSession
@@ -70,7 +69,6 @@ __all__ = [
     "ServiceError",
     "ServiceMetrics",
     "ServiceOverloaded",
-    "ShardAssignment",
     "WireFormatError",
     "demo_requests",
     "parse_metadata_constraint",

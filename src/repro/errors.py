@@ -208,8 +208,9 @@ class ServiceError(ReproError):
     """The discovery service was configured or driven incorrectly.
 
     When raised: invalid construction parameters (non-positive workers,
-    queue size or time limit), submitting to a shut-down service,
-    requesting an unknown database, or a
+    queue size or time limit, or more than one worker in thread mode),
+    a request dict with a missing or wrongly typed key, submitting to a
+    shut-down service, requesting an unknown database, or a
     :meth:`~repro.api.DiscoveryTicket.result` wait that exceeds its
     ``timeout`` argument.
 
@@ -228,9 +229,9 @@ class WireFormatError(ServiceError):
     :meth:`~repro.api.DiscoveryResponse.from_json` (and the
     :mod:`repro.service.wire` codec behind them) on a payload that is not
     a JSON object, misses a required field, carries an *unknown* field
-    (v1 is strict: typos never pass silently), or declares an
-    ``api_version`` this build does not speak.  The process-shard IPC
-    layer raises it for malformed frames too.
+    (v1 is strict: typos never pass silently) or a wrongly typed one, or
+    declares an ``api_version`` this build does not speak.  The
+    process-shard IPC layer raises it for malformed frames too.
 
     How to recover: the message names the offending field or version.
     Regenerate the payload with ``to_json()`` from a matching library
@@ -252,5 +253,5 @@ class ServiceOverloaded(ServiceError):
 
     How to recover: this is load shedding working as designed — back off
     and retry, submit with ``block=True`` to wait for queue space, or
-    provision more workers / a larger queue.
+    provision more process shards / a larger queue.
     """

@@ -8,8 +8,8 @@ This package separates Prism's two lifecycles:
   keyed by :class:`~repro.service.artifacts.ArtifactKey`
   ``(database, schema_version, data_version)``;
 * **per-request discovery** — cheap, isolated, concurrent:
-  :class:`~repro.api.DiscoveryService` runs rounds on a thread pool or
-  across process shards (:mod:`repro.service.shards`),
+  :class:`~repro.api.DiscoveryService` runs rounds on one worker thread
+  or across identical process shards (:mod:`repro.service.shards`),
   each on a fresh :class:`~repro.discovery.engine.Prism` engine layered
   over a shared bundle, with a bounded queue, deadlines, cancellation and
   metrics.  Requests and responses are wire-serializable v1 messages

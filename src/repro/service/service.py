@@ -1,20 +1,20 @@
-"""A multi-session front door for query discovery, thread- or process-sharded.
+"""A multi-session front door for query discovery: one thread or process shards.
 
 The demo paper pitches Prism as an *interactive, multi-user* system with a
 60-second-per-round budget (§2.2).  :class:`DiscoveryService` is the
 serving layer that makes the reproduction behave that way:
 
-* an **executor** runs discovery rounds concurrently, each on a cheap
-  per-request :class:`~repro.discovery.engine.Prism` engine layered over
-  shared immutable artifacts from an
-  :class:`~repro.api.ArtifactStore`.  Two shard modes exist:
-  ``shard_mode="thread"`` (a worker-thread pool sharing one in-process
-  store — simple, but the GIL serializes the pure-Python discovery work)
-  and ``shard_mode="process"`` (long-lived worker *processes*, each
-  owning its shard of the databases and warm-starting its artifacts from
-  the store's ``persist_dir``; requests cross the process boundary as
-  versioned JSON frames — see :mod:`repro.service.wire` and
-  :mod:`repro.service.shards`);
+* an **executor** runs discovery rounds, each on a cheap per-request
+  :class:`~repro.discovery.engine.Prism` engine layered over shared
+  immutable artifacts from an :class:`~repro.api.ArtifactStore`.  Each
+  serving mode has one shape: ``shard_mode="thread"`` runs exactly one
+  in-process worker thread over the service's own store (the GIL would
+  serialize a second one's pure-Python discovery work), and
+  ``shard_mode="process"`` runs ``workers`` identical long-lived worker
+  *processes*, each holding every database and warm-starting its
+  artifacts from the store's ``persist_dir``; requests cross the process
+  boundary as versioned JSON frames — see :mod:`repro.service.wire` and
+  :mod:`repro.service.shards`;
 * a **bounded request queue** applies backpressure — when it is full,
   :meth:`DiscoveryService.submit` raises
   :class:`~repro.errors.ServiceOverloaded` instead of buffering without
@@ -29,8 +29,8 @@ serving layer that makes the reproduction behave that way:
 
 The front door is identical in both modes: queueing, cancellation,
 deadline accounting and backpressure all happen in the submitting
-process, so a request queued to a busy shard can still be cancelled or
-expire without any IPC.
+process, so a request queued behind a busy shard can still be cancelled
+or expire without any IPC.
 
 Timeouts are structured results, never opaque errors: a round that hits
 its budget returns ``status="timeout"`` with the partial
@@ -285,81 +285,6 @@ class ServiceMetrics:
         }
 
 
-class _TicketQueue:
-    """A bounded queue whose entries are routable to a subset of workers.
-
-    Thread mode enqueues with ``owners=None`` (any worker may serve the
-    ticket) and this degenerates to a plain bounded FIFO.  Process mode
-    enqueues with the owner set from the
-    :class:`~repro.service.shards.ShardAssignment`, and ``get(worker_id)``
-    hands each worker the oldest ticket it is allowed to serve — so a
-    partitioned database never lands on a shard that does not hold its
-    artifacts, while replicated databases are work-stolen by whichever
-    owning shard frees up first.
-
-    ``close()`` wakes every waiting worker; workers drain the tickets
-    still routable to them and then receive ``None``.
-    """
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self._items: deque = deque()
-        self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
-        self._not_full = threading.Condition(self._lock)
-        self._closed = False
-
-    def put(
-        self,
-        ticket: DiscoveryTicket,
-        owners: Optional[frozenset],
-        block: bool = False,
-        timeout: Optional[float] = None,
-    ) -> None:
-        """Enqueue; raises :class:`queue.Full` on an exhausted bound."""
-        with self._not_full:
-            if len(self._items) >= self.maxsize:
-                if not block:
-                    raise queue.Full
-                deadline = (
-                    None if timeout is None else time.monotonic() + timeout
-                )
-                while len(self._items) >= self.maxsize:
-                    remaining = (
-                        None if deadline is None
-                        else deadline - time.monotonic()
-                    )
-                    if remaining is not None and remaining <= 0:
-                        raise queue.Full
-                    self._not_full.wait(remaining)
-            self._items.append((ticket, owners))
-            # notify_all, not notify: with routing, the one woken worker
-            # might not be an owner of the new ticket.
-            self._not_empty.notify_all()
-
-    def get(self, worker_id: int) -> Optional[DiscoveryTicket]:
-        """The oldest ticket routable to ``worker_id``; ``None`` after close."""
-        with self._not_empty:
-            while True:
-                for index, (ticket, owners) in enumerate(self._items):
-                    if owners is None or worker_id in owners:
-                        del self._items[index]
-                        self._not_full.notify()
-                        return ticket
-                if self._closed:
-                    return None
-                self._not_empty.wait()
-
-    def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            self._not_empty.notify_all()
-
-    def qsize(self) -> int:
-        with self._lock:
-            return len(self._items)
-
-
 def _execute_round(
     resolve_database: Callable[[str], Database],
     store: ArtifactStore,
@@ -373,7 +298,7 @@ def _execute_round(
 ) -> DiscoveryResponse:
     """Run one round to a structured response.
 
-    This is the single execution path shared by the thread-mode workers,
+    This is the single execution path shared by the thread-mode worker,
     :meth:`DiscoveryService.execute`, and the shard worker processes
     (:mod:`repro.service.shards`) — which is what makes the golden
     thread-vs-process equality hold: both modes run exactly this code on
@@ -445,7 +370,7 @@ class DiscoveryService:
         2
         >>> spec = MappingSpec(num_columns=1)
         >>> _ = spec.add_sample_cells([parse_value_constraint("Springfield")])
-        >>> with DiscoveryService(databases={"docs": db}, workers=1) as svc:
+        >>> with DiscoveryService(databases={"docs": db}) as svc:
         ...     response = svc.submit(DiscoveryRequest("docs", spec)).result()
         >>> response.status
         'ok'
@@ -458,7 +383,7 @@ class DiscoveryService:
         databases: Optional[Mapping[str, Database]] = None,
         loaders: Optional[Mapping[str, Callable[[], Database]]] = None,
         store: Optional[ArtifactStore] = None,
-        workers: int = 4,
+        workers: int = 1,
         queue_size: int = 64,
         default_scheduler: str = "bayesian",
         default_deadline_s: float = DEFAULT_TIME_LIMIT_SECONDS,
@@ -466,7 +391,6 @@ class DiscoveryService:
         refresh_artifacts: bool = False,
         shard_mode: str = "thread",
         start_method: Optional[str] = None,
-        replication: Optional[int] = None,
     ):
         """Create a service.
 
@@ -483,8 +407,9 @@ class DiscoveryService:
                 makes preprocessing survive restarts — and, in process
                 mode, lets every shard warm-start from the same
                 directory instead of rebuilding.
-            workers: executor width — worker threads in thread mode,
-                worker *processes* (shards) in process mode.  Default 4.
+            workers: how many worker *processes* (shards) process mode
+                runs.  Thread mode runs exactly one worker thread, so
+                any value but the default 1 raises there.
             queue_size: bound on queued (not yet running) requests; a full
                 queue rejects submissions with
                 :class:`~repro.errors.ServiceOverloaded`.
@@ -501,22 +426,21 @@ class DiscoveryService:
                 from scratch (see ``docs/incremental.md``).  The flag
                 propagates to every shard process.
             shard_mode: ``"thread"`` (default) or ``"process"``.  Process
-                mode shards the databases across long-lived worker
-                processes and ships requests to them as versioned JSON
-                frames, sidestepping the GIL for the pure-Python
-                discovery work.
+                mode runs ``workers`` long-lived worker processes that
+                each hold every database and ships requests to them as
+                versioned JSON frames, sidestepping the GIL for the
+                pure-Python discovery work.
             start_method: multiprocessing start method for process mode
                 (``"fork"``, ``"spawn"``, ``"forkserver"``; platform
                 default when ``None``).  Ignored in thread mode.
-            replication: in process mode, how many shards hold each
-                database.  ``None`` (default) replicates every database
-                on every shard — maximum throughput, since any shard can
-                serve any request.  Lower values partition the databases
-                (memory-bounded sharding); requests are then routed only
-                to owning shards.
         """
         if workers < 1:
             raise ServiceError("workers must be at least 1")
+        if shard_mode == "thread" and workers != 1:
+            raise ServiceError(
+                f"shard_mode=\"thread\" runs exactly one worker, got "
+                f"workers={workers}; use shard_mode=\"process\" for more"
+            )
         if queue_size < 1:
             raise ServiceError("queue_size must be at least 1")
         if default_deadline_s <= 0:
@@ -535,23 +459,21 @@ class DiscoveryService:
         self._database_lock = threading.Lock()
         self.store = store if store is not None else ArtifactStore()
         self._workers_count = workers
-        self._queue = _TicketQueue(maxsize=queue_size)
+        self._queue: queue.Queue = queue.Queue(maxsize=queue_size)
         self._default_scheduler = default_scheduler
         self._default_deadline_s = default_deadline_s
         self._limits = limits
         self._refresh_artifacts = refresh_artifacts
         self._shard_mode = shard_mode
         self._start_method = start_method
-        self._replication = replication
-        self._assignment = None
         self._pool = None
         self._workers: list[threading.Thread] = []
         self._started = False
         self._shutdown = False
         self._state_lock = threading.Lock()
         # submit() registers itself here before enqueueing; shutdown() waits
-        # for the count to hit zero before closing the queue, so a ticket
-        # can never land in a queue no worker will drain.
+        # for the count to hit zero before queueing the workers' stop
+        # markers, so no ticket can land behind them, undrained.
         self._pending_submits = 0
         self._no_pending_submits = threading.Condition(self._state_lock)
         self._metrics_lock = threading.Lock()
@@ -590,7 +512,7 @@ class DiscoveryService:
         """Start the executor (idempotent).
 
         In process mode this spawns the shard processes, each of which
-        warm-starts its owned databases' artifacts (from the store's
+        warm-starts every database's artifacts (from the store's
         ``persist_dir`` when available) before serving.
         """
         with self._state_lock:
@@ -599,18 +521,10 @@ class DiscoveryService:
             if self._started:
                 return self
             if self._shard_mode == "process":
-                from repro.service.shards import (
-                    ShardAssignment,
-                    ShardProcessPool,
-                )
+                from repro.service.shards import ShardProcessPool
 
-                self._assignment = ShardAssignment(
-                    self.available_databases(),
-                    self._workers_count,
-                    replication=self._replication,
-                )
                 self._pool = ShardProcessPool(
-                    assignment=self._assignment,
+                    num_shards=self._workers_count,
                     databases=self._databases,
                     loaders=self._loaders,
                     persist_dir=self.store.persist_dir,
@@ -636,7 +550,12 @@ class DiscoveryService:
         """Stop accepting requests and (optionally) join the workers.
 
         Queued requests are drained and executed before the workers exit;
-        shard processes are then shut down cleanly.
+        shard processes are then shut down cleanly.  Each worker is
+        stopped by a ``None`` queued behind the pending tickets, so with
+        ``wait=False`` this returns at once unless the queue lacks a free
+        slot per worker; then it waits for the workers to take enough
+        queued tickets to make room.  Without waiting, the queue drains
+        in the background and the shards stop after it.
         """
         with self._state_lock:
             if self._shutdown:
@@ -645,13 +564,28 @@ class DiscoveryService:
             started = self._started
             while self._pending_submits:
                 self._no_pending_submits.wait()
-        if started:
-            self._queue.close()
-            if wait:
-                for worker in self._workers:
-                    worker.join()
-            if self._pool is not None:
-                self._pool.shutdown(wait=wait)
+        if not started:
+            return
+        for _ in self._workers:
+            self._queue.put(None)
+        if wait:
+            self._stop_executor(wait=True)
+        elif self._pool is not None:
+            # Stopping the shards now would fail the queued tickets and
+            # make their workers respawn shards after shutdown.
+            threading.Thread(
+                target=self._stop_executor,
+                args=(False,),
+                name="discovery-shutdown",
+                daemon=True,
+            ).start()
+
+    def _stop_executor(self, wait: bool) -> None:
+        """Join the workers, then stop the shards they dispatch to."""
+        for worker in self._workers:
+            worker.join()
+        if self._pool is not None:
+            self._pool.shutdown(wait=wait)
 
     def __enter__(self) -> "DiscoveryService":
         return self.start()
@@ -729,9 +663,6 @@ class DiscoveryService:
                 deadline_s=request.deadline_s,
                 request_id=f"req-{next(self._request_ids)}",
             )
-        owners = None
-        if self._assignment is not None:
-            owners = self._assignment.owners(request.database)
         ticket = DiscoveryTicket(request)
         with self._state_lock:
             if self._shutdown:
@@ -739,7 +670,7 @@ class DiscoveryService:
             self._pending_submits += 1
         try:
             try:
-                self._queue.put(ticket, owners, block=block, timeout=timeout)
+                self._queue.put(ticket, block=block, timeout=timeout)
             except queue.Full:
                 with self._metrics_lock:
                     self._counters["rejected"] += 1
@@ -794,35 +725,6 @@ class DiscoveryService:
             limits=self._limits,
             refresh_artifacts=self._refresh_artifacts,
         )
-
-    def refresh_shards(self) -> dict:
-        """Propagate an artifact refresh to the executor.
-
-        In thread mode this refreshes the shared store's bundle for every
-        currently loaded database.  In process mode every shard is asked
-        to refresh the bundles it owns (each against its own copy of the
-        data).  Returns ``{shard_id: [database, ...]}`` of refreshed
-        names (thread mode reports shard ``-1``).
-        """
-        if self._pool is not None:
-            refreshed = {}
-            for shard_id, info in self._pool.refresh().items():
-                delta = info.get("artifacts_delta")
-                if delta:
-                    with self._metrics_lock:
-                        _merge_counts(
-                            self._shard_artifacts.setdefault(shard_id, {}),
-                            delta,
-                        )
-                refreshed[shard_id] = info.get("databases", [])
-            return refreshed
-        with self._database_lock:
-            loaded = list(self._databases.values())
-        refreshed = []
-        for database in loaded:
-            self.store.refresh(database)
-            refreshed.append(database.name)
-        return {-1: refreshed}
 
     # ------------------------------------------------------------------
     # Metrics
@@ -888,7 +790,7 @@ class DiscoveryService:
     # ------------------------------------------------------------------
     def _worker_loop(self, worker_id: int) -> None:
         while True:
-            ticket = self._queue.get(worker_id)
+            ticket = self._queue.get()
             if ticket is None:
                 return
             self._serve_ticket(ticket, worker_id)

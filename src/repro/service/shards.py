@@ -1,11 +1,12 @@
 """Process-shard executor: long-lived worker processes behind JSON pipes.
 
-Discovery is pure Python, so the thread pool of
-:class:`~repro.api.DiscoveryService` cannot scale past one core — the
-GIL serializes every round.  This module is the ``shard_mode="process"``
-backend: each **shard** is a long-lived worker process that owns a subset
-of the databases (per :class:`ShardAssignment`), builds or warm-starts
-its preprocessing artifacts locally, and serves rounds end to end.
+Discovery is pure Python, so threads of one process cannot scale past
+one core — the GIL serializes every round, which is why thread mode of
+:class:`~repro.api.DiscoveryService` runs a single worker.  This module
+is the ``shard_mode="process"`` backend: each **shard** is a long-lived
+worker process that holds every database, builds or warm-starts its
+preprocessing artifacts locally, and serves rounds end to end.  The
+shards are identical, so whichever is free takes the next request.
 
 Design rules, in decreasing order of importance:
 
@@ -19,8 +20,8 @@ Design rules, in decreasing order of importance:
 * **Warm start from the shared ``persist_dir``.**  Every shard opens its
   own :class:`~repro.api.ArtifactStore` on the same directory as the
   parent's, so bundles persisted by any earlier process are disk-loaded
-  instead of rebuilt; a shard without a persist dir preprocesses its
-  owned databases at spawn, before serving.
+  instead of rebuilt; a shard without a persist dir preprocesses every
+  database at spawn, before serving.
 * **Crashes are contained.**  A shard that dies or hangs is killed and
   respawned; the in-flight request is answered with a structured
   ``status="error"`` response, and later requests hit the fresh process.
@@ -31,8 +32,12 @@ Design rules, in decreasing order of importance:
 
 The queueing front door (backpressure, cancellation, deadline-in-queue)
 stays entirely in the parent — see
-:class:`~repro.service.service._TicketQueue` — so those semantics are
-identical across shard modes and cost no IPC.
+:class:`~repro.service.service.DiscoveryService` — so those semantics
+are identical across shard modes and cost no IPC.
+
+A shard's databases are copies taken at spawn, so appends made in the
+parent afterwards never reach it; serve a growing database in thread
+mode with ``refresh_artifacts=True``.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import multiprocessing.connection
 import os
 import threading
 import time
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 from repro.dataset.database import Database
 from repro.discovery.candidates import GenerationLimits
@@ -50,7 +55,7 @@ from repro.errors import ReproError, ServiceError, WireFormatError
 from repro.service import wire
 from repro.service.artifacts import ArtifactStore
 
-__all__ = ["ShardAssignment", "ShardProcessPool"]
+__all__ = ["ShardProcessPool"]
 
 #: How long to wait for a shard to warm its artifacts and report ready.
 _READY_TIMEOUT_S = 300.0
@@ -93,68 +98,6 @@ def _diff_counts(current: Mapping, previous: Mapping) -> dict:
     return delta
 
 
-class ShardAssignment:
-    """Which shard processes own which databases.
-
-    With ``replication=None`` (the default) every shard owns every
-    database: any shard can serve any request, so the routed queue
-    degenerates to work stealing and throughput is maximal.  A smaller
-    ``replication`` partitions the databases round-robin across shards —
-    each database lives on exactly ``replication`` shards, bounding
-    per-process memory at the cost of routing freedom.
-    """
-
-    def __init__(
-        self,
-        databases: Sequence[str],
-        num_shards: int,
-        replication: Optional[int] = None,
-    ):
-        if num_shards < 1:
-            raise ServiceError("num_shards must be at least 1")
-        if replication is None:
-            replication = num_shards
-        if not 1 <= replication <= num_shards:
-            raise ServiceError(
-                f"replication must be between 1 and num_shards "
-                f"({num_shards}), got {replication}"
-            )
-        self.num_shards = num_shards
-        self.replication = replication
-        self._owners: dict[str, frozenset[int]] = {}
-        for index, name in enumerate(sorted(set(databases))):
-            first = index % num_shards
-            self._owners[name] = frozenset(
-                (first + offset) % num_shards for offset in range(replication)
-            )
-
-    def owners(self, database: str) -> frozenset:
-        """The shard ids allowed to serve ``database``."""
-        owners = self._owners.get(database)
-        if owners is None:
-            raise ServiceError(
-                f"no shard owns database {database!r}; assigned: "
-                f"{sorted(self._owners)}"
-            )
-        return owners
-
-    def databases_for(self, shard_id: int) -> list[str]:
-        """The databases ``shard_id`` owns (sorted)."""
-        return sorted(
-            name for name, owners in self._owners.items() if shard_id in owners
-        )
-
-    def as_dict(self) -> dict:
-        """JSON-friendly view (used by the CLI and docs examples)."""
-        return {
-            "num_shards": self.num_shards,
-            "replication": self.replication,
-            "owners": {
-                name: sorted(owners) for name, owners in self._owners.items()
-            },
-        }
-
-
 def _shard_main(
     conn,
     shard_id: int,
@@ -180,7 +123,7 @@ def _shard_main(
         loader = loaders.get(name)
         if loader is None:
             raise ServiceError(
-                f"shard {shard_id} does not own database {name!r}; owned: "
+                f"shard {shard_id} has no database {name!r}; available: "
                 f"{sorted(set(local) | set(loaders))}"
             )
         loaded = loader()
@@ -247,21 +190,6 @@ def _shard_main(
         if kind == "crash":
             # Test hook: die without cleanup, exactly like a hard fault.
             os._exit(2)
-        if kind == "refresh":
-            refreshed = []
-            for name in sorted(local):
-                try:
-                    store.refresh(local[name])
-                    refreshed.append(name)
-                except ReproError:
-                    continue
-            _send(conn, {
-                "api_version": wire.API_VERSION,
-                "kind": "refreshed",
-                "databases": refreshed,
-                "artifacts_delta": stats_delta(),
-            })
-            continue
         if kind == "run":
             request_id = str(frame.get("request_id") or "?")
             try:
@@ -309,8 +237,8 @@ class _Shard:
         self.process = process
         self.warmed: list[str] = []
         #: Serializes pipe traffic: normally only this shard's dedicated
-        #: worker thread talks to it, but refresh/shutdown may come from
-        #: other threads.
+        #: worker thread talks to it, but shutdown may come from another
+        #: thread.
         self.lock = threading.Lock()
 
 
@@ -324,11 +252,12 @@ class ShardProcessPool:
     One :class:`~repro.api.DiscoveryService` worker thread is pinned
     to each shard; :meth:`run` is its blocking round-trip RPC.  The pool
     owns spawn, warm-up handshake, crash detection/respawn and shutdown.
+    Every shard holds every database.
     """
 
     def __init__(
         self,
-        assignment: ShardAssignment,
+        num_shards: int,
         databases: Mapping[str, Database],
         loaders: Mapping[str, Callable[[], Database]],
         persist_dir=None,
@@ -338,9 +267,14 @@ class ShardProcessPool:
         start_method: Optional[str] = None,
         ready_timeout_s: float = _READY_TIMEOUT_S,
     ):
-        self.assignment = assignment
+        self.num_shards = num_shards
         self._databases = dict(databases)
-        self._loaders = dict(loaders)
+        # Loaded databases ship as they are; only the rest need loaders.
+        self._loaders = {
+            name: loader
+            for name, loader in loaders.items()
+            if name not in self._databases
+        }
         self._persist_dir = str(persist_dir) if persist_dir is not None else None
         self._default_scheduler = default_scheduler
         self._limits = limits
@@ -365,7 +299,7 @@ class ShardProcessPool:
         """Spawn every shard and wait for each to finish warming up."""
         if self._started:
             return self
-        for shard_id in range(self.assignment.num_shards):
+        for shard_id in range(self.num_shards):
             self._shards.append(self._spawn(shard_id))
         for shard in self._shards:
             self._await_ready(shard)
@@ -373,25 +307,14 @@ class ShardProcessPool:
         return self
 
     def _spawn(self, shard_id: int) -> _Shard:
-        owned = self.assignment.databases_for(shard_id)
-        databases = {
-            name: self._databases[name]
-            for name in owned
-            if name in self._databases
-        }
-        loaders = {
-            name: self._loaders[name]
-            for name in owned
-            if name in self._loaders and name not in databases
-        }
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_shard_main,
             args=(
                 child_conn,
                 shard_id,
-                databases,
-                loaders,
+                self._databases,
+                self._loaders,
                 self._persist_dir,
                 self._default_scheduler,
                 self._limits,
@@ -536,32 +459,6 @@ class ShardProcessPool:
     # ------------------------------------------------------------------
     # Control plane
     # ------------------------------------------------------------------
-    def refresh(self) -> dict:
-        """Ask every shard to refresh its owned bundles.
-
-        Returns ``{shard_id: {"databases": [...], "artifacts_delta":
-        {...}}}``.  A shard that died is respawned (fresh artifacts count
-        as refreshed state) and reports an empty list.
-        """
-        outcome: dict[int, dict] = {}
-        for shard in list(self._shards):
-            with shard.lock:
-                try:
-                    _send(shard.conn, {
-                        "api_version": wire.API_VERSION,
-                        "kind": "refresh",
-                    })
-                    reply = self._recv_reply(shard, budget_s=_GRACE_FLOOR_S)
-                except (EOFError, OSError, BrokenPipeError, _ShardHung):
-                    self._respawn(shard)
-                    outcome[shard.id] = {"databases": [], "artifacts_delta": {}}
-                    continue
-            outcome[shard.id] = {
-                "databases": list(reply.get("databases") or []),
-                "artifacts_delta": reply.get("artifacts_delta") or {},
-            }
-        return outcome
-
     def crash_shard(self, shard_id: int) -> None:
         """Make a shard die abruptly (test hook for the respawn path)."""
         shard = self._shards[shard_id]

@@ -327,13 +327,12 @@ def spec_from_wire(payload: Any) -> MappingSpec:
     payload = _require_mapping(payload, "a mapping spec")
     _check_fields(payload, "a mapping spec", ["columns"],
                   ["samples", "metadata"])
-    try:
-        num_columns = int(payload["columns"])
-    except (TypeError, ValueError, OverflowError) as exc:
+    num_columns = payload["columns"]
+    if isinstance(num_columns, bool) or not isinstance(num_columns, int):
         raise WireFormatError(
             f"a mapping spec's 'columns' must be an integer, "
-            f"got {payload['columns']!r}"
-        ) from exc
+            f"got {num_columns!r}"
+        )
     try:
         spec = MappingSpec(num_columns)
         samples = payload.get("samples")
@@ -401,6 +400,13 @@ def request_from_wire(payload: Any):
     if not isinstance(database, str) or not database:
         raise WireFormatError("a discovery request's 'database' must be a "
                               "non-empty string")
+    for key in ("scheduler", "request_id"):
+        value = payload.get(key)
+        if value is not None and not isinstance(value, str):
+            raise WireFormatError(
+                f"a discovery request's {key!r} must be a string, "
+                f"got {value!r}"
+            )
     return DiscoveryRequest(
         database=database,
         spec=spec_from_wire(payload["spec"]),

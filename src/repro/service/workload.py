@@ -81,8 +81,8 @@ def request_from_dict(entry: Mapping[str, Any]) -> DiscoveryRequest:
     and optionally ``scheduler``, ``deadline_s`` and ``request_id``.
 
     Raises:
-        ServiceError: the entry is not an object, or a key is missing
-            or malformed; the message names the key.
+        ServiceError: the entry is not an object, or a key is missing,
+            malformed or of the wrong type; the message names the key.
     """
     if not isinstance(entry, Mapping):
         raise ServiceError(
@@ -98,30 +98,40 @@ def request_from_dict(entry: Mapping[str, Any]) -> DiscoveryRequest:
             "request entry key 'time_limit' is no longer read; "
             "rename it to 'deadline_s'"
         )
+    if not isinstance(database, str):
+        raise ServiceError(
+            f"request entry key 'database' must be a string, got {database!r}"
+        )
+    for key in ("scheduler", "request_id"):
+        value = entry.get(key)
+        if value is not None and not isinstance(value, str):
+            raise ServiceError(
+                f"request entry key {key!r} must be a string, got {value!r}"
+            )
+    if isinstance(columns, bool) or not isinstance(columns, int):
+        raise ServiceError(
+            f"request entry key 'columns' must be an integer, got {columns!r}"
+        )
     deadline_s = entry.get("deadline_s")
     return DiscoveryRequest(
         database=database,
         spec=_spec_from_texts(
-            _number("columns", columns, int),
+            columns,
             _sample_rows(entry.get("samples")),
             _metadata_texts(entry.get("metadata")),
         ),
         scheduler=entry.get("scheduler"),
-        deadline_s=(
-            None if deadline_s is None
-            else _number("deadline_s", deadline_s, float)
-        ),
+        deadline_s=None if deadline_s is None else _deadline(deadline_s),
         request_id=entry.get("request_id"),
     )
 
 
-def _number(key: str, value: Any, kind: type) -> Any:
+def _deadline(value: Any) -> float:
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        expected = "an integer" if kind is int else "a number"
         raise ServiceError(
-            f"request entry key {key!r} must be {expected}, got {value!r}"
+            f"request entry key 'deadline_s' must be a number, got {value!r}"
         ) from exc
 
 

@@ -122,17 +122,17 @@ def build_parser() -> argparse.ArgumentParser:
         "serve-batch",
         help="run a batch of discovery requests through the concurrent service",
     )
-    serve_parser.add_argument("--workers", type=int, default=4,
-                              help="executor width: worker threads, or worker "
-                                   "processes with --shard-mode process")
+    serve_parser.add_argument("--workers", type=int, default=1,
+                              help="worker processes with --shard-mode "
+                                   "process; thread mode runs exactly one")
     serve_parser.add_argument(
         "--shard-mode",
         dest="shard_mode",
         choices=["thread", "process"],
         default="thread",
-        help="'thread' shares one in-process store (GIL-bound); 'process' "
-             "shards the databases across long-lived worker processes "
-             "that exchange versioned JSON messages",
+        help="'thread' serves from one in-process worker; 'process' runs "
+             "--workers long-lived worker processes, each holding every "
+             "database, that exchange versioned JSON messages",
     )
     serve_parser.add_argument(
         "--start-method",
@@ -141,13 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="multiprocessing start method for --shard-mode process "
              "(platform default when omitted)",
-    )
-    serve_parser.add_argument(
-        "--replication",
-        type=int,
-        default=None,
-        help="with --shard-mode process: how many shards hold each "
-             "database (default: all of them)",
     )
     serve_parser.add_argument("--queue-size", type=int, default=64,
                               help="bound on queued requests (backpressure)")
@@ -339,7 +332,6 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
             refresh_artifacts=args.refresh,
             shard_mode=args.shard_mode,
             start_method=args.start_method,
-            replication=args.replication,
         )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -365,9 +357,10 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
         print(line)
     artifacts = metrics.artifacts
     worker_noun = "shard" if args.shard_mode == "process" else "worker"
+    plural = "" if args.workers == 1 else "s"
     print(
         f"served {metrics.completed} requests with {args.workers} "
-        f"{worker_noun}s ({args.shard_mode} mode): "
+        f"{worker_noun}{plural} ({args.shard_mode} mode): "
         f"{metrics.ok} ok, {metrics.timeouts} timeout, {metrics.errors} error"
     )
     if metrics.shards:

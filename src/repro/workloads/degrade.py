@@ -100,10 +100,11 @@ def _distractors(
 
 
 def _range_around(value: Any, slack: float, rng: random.Random) -> Optional[Range]:
-    """A numeric range of relative width ``slack`` containing ``value``."""
+    """A numeric range of relative width ``slack`` containing ``value``;
+    ``None`` for a value that is not a number within float range."""
     try:
         numeric = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return None
     spread = max(abs(numeric) * slack, 1.0)
     low = numeric - rng.uniform(0.2, 1.0) * spread
@@ -123,7 +124,12 @@ def _metadata_for_column(
         DataType.DECIMAL if stats.data_type is DataType.INT else stats.data_type,
     )
     if stats.is_numeric and stats.min_value is not None:
-        bound = MetadataPredicate(MetadataField.MIN_VALUE, ">=", float(stats.min_value))
+        try:
+            minimum = float(stats.min_value)
+        except OverflowError:
+            # ``MinValue >= inf`` would exclude the column itself.
+            return type_predicate
+        bound = MetadataPredicate(MetadataField.MIN_VALUE, ">=", minimum)
         return MetadataConjunction([type_predicate, bound])
     if stats.data_type is DataType.TEXT and stats.max_text_length is not None:
         bound = MetadataPredicate(

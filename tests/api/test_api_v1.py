@@ -30,7 +30,6 @@ class TestV1Surface:
             "MappingSpec",
             "Prism",
             "PrismSession",
-            "ShardAssignment",
             "WireFormatError",
             "demo_requests",
             "request_from_dict",

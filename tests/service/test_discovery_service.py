@@ -29,7 +29,7 @@ def _company_request(**overrides) -> DiscoveryRequest:
 
 @pytest.fixture()
 def service(company_db):
-    svc = DiscoveryService(databases={"company": company_db}, workers=2)
+    svc = DiscoveryService(databases={"company": company_db})
     yield svc
     svc.shutdown()
 
@@ -235,6 +235,15 @@ class TestConfigurationValidation:
     def test_invalid_pool_parameters(self, company_db):
         with pytest.raises(ServiceError):
             DiscoveryService(databases={"company": company_db}, workers=0)
+        # Thread mode, the default, runs exactly one worker.
+        with pytest.raises(ServiceError, match='shard_mode="process"'):
+            DiscoveryService(databases={"company": company_db}, workers=2)
+        with pytest.raises(ServiceError, match='shard_mode="process"'):
+            DiscoveryService(
+                databases={"company": company_db},
+                shard_mode="thread",
+                workers=2,
+            )
         with pytest.raises(ServiceError):
             DiscoveryService(databases={"company": company_db}, queue_size=0)
         with pytest.raises(ServiceError):

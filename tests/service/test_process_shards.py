@@ -1,4 +1,4 @@
-"""The process-shard executor: routing, front door, metrics and recovery.
+"""The process-shard executor: front door, metrics and recovery.
 
 These tests cross a real process boundary — each one spawns worker
 processes via :class:`~repro.api.DiscoveryService` with
@@ -25,12 +25,11 @@ from repro.api import (
     ArtifactStore,
     DiscoveryRequest,
     DiscoveryService,
-    ShardAssignment,
     demo_requests,
 )
 from repro.datasets import load_imdb, load_mondial, load_nba
 from repro.discovery.candidates import GenerationLimits
-from repro.errors import ServiceError, WireFormatError
+from repro.errors import WireFormatError
 from repro.service import shards, wire
 
 _LIMITS = GenerationLimits(max_candidates=200, max_assignments=400)
@@ -64,33 +63,6 @@ def _company_service(company_db, **overrides) -> DiscoveryService:
     )
     fields.update(overrides)
     return DiscoveryService(**fields)
-
-
-class TestShardAssignment:
-    def test_no_replication_means_every_shard_owns_everything(self):
-        assignment = ShardAssignment(["a", "b", "c"], num_shards=2)
-        assert assignment.owners("a") == {0, 1}
-        assert assignment.databases_for(0) == ["a", "b", "c"]
-        assert assignment.databases_for(1) == ["a", "b", "c"]
-
-    def test_replication_partitions_round_robin(self):
-        assignment = ShardAssignment(
-            ["a", "b", "c", "d"], num_shards=3, replication=1
-        )
-        owned = [assignment.databases_for(shard) for shard in range(3)]
-        assert owned == [["a", "d"], ["b"], ["c"]]
-        assert assignment.owners("b") == {1}
-
-    def test_replication_two_spreads_to_adjacent_shards(self):
-        assignment = ShardAssignment(["a", "b"], num_shards=3, replication=2)
-        assert assignment.owners("a") == {0, 1}
-        assert assignment.owners("b") == {1, 2}
-
-    def test_invalid_replication_rejected(self):
-        with pytest.raises(ServiceError):
-            ShardAssignment(["a"], num_shards=2, replication=0)
-        with pytest.raises(ServiceError):
-            ShardAssignment(["a"], num_shards=2, replication=3)
 
 
 @pytest.mark.parametrize("start_method", START_METHODS)
@@ -145,6 +117,23 @@ class TestProcessServing:
             assert response.queued_seconds >= 0.05
         finally:
             svc.shutdown()
+
+    @pytest.mark.parametrize("wait", [True, False])
+    def test_shutdown_drains_the_queue(self, company_db, start_method, wait):
+        svc = _company_service(
+            company_db, workers=2, start_method=start_method
+        ).start()
+        tickets = [svc.submit(_company_request()) for _ in range(6)]
+        svc.shutdown(wait=wait)
+        assert [t.result(timeout=120).status for t in tickets] == ["ok"] * 6
+        # The shards stop after the queue is drained, and none is respawned.
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and any(
+            shard.process.is_alive() for shard in svc._pool._shards
+        ):
+            time.sleep(0.05)
+        assert not any(shard.process.is_alive() for shard in svc._pool._shards)
+        assert svc._pool.respawns == 0
 
     def test_crashed_shard_is_respawned_and_recovers(
         self, company_db, start_method
@@ -282,6 +271,9 @@ class TestProcessServing:
 
 
 class TestMetricsMergeAcrossPartitionedShards:
+    """The requests are partitioned across the shards by whichever is
+    free; the merged metrics still add up."""
+
     def test_totals_equal_sum_over_shards(self):
         svc = DiscoveryService(
             loaders={
@@ -289,23 +281,24 @@ class TestMetricsMergeAcrossPartitionedShards:
                 "imdb": load_imdb,
                 "nba": load_nba,
             },
-            workers=3,
+            workers=2,
             shard_mode="process",
-            replication=1,
             limits=_LIMITS,
         )
         with svc:
-            tickets = [svc.submit(r) for r in demo_requests()]
+            tickets = [svc.submit(r) for r in demo_requests(rounds=2)]
             responses = [t.result(timeout=300) for t in tickets]
             metrics = svc.metrics()
-        assert [r.status for r in responses] == ["ok"] * 3
-        # replication=1 partitions the three databases one per shard, so
-        # each shard builds exactly its own bundle and the merged totals
-        # are the sums over shards.
-        assert metrics.artifacts["builds"] == 3
+        assert [r.status for r in responses] == ["ok"] * 6
+        # Every shard holds every database: its warm-up builds all three
+        # bundles, reported with the first response it serves.
+        assert metrics.shards
         for info in metrics.shards.values():
-            assert info["artifacts"]["builds"] == 1
-            assert info["served"] == 1
+            assert info["served"] >= 1
+            assert info["artifacts"]["builds"] == 3
+            assert info["artifacts"]["builds_by_database"] == {
+                "imdb": 1, "mondial": 1, "nba": 1,
+            }
         assert metrics.artifacts["builds"] == sum(
             info["artifacts"]["builds"] for info in metrics.shards.values()
         )
@@ -313,6 +306,7 @@ class TestMetricsMergeAcrossPartitionedShards:
             info["served"] for info in metrics.shards.values()
         )
         by_db = metrics.artifacts["builds_by_database"]
+        assert by_db == {name: len(metrics.shards) for name in by_db}
         assert sorted(by_db) == ["imdb", "mondial", "nba"]
 
 
@@ -320,14 +314,14 @@ class TestGoldenEquality:
     def test_thread_and_process_results_are_identical(self):
         """Same demo workload, bit-for-bit equal results across executors."""
 
-        def run(shard_mode: str):
+        def run(shard_mode: str, workers: int):
             svc = DiscoveryService(
                 loaders={
                     "mondial": load_mondial,
                     "imdb": load_imdb,
                     "nba": load_nba,
                 },
-                workers=2,
+                workers=workers,
                 shard_mode=shard_mode,
                 limits=_LIMITS,
             )
@@ -335,8 +329,8 @@ class TestGoldenEquality:
                 tickets = [svc.submit(r) for r in demo_requests()]
                 return [t.result(timeout=300) for t in tickets]
 
-        thread_responses = run("thread")
-        process_responses = run("process")
+        thread_responses = run("thread", workers=1)
+        process_responses = run("process", workers=2)
         assert len(thread_responses) == len(process_responses) == 3
         for ours, theirs in zip(thread_responses, process_responses):
             assert ours.request_id == theirs.request_id

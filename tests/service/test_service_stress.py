@@ -4,6 +4,8 @@ The acceptance bar for the service layer: many concurrent mixed-database
 rounds through one :class:`DiscoveryService`, with the artifact store's
 counters proving each database's preprocessing bundle was built exactly
 once — every later request is a cache hit over shared immutable state.
+The rounds run concurrently on caller threads (``execute()``) or queue
+from many client threads for the service's one worker thread.
 """
 
 from __future__ import annotations
@@ -38,20 +40,33 @@ class TestServiceStress:
         service = DiscoveryService(
             databases=stress_databases,
             store=store,
-            workers=8,
-            queue_size=32,
             limits=STRESS_LIMITS,
         )
         requests = demo_requests(rounds=ROUNDS)
         assert len(requests) >= 8
         assert len({request.database for request in requests}) >= 2
-        with service:
-            # Submit everything before consuming any response so the pool
-            # genuinely races: all 8 workers contend for the same bundles.
-            tickets = [service.submit(request, block=True) for request in requests]
-            responses = [ticket.result(timeout=120) for ticket in tickets]
+        responses: list = [None] * len(requests)
+        barrier = threading.Barrier(len(requests))
 
-        assert [response.status for response in responses] == ["ok"] * len(requests)
+        def run(index: int) -> None:
+            barrier.wait(timeout=30)
+            responses[index] = service.execute(requests[index])
+
+        # One caller thread per request, released together, so every
+        # round contends for the same bundles at once.
+        threads = [
+            threading.Thread(target=run, args=(index,))
+            for index in range(len(requests))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+
+        assert [
+            None if response is None else response.status
+            for response in responses
+        ] == ["ok"] * len(requests)
         for response in responses:
             assert response.num_queries >= 1
 
@@ -66,17 +81,11 @@ class TestServiceStress:
         assert stats.hits == len(requests) - stats.builds
         assert stats.invalidations == 0
 
-        metrics = service.metrics()
-        assert metrics.completed == len(requests)
-        assert metrics.ok == len(requests)
-        assert metrics.in_flight == 0
-
     def test_many_client_threads_share_one_service(self, stress_databases):
         store = ArtifactStore()
         service = DiscoveryService(
             databases=stress_databases,
             store=store,
-            workers=4,
             queue_size=64,
             limits=STRESS_LIMITS,
         )

@@ -273,7 +273,12 @@ class TestWronglyTypedValues:
                      id="metadata-op-list"),
         pytest.param(("spec", "columns"), float("inf"),
                      id="columns-infinite"),
+        pytest.param(("spec", "columns"), 2.7, id="columns-float"),
+        pytest.param(("spec", "columns"), True, id="columns-bool"),
         pytest.param(("deadline_s",), [1], id="deadline-list"),
+        pytest.param(("database",), 7, id="database-number"),
+        pytest.param(("scheduler",), 7, id="scheduler-number"),
+        pytest.param(("request_id",), 7, id="request-id-number"),
     ])
     def test_request_field_is_rejected(self, path, value):
         # The Mondial demo request: an OneOf, an exact value and a
@@ -281,6 +286,17 @@ class TestWronglyTypedValues:
         payload = json.loads(demo_requests(databases=["mondial"])[0].to_json())
         _set_path(payload, path, value)
         with pytest.raises(WireFormatError):
+            DiscoveryRequest.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("path,value", [
+        pytest.param(("spec", "columns"), 2.7, id="columns-float"),
+        pytest.param(("scheduler",), 7, id="scheduler-number"),
+        pytest.param(("request_id",), 7, id="request-id-number"),
+    ])
+    def test_wrongly_typed_request_field_is_named(self, path, value):
+        payload = json.loads(demo_requests(databases=["mondial"])[0].to_json())
+        _set_path(payload, path, value)
+        with pytest.raises(WireFormatError, match=repr(path[-1])):
             DiscoveryRequest.from_json(json.dumps(payload))
 
     @pytest.mark.parametrize("path,value", [

@@ -184,18 +184,16 @@ class TestTimeoutSurface:
 
 class TestServeBatch:
     def test_serve_batch_demo_workload(self, capsys):
-        exit_code = main(["serve-batch", "--workers", "2", "--rounds", "1"])
+        exit_code = main(["serve-batch", "--rounds", "1"])
         assert exit_code == 0
         output = capsys.readouterr().out
-        assert "served 3 requests with 2 workers" in output
+        assert "served 3 requests with 1 worker (thread mode)" in output
         assert "3 builds" in output
         assert "[demo-mondial-1] mondial: ok" in output
         assert "latency:" in output
 
     def test_serve_batch_refresh_reports_counters(self, capsys):
-        exit_code = main(
-            ["serve-batch", "--workers", "2", "--rounds", "1", "--refresh"]
-        )
+        exit_code = main(["serve-batch", "--rounds", "1", "--refresh"])
         assert exit_code == 0
         output = capsys.readouterr().out
         # A static workload never triggers a delta, but the incremental
@@ -226,9 +224,7 @@ class TestServeBatch:
             ),
             encoding="utf-8",
         )
-        exit_code = main(
-            ["serve-batch", "--workers", "2", "--requests", str(requests_path)]
-        )
+        exit_code = main(["serve-batch", "--requests", str(requests_path)])
         assert exit_code == 0
         output = capsys.readouterr().out
         assert "[file-1] nba: ok" in output
@@ -287,6 +283,13 @@ class TestServeBatch:
          "metadata"),
         ({"database": "mondial", "columns": 2, "deadline_s": "soon"},
          "deadline_s"),
+        ({"database": "mondial", "columns": 2.7}, "columns"),
+        ({"database": "mondial", "columns": True}, "columns"),
+        ({"database": 7, "columns": 2}, "database"),
+        ({"database": None, "columns": 2}, "database"),
+        ({"database": "mondial", "columns": 2, "scheduler": 7}, "scheduler"),
+        ({"database": "mondial", "columns": 2, "request_id": 7},
+         "request_id"),
     ])
     def test_serve_batch_malformed_entry_prints_one_line(
         self, capsys, tmp_path, entry, key
@@ -304,5 +307,8 @@ class TestServeBatch:
         assert "error" in capsys.readouterr().err
         assert main(["serve-batch", "--workers", "0"]) == 2
         assert "error" in capsys.readouterr().err
+        # Thread mode, the default, runs exactly one worker.
+        assert main(["serve-batch", "--workers", "2"]) == 2
+        assert 'use shard_mode="process"' in capsys.readouterr().err
         assert main(["serve-batch", "--queue-size", "0"]) == 2
         assert "error" in capsys.readouterr().err

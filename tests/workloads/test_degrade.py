@@ -7,7 +7,11 @@ import pytest
 from repro.constraints.resolution import Resolution
 from repro.constraints.values import ExactValue, OneOf, Range
 from repro.dataset.catalog import MetadataCatalog
+from repro.dataset.database import Database
+from repro.dataset.schema import Column, ColumnRef
+from repro.dataset.types import DataType
 from repro.errors import WorkloadError
+from repro.query.pj_query import ProjectJoinQuery
 from repro.workloads.degrade import (
     DEFAULT_SWEEP_LEVELS,
     ResolutionLevel,
@@ -127,3 +131,38 @@ class TestSpecDerivation:
             )
             for sample in spec.samples:
                 assert sample.satisfied_by_result(rows), level
+
+
+class TestIntegersBeyondFloatRange:
+    """A cell or column minimum that ``float()`` cannot hold degrades to
+    an exact value and a bare type predicate, never to an error or to a
+    bound that excludes the ground truth."""
+
+    @pytest.fixture(scope="class")
+    def huge(self):
+        database = Database("huge")
+        table = database.create_table(
+            "Big", [Column("Name", DataType.TEXT), Column("N", DataType.INT)]
+        )
+        rows = [("a", 10**400), ("b", 10**401)]
+        table.insert_many(rows)
+        case = WorkloadCase(
+            case_id=1,
+            ground_truth=ProjectJoinQuery(
+                (ColumnRef("Big", "Name"), ColumnRef("Big", "N"))
+            ),
+            sample_rows=rows,
+        )
+        return database, case, MetadataCatalog.build(database)
+
+    @pytest.mark.parametrize("level", list(ResolutionLevel))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_spec_holds_the_ground_truth(self, huge, level, seed):
+        database, case, catalog = huge
+        spec = spec_for_level(case, level, database, catalog=catalog, seed=seed)
+        for sample, row in zip(spec.samples, case.sample_rows):
+            for cell, value in zip(sample.cells, row):
+                assert cell is None or cell.matches(value)
+        for position, constraint in spec.metadata.items():
+            ref = case.ground_truth.projections[position]
+            assert constraint.matches(catalog.stats(ref))
