@@ -178,7 +178,7 @@ def probe_batch(skewed_db):
     t3_constraints = [parse_value_constraint(label) for label in dead[:4]]
     t1_constraints = [parse_value_constraint(label) for label in t1_labels[:8]]
     return [
-        BatchProbe(query=query, cell_predicates={0: a, 2: b}, cache_key=None)
+        BatchProbe(query=query, cell_predicates={0: a, 2: b})
         for a in t3_constraints
         for b in t1_constraints
     ]

@@ -24,17 +24,11 @@ __all__ = ["BayesianModelSet", "train_models"]
 
 @dataclass
 class BayesianModelSet:
-    """All trained models for one source database.
-
-    ``trained_on`` records the database's artifact key (name, schema
-    version, data version) at training time, so artifact caches can tell
-    whether a persisted model set still matches the live data.
-    """
+    """All trained models for one source database."""
 
     database_name: str
     relation_models: Dict[str, SingleRelationModel] = field(default_factory=dict)
     join_models: Dict[tuple, JoinIndicatorModel] = field(default_factory=dict)
-    trained_on: tuple = ()
 
     def estimator(self) -> SelectivityEstimator:
         """Build the selectivity estimator backed by these models."""
@@ -47,14 +41,12 @@ class BayesianModelSet:
         self,
         database: Database,
         deltas: Mapping[str, "TableDelta"],
-        trained_on: tuple,
     ) -> None:
         """Fold appended rows into every affected model in place.
 
         Relation models of changed tables absorb their table's delta;
         join models are updated whenever either endpoint's key column
-        gained rows.  ``trained_on`` is the artifact key of the
-        post-delta state.  Raises :class:`TrainingError` when a changed
+        gained rows.  Raises :class:`TrainingError` when a changed
         table has no fitted model or a join model lacks its sufficient
         statistics.
         """
@@ -85,7 +77,6 @@ class BayesianModelSet:
                     None if parent_delta is None else parent_delta.end_row
                 ),
             )
-        self.trained_on = trained_on
 
     @staticmethod
     def _key_values(database, delta, table_name: str, column_name: str):
@@ -115,9 +106,7 @@ def train_models(database: Database) -> BayesianModelSet:
         raise TrainingError(
             f"database {database.name!r} has no tables to train on"
         )
-    model_set = BayesianModelSet(
-        database_name=database.name, trained_on=database.artifact_key()
-    )
+    model_set = BayesianModelSet(database_name=database.name)
     for table in database:
         model_set.relation_models[table.name] = SingleRelationModel.fit(table)
     for foreign_key in database.foreign_keys:

@@ -190,32 +190,35 @@ class Database:
         """
         return self._schema_version
 
-    @property
-    def data_version(self) -> tuple[int, int, int]:
-        """A cheap change token: (schema version, table count, summed
-        storage versions).
+    def artifact_key(self) -> tuple:
+        """Identity token for preprocessing artifacts built from this state.
 
-        Any insert or table addition/removal yields a different token, so
-        callers (e.g. the executor's existence-memo cache) can detect
-        staleness without hashing contents.  The schema version guards the
-        drop-and-recreate case, where count and summed versions alone
-        could coincide.
+        ``(name, schema_version, data_version)``, where ``data_version``
+        is ``(schema_version, table count, summed storage versions)`` —
+        the key under which the service layer's
+        :class:`~repro.api.ArtifactStore` caches and persists
+        preprocessing bundles, and for which the executor keeps its
+        caches.  Every insert and every table addition or removal yields
+        a new key, so staleness is detected without hashing contents;
+        the schema version guards the drop-and-recreate case, where
+        count and summed versions alone could coincide.  Two databases
+        with equal keys are treated as interchangeable sources for
+        cached artifacts.
         """
-        return (
-            self._schema_version,
+        return self._key(
             len(self._tables),
             sum(table.storage_version for table in self._tables.values()),
         )
 
-    def artifact_key(self) -> tuple:
-        """Identity token for preprocessing artifacts built from this state.
+    def artifact_key_at(self, marks: dict) -> tuple:
+        """The :meth:`artifact_key` of the table states ``marks`` (storage
+        marks taken under the current schema) describe, however far the
+        tables grew since."""
+        return self._key(len(marks), sum(mark.version for mark in marks.values()))
 
-        ``(name, schema_version, data_version)`` — the key under which the
-        service layer's :class:`~repro.api.ArtifactStore` caches and
-        persists preprocessing bundles.  Two databases with equal keys are
-        treated as interchangeable sources for cached artifacts.
-        """
-        return (self.name, self._schema_version, self.data_version)
+    def _key(self, num_tables: int, summed_versions: int) -> tuple:
+        data_version = (self._schema_version, num_tables, summed_versions)
+        return (self.name, self._schema_version, data_version)
 
     # ------------------------------------------------------------------
     # Append deltas

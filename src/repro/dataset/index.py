@@ -101,9 +101,6 @@ class InvertedIndex:
         self._exact: dict[str, frozenset[ColumnRef]] = {}
         self._tokens: dict[str, frozenset[ColumnRef]] = {}
         self._indexed_cells = 0
-        #: Artifact key of the database this index was built from (empty
-        #: for hand-assembled indexes); see :meth:`Database.artifact_key`.
-        self.built_from: tuple = ()
 
     # ------------------------------------------------------------------
     # Construction
@@ -117,7 +114,6 @@ class InvertedIndex:
         columns once per distinct array value.
         """
         index = cls()
-        index.built_from = database.artifact_key()
         linker = _Linker()
         for table in database:
             for position, column in enumerate(table.columns):
@@ -141,7 +137,6 @@ class InvertedIndex:
         self,
         database: Database,
         deltas: Mapping[str, "TableDelta"],
-        built_from: tuple,
     ) -> None:
         """Fold appended rows into the index instead of rebuilding it.
 
@@ -149,8 +144,7 @@ class InvertedIndex:
         as produced by :meth:`Database.storage_deltas_since`.  Each
         appended value's column joins its terms' column sets — a set
         union, so the result equals a from-scratch build over the grown
-        database.  ``built_from`` is the artifact key of the post-delta
-        state.
+        database.
         """
         linker = _Linker()
         for table_name, delta in deltas.items():
@@ -169,7 +163,6 @@ class InvertedIndex:
                     self._add_values(
                         linker, ref, _distinct_values(column_delta.values)
                     )
-        self.built_from = built_from
 
     def _add_entries(
         self, linker: _Linker, ref: ColumnRef, dictionary: Any,

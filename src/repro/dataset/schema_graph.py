@@ -30,9 +30,6 @@ class SchemaGraph:
 
     def __init__(self, database: Database):
         self._database = database
-        #: Artifact key of the database at construction time; see
-        #: :meth:`Database.artifact_key`.
-        self.built_from: tuple = database.artifact_key()
         self._graph = nx.MultiGraph()
         for table_name in database.table_names:
             self._graph.add_node(table_name)
@@ -46,13 +43,12 @@ class SchemaGraph:
     # ------------------------------------------------------------------
     # Incremental maintenance
     # ------------------------------------------------------------------
-    def apply_delta(self, database: Database, built_from: tuple) -> None:
-        """Re-stamp the graph for a database that only grew by appends.
+    def apply_delta(self, database: Database) -> None:
+        """Re-point the graph at a database that only grew by appends.
 
         The graph's structure depends exclusively on the schema (tables
         and foreign keys), which appends never change, so incremental
-        maintenance reduces to re-pointing at the live database and
-        updating ``built_from``.  Raises
+        maintenance reduces to re-pointing at the live database.  Raises
         :class:`~repro.errors.SchemaError` when the table set or the
         foreign-key set differs — callers must rebuild in that case.
         """
@@ -71,7 +67,6 @@ class SchemaGraph:
                 "database; rebuild the graph"
             )
         self._database = database
-        self.built_from = built_from
 
     # ------------------------------------------------------------------
     # Basic queries

@@ -34,6 +34,13 @@ __all__ = ["Prism", "DEFAULT_TIME_LIMIT_SECONDS"]
 DEFAULT_TIME_LIMIT_SECONDS = 60.0
 
 
+def _check_time_limit(seconds: float) -> None:
+    """Reject a time limit that is not positive; NaN, which compares
+    false with everything and so would never expire, included."""
+    if not seconds > 0:
+        raise DiscoveryError("time_limit must be positive")
+
+
 class Prism:
     """Multiresolution schema mapping query discovery over one database.
 
@@ -105,8 +112,7 @@ class Prism:
             schema_graph: prebuilt schema graph for ``database``.
             models: pretrained Bayesian model set for ``database``.
         """
-        if time_limit <= 0:
-            raise DiscoveryError("time_limit must be positive")
+        _check_time_limit(time_limit)
         self.database = database
         self.scheduler = scheduler
         self.time_limit = time_limit
@@ -187,7 +193,8 @@ class Prism:
         Args:
             spec: the user's multiresolution constraints.
             scheduler: override the engine's default scheduling policy.
-            time_limit: override the engine's time budget (seconds).
+            time_limit: override the engine's time budget (seconds);
+                like it, positive (NaN raises :class:`DiscoveryError`).
                 ``math.inf`` is accepted: combined with a
                 ``validation_budget`` it makes a run's work — and all its
                 counters — fully deterministic (no wall-clock cutoffs),
@@ -208,6 +215,7 @@ class Prism:
         spec.validate()
         scheduler_name = scheduler or self.scheduler
         budget = time_limit if time_limit is not None else self.time_limit
+        _check_time_limit(budget)
         policy = make_policy(scheduler_name)
         if policy.name == "bayesian" and self._estimator is None:
             raise DiscoveryError(
@@ -267,14 +275,10 @@ class Prism:
         stats.num_confirmed = scheduling.num_confirmed
         stats.num_pruned = len(scheduling.pruned_candidate_ids)
         stats.timed_out = scheduling.timed_out
-        # Cache effectiveness of this run's validation stage: the executor
-        # is shared across discover() calls, so report deltas, not totals.
-        stats.exists_cache_hits = (
-            executor_after.exists_cache_hits - executor_before.exists_cache_hits
-        )
-        stats.exists_cache_misses = (
-            executor_after.exists_cache_misses - executor_before.exists_cache_misses
-        )
+        stats.exists_cache_hits = validator.stats.cache_hits
+        stats.exists_cache_misses = validator.stats.cache_misses
+        # The executor is shared across discover() calls, so report its
+        # deltas, not its totals.
         stats.joins_performed = (
             executor_after.joins_performed - executor_before.joins_performed
         )

@@ -21,6 +21,13 @@ class DiscoveryStats:
     scheduler actually paid for, implied (free) outcomes, and wall-clock
     time split by pipeline stage.
 
+    ``exists_cache_hits`` counts the validations the validator's outcome
+    cache answered without executing, and ``exists_cache_misses`` the
+    probes executed because it lacked them (batch-mates and the optimal
+    policy's peeks included).  The cache is keyed by probe content and
+    kept by the engine's executor for one artifact key, so a repeated
+    ``discover()`` on one engine executes nothing it already decided.
+
     ``join_index_hits`` and ``join_index_builds`` are always 0: the
     executor no longer builds join indexes.  They stay because the v1
     wire format checks its stats fields strictly and the end-to-end

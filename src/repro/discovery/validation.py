@@ -4,7 +4,12 @@ A filter passes when the result of its sub-PJ-query contains at least one
 row satisfying the sample constraint's cells at the filter's positions.
 The validator hands those cell constraints to the executor (which pushes
 them down as column masks before deciding the join with a semijoin
-sweep) and caches outcomes so a filter is never executed twice.
+sweep) and caches outcomes so a probe is never executed twice.  The
+cache is keyed by probe content (sub-query signature and constraints,
+not the sample they came from) and lives in the executor's
+:attr:`~repro.query.executor.Executor.outcomes`, so identical probes are
+shared across samples, validators and ``discover()`` runs on one
+executor until the database's artifact key moves.
 
 Validation can be **batched across candidates**: filters whose sub-queries
 share one join structure (same tables, same edges —
@@ -15,14 +20,14 @@ kernels across the filters' probes.  Outcomes are bit-for-bit identical
 to the per-candidate path; only the join work is shared.  The scheduling layer
 (:class:`~repro.discovery.scheduler.ValidationDriver`) still chooses and
 counts filters one at a time, so validation counts are unaffected —
-batch-mates decided early simply become validator cache hits when the
-policy later picks them.
+batch-mates decided early simply become cache hits when the policy later
+picks them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from repro.constraints.spec import MappingSpec
 from repro.discovery.filters import Filter
@@ -31,13 +36,21 @@ from repro.query.plan import join_prefix_key
 
 __all__ = ["FilterValidator", "ValidationStats"]
 
+#: Bound on the outcome cache, so a long-lived engine over a static
+#: database cannot grow it without bound; oldest entries are evicted first.
+MAX_CACHED_OUTCOMES = 100_000
+
 
 @dataclass
 class ValidationStats:
     """Counters kept by a :class:`FilterValidator`."""
 
     validations: int = 0
+    #: Validations the outcome cache answered without executing.
     cache_hits: int = 0
+    #: Probes executed because the cache lacked their outcome:
+    #: validations, batch-mates and peeks alike.
+    cache_misses: int = 0
     passed: int = 0
     failed: int = 0
     #: Batched executor passes issued (each decided >= 2 filters at once).
@@ -55,53 +68,17 @@ class ValidationStats:
 
 
 class FilterValidator:
-    """Executes filters and caches their pass/fail outcomes."""
+    """Executes filters and caches their pass/fail outcomes in the
+    executor's :attr:`~repro.query.executor.Executor.outcomes`."""
 
     def __init__(self, executor: Executor, spec: MappingSpec):
         self._executor = executor
         self._spec = spec
-        self._cache: dict[tuple, bool] = {}
         self.stats = ValidationStats()
-
-    def _cache_key(self, filter_: Filter) -> tuple:
-        return (
-            filter_.sample_index,
-            filter_.positions,
-            filter_.query.signature(),
-        )
-
-    def _probe(self, filter_: Filter) -> BatchProbe:
-        """The executor probe deciding ``filter_``.
-
-        Its cell constraints are the sample's, keyed by projection
-        position.  Its memo key is the canonical (query, constraints)
-        signature: unlike :meth:`_cache_key`, it keys on the *constraint
-        contents* rather than the sample index, so identical probes are
-        shared across samples, validators and discovery runs on one
-        executor.
-        """
-        sample = self._spec.samples[filter_.sample_index]
-        constraints = {
-            projection_index: constraint
-            for projection_index, position in enumerate(filter_.positions)
-            if (constraint := sample.cell(position)) is not None
-        }
-        return BatchProbe(
-            query=filter_.query,
-            cell_predicates=constraints,
-            cache_key=(filter_.query.signature(), tuple(constraints.items())),
-        )
 
     def validate(self, filter_: Filter) -> bool:
         """Validate ``filter_`` (counted; cached)."""
-        key = self._cache_key(filter_)
-        if key in self._cache:
-            self.stats.cache_hits += 1
-            return self._cache[key]
-        outcome = self._execute(filter_)
-        self._cache[key] = outcome
-        self.stats.record(outcome)
-        return outcome
+        return self._validate(filter_, ())
 
     def validate_batch(
         self, filter_: Filter, peers: Sequence[Filter] = ()
@@ -113,61 +90,77 @@ class FilterValidator:
         prefix).  Peers whose sub-query does not actually share the join
         structure, or whose outcome is already cached, are skipped.  All
         computed outcomes — the requested filter's and every batched
-        peer's — land in the validator cache and the executor memo, so a
-        later :meth:`validate` of a peer is a cache hit.
+        peer's — land in the outcome cache, so a later :meth:`validate`
+        of a peer is a cache hit.
 
         Only the requested filter is recorded in
         :attr:`ValidationStats.validations`; peers are counted under
         :attr:`ValidationStats.batched_outcomes`.
         """
-        key = self._cache_key(filter_)
-        if key in self._cache:
-            self.stats.cache_hits += 1
-            return self._cache[key]
-        prefix = join_prefix_key(filter_.query)
-        batch = [filter_]
-        seen = {key}
-        for peer in peers:
-            peer_key = self._cache_key(peer)
-            if peer_key in seen or peer_key in self._cache:
-                continue
-            if join_prefix_key(peer.query) != prefix:
-                continue
-            seen.add(peer_key)
-            batch.append(peer)
-        if len(batch) == 1:
-            outcome = self._execute(filter_)
-            self._cache[key] = outcome
-            self.stats.record(outcome)
-            return outcome
-        # Constraints hash and compare by content, so the executor scans
-        # each column once per distinct constraint across the batch.
-        outcomes = self._executor.exists_batch(
-            [self._probe(member) for member in batch]
-        )
-        self.stats.batches += 1
-        self.stats.batched_outcomes += len(batch) - 1
-        for member, outcome in zip(batch, outcomes):
-            self._cache[self._cache_key(member)] = outcome
-        self.stats.record(outcomes[0])
-        return outcomes[0]
+        return self._validate(filter_, peers)
 
     def peek(self, filter_: Filter) -> bool:
         """Validate without counting (used by the optimal oracle)."""
-        key = self._cache_key(filter_)
-        if key in self._cache:
-            return self._cache[key]
-        outcome = self._execute(filter_)
-        self._cache[key] = outcome
-        return outcome
+        key, __ = self._probe(filter_)
+        outcomes = self._executor.outcomes
+        if key not in outcomes:
+            self._store(outcomes, key, self._execute(filter_))
+        return outcomes[key]
+
+    def _validate(self, filter_: Filter, peers: Sequence[Filter]) -> bool:
+        key, probe = self._probe(filter_)
+        outcomes = self._executor.outcomes
+        if key in outcomes:
+            self.stats.cache_hits += 1
+            return outcomes[key]
+        prefix = join_prefix_key(filter_.query)
+        batch = {key: probe}
+        for peer in peers:
+            peer_key, peer_probe = self._probe(peer)
+            if (
+                peer_key not in batch
+                and peer_key not in outcomes
+                and join_prefix_key(peer.query) == prefix
+            ):
+                batch[peer_key] = peer_probe
+        if len(batch) == 1:
+            decided = [self._execute(filter_)]
+        else:
+            # Constraints hash and compare by content, so the executor
+            # scans each column once per distinct constraint across the
+            # batch.
+            decided = self._executor.exists_batch(list(batch.values()))
+            self.stats.batches += 1
+            self.stats.batched_outcomes += len(batch) - 1
+        for member_key, outcome in zip(batch, decided):
+            self._store(outcomes, member_key, outcome)
+        self.stats.record(decided[0])
+        return decided[0]
+
+    def _probe(self, filter_: Filter) -> tuple[tuple, BatchProbe]:
+        """The executor probe deciding ``filter_`` — the sample's cell
+        constraints, keyed by projection position — and its cache key:
+        the probe's content, whichever sample it came from."""
+        sample = self._spec.samples[filter_.sample_index]
+        constraints = {
+            projection_index: constraint
+            for projection_index, position in enumerate(filter_.positions)
+            if (constraint := sample.cell(position)) is not None
+        }
+        key = (filter_.query.signature(), tuple(constraints.items()))
+        return key, BatchProbe(filter_.query, constraints)
+
+    def _store(self, outcomes: dict, key: tuple, outcome: bool) -> None:
+        """Cache one executed outcome, evicting the oldest beyond the
+        bound."""
+        if len(outcomes) >= MAX_CACHED_OUTCOMES:
+            del outcomes[next(iter(outcomes))]
+        outcomes[key] = outcome
+        self.stats.cache_misses += 1
 
     def _execute(self, filter_: Filter) -> bool:
-        probe = self._probe(filter_)
-        return self._executor.exists(
-            probe.query,
-            cell_predicates=probe.cell_predicates,
-            cache_key=probe.cache_key,
-        )
+        __, probe = self._probe(filter_)
+        return self._executor.exists(probe.query, probe.cell_predicates)
 
     @property
     def validations_performed(self) -> int:

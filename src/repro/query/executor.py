@@ -28,9 +28,12 @@ array-oriented:
   or key types.  A batch shares its plan, its pushdown scans (keyed by
   table, column and constraint), its Bloom checks and its edge kernels
   across probes;
-* **an existence-memo cache** — existence outcomes can be memoized
-  under a caller-supplied canonical (query, constraints) signature and
-  are invalidated automatically when the database changes;
+* **one cache generation per artifact key** — lowered plans, edge
+  kernels, Bloom membership masks and the probe outcomes callers store
+  in :attr:`Executor.outcomes` are kept for exactly one
+  :meth:`~repro.dataset.database.Database.artifact_key`: every append
+  bumps a storage version and every table creation or drop the schema
+  version, so when the key moves they are all dropped together;
 * **one join mechanism** — :meth:`Executor.execute` runs the same
   semijoin sweep over the same edge kernels, then enumerates the
   surviving rows with one array join per plan step
@@ -78,9 +81,8 @@ _Checks = dict[str, list[tuple[str, ValueConstraint]]]
 # constraint restricts; a table without an entry selects every row.
 _Selections = dict[str, np.ndarray]
 
-# Caps on the per-executor caches so a long-lived session over a static
-# database cannot grow without bound; oldest entries are evicted first.
-MAX_EXISTS_MEMO_ENTRIES = 100_000
+# Cap on the plan cache so a long-lived session over a static database
+# cannot grow it without bound; oldest entries are evicted first.
 MAX_PLAN_CACHE_ENTRIES = 10_000
 
 # Bloom pre-filtering only probes selections at most this large: the
@@ -98,8 +100,6 @@ class ExecutionStats:
     rows_scanned: int = 0
     rows_emitted: int = 0
     joins_performed: int = 0
-    exists_cache_hits: int = 0
-    exists_cache_misses: int = 0
     plan_cache_hits: int = 0
     plan_cache_builds: int = 0
     batch_executions: int = 0
@@ -117,8 +117,6 @@ class ExecutionStats:
         self.rows_scanned += other.rows_scanned
         self.rows_emitted += other.rows_emitted
         self.joins_performed += other.joins_performed
-        self.exists_cache_hits += other.exists_cache_hits
-        self.exists_cache_misses += other.exists_cache_misses
         self.plan_cache_hits += other.plan_cache_hits
         self.plan_cache_builds += other.plan_cache_builds
         self.batch_executions += other.batch_executions
@@ -144,7 +142,6 @@ class BatchProbe:
 
     query: ProjectJoinQuery
     cell_predicates: Optional[Mapping[int, ValueConstraint]] = None
-    cache_key: Optional[Any] = None
 
 
 @dataclass(frozen=True)
@@ -196,33 +193,33 @@ class Executor:
         self.planner = Planner(
             database, catalog, use_sketches=use_sketches, stats=self.stats
         )
-        # Bloom pre-filtering is only sound while the catalog describes
-        # the database exactly (appends after build could introduce keys
-        # the filters have never seen); cache the staleness check per
-        # artifact key.
-        self._bloom_key: Optional[tuple] = None
+        # Every cache below holds for one artifact key only; the first
+        # call under a new key drops them all (see _sync_generation).
+        self._artifact_key: Optional[tuple] = None
+        # Whether Bloom pre-filtering is sound in this generation.
         self._bloom_fresh = False
         # Bloom membership masks keyed by (table, position, other table,
-        # other position), revalidated by column-kernel identity and
-        # dropped with every new artifact key, the only time the
-        # catalog's Bloom bits can change; None: no filter on that side.
+        # other position); None: no filter on that side.
         self._bloom_masks: dict[tuple, Optional[_kernels.BloomMask]] = {}
         # Physical plans keyed by canonical join-structure hash, so
         # every query over the same structure — across candidates and
         # across differing projections — shares one lowered plan.
         self._plan_cache: dict[tuple, _JoinPlan] = {}
-        self._plan_schema_version: Optional[int] = None
-        self._exists_memo: dict[Any, bool] = {}
-        self._memo_data_version: Optional[tuple[int, int, int]] = None
-        # Aligned edge kernels keyed by the probe step's column endpoints,
-        # revalidated by column-kernel identity (the store publishes a fresh
-        # kernel after every append, so a stale edge can never be reused).
-        self._edge_kernels: dict[tuple, Any] = {}
+        # Aligned edge kernels keyed by probe step.
+        self._edge_kernels: dict[_ProbeStep, _kernels.EdgeKernel] = {}
+        self._outcomes: dict[Any, bool] = {}
 
     @property
     def database(self) -> Database:
         """The database this executor evaluates queries against."""
         return self._database
+
+    @property
+    def outcomes(self) -> dict[Any, bool]:
+        """Existence outcomes callers store here (the filter validator's
+        cache), held and dropped with this generation's other caches."""
+        self._sync_generation()
+        return self._outcomes
 
     # ------------------------------------------------------------------
     # Public API
@@ -247,6 +244,7 @@ class Executor:
             QueryError: the query is invalid, or a ``cell_predicates``
                 key is out of range or its value not a constraint.
         """
+        self._sync_generation()
         rows = self._join_rows(query, cell_predicates, limit)
         columns = [
             list(map(
@@ -263,7 +261,6 @@ class Executor:
         self,
         query: ProjectJoinQuery,
         cell_predicates: Optional[Mapping[int, ValueConstraint]] = None,
-        cache_key: Optional[Any] = None,
     ) -> bool:
         """Whether at least one result row satisfies all cell constraints.
 
@@ -273,15 +270,9 @@ class Executor:
         Args:
             query: the PJ query to probe.
             cell_predicates: optional per-projection-position constraints.
-            cache_key: optional hashable canonical signature of
-                ``(query, cell_predicates)``.  When given, the outcome is
-                memoized on this executor and returned directly on repeat
-                probes; the memo is dropped whenever the database changes.
-                Callers must guarantee the key fully determines the probe.
         """
-        (outcome,), swept = self._decide(
-            (BatchProbe(query, cell_predicates, cache_key),)
-        )
+        self._sync_generation()
+        (outcome,), swept = self._decide((BatchProbe(query, cell_predicates),))
         if swept and outcome:
             self.stats.rows_emitted += 1
         return outcome
@@ -289,18 +280,18 @@ class Executor:
     def exists_batch(self, probes: Sequence[BatchProbe]) -> list[bool]:
         """Decide many existence probes over one shared join structure.
 
-        Outcomes equal per-probe :meth:`exists` calls bit for bit, and
-        memoization under each probe's ``cache_key`` behaves exactly as
-        in :meth:`exists`.  The batch plans once, scans each (table,
-        column, constraint) once, caches Bloom checks across probes
-        whose constraints select the same rows, and counts its
-        join steps (``joins_performed``) once instead of once per probe;
-        every probe whose selections survive pushdown and Bloom
-        pruning is then decided by its own semijoin sweep.
+        Outcomes equal per-probe :meth:`exists` calls bit for bit.  The
+        batch plans once, scans each (table, column, constraint) once,
+        caches Bloom checks across probes whose constraints select the
+        same rows, and counts its join steps (``joins_performed``) once
+        instead of once per probe; every probe whose selections survive
+        pushdown and Bloom pruning is then decided by its own semijoin
+        sweep.
 
         Raises:
             QueryError: the probes do not share one join structure.
         """
+        self._sync_generation()
         if not probes:
             return []
         structure = join_prefix_key(probes[0].query)
@@ -344,35 +335,21 @@ class Executor:
     ) -> tuple[list[bool], int]:
         """Decide probes sharing one join structure.
 
-        Memo hits answer first.  Every other probe pushes its
-        constraints down, sharing each (table, column, constraint) scan
-        with the call's other probes, and the first probe to survive
-        pushdown plans the shared structure.  Join-key Bloom filters
-        then prune each probe's selections; a probe with rows left on
-        every table is decided by one semijoin sweep over the plan's
-        edge kernels.  Returns the outcomes and the number of probes
-        that reached the sweep.
+        Every probe pushes its constraints down, sharing each (table,
+        column, constraint) scan with the call's other probes, and the
+        first probe to survive pushdown plans the shared structure.
+        Join-key Bloom filters then prune each probe's selections; a
+        probe with rows left on every table is decided by one semijoin
+        sweep over the plan's edge kernels.  Returns the outcomes and
+        the number of probes that reached the sweep.
         """
-        memo = self._current_memo()
-        outcomes: list[Optional[bool]] = [None] * len(probes)
-        pending: list[int] = []
-        for index, probe in enumerate(probes):
-            if probe.cache_key is not None:
-                cached = memo.get(probe.cache_key)
-                if cached is not None:
-                    self.stats.exists_cache_hits += 1
-                    outcomes[index] = cached
-                    continue
-                self.stats.exists_cache_misses += 1
-            pending.append(index)
-
+        outcomes: list[bool] = []
         plan: Optional[_JoinPlan] = None
         edges: Optional[list] = None
         scans: dict[tuple, np.ndarray] = {}
         bloom_keep: dict[tuple, tuple[np.ndarray, int]] = {}
         swept = 0
-        for index in pending:
-            probe = probes[index]
+        for probe in probes:
             outcome = False
             checks = self._checks(probe.query, probe.cell_predicates)
             selections = self._pushdown(probe.query, checks, scans)
@@ -389,12 +366,10 @@ class Executor:
                     plan.start_table, plan.steps, edges, selections
                 )
                 swept += 1
-            outcomes[index] = outcome
-            if probe.cache_key is not None:
-                self._memoize(memo, probe.cache_key, outcome)
+            outcomes.append(bool(outcome))
         if swept:
             self.stats.joins_performed += len(plan.steps)
-        return [bool(outcome) for outcome in outcomes], swept
+        return outcomes, swept
 
     def _column_kernel(self, table: str, position: int):
         """The backend's column array snapshot."""
@@ -402,22 +377,16 @@ class Executor:
             table, position
         )
 
-    def _edge_kernel(self, step: _ProbeStep):
+    def _edge_kernel(self, step: _ProbeStep) -> _kernels.EdgeKernel:
         """The cached aligned :class:`~repro.query.kernels.EdgeKernel`
-        of one probe step, rebuilt when either column has grown."""
-        existing = self._column_kernel(step.existing_table, step.existing_position)
-        new = self._column_kernel(step.new_table, step.new_position)
-        key = (step.existing_table, step.existing_position,
-               step.new_table, step.new_position)
-        cached = self._edge_kernels.get(key)
-        if (
-            cached is not None
-            and cached.existing is existing
-            and cached.new is new
-        ):
-            return cached
-        edge = _kernels.EdgeKernel(existing, new)
-        self._edge_kernels[key] = edge
+        of one probe step."""
+        edge = self._edge_kernels.get(step)
+        if edge is None:
+            edge = _kernels.EdgeKernel(
+                self._column_kernel(step.existing_table, step.existing_position),
+                self._column_kernel(step.new_table, step.new_position),
+            )
+            self._edge_kernels[step] = edge
         return edge
 
     # ------------------------------------------------------------------
@@ -534,26 +503,36 @@ class Executor:
         return selections
 
     # ------------------------------------------------------------------
+    # Cache generations
+    # ------------------------------------------------------------------
+    def _sync_generation(self) -> None:
+        """Drop every cache when the artifact key has moved.
+
+        Plans bake in column positions (a recreated table may place
+        columns differently), edge kernels and Bloom masks bind column
+        snapshots, and outcomes describe the data.  Bloom pre-filtering
+        is on only with sketches, a catalog and — the soundness guard —
+        a catalog built from (or delta-folded up to) exactly this key: a
+        filter that has not seen every row of a column could otherwise
+        report a present key as absent.
+        """
+        key = self._database.artifact_key()
+        if key == self._artifact_key:
+            return
+        self._artifact_key = key
+        self._plan_cache.clear()
+        self._edge_kernels.clear()
+        self._bloom_masks.clear()
+        self._outcomes.clear()
+        self._bloom_fresh = (
+            self._use_sketches
+            and self._catalog is not None
+            and self._catalog.built_from == key
+        )
+
+    # ------------------------------------------------------------------
     # Bloom pre-filtering of existence probes
     # ------------------------------------------------------------------
-    def _bloom_ready(self) -> bool:
-        """Whether join-key Bloom filters may prune probe rows.
-
-        True only when sketches are enabled, a catalog is attached, and
-        — the soundness guard — the catalog was built from (or
-        delta-folded up to) exactly the database's current artifact key:
-        a filter that has not seen every row of a column could otherwise
-        report a genuinely present key as absent.
-        """
-        if not self._use_sketches or self._catalog is None:
-            return False
-        key = self._database.artifact_key()
-        if key != self._bloom_key:
-            self._bloom_key = key
-            self._bloom_fresh = self._catalog.built_from == key
-            self._bloom_masks.clear()
-        return self._bloom_fresh
-
     def _bloom_prune(
         self,
         selections: _Selections,
@@ -577,7 +556,7 @@ class Executor:
         probes of one call; ``bloom_rejections`` is still counted per
         probe.
         """
-        if not self._bloom_ready():
+        if not self._bloom_fresh:
             return selections
         for step in plan.steps:
             sides = (
@@ -621,20 +600,18 @@ class Executor:
     ) -> Optional[_kernels.BloomMask]:
         """The cached membership mask of one join-key column's keys in the
         catalog's Bloom filter over the edge's other endpoint (``None``
-        when that endpoint has no filter), rebuilt when the column has
-        grown."""
-        kernel = self._column_kernel(table, position)
+        when that endpoint has no filter)."""
         key = (table, position, other_table, other_position)
-        if key in self._bloom_masks:
-            mask = self._bloom_masks[key]
-            if mask is None or mask.kernel is kernel:
-                return mask
-        column = self._database.table(other_table).columns[other_position].name
-        sketches = self._catalog.sketches(_ColumnRef(other_table, column))
-        bloom = sketches.bloom if sketches is not None else None
-        mask = None if bloom is None else _kernels.BloomMask(kernel, bloom)
-        self._bloom_masks[key] = mask
-        return mask
+        if key not in self._bloom_masks:
+            column = self._database.table(other_table).columns[other_position].name
+            sketches = self._catalog.sketches(_ColumnRef(other_table, column))
+            self._bloom_masks[key] = (
+                None if sketches is None or sketches.bloom is None
+                else _kernels.BloomMask(
+                    self._column_kernel(table, position), sketches.bloom
+                )
+            )
+        return self._bloom_masks[key]
 
     def _plan(self, query: ProjectJoinQuery) -> _JoinPlan:
         """Lower the optimized join order into concrete probe steps.
@@ -642,17 +619,8 @@ class Executor:
         Physical plans depend only on join structure (plus the schema's
         column layout), so they are cached under the structure's
         canonical plan hash — shared across every candidate and filter
-        on that structure — and discarded whenever the database schema
-        changes (a table dropped and recreated under the same name may
-        place columns differently).
+        on that structure — for one cache generation.
         """
-        schema_version = self._database.schema_version
-        if schema_version != self._plan_schema_version:
-            self._plan_cache.clear()
-            # Column positions may have moved with the schema; edge
-            # kernels are keyed by position, so drop them too.
-            self._edge_kernels.clear()
-            self._plan_schema_version = schema_version
         structure = join_prefix_key(query)
         plan = self._plan_cache.get(structure)
         if plan is not None:
@@ -705,27 +673,6 @@ class Executor:
         raise QueryError(
             f"join edge {edge} does not connect {existing_table} and {new_table}"
         )
-
-    # ------------------------------------------------------------------
-    # Existence-memo cache
-    # ------------------------------------------------------------------
-    def _current_memo(self) -> dict[Any, bool]:
-        """The memo dict, cleared whenever the database has changed."""
-        version = self._database.data_version
-        if version != self._memo_data_version:
-            self._exists_memo.clear()
-            self._memo_data_version = version
-        return self._exists_memo
-
-    def _memoize(self, memo: dict[Any, bool], key: Any, outcome: bool) -> None:
-        if len(memo) >= MAX_EXISTS_MEMO_ENTRIES:
-            del memo[next(iter(memo))]
-        memo[key] = outcome
-
-    @property
-    def exists_memo_size(self) -> int:
-        """Number of memoized existence outcomes currently held."""
-        return len(self._exists_memo)
 
     @property
     def plan_cache_size(self) -> int:

@@ -76,8 +76,8 @@ class BloomMask:
     never kept (they can never join).  The hashes are the sketch layer's
     canonical value hashes, so the kept rows equal those of a per-row
     ``bloom.might_contain`` loop.  Bound to one kernel snapshot
-    (``kernel``) and one filter state: callers revalidate by kernel
-    identity and drop the mask whenever the filter may have changed.
+    (``kernel``) and one filter state, so the executor keeps it for one
+    artifact key only.
     """
 
     __slots__ = ("kernel", "_bloom", "_rows", "_entries")
@@ -127,9 +127,9 @@ class EdgeKernel:
     """One join edge lowered onto two :class:`ColumnKernel` snapshots.
 
     Bound to specific kernel objects (``existing``/``new``): the store
-    publishes a fresh kernel after every append, so callers revalidate a
-    cached edge by kernel identity and rebuild on mismatch.  The
-    fully-unconstrained fold (``new_mask is None`` — by far the common
+    publishes a fresh kernel after every append, which also moves the
+    database's artifact key, so the executor keeps an edge for one
+    artifact key only.  The fully-unconstrained fold (``new_mask is None`` — by far the common
     case for interior tables of a probe) is computed once and cached.
     """
 

@@ -55,7 +55,7 @@ __all__ = [
 #: Layout version of persisted bundles, part of every bundle's file name.
 #: Bump it whenever a pickled class changes shape: bundles written under
 #: another number are then never found, and the store rebuilds them.
-ARTIFACT_FORMAT = 2
+ARTIFACT_FORMAT = 3
 
 _PICKLE_PROTOCOL = 4
 _UNSAFE_FILENAME = re.compile(r"[^A-Za-z0-9_.-]+")
@@ -78,8 +78,7 @@ class ArtifactKey:
     @classmethod
     def for_database(cls, database: Database) -> "ArtifactKey":
         """The key describing ``database``'s current state."""
-        name, schema_version, data_version = database.artifact_key()
-        return cls(name, schema_version, data_version)
+        return cls(*database.artifact_key())
 
     def filename(self) -> str:
         """A filesystem-safe file name for this key's persisted bundle,
@@ -112,13 +111,8 @@ class ArtifactBundle:
     index: InvertedIndex
     catalog: MetadataCatalog
     schema_graph: SchemaGraph
-    models: Optional[BayesianModelSet]
+    models: BayesianModelSet
     marks: dict
-
-    @property
-    def trained(self) -> bool:
-        """Whether the bundle carries trained Bayesian models."""
-        return self.models is not None
 
     def engine(self, **kwargs):
         """Construct a cheap per-request :class:`Prism` over this bundle."""
@@ -208,7 +202,6 @@ class ArtifactStore:
     def __init__(
         self,
         persist_dir: Optional[Union[str, Path]] = None,
-        train_bayesian: bool = True,
         max_delta_fraction: float = 0.25,
     ):
         """Create a store.
@@ -216,8 +209,6 @@ class ArtifactStore:
         Args:
             persist_dir: directory for persisted bundles (created on first
                 write).  ``None`` disables persistence.
-            train_bayesian: include trained Bayesian models in built
-                bundles (required for the ``bayesian`` scheduler).
             max_delta_fraction: bound on the append delta
                 :meth:`refresh` will fold incrementally, as a fraction of
                 the bundle's row count; larger deltas fall back to a
@@ -228,7 +219,6 @@ class ArtifactStore:
         if max_delta_fraction <= 0:
             raise ArtifactError("max_delta_fraction must be positive")
         self._persist_dir = Path(persist_dir) if persist_dir is not None else None
-        self._train_bayesian = train_bayesian
         self._max_delta_fraction = max_delta_fraction
         self._bundles: dict[str, ArtifactBundle] = {}
         self._build_locks: dict[str, threading.Lock] = {}
@@ -357,31 +347,15 @@ class ArtifactStore:
         new_marks = dict(marks)
         for table_name, delta in deltas.items():
             new_marks[table_name] = delta.new_mark
-        # The target key is derived from the captured marks, not from the
-        # live database: appends racing with the upgrade simply leave the
+        # The target key is the key of the captured marks, not of the live
+        # database: appends racing with the upgrade simply leave the
         # result one delta behind, to be caught up by the next refresh.
-        target_key = ArtifactKey(
-            database.name,
-            bundle.key.schema_version,
-            (
-                bundle.key.schema_version,
-                len(new_marks),
-                sum(mark.version for mark in new_marks.values()),
-            ),
-        )
-        built_from = (
-            target_key.database,
-            target_key.schema_version,
-            target_key.data_version,
-        )
+        target_key = database.artifact_key_at(new_marks)
         try:
-            bundle.index.apply_delta(database, deltas, built_from=built_from)
-            bundle.catalog.apply_delta(database, deltas, built_from=built_from)
-            bundle.schema_graph.apply_delta(database, built_from=built_from)
-            if bundle.models is not None:
-                bundle.models.apply_delta(
-                    database, deltas, trained_on=built_from
-                )
+            bundle.index.apply_delta(database, deltas)
+            bundle.catalog.apply_delta(database, deltas, built_from=target_key)
+            bundle.schema_graph.apply_delta(database)
+            bundle.models.apply_delta(database, deltas)
         except ReproError:
             # The artifacts may be half-upgraded; drop the bundle so the
             # fallback rebuild (and every later request) starts clean.
@@ -399,7 +373,10 @@ class ArtifactStore:
             self.stats.delta_rows_applied += delta_rows
             self.stats.refreshes_by_database[database.name] += 1
         return replace(
-            bundle, key=target_key, database=database, marks=new_marks
+            bundle,
+            key=ArtifactKey(*target_key),
+            database=database,
+            marks=new_marks,
         )
 
     def _fallback(self, reason: str) -> None:
@@ -432,7 +409,7 @@ class ArtifactStore:
         index = InvertedIndex.build(database)
         catalog = MetadataCatalog.build(database)
         schema_graph = SchemaGraph(database)
-        models = train_models(database) if self._train_bayesian else None
+        models = train_models(database)
         built_key = ArtifactKey.for_database(database)
         if built_key != key:
             raise ArtifactError(
@@ -502,10 +479,6 @@ class ArtifactStore:
         if not isinstance(bundle, ArtifactBundle) or bundle.key != key:
             with self._mutex:
                 self.stats.disk_errors += 1
-            return None
-        if self._train_bayesian and bundle.models is None:
-            # A store built with train_bayesian=False wrote this bundle;
-            # this store needs the models, so rebuild.
             return None
         with self._mutex:
             self.stats.disk_loads += 1

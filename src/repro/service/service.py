@@ -98,7 +98,9 @@ class DiscoveryRequest:
     Requests are wire-serializable: :meth:`to_json` /
     :meth:`from_json` round-trip through the versioned v1 format of
     :mod:`repro.service.wire`, which is how they cross the process-shard
-    IPC boundary and how ``prism serve-batch`` request files travel.
+    IPC boundary.  ``prism serve-batch --requests`` files use the plain
+    text form of :func:`~repro.service.workload.request_from_dict`
+    instead (constraints in the textual syntax).
     """
 
     database: str
@@ -443,7 +445,7 @@ class DiscoveryService:
             )
         if queue_size < 1:
             raise ServiceError("queue_size must be at least 1")
-        if default_deadline_s <= 0:
+        if not default_deadline_s > 0:  # NaN included
             raise ServiceError("default_deadline_s must be positive")
         if shard_mode not in _SHARD_MODES:
             raise ServiceError(
@@ -532,6 +534,7 @@ class DiscoveryService:
                     limits=self._limits,
                     refresh_artifacts=self._refresh_artifacts,
                     start_method=self._start_method,
+                    on_ready=self._note_shard_artifacts,
                 )
                 self._pool.start()
             for worker_index in range(self._workers_count):
@@ -648,12 +651,7 @@ class DiscoveryService:
                 f"unknown database {request.database!r}; available: "
                 f"{self.available_databases()}"
             )
-        budget = (
-            request.deadline_s
-            if request.deadline_s is not None
-            else self._default_deadline_s
-        )
-        if budget <= 0:
+        if not self._budget(request) > 0:  # NaN included
             raise ServiceError("a request's deadline_s must be positive")
         if request.request_id is None:
             request = DiscoveryRequest(
@@ -709,17 +707,12 @@ class DiscoveryService:
         it still shares the artifact store, so repeated calls warm-start.
         """
         request_id = request.request_id or f"req-{next(self._request_ids)}"
-        budget = (
-            request.deadline_s
-            if request.deadline_s is not None
-            else self._default_deadline_s
-        )
         return _execute_round(
             self.database,
             self.store,
             request,
             request_id,
-            budget,
+            self._budget(request),
             queued_seconds=0.0,
             default_scheduler=self._default_scheduler,
             limits=self._limits,
@@ -734,8 +727,9 @@ class DiscoveryService:
 
         In process mode, ``shards`` breaks the artifact counters down per
         shard (accumulated from the deltas each worker process reports
-        with its responses) and ``artifacts`` is their element-wise sum —
-        the merged totals always equal the sum over shards.
+        when it is ready and with every response) and ``artifacts`` is
+        their element-wise sum — the merged totals always equal the sum
+        over shards.
         """
         with self._metrics_lock:
             ordered = sorted(self._latencies)
@@ -808,12 +802,7 @@ class DiscoveryService:
             )
             self._finish(ticket, response)
             return
-        budget = (
-            request.deadline_s
-            if request.deadline_s is not None
-            else self._default_deadline_s
-        )
-        remaining = budget - queued_seconds
+        remaining = self._budget(request) - queued_seconds
         if remaining <= 0:
             # The round's interactive budget was consumed by queueing:
             # answer with a structured timeout instead of running.  In
@@ -863,6 +852,13 @@ class DiscoveryService:
                 self._in_flight -= 1
         self._finish(ticket, response)
 
+    def _budget(self, request: DiscoveryRequest) -> float:
+        """The round's budget in seconds: the request's ``deadline_s``,
+        or the service default when it carries none."""
+        if request.deadline_s is not None:
+            return request.deadline_s
+        return self._default_deadline_s
+
     def _run(
         self,
         request: DiscoveryRequest,
@@ -887,10 +883,14 @@ class DiscoveryService:
             self._shard_served[shard_id] = (
                 self._shard_served.get(shard_id, 0) + 1
             )
-            if delta:
-                _merge_counts(
-                    self._shard_artifacts.setdefault(shard_id, {}), delta
-                )
+        if delta:
+            self._note_shard_artifacts(shard_id, delta)
+
+    def _note_shard_artifacts(self, shard_id: int, delta: dict) -> None:
+        """Fold a shard's artifact-counter delta (from its ready frame or
+        a response) into its per-shard totals."""
+        with self._metrics_lock:
+            _merge_counts(self._shard_artifacts.setdefault(shard_id, {}), delta)
 
     def _finish(self, ticket: DiscoveryTicket, response: DiscoveryResponse) -> None:
         latency = time.monotonic() - ticket.submitted_at

@@ -25,9 +25,10 @@ Design rules, in decreasing order of importance:
 * **Crashes are contained.**  A shard that dies or hangs is killed and
   respawned; the in-flight request is answered with a structured
   ``status="error"`` response, and later requests hit the fresh process.
-* **Metrics flow back as deltas.**  Each response carries the shard's
-  artifact-counter increments since its previous report; the parent
-  accumulates them per shard and merges them in
+* **Metrics flow back as deltas.**  The ready frame carries the shard's
+  warm-up artifact counters and each response the increments since its
+  previous report; the parent accumulates them per shard (a respawned
+  shard's warm-up included) and merges them in
   :meth:`~repro.api.DiscoveryService.metrics`.
 
 The queueing front door (backpressure, cancellation, deadline-in-queue)
@@ -130,17 +131,25 @@ def _shard_main(
         local[name] = loaded
         return loaded
 
+    reported: dict = {}
+
+    def stats_delta() -> dict:
+        """The store's counter increments since the previous report."""
+        nonlocal reported
+        current = store.stats.as_dict()
+        delta = _diff_counts(current, reported)
+        reported = current
+        return delta
+
     try:
-        warmed = []
         for name in sorted(set(local) | set(loaders)):
             store.get(resolve(name))
-            warmed.append(name)
         _send(conn, {
             "api_version": wire.API_VERSION,
             "kind": "ready",
             "shard": shard_id,
             "pid": os.getpid(),
-            "warmed": warmed,
+            "artifacts_delta": stats_delta(),
         })
     except Exception as exc:  # noqa: BLE001 - report, then die visibly
         try:
@@ -152,18 +161,6 @@ def _shard_main(
             })
         finally:
             return
-
-    # The warm-up builds/disk-loads stay in ``reported`` = {} so the first
-    # response's delta carries them — the parent's merged metrics then
-    # account for every build any shard ever did.
-    reported: dict = {}
-
-    def stats_delta() -> dict:
-        nonlocal reported
-        current = store.stats.as_dict()
-        delta = _diff_counts(current, reported)
-        reported = current
-        return delta
 
     while True:
         try:
@@ -180,13 +177,6 @@ def _shard_main(
         kind = frame.get("kind")
         if kind == "shutdown":
             return
-        if kind == "ping":
-            _send(conn, {
-                "api_version": wire.API_VERSION,
-                "kind": "pong",
-                "shard": shard_id,
-            })
-            continue
         if kind == "crash":
             # Test hook: die without cleanup, exactly like a hard fault.
             os._exit(2)
@@ -235,7 +225,6 @@ class _Shard:
         self.id = shard_id
         self.conn = conn
         self.process = process
-        self.warmed: list[str] = []
         #: Serializes pipe traffic: normally only this shard's dedicated
         #: worker thread talks to it, but shutdown may come from another
         #: thread.
@@ -252,7 +241,9 @@ class ShardProcessPool:
     One :class:`~repro.api.DiscoveryService` worker thread is pinned
     to each shard; :meth:`run` is its blocking round-trip RPC.  The pool
     owns spawn, warm-up handshake, crash detection/respawn and shutdown.
-    Every shard holds every database.
+    Every shard holds every database.  ``on_ready(shard_id, delta)`` is
+    called with each shard's warm-up artifact counters whenever it
+    reports ready: at :meth:`start` and after every respawn.
     """
 
     def __init__(
@@ -260,6 +251,7 @@ class ShardProcessPool:
         num_shards: int,
         databases: Mapping[str, Database],
         loaders: Mapping[str, Callable[[], Database]],
+        on_ready: Callable[[int, dict], None],
         persist_dir=None,
         default_scheduler: str = "bayesian",
         limits: Optional[GenerationLimits] = None,
@@ -281,6 +273,7 @@ class ShardProcessPool:
         self._refresh_artifacts = refresh_artifacts
         self._ctx = multiprocessing.get_context(start_method)
         self._ready_timeout_s = ready_timeout_s
+        self._on_ready = on_ready
         self._shards: list[_Shard] = []
         self._respawns = 0
         self._started = False
@@ -355,7 +348,7 @@ class ShardProcessPool:
                 ) from exc
             kind = frame.get("kind")
             if kind == "ready":
-                shard.warmed = list(frame.get("warmed") or [])
+                self._on_ready(shard.id, frame.get("artifacts_delta") or {})
                 return
             if kind == "fatal":
                 self._kill(shard)

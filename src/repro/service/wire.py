@@ -1,12 +1,11 @@
 """The v1 wire format: versioned, JSON-serializable service messages.
 
 Everything that crosses the service boundary — client → service
-submissions, the process-shard IPC frames of
-:mod:`repro.service.shards`, request files fed to ``prism serve-batch``
-— is encoded by this module as plain JSON with an explicit
-``api_version`` stamp.  The codec is deliberately **strict**: a missing
-required field, an *unknown* field (typos never pass silently) or a
-version this build does not speak raises
+submissions and the process-shard IPC frames of
+:mod:`repro.service.shards` — is encoded by this module as plain JSON
+with an explicit ``api_version`` stamp.  The codec is deliberately
+**strict**: a missing required field, an *unknown* field (typos never
+pass silently) or a version this build does not speak raises
 :class:`~repro.errors.WireFormatError` instead of guessing.
 
 Two design points worth knowing:
@@ -31,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from typing import Any, Mapping, NoReturn, Optional, Sequence
 
 from repro.constraints.metadata import (
@@ -119,6 +119,28 @@ def _number(payload: Mapping[str, Any], key: str, what: str) -> Optional[float]:
         raise WireFormatError(
             f"{what}'s {key!r} must be a number, got {value!r}"
         ) from exc
+
+
+def deadline_seconds(value: Any, what: str) -> Optional[float]:
+    """A request's ``deadline_s`` as a float (``None`` when absent).
+
+    Only an int or float that is not NaN passes: ``float()`` would read
+    a bool as 1 s and a string as its number, and NaN fails every
+    ``<= 0`` check yet never expires.  Anything else raises
+    :class:`WireFormatError` naming ``what`` and the key.
+    """
+    if value is None:
+        return None
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            if not math.isnan(value):
+                return float(value)
+        except OverflowError:  # an int beyond float range
+            pass
+    raise WireFormatError(
+        f"{what} 'deadline_s' must be a number that is not NaN, "
+        f"got {value!r}"
+    )
 
 
 def _check_fields(
@@ -411,7 +433,9 @@ def request_from_wire(payload: Any):
         database=database,
         spec=spec_from_wire(payload["spec"]),
         scheduler=payload.get("scheduler"),
-        deadline_s=_number(payload, "deadline_s", "a discovery request"),
+        deadline_s=deadline_seconds(
+            payload.get("deadline_s"), "a discovery request's"
+        ),
         request_id=payload.get("request_id"),
     )
 

@@ -18,6 +18,7 @@ from repro.constraints.parser import parse_metadata_constraint, parse_value_cons
 from repro.constraints.sample import SampleConstraint
 from repro.constraints.spec import MappingSpec
 from repro.errors import ServiceError
+from repro.service import wire
 from repro.service.service import DiscoveryRequest
 
 __all__ = ["request_from_dict", "demo_requests", "DEMO_REQUEST_TEMPLATES"]
@@ -112,7 +113,6 @@ def request_from_dict(entry: Mapping[str, Any]) -> DiscoveryRequest:
         raise ServiceError(
             f"request entry key 'columns' must be an integer, got {columns!r}"
         )
-    deadline_s = entry.get("deadline_s")
     return DiscoveryRequest(
         database=database,
         spec=_spec_from_texts(
@@ -121,18 +121,11 @@ def request_from_dict(entry: Mapping[str, Any]) -> DiscoveryRequest:
             _metadata_texts(entry.get("metadata")),
         ),
         scheduler=entry.get("scheduler"),
-        deadline_s=None if deadline_s is None else _deadline(deadline_s),
+        deadline_s=wire.deadline_seconds(
+            entry.get("deadline_s"), "request entry key"
+        ),
         request_id=entry.get("request_id"),
     )
-
-
-def _deadline(value: Any) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ServiceError(
-            f"request entry key 'deadline_s' must be a number, got {value!r}"
-        ) from exc
 
 
 def _sample_rows(samples: Any) -> list:

@@ -191,17 +191,12 @@ def test_apply_delta_equals_a_cold_build(seed):
         marks = database.storage_marks()
         for table in database:
             _append(rng, table, rng.randint(0, 10))
-        index.apply_delta(
-            database,
-            database.storage_deltas_since(marks),
-            database.artifact_key(),
-        )
+        index.apply_delta(database, database.storage_deltas_since(marks))
         cold = InvertedIndex.build(database)
         assert index._exact == cold._exact
         assert index._tokens == cold._tokens
         assert index.indexed_cells == cold.indexed_cells
         assert index.num_terms == cold.num_terms
-        assert index.built_from == cold.built_from
         _assert_matches_scan(index, database)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.constraints.metadata import MetadataField, MetadataPredicate
@@ -135,9 +137,14 @@ class TestValidationAndTimeouts:
         with pytest.raises(SpecError):
             company_prism.discover(MappingSpec(2))
 
-    def test_invalid_time_limit_rejected(self, company_db_session):
+    @pytest.mark.parametrize("time_limit", [0, -1.0, math.nan])
+    def test_invalid_time_limit_rejected(self, company_db_session, time_limit):
         with pytest.raises(DiscoveryError):
-            Prism(company_db_session, time_limit=0)
+            Prism(company_db_session, time_limit=time_limit)
+        engine = Prism(company_db_session, train_bayesian=False)
+        spec = MappingSpec(1).add_sample_cells([ExactValue("Engineering")])
+        with pytest.raises(DiscoveryError):
+            engine.discover(spec, scheduler="filter", time_limit=time_limit)
 
     def test_tiny_time_limit_reports_timeout(self, company_db_session):
         engine = Prism(company_db_session, train_bayesian=False)

@@ -118,3 +118,44 @@ class TestCachingAndCounting:
         filter_set = build_filters(spec, [CandidateQuery(0, query)])
         validator = FilterValidator(Executor(company_db), spec)
         assert validator.validate(filter_set.filters[0]) is True
+
+
+class TestOutcomeCache:
+    """The validator's outcomes live in the executor, keyed by content."""
+
+    def _tops(self, spec):
+        filter_set = build_filters(spec, [candidate()])
+        return [
+            filter_set.filter(filter_id)
+            for filter_id in filter_set.candidate_tops[0].values()
+        ]
+
+    def test_identical_probes_share_one_outcome(self, company_db):
+        spec = MappingSpec(2)
+        for __ in range(2):
+            spec.add_sample_cells(
+                [ExactValue("Ann Arbor"), ExactValue("Alice Chen")]
+            )
+        first, second = self._tops(spec)
+        executor = Executor(company_db)
+        validator = FilterValidator(executor, spec)
+        assert validator.validate(first) and validator.validate(second)
+        assert validator.stats.cache_misses == 1
+        assert validator.stats.cache_hits == 1
+        # A later run's validator on the same executor executes nothing.
+        executed = executor.stats.queries_executed
+        again = FilterValidator(executor, spec)
+        assert again.validate(second)
+        assert again.stats.cache_hits == 1
+        assert executor.stats.queries_executed == executed
+
+    def test_a_batch_skips_peers_already_cached(self, company_db):
+        spec = MappingSpec(2)
+        spec.add_sample_cells([ExactValue("Ann Arbor"), ExactValue("Alice Chen")])
+        spec.add_sample_cells([ExactValue("Chicago"), ExactValue("Frank Hill")])
+        first, second = self._tops(spec)
+        validator = FilterValidator(Executor(company_db), spec)
+        assert validator.validate(second)
+        assert validator.validate_batch(first, [second])
+        assert validator.stats.batches == 0
+        assert validator.stats.cache_misses == 2

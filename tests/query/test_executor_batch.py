@@ -30,8 +30,8 @@ def executor(company_db):
     return Executor(company_db)
 
 
-def probe(query=JOIN_QUERY, predicates=None, key=None):
-    return BatchProbe(query=query, cell_predicates=predicates, cache_key=key)
+def probe(query=JOIN_QUERY, predicates=None):
+    return BatchProbe(query=query, cell_predicates=predicates)
 
 
 class TestOutcomeEquivalence:
@@ -124,30 +124,3 @@ class TestWorkSharing:
         # Equal constraints share one scan of their column; an unshared
         # pushdown would scan Department.City twice.
         assert scans == {("Department", "City"): 1, ("Employee", "Name"): 1}
-
-
-class TestMemoInteraction:
-    def test_batch_memoizes_every_probe(self, executor):
-        probes = [
-            probe(predicates={1: ExactValue("Alice")}, key=("p", 1)),
-            probe(predicates={1: ExactValue("Nobody")}, key=("p", 2)),
-        ]
-        executor.exists_batch(probes)
-        assert executor.stats.exists_cache_misses == 2
-        assert executor.exists_memo_size == 2
-        # Every outcome — including the batched peer's — now hits.
-        assert executor.exists(
-            JOIN_QUERY, {1: ExactValue("Alice")}, cache_key=("p", 1)
-        )
-        assert not executor.exists(
-            JOIN_QUERY, {1: ExactValue("Nobody")}, cache_key=("p", 2)
-        )
-        assert executor.stats.exists_cache_hits == 2
-
-    def test_batch_resolves_memo_hits_without_executing(self, executor):
-        executor.exists(JOIN_QUERY, cache_key=("warm",))
-        executed = executor.stats.queries_executed
-        outcomes = executor.exists_batch([probe(key=("warm",))])
-        assert outcomes == [True]
-        assert executor.stats.queries_executed == executed
-        assert executor.stats.exists_cache_hits == 1

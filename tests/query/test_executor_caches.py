@@ -1,13 +1,27 @@
-"""Tests for the executor's reusable edge kernels, existence memo and
-edge-case semantics of the vectorized path."""
+"""Tests for the executor's cache generation, its reusable edge kernels
+and edge-case semantics of the vectorized path.
+
+The rule: every executor cache — lowered plans, edge kernels, Bloom
+membership masks and the outcomes callers store in
+:attr:`Executor.outcomes` — holds for exactly one
+``Database.artifact_key()``.  After an append, and after a table
+drop-and-recreate, a held executor rebuilds all of them, and its answers
+equal a fresh executor's.
+"""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.constraints.spec import MappingSpec
 from repro.constraints.values import AnyValue, ExactValue
 from repro.dataset import Column, Database, DataType
+from repro.dataset.catalog import MetadataCatalog
 from repro.dataset.schema import ColumnRef, ForeignKey
+from repro.discovery import validation
+from repro.discovery.candidates import CandidateQuery
+from repro.discovery.filters import build_filters
+from repro.discovery.validation import FilterValidator
 from repro.errors import QueryError
 from repro.query.executor import Executor
 from repro.query.pj_query import ProjectJoinQuery
@@ -41,8 +55,8 @@ class TestEdgeKernelReuse:
         first = _edge_kernel(executor)
         executor.execute(JOIN_QUERY)
         assert _edge_kernel(executor) is first
-        # An append to either side publishes a new column kernel, so the
-        # edge kernel bound to the old one is replaced.
+        # An append to either side moves the artifact key, so the edge
+        # kernel is rebuilt over the grown columns.
         company_db.table("Employee").insert((7, "Grace Ito", "Sales", 88_000.0, 31))
         executor.execute(JOIN_QUERY)
         second = _edge_kernel(executor)
@@ -81,40 +95,102 @@ class TestEdgeKernelReuse:
         assert first == again == fresh
 
 
-class TestExistsMemo:
-    def test_memo_hit_and_miss_counters(self, executor):
-        predicates = {1: ExactValue("Alice")}
-        key = ("probe", "alice")
-        assert executor.exists(JOIN_QUERY, predicates, cache_key=key)
-        assert executor.stats.exists_cache_misses == 1
-        assert executor.stats.exists_cache_hits == 0
-        assert executor.exists(JOIN_QUERY, predicates, cache_key=key)
-        assert executor.stats.exists_cache_hits == 1
-        assert executor.exists_memo_size == 1
+def _parent_child() -> Database:
+    """Three parents; four children, the last dangling (no parent yet)."""
+    database = Database("generations")
+    parent = database.create_table(
+        "Parent", [Column("key", DataType.TEXT), Column("name", DataType.TEXT)]
+    )
+    child = database.create_table(
+        "Child", [Column("parent", DataType.TEXT), Column("label", DataType.TEXT)]
+    )
+    parent.insert_many([("a", "parent a"), ("b", "parent b"), ("c", "parent c")])
+    child.insert_many(
+        [("a", "kept"), ("b", "kept"), ("c", "kept"), ("late", "orphan")]
+    )
+    database.link("Child.parent", "Parent.key")
+    return database
 
-    def test_memo_hit_skips_execution(self, executor):
-        key = ("probe", "anything")
-        executor.exists(JOIN_QUERY, cache_key=key)
-        executed_before = executor.stats.queries_executed
-        executor.exists(JOIN_QUERY, cache_key=key)
-        assert executor.stats.queries_executed == executed_before
 
-    def test_no_cache_key_means_no_memo(self, executor):
-        executor.exists(JOIN_QUERY)
-        executor.exists(JOIN_QUERY)
-        assert executor.stats.exists_cache_hits == 0
-        assert executor.stats.exists_cache_misses == 0
-        assert executor.exists_memo_size == 0
+FAMILY = ProjectJoinQuery(
+    (ColumnRef("Child", "label"), ColumnRef("Parent", "name")),
+    (ForeignKey("Child", "parent", "Parent", "key"),),
+)
+ORPHAN = {0: ExactValue("orphan")}
+PROBES = [ORPHAN, {0: ExactValue("kept")}, {1: ExactValue("late parent")}, None]
 
-    def test_memo_invalidated_when_database_changes(self, executor, company_db):
-        predicates = {1: ExactValue("Grace Ito")}
-        key = ("probe", "grace")
-        assert not executor.exists(JOIN_QUERY, predicates, cache_key=key)
-        company_db.table("Employee").insert(
-            (7, "Grace Ito", "Sales", 88_000.0, 31)
-        )
-        assert executor.exists(JOIN_QUERY, predicates, cache_key=key)
-        assert executor.stats.exists_cache_misses == 2
+
+def _append(database, catalog):
+    """The dangling child's parent arrives; the catalog folds the delta."""
+    marks = database.storage_marks()
+    database.table("Parent").insert(("late", "late parent"))
+    catalog.apply_delta(
+        database, database.storage_deltas_since(marks), database.artifact_key()
+    )
+
+
+def _recreate(database, catalog):
+    """Parent is dropped and recreated with its columns reversed; the
+    catalog is left describing the old state."""
+    database.drop_table("Parent")
+    parent = database.create_table(
+        "Parent", [Column("name", DataType.TEXT), Column("key", DataType.TEXT)]
+    )
+    parent.insert_many([("parent a", "a"), ("late parent", "late")])
+
+
+class TestOneGenerationPerArtifactKey:
+    @pytest.mark.parametrize("change", [_append, _recreate])
+    def test_a_new_key_rebuilds_every_cache(self, change):
+        database = _parent_child()
+        catalog = MetadataCatalog.build(database)
+        executor = Executor(database, catalog)
+        # The Bloom pre-filter decides the dangling child's probe.
+        assert not executor.exists(FAMILY, ORPHAN)
+        assert executor.stats.bloom_rejections == 1
+        executor.execute(FAMILY)
+        executor.outcomes["stored"] = False
+        (edge,) = executor._edge_kernels.values()
+        masks = {key: mask for key, mask in executor._bloom_masks.items()
+                 if mask is not None}
+        assert masks
+        builds = executor.stats.plan_cache_builds
+
+        change(database, catalog)
+
+        fresh = Executor(database, catalog)
+        for predicates in PROBES:
+            assert executor.exists(FAMILY, predicates) == fresh.exists(
+                FAMILY, predicates
+            )
+            assert executor.execute(FAMILY, predicates) == fresh.execute(
+                FAMILY, predicates
+            )
+        assert executor.exists(FAMILY, ORPHAN)
+        assert executor.stats.plan_cache_builds == builds + 1
+        (rebuilt,) = executor._edge_kernels.values()
+        assert rebuilt is not edge
+        assert "stored" not in executor.outcomes
+        if change is _append:
+            # The catalog matches the new key, so Bloom pruning goes on,
+            # over masks built against the folded filters.
+            assert executor._bloom_masks.keys() >= masks.keys()
+            assert all(executor._bloom_masks[key] is not mask
+                       for key, mask in masks.items())
+        else:
+            # A catalog of an older key never prunes.
+            assert executor._bloom_masks == {}
+
+    def test_an_unchanged_key_keeps_every_cache(self, company_db):
+        executor = Executor(company_db)
+        executor.execute(JOIN_QUERY)
+        executor.outcomes["stored"] = True
+        edge = _edge_kernel(executor)
+        executor.execute(JOIN_QUERY)
+        assert executor.exists(JOIN_QUERY, {1: ExactValue("Alice Chen")})
+        assert _edge_kernel(executor) is edge
+        assert executor.stats.plan_cache_builds == 1
+        assert executor.outcomes == {"stored": True}
 
 
 class TestCountWithoutMaterialization:
@@ -235,37 +311,29 @@ class TestSchemaChangeInvalidation:
         b2.insert((20, "x"))
         assert executor.execute(query) == [(1, 20)]
 
-    def test_exists_memo_dropped_when_table_recreated(self):
-        database = Database("rememo")
-        table = database.create_table("T", [Column("a", DataType.TEXT)])
-        table.insert(("alpha",))
-        query = ProjectJoinQuery((ColumnRef("T", "a"),))
-        executor = Executor(database)
-        key = ("has-beta",)
-        predicates = {0: ExactValue("beta")}
-        assert not executor.exists(query, predicates, cache_key=key)
-        # Drop and recreate with the same name and one matching row: the
-        # naive (count, summed-versions) token would collide here.
-        database.drop_table("T")
-        fresh = database.create_table("T", [Column("a", DataType.TEXT)])
-        fresh.insert(("beta",))
-        assert executor.exists(query, predicates, cache_key=key)
-
 
 class TestCacheBounds:
-    def test_exists_memo_evicts_oldest_beyond_cap(self, executor, monkeypatch):
-        import repro.query.executor as executor_module
-
-        monkeypatch.setattr(executor_module, "MAX_EXISTS_MEMO_ENTRIES", 3)
+    def test_outcome_cache_keeps_the_newest_entries(
+        self, executor, monkeypatch
+    ):
+        monkeypatch.setattr(validation, "MAX_CACHED_OUTCOMES", 3)
+        spec = MappingSpec(1)
+        names = ["Alice Chen", "Bob Diaz", "Carol Evans", "Nobody", "Eve Gupta"]
+        for name in names:
+            spec.add_sample_cells([ExactValue(name)])
         query = ProjectJoinQuery((ColumnRef("Employee", "Name"),))
-        for i in range(5):
-            executor.exists(query, cache_key=("probe", i))
-        assert executor.exists_memo_size == 3
-        # Oldest entries were evicted; re-probing them misses again.
-        misses_before = executor.stats.exists_cache_misses
-        executor.exists(query, cache_key=("probe", 0))
-        assert executor.stats.exists_cache_misses == misses_before + 1
-        # Newest entry is still memoized.
-        hits_before = executor.stats.exists_cache_hits
-        executor.exists(query, cache_key=("probe", 4))
-        assert executor.stats.exists_cache_hits == hits_before + 1
+        filters = build_filters(spec, [CandidateQuery(0, query)]).filters
+        assert len(filters) == len(names)
+        validator = FilterValidator(executor, spec)
+        for filter_ in filters:
+            validator.validate(filter_)
+        assert len(executor.outcomes) == 3
+        executed = executor.stats.queries_executed
+        # The newest outcome is still cached ...
+        assert validator.validate(filters[-1])
+        assert executor.stats.queries_executed == executed
+        assert validator.stats.cache_hits == 1
+        # ... the oldest was evicted, so validating it executes again.
+        assert validator.validate(filters[0])
+        assert executor.stats.queries_executed == executed + 1
+        assert validator.stats.cache_misses == len(names) + 1

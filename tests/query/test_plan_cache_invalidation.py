@@ -1,22 +1,24 @@
-"""Plan/memo cache invalidation across schema changes, data changes and
-``ArtifactStore.refresh()`` (ISSUE 5 satellite coverage).
+"""Plan and outcome cache invalidation across schema changes, data
+changes and ``ArtifactStore.refresh()``.
 
 The executor keys its physical-plan cache by canonical plan hash (join
-structure) and its existence memo by caller-supplied canonical probe
-signatures.  These tests prove both caches are dropped exactly when they
-must be: the plan cache on schema-version changes, the memo on any
-data-version change — including the append-and-refresh lifecycle of the
-service layer's artifact store.
+structure) and holds it, with the validator's outcome cache, for one
+artifact key.  These tests prove both caches are shared while the key
+stands and dropped when it moves: on a schema change, on an append, and
+through the append-and-refresh lifecycle of the service layer's artifact
+store.
 """
 
 from __future__ import annotations
 
-import pytest
-
+from repro.constraints.spec import MappingSpec
 from repro.constraints.values import ExactValue
-from repro.dataset import Column, Database, DataType
+from repro.dataset import Column, DataType
 from repro.dataset.schema import ColumnRef, ForeignKey
-from repro.query.executor import BatchProbe, Executor
+from repro.discovery.candidates import CandidateQuery
+from repro.discovery.filters import build_filters
+from repro.discovery.validation import FilterValidator
+from repro.query.executor import Executor
 from repro.query.pj_query import ProjectJoinQuery
 
 EMP_DEPT = ForeignKey("Employee", "Department", "Department", "Name")
@@ -68,34 +70,41 @@ class TestPlanCacheKeyedByPlanHash:
         executor.execute(JOIN_QUERY)
         assert executor.stats.plan_cache_builds == 2
 
-    def test_data_growth_keeps_plans(self, company_db):
+    def test_data_growth_rebuilds_plans(self, company_db):
         executor = Executor(company_db)
         executor.execute(JOIN_QUERY)
         company_db.table("Employee").insert(
             (7, "Grace Ito", "Sales", 88_000.0, 31)
         )
         executor.execute(JOIN_QUERY)
-        # Appends change data, not structure: the plan survives.
-        assert executor.stats.plan_cache_builds == 1
-        assert executor.stats.plan_cache_hits == 1
+        # An append moves the artifact key: the plan is lowered again.
+        assert executor.stats.plan_cache_builds == 2
+        assert executor.stats.plan_cache_hits == 0
 
 
-class TestMemoInvalidationThroughBatches:
+class TestOutcomeInvalidationThroughBatches:
     def test_batched_outcomes_invalidate_on_data_change(self, company_db):
+        spec = MappingSpec(2)
+        spec.add_sample_cells([ExactValue("Chicago"), ExactValue("Grace Ito")])
+        spec.add_sample_cells([ExactValue("Chicago"), ExactValue("Frank Hill")])
+        filter_set = build_filters(spec, [CandidateQuery(0, JOIN_QUERY)])
+        first, second = (
+            filter_set.filter(filter_id)
+            for filter_id in filter_set.candidate_tops[0].values()
+        )
         executor = Executor(company_db)
-        predicates = {1: ExactValue("Grace Ito")}
-        key = ("probe", "grace")
-        assert executor.exists_batch(
-            [BatchProbe(JOIN_QUERY, predicates, key)]
-        ) == [False]
+        validator = FilterValidator(executor, spec)
+        assert not validator.validate_batch(first, [second])
+        assert validator.stats.batches == 1
+        assert validator.validate(second)
+        assert validator.stats.cache_hits == 1
         company_db.table("Employee").insert(
             (7, "Grace Ito", "Sales", 88_000.0, 31)
         )
-        assert executor.exists_batch(
-            [BatchProbe(JOIN_QUERY, predicates, key)]
-        ) == [True]
-        assert executor.stats.exists_cache_misses == 2
-        assert executor.stats.exists_cache_hits == 0
+        # The append dropped both batched outcomes.
+        assert validator.validate_batch(first, [second])
+        assert validator.stats.batches == 2
+        assert validator.stats.cache_misses == 4
 
 
 class TestArtifactRefreshInvalidation:
@@ -119,10 +128,10 @@ class TestArtifactRefreshInvalidation:
         engine = Prism.from_artifacts(bundle, time_limit=30.0)
         before = engine.discover(self._spec())
         assert before.num_queries == 0
-        assert engine.executor.exists_memo_size > 0
+        assert engine.executor.outcomes
 
         # A second Eve Gupta joins Sales (Chicago): the appended row
-        # flips outcomes the executor memo decided above.
+        # flips outcomes the outcome cache holds from above.
         company_db.table("Employee").insert(
             (7, "Eve Gupta", "Sales", 88_000.0, 31)
         )
@@ -134,8 +143,8 @@ class TestArtifactRefreshInvalidation:
         fresh = Prism.from_artifacts(refreshed, time_limit=30.0)
         after = fresh.discover(self._spec())
         assert after.num_queries >= 1
-        # ... and so does the *old* engine: its executor memo is keyed
-        # on the data version and self-invalidates.
+        # ... and so does the *old* engine: its executor's caches hold
+        # for one artifact key and were dropped when the key moved.
         stale = engine.discover(self._spec())
         assert stale.sql() == after.sql()
 

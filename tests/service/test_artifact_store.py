@@ -4,11 +4,8 @@ from __future__ import annotations
 
 import threading
 
-import pytest
-
 from repro.constraints.spec import MappingSpec
 from repro.constraints.values import ExactValue
-from repro.errors import DiscoveryError
 from repro.service.artifacts import ArtifactKey, ArtifactStore
 
 
@@ -50,11 +47,8 @@ class TestArtifactStore:
         bundle = store.get(company_db)
         assert bundle.database is company_db
         assert bundle.key == ArtifactKey.for_database(company_db)
-        assert bundle.index.built_from == company_db.artifact_key()
         assert bundle.catalog.built_from == company_db.artifact_key()
-        assert bundle.schema_graph.built_from == company_db.artifact_key()
         assert bundle.models is not None
-        assert bundle.models.trained_on == company_db.artifact_key()
 
     def test_engine_over_bundle_discovers(self, company_db):
         store = ArtifactStore()
@@ -63,15 +57,6 @@ class TestArtifactStore:
         assert result.num_queries >= 1
         # The engine shares the bundle's artifacts instead of rebuilding.
         assert engine.index is store.get(company_db).index
-
-    def test_untrained_store_builds_model_free_bundles(self, company_db):
-        store = ArtifactStore(train_bayesian=False)
-        bundle = store.get(company_db)
-        assert bundle.models is None
-        engine = bundle.engine(scheduler="filter")
-        assert engine.discover(_company_spec()).num_queries >= 1
-        with pytest.raises(DiscoveryError):
-            bundle.engine(scheduler="bayesian").discover(_company_spec())
 
     def test_invalidation_rebuilds_on_new_data_version(self, company_db):
         store = ArtifactStore()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 
@@ -246,14 +247,17 @@ class TestConfigurationValidation:
             )
         with pytest.raises(ServiceError):
             DiscoveryService(databases={"company": company_db}, queue_size=0)
-        with pytest.raises(ServiceError):
-            DiscoveryService(
-                databases={"company": company_db}, default_deadline_s=0
-            )
+        for deadline_s in (0, math.nan):
+            with pytest.raises(ServiceError):
+                DiscoveryService(
+                    databases={"company": company_db},
+                    default_deadline_s=deadline_s,
+                )
 
-    def test_nonpositive_request_budget_rejected(self, service):
+    @pytest.mark.parametrize("deadline_s", [0, -1.0, math.nan])
+    def test_nonpositive_request_budget_rejected(self, service, deadline_s):
         with pytest.raises(ServiceError, match="deadline_s"):
-            service.submit(_company_request(deadline_s=0))
+            service.submit(_company_request(deadline_s=deadline_s))
 
     def test_default_service_serves_bundled_databases(self):
         svc = DiscoveryService()
@@ -283,6 +287,18 @@ class TestWorkloadBuilders:
         assert request.scheduler == "filter"
         assert request.deadline_s == 5.0
         assert request.request_id == "r1"
+
+    @pytest.mark.parametrize(
+        "deadline_s", [True, False, "2.5", math.nan, [1], 10**400]
+    )
+    def test_request_from_dict_rejects_a_deadline_that_is_not_a_number(
+        self, deadline_s
+    ):
+        with pytest.raises(ServiceError, match="'deadline_s'"):
+            request_from_dict(
+                {"database": "nba", "columns": 1, "samples": [["Lakers"]],
+                 "deadline_s": deadline_s}
+            )
 
     def test_request_from_dict_requires_core_keys(self):
         with pytest.raises(ServiceError, match="missing key"):

@@ -83,7 +83,7 @@ class TestProcessServing:
             == metrics.completed
             == 4
         )
-        # Each shard that served anything warmed its own bundle exactly once.
+        # Each shard warmed its own bundle exactly once.
         for info in metrics.shards.values():
             assert info["artifacts"]["builds"] == 1
         assert metrics.artifacts["builds"] == sum(
@@ -147,6 +147,8 @@ class TestProcessServing:
             recovered = svc.submit(_company_request()).result(timeout=120)
             assert recovered.ok
             assert svc._pool.respawns >= 1
+            # The respawned shard's warm-up build is reported too.
+            assert svc.metrics().artifacts["builds"] == 1 + svc._pool.respawns
 
     def test_unencodable_request_fails_and_shard_keeps_serving(
         self, company_db, start_method
@@ -291,7 +293,7 @@ class TestMetricsMergeAcrossPartitionedShards:
             metrics = svc.metrics()
         assert [r.status for r in responses] == ["ok"] * 6
         # Every shard holds every database: its warm-up builds all three
-        # bundles, reported with the first response it serves.
+        # bundles, reported in its ready frame.
         assert metrics.shards
         for info in metrics.shards.values():
             assert info["served"] >= 1
@@ -308,6 +310,24 @@ class TestMetricsMergeAcrossPartitionedShards:
         by_db = metrics.artifacts["builds_by_database"]
         assert by_db == {name: len(metrics.shards) for name in by_db}
         assert sorted(by_db) == ["imdb", "mondial", "nba"]
+
+    def test_warm_up_builds_of_an_idle_shard_are_reported(self):
+        svc = DiscoveryService(
+            loaders={"imdb": load_imdb, "nba": load_nba},
+            workers=2,
+            shard_mode="process",
+            limits=_LIMITS,
+        )
+        with svc:
+            request = demo_requests(databases=["nba"])[0]
+            assert svc.submit(request).result(timeout=300).ok
+            metrics = svc.metrics()
+        # One request, but both shards built both bundles at warm-up.
+        assert metrics.artifacts["builds"] == 4
+        assert sorted(metrics.shards) == [0, 1]
+        for info in metrics.shards.values():
+            assert info["artifacts"]["builds"] == 2
+        assert sum(info["served"] for info in metrics.shards.values()) == 1
 
 
 class TestGoldenEquality:

@@ -276,6 +276,9 @@ class TestWronglyTypedValues:
         pytest.param(("spec", "columns"), 2.7, id="columns-float"),
         pytest.param(("spec", "columns"), True, id="columns-bool"),
         pytest.param(("deadline_s",), [1], id="deadline-list"),
+        pytest.param(("deadline_s",), True, id="deadline-bool"),
+        pytest.param(("deadline_s",), "2.5", id="deadline-string"),
+        pytest.param(("deadline_s",), float("nan"), id="deadline-nan"),
         pytest.param(("database",), 7, id="database-number"),
         pytest.param(("scheduler",), 7, id="scheduler-number"),
         pytest.param(("request_id",), 7, id="request-id-number"),
@@ -292,6 +295,8 @@ class TestWronglyTypedValues:
         pytest.param(("spec", "columns"), 2.7, id="columns-float"),
         pytest.param(("scheduler",), 7, id="scheduler-number"),
         pytest.param(("request_id",), 7, id="request-id-number"),
+        pytest.param(("deadline_s",), True, id="deadline-bool"),
+        pytest.param(("deadline_s",), float("nan"), id="deadline-nan"),
     ])
     def test_wrongly_typed_request_field_is_named(self, path, value):
         payload = json.loads(demo_requests(databases=["mondial"])[0].to_json())
