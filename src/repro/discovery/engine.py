@@ -124,7 +124,7 @@ class Prism:
             schema_graph if schema_graph is not None else SchemaGraph(database)
         )
         # The executor plans with the catalog's cardinalities; its
-        # physical plans are keyed by canonical plan hash and therefore
+        # physical plans are keyed by join-prefix key and therefore
         # shared across every candidate joining the same structure.
         self.use_sketches = use_sketches
         self.executor = Executor(

@@ -215,7 +215,6 @@ class FilterSet:
 def _connected_subtrees(
     tables: frozenset[str],
     edges: Sequence[ForeignKey],
-    max_tables: Optional[int] = None,
 ) -> list[tuple[frozenset[str], tuple[ForeignKey, ...]]]:
     """Enumerate connected subtrees (node set, induced edges) of a join tree."""
     adjacency: dict[str, list[ForeignKey]] = {table: [] for table in tables}
@@ -230,12 +229,9 @@ def _connected_subtrees(
     frontier: list[tuple[frozenset[str], tuple[ForeignKey, ...]]] = [
         (frozenset({table}), ()) for table in tables
     ]
-    limit = max_tables if max_tables is not None else len(tables)
     while frontier:
         next_frontier = []
         for node_set, tree_edges in frontier:
-            if len(node_set) >= limit:
-                continue
             for table in node_set:
                 for edge in adjacency[table]:
                     left, right = edge.tables()
@@ -253,17 +249,13 @@ def _connected_subtrees(
 
 
 def build_filters(
-    spec: MappingSpec,
-    candidates: Sequence[CandidateQuery],
-    max_subtree_tables: Optional[int] = None,
+    spec: MappingSpec, candidates: Sequence[CandidateQuery]
 ) -> FilterSet:
     """Decompose every candidate into filters for every sample constraint.
 
     Args:
         spec: the mapping specification (provides the sample constraints).
         candidates: candidate queries from the generator.
-        max_subtree_tables: optionally restrict sub-filters to at most this
-            many tables (the top filter is always included regardless).
     """
     filter_set = FilterSet(spec, candidates)
     samples = spec.samples
@@ -283,7 +275,7 @@ def build_filters(
                 continue
             # Sub-filters: every connected subtree containing >= 1 constrained column.
             for node_set, sub_edges in _connected_subtrees(
-                candidate_tables, query.joins, max_subtree_tables
+                candidate_tables, query.joins
             ):
                 positions = [
                     position

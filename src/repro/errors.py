@@ -190,8 +190,7 @@ class ArtifactError(ReproError):
 
     When raised: the source database was mutated *while* its bundle was
     being built (the store detects the torn state and refuses to cache
-    it), or an :class:`~repro.api.ArtifactStore` is configured with a
-    non-positive ``max_delta_fraction``.
+    it).
 
     How to recover: for build-time mutation, retry once writes have
     quiesced — the store's per-database build lock makes this safe.

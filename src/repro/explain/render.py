@@ -1,4 +1,4 @@
-"""Renderers for query-explanation graphs and optimized logical plans.
+"""Renderers for query-explanation graphs and plan trees.
 
 The demo draws the graph in a browser canvas; here we provide equivalent
 artefacts that work in a terminal and in downstream tooling:
@@ -8,7 +8,7 @@ artefacts that work in a terminal and in downstream tooling:
   paper describes Figure 4c);
 * :func:`to_ascii` — a plain-text rendering for CLIs and logs;
 * :func:`to_dict` — a JSON-serialisable structure for web frontends;
-* :func:`plan_to_ascii` — the optimized logical plan of a query
+* :func:`plan_to_ascii` — the plan tree of a query's join order
   (``prism explain --plan``), annotated with the planner's estimated
   cardinalities and with which sub-structures are shared by other
   candidates of the same discovery round.
@@ -147,8 +147,8 @@ def structure_key(node: PlanNode) -> Optional[tuple]:
 
     ``Scan`` and ``Filter``-over-scan nodes key on their table; ``Join``
     subtrees key on their edge set over their table set (the same
-    identity batched validation groups by).  Wrapper nodes
-    (Project/Exists) return ``None`` — they are never shared.
+    identity batched validation groups by).  ``Project`` nodes return
+    ``None`` — they are never shared.
     """
     if isinstance(node, PlanScan):
         return ("scan", node.table)
@@ -166,7 +166,7 @@ def structure_key(node: PlanNode) -> Optional[tuple]:
 def shared_structure_counts(plans: Iterable[PlanNode]) -> dict[tuple, int]:
     """How many of ``plans`` contain each join sub-structure.
 
-    Feed every candidate's optimized plan in.  A count above one means
+    Feed every candidate's plan tree in.  A count above one means
     the sub-structure occurs in several candidates' plans.  Physical
     plans are cached — and validation batched — at *whole-query*
     join-structure granularity, so for a candidate's top-level join
@@ -191,10 +191,10 @@ def plan_to_ascii(
     planner=None,
     shared: Optional[Mapping[tuple, int]] = None,
 ) -> str:
-    """Pretty-print an optimized logical plan as an indented tree.
+    """Pretty-print a plan tree, indented.
 
     Args:
-        plan: the optimized plan (from
+        plan: the plan tree (from
             :meth:`~repro.query.executor.Executor.logical_plan`).
         planner: when given, each node is annotated with the planner's
             estimated output cardinality (``~N rows``).  Planners with

@@ -1,10 +1,9 @@
-"""Project-Join query model, logical-plan IR, cost-based planner, SQL
-rendering and semijoin-kernel execution."""
+"""Project-Join query model, cost-based join ordering, SQL rendering and
+semijoin-kernel execution; plan trees for explain."""
 
 from repro.query.executor import BatchProbe, ExecutionStats, Executor
 from repro.query.pj_query import ProjectJoinQuery
 from repro.query.plan import (
-    Exists,
     Filter,
     Join,
     PlanNode,
@@ -12,13 +11,11 @@ from repro.query.plan import (
     Project,
     Scan,
     join_prefix_key,
-    logical_plan_for_query,
 )
 from repro.query.planner import Planner
 from repro.query.sql import (
     constraint_to_sql,
     parse_literal,
-    plan_to_sql,
     render_literal,
     to_sql,
 )
@@ -27,7 +24,6 @@ __all__ = [
     "BatchProbe",
     "ExecutionStats",
     "Executor",
-    "Exists",
     "Filter",
     "Join",
     "PlanNode",
@@ -38,9 +34,7 @@ __all__ = [
     "Scan",
     "constraint_to_sql",
     "join_prefix_key",
-    "logical_plan_for_query",
     "parse_literal",
-    "plan_to_sql",
     "render_literal",
     "to_sql",
 ]

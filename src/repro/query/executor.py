@@ -1,12 +1,11 @@
-"""Physical execution of logical plans over the columnar storage backend.
+"""Physical execution of Project-Join queries over the columnar storage
+backend.
 
-The executor is the third stage of the query pipeline
-
-    ``ProjectJoinQuery`` → logical plan IR → cost-based planner → executor
-
-and evaluates plans against an in-memory :class:`Database` whose tables
-live in a columnar storage backend.  The execution model is column- and
-array-oriented:
+The executor lowers a query's join order, as the
+:class:`~repro.query.planner.Planner` chose it from the query itself,
+into probe steps and evaluates them against an in-memory
+:class:`Database` whose tables live in a columnar storage backend.  The
+execution model is column- and array-oriented:
 
 * **constraint pushdown over column arrays** — per-projection value
   constraints are evaluated against base-table column snapshots as
@@ -14,10 +13,9 @@ array-oriented:
   one vectorized comparison on numeric columns, one test per dictionary
   entry on text), and the masks flow unchanged into the sweep;
 * **cost-based physical plans shared across candidates** — the join
-  order comes from the :class:`~repro.query.planner.Planner` (catalog
-  cardinalities when available) and the lowered probe steps are cached
-  under the structure's *canonical plan hash*
-  (:func:`~repro.query.plan.join_prefix_key`), so every candidate —
+  order comes from the planner (catalog cardinalities when available)
+  and the lowered probe steps are cached under the structure's prefix
+  key (:func:`~repro.query.plan.join_prefix_key`), so every candidate —
   and every filter of every candidate — joining the same tables over
   the same edges reuses one physical plan regardless of what it
   projects;
@@ -41,6 +39,9 @@ array-oriented:
   optional ``limit`` cuts every step's output, so it bounds the work,
   not just the result.
 
+:meth:`Executor.logical_plan` draws the same join order as a plan tree
+for ``prism explain --plan``; nothing else builds one.
+
 Inner-join semantics follow SQL: NULL join keys never match, and
 neither do NaN keys (NaN never equals itself), exactly as in the
 reference evaluator :mod:`repro.query.reference`.
@@ -60,12 +61,7 @@ from repro.dataset.schema import ColumnRef as _ColumnRef
 from repro.errors import QueryError
 from repro.query import kernels as _kernels
 from repro.query.pj_query import ProjectJoinQuery
-from repro.query.plan import (
-    PlanNode,
-    PredicateSpec,
-    attach_predicates,
-    join_prefix_key,
-)
+from repro.query.plan import PlanNode, PredicateSpec, join_prefix_key
 from repro.query.planner import Planner
 
 if TYPE_CHECKING:
@@ -109,6 +105,9 @@ class ExecutionStats:
     bloom_rejections: int = 0
     #: Planner estimates that came from statistics sketches (HLL join
     #: overlap, histogram selectivity) rather than raw catalog counts.
+    #: An ordering pass (``join_order``, or a ``structure_rows`` memo
+    #: miss) counts each sketched join it prices; the chosen order is
+    #: not estimated a second time.
     sketch_estimates_used: int = 0
 
     def merge(self, other: "ExecutionStats") -> None:
@@ -164,7 +163,8 @@ class _JoinPlan:
 
 
 class Executor:
-    """Evaluates Project-Join queries by lowering optimized logical plans."""
+    """Evaluates Project-Join queries by lowering their planned join
+    order into probe steps."""
 
     def __init__(
         self,
@@ -309,23 +309,18 @@ class Executor:
     def logical_plan(
         self,
         query: ProjectJoinQuery,
-        predicates: Optional[Sequence[PredicateSpec]] = None,
-        exists: bool = False,
+        predicates: Sequence[PredicateSpec] = (),
     ) -> PlanNode:
-        """The optimized logical plan this executor runs for ``query``.
+        """The plan tree of ``query`` in the join order this executor
+        runs, for explain (``prism explain --plan``).
 
-        The join order matches the lowered physical plan exactly:
-        physical plans are cached per join structure, so ordering never
-        depends on a request's predicates.  The given predicate specs
-        are overlaid onto their scans afterwards
-        (:func:`~repro.query.plan.attach_predicates`) purely for
-        display and cardinality annotation — used by the explain
-        tooling (``prism explain --plan``).
+        Physical plans are cached per join structure, so the order never
+        depends on a request's predicates; the given predicate specs sit
+        in ``Filter`` nodes above their scans purely for display and
+        cardinality annotation (see
+        :meth:`~repro.query.planner.Planner.plan_query`).
         """
-        plan = self.planner.plan_query(query, exists=exists)
-        if predicates:
-            plan = attach_predicates(plan, tuple(predicates))
-        return plan
+        return self.planner.plan_query(query, tuple(predicates))
 
     # ------------------------------------------------------------------
     # Existence probes: the semijoin sweep
@@ -614,12 +609,12 @@ class Executor:
         return self._bloom_masks[key]
 
     def _plan(self, query: ProjectJoinQuery) -> _JoinPlan:
-        """Lower the optimized join order into concrete probe steps.
+        """Lower the planner's join order into concrete probe steps.
 
         Physical plans depend only on join structure (plus the schema's
-        column layout), so they are cached under the structure's
-        canonical plan hash — shared across every candidate and filter
-        on that structure — for one cache generation.
+        column layout), so they are cached under the structure's prefix
+        key — shared across every candidate and filter on that
+        structure — for one cache generation.
         """
         structure = join_prefix_key(query)
         plan = self._plan_cache.get(structure)

@@ -1,36 +1,30 @@
-"""Logical plan IR for Project-Join queries.
+"""Plan trees for ``prism explain --plan``, and join-structure keys.
 
-Every consumer of a :class:`~repro.query.pj_query.ProjectJoinQuery` —
-the executor, the SQL renderer, the explain tooling and the batched
-filter validator — now goes through one intermediate representation
-instead of re-deriving structure from the query ad hoc.  A plan is a
-tree of immutable nodes:
+A :class:`~repro.query.pj_query.ProjectJoinQuery` is its own plan: the
+planner orders its joins, the executor lowers that order and
+:func:`~repro.query.sql.to_sql` renders it, all straight from the
+query.  Only the explain tooling draws a tree
+(:meth:`~repro.query.planner.Planner.plan_query`), built from the
+planner's join order out of immutable nodes:
 
 * :class:`Scan` — one base table;
 * :class:`Filter` — symbolic per-column predicates applied to its child
   (predicates are *described*, not stored as callables, so plans stay
   hashable and comparable);
 * :class:`Join` — one foreign-key equi-join between two sub-plans;
-* :class:`Project` — the ordered output columns;
-* :class:`Exists` — an existence probe over its child (``LIMIT 1``
-  semantics), the shape every filter validation takes.
+* :class:`Project` — the ordered output columns.
 
-The load-bearing feature is **canonical hashing**: two plans that denote
-the same join work hash equally regardless of the order their joins were
-listed or which columns they project.  :func:`join_prefix_key` is the
-structure-level form — the key the executor's physical-plan cache uses,
-which is what lets equivalent sub-plans be shared *across candidates*,
-and the key the validation driver groups filters by for batched passes
-over one shared join.  :meth:`PlanNode.canonical_key` is the node-level
-generalization covering filters and projections too; the explain
-tooling and the equivalence tests use it to prove two plans denote the
-same work.
+:func:`join_prefix_key` is a query's join-structure identity: two
+queries joining the same tables over the same edges share it whatever
+they project.  The executor caches its lowered plans under it, and the
+validation driver groups filters by it for batched passes over one
+shared join.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Hashable, Iterator
 
 from repro.dataset.schema import ColumnRef, ForeignKey
 from repro.errors import QueryError
@@ -42,9 +36,7 @@ __all__ = [
     "Filter",
     "Join",
     "Project",
-    "Exists",
     "PredicateSpec",
-    "logical_plan_for_query",
     "join_prefix_key",
     "edge_key",
 ]
@@ -84,7 +76,7 @@ class PredicateSpec:
 
 @dataclass(frozen=True)
 class PlanNode:
-    """Base class for logical plan nodes."""
+    """Base class for plan tree nodes."""
 
     def children(self) -> tuple["PlanNode", ...]:
         """This node's sub-plans (empty for leaves)."""
@@ -107,31 +99,11 @@ class PlanNode:
                 found.append(node.edge)
         return tuple(found)
 
-    def predicates(self) -> tuple[PredicateSpec, ...]:
-        """Every pushed-down predicate under this node, in plan order."""
-        found: list[PredicateSpec] = []
-        for node in self.walk():
-            if isinstance(node, Filter):
-                found.extend(node.specs)
-        return tuple(found)
-
     def walk(self) -> Iterator["PlanNode"]:
         """Pre-order traversal of the plan tree."""
         yield self
         for child in self.children():
             yield from child.walk()
-
-    def canonical_key(self) -> tuple:
-        """A hashable key equal for plans denoting the same work.
-
-        Join subtrees are canonicalized as *sets* of edges over *sets*
-        of (filtered) inputs, so different join orders — and, for
-        :class:`Project`-free sub-plans, different projections — of the
-        same logical join collapse onto one key.  This is the key the
-        executor's physical-plan cache uses to share work across
-        candidates.
-        """
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -140,36 +112,20 @@ class Scan(PlanNode):
 
     table: str
 
-    def canonical_key(self) -> tuple:
-        return ("scan", self.table)
-
     def __str__(self) -> str:
         return f"Scan({self.table})"
 
 
 @dataclass(frozen=True)
 class Filter(PlanNode):
-    """Symbolic predicates applied to the rows of ``child``.
-
-    In practice the planner pushes filters all the way onto their scans,
-    so ``child`` is a :class:`Scan` after optimization; the IR itself
-    allows filtering any sub-plan.
-    """
+    """Symbolic predicates applied to the rows of ``child`` (in plans
+    the planner builds, always a :class:`Scan`)."""
 
     child: PlanNode
     specs: tuple[PredicateSpec, ...]
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
-
-    def canonical_key(self) -> tuple:
-        return (
-            "filter",
-            tuple(sorted(
-                (spec.table, spec.column, repr(spec.tag)) for spec in self.specs
-            )),
-            self.child.canonical_key(),
-        )
 
     def __str__(self) -> str:
         specs = ", ".join(str(spec) for spec in self.specs)
@@ -186,22 +142,6 @@ class Join(PlanNode):
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.left, self.right)
-
-    def canonical_key(self) -> tuple:
-        # Flatten the whole join subtree: canonical form is the set of
-        # edges over the set of non-join inputs, so any join order (and
-        # any left/right flip) of the same tree hashes equally.
-        edges: set[tuple] = set()
-        inputs: list[tuple] = []
-        stack: list[PlanNode] = [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Join):
-                edges.add(edge_key(node.edge))
-                stack.extend((node.left, node.right))
-            else:
-                inputs.append(node.canonical_key())
-        return ("join", tuple(sorted(edges)), tuple(sorted(inputs)))
 
     def __str__(self) -> str:
         return (
@@ -220,125 +160,9 @@ class Project(PlanNode):
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
 
-    def canonical_key(self) -> tuple:
-        return (
-            "project",
-            tuple((ref.table, ref.column) for ref in self.columns),
-            self.child.canonical_key(),
-        )
-
     def __str__(self) -> str:
         columns = ", ".join(str(ref) for ref in self.columns)
         return f"Project[{columns}]"
-
-
-@dataclass(frozen=True)
-class Exists(PlanNode):
-    """An existence probe (``LIMIT 1``) over its child."""
-
-    child: PlanNode
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
-    def canonical_key(self) -> tuple:
-        return ("exists", self.child.canonical_key())
-
-    def __str__(self) -> str:
-        return "Exists"
-
-
-def logical_plan_for_query(
-    query: ProjectJoinQuery,
-    predicates: Optional[Sequence[PredicateSpec]] = None,
-    exists: bool = False,
-) -> PlanNode:
-    """Build the unoptimized logical plan of ``query``.
-
-    The shape is ``[Exists] → Project → joins → [Filter →] Scan`` with
-    joins nested left-deep in *connected* order — the query's own edge
-    order, corrected only where an edge would not touch an
-    already-joined table — and each predicate pushed onto the scan of
-    its table.  The planner reorders the joins by cost afterwards
-    (:class:`repro.query.planner.Planner`); this function deliberately
-    preserves connected order so SQL rendered from the raw plan lists
-    join conditions as the query wrote them (already-connected edge
-    tuples, which is how the discovery pipeline builds every query,
-    render byte-identically to the historical renderer).
-    """
-    per_table: dict[str, list[PredicateSpec]] = {}
-    for spec in predicates or ():
-        per_table.setdefault(spec.table, []).append(spec)
-
-    def leaf(table: str) -> PlanNode:
-        scan: PlanNode = Scan(table)
-        specs = per_table.get(table)
-        if specs:
-            return Filter(scan, tuple(specs))
-        return scan
-
-    if not query.joins:
-        table = next(iter(query.tables))
-        plan: PlanNode = leaf(table)
-    else:
-        ordered = _connected_edge_order(query)
-        first = ordered[0]
-        joined = {first.tables()[0]}
-        plan = leaf(first.tables()[0])
-        for edge in ordered:
-            left_table, right_table = edge.tables()
-            new_table = right_table if left_table in joined else left_table
-            if new_table in joined:
-                # Defensive: a tree never revisits a table; keep the
-                # edge anyway as a redundant join for faithfulness.
-                plan = Join(plan, leaf(new_table), edge)
-                continue
-            plan = Join(plan, leaf(new_table), edge)
-            joined.add(new_table)
-    plan = Project(plan, query.projections)
-    if exists:
-        plan = Exists(plan)
-    return plan
-
-
-def attach_predicates(
-    plan: PlanNode, specs: Sequence[PredicateSpec]
-) -> PlanNode:
-    """Overlay predicate specs onto a plan without changing its shape.
-
-    Each spec becomes (part of) a :class:`Filter` directly above the
-    scan of its table; joins, their order, projections and wrappers are
-    preserved exactly.  Used by the explain tooling to annotate the
-    *physical* plan — whose join order never depends on a request's
-    predicates — with the constraints a probe pushes down.
-    """
-    per_table: dict[str, list[PredicateSpec]] = {}
-    for spec in specs:
-        per_table.setdefault(spec.table, []).append(spec)
-    if not per_table:
-        return plan
-
-    def rebuild(node: PlanNode) -> PlanNode:
-        if isinstance(node, Scan):
-            mine = per_table.get(node.table)
-            return Filter(node, tuple(mine)) if mine else node
-        if isinstance(node, Filter):
-            child = node.child
-            extra: tuple[PredicateSpec, ...] = ()
-            if isinstance(child, Scan):
-                extra = tuple(per_table.get(child.table, ()))
-            else:
-                child = rebuild(child)
-            return Filter(child, node.specs + extra)
-        if isinstance(node, Join):
-            return Join(rebuild(node.left), rebuild(node.right), node.edge)
-        if isinstance(node, Project):
-            return Project(rebuild(node.child), node.columns)
-        if isinstance(node, Exists):
-            return Exists(rebuild(node.child))
-        raise QueryError(f"cannot attach predicates to {node!r}")
-
-    return rebuild(plan)
 
 
 def _connected_edge_order(query: ProjectJoinQuery) -> list[ForeignKey]:

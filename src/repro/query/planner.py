@@ -1,28 +1,25 @@
-"""Cost-based optimization of logical plans.
+"""Cost-based join ordering of Project-Join queries.
 
-The planner turns the raw IR from :func:`~repro.query.plan.logical_plan_for_query`
-into an optimized plan the executor can lower to physical probe steps:
+The planner orders a :class:`~repro.query.pj_query.ProjectJoinQuery`'s
+joins straight from its tables and edges, in one greedy pass:
 
-* **predicate pushdown** is structural — cell predicates always sit in a
-  :class:`~repro.query.plan.Filter` directly above their table's
-  :class:`~repro.query.plan.Scan` (the raw builder already places them
-  there; the planner preserves the invariant while reordering);
-* **join reordering** is cost-based: cardinalities come from the
+* cardinalities come from the
   :class:`~repro.dataset.catalog.MetadataCatalog` when one is attached
-  (live ``num_rows`` otherwise), filters discount their input by a
-  distinct-count-derived selectivity, and joins are estimated under the
+  (live ``num_rows`` otherwise), and joins are estimated under the
   classic containment assumption
-  ``|L ⋈ R| ≈ |L|·|R| / max(d(L.key), d(R.key))``.  The greedy order
-  starts from the cheapest (most selective) input and always expands
-  with the edge minimizing the estimated intermediate result;
-* **common-join-prefix identification** groups plans or queries whose
-  join structure is identical (:meth:`Planner.prefix_key`,
-  :func:`~repro.query.plan.join_prefix_key`), the basis for batched
-  cross-candidate validation and physical-plan sharing.
+  ``|L ⋈ R| ≈ |L|·|R| / max(d(L.key), d(R.key))``, or from the HLL
+  sketches' key overlap when sketches are on;
+* the order starts from the smallest table and always expands with the
+  edge minimizing the estimated intermediate result.
 
-Plans depend only on query structure and statistics, never on a request's
-concrete predicate callables, so optimized orders are deterministic and
-cacheable by canonical plan hash.
+:meth:`Planner.join_order` is what the executor lowers (and caches per
+join structure, :func:`~repro.query.plan.join_prefix_key`), and
+:meth:`Planner.structure_rows` the same pass's estimate of the last
+join, the scheduler's cost signal.  Orders depend only on query
+structure and statistics, never on a request's predicates, so they are
+deterministic.  :meth:`Planner.plan_query` draws the order as a plan
+tree for ``prism explain --plan``, where predicate selectivities
+(:meth:`Planner.filter_selectivity`) annotate the filtered scans.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from repro.dataset.schema import ColumnRef, ForeignKey
 from repro.errors import QueryError
 from repro.query.pj_query import ProjectJoinQuery
 from repro.query.plan import (
-    Exists,
     Filter,
     Join,
     PlanNode,
@@ -42,7 +38,6 @@ from repro.query.plan import (
     Project,
     Scan,
     join_prefix_key,
-    logical_plan_for_query,
 )
 
 if TYPE_CHECKING:
@@ -55,7 +50,8 @@ DEFAULT_FILTER_SELECTIVITY = 0.1
 
 
 class JoinOrder:
-    """The physical join order derived from an optimized plan."""
+    """A query's join order: the start table, then one edge per step,
+    each attaching one new table."""
 
     __slots__ = ("start_table", "edges")
 
@@ -68,7 +64,7 @@ class JoinOrder:
 
 
 class Planner:
-    """Optimizes logical plans against one database's statistics."""
+    """Orders joins against one database's statistics."""
 
     def __init__(
         self,
@@ -221,7 +217,7 @@ class Planner:
                 self.estimated_rows(plan.right),
                 plan.edge,
             )
-        if isinstance(plan, (Project, Exists)):
+        if isinstance(plan, Project):
             return self.estimated_rows(plan.child)
         raise QueryError(f"cannot estimate unknown plan node {plan!r}")
 
@@ -303,144 +299,55 @@ class Planner:
         return selectivity
 
     # ------------------------------------------------------------------
-    # Optimization
+    # Join ordering
     # ------------------------------------------------------------------
-    def optimize(self, plan: PlanNode) -> PlanNode:
-        """Reorder a plan's joins by estimated cost (cheapest first).
+    def _order(self, query: ProjectJoinQuery) -> tuple[JoinOrder, float]:
+        """Greedy cost-based join order of ``query``, with the estimated
+        rows after its last join (its one table's rows without joins).
 
-        The result is a left-deep plan with the same Project/Exists
-        wrappers and the same filtered scans; only the join order (and
-        therefore which table starts the executor's walk and which side
-        each step attaches) changes.  Optimization is a no-op for join-free plans.
+        The order starts from the table with the fewest rows (ties by
+        name) and always expands with the edge whose join is estimated
+        smallest (ties by the edge's text).
         """
-        wrappers: list[PlanNode] = []
-        body = plan
-        while isinstance(body, (Exists, Project)):
-            wrappers.append(body)
-            body = body.child
-        if not isinstance(body, Join):
-            return plan
-
-        inputs: dict[str, PlanNode] = {}
-        edges: list[ForeignKey] = []
-        stack: list[PlanNode] = [body]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Join):
-                edges.append(node.edge)
-                stack.extend((node.left, node.right))
-            else:
-                table = self._input_table(node)
-                inputs[table] = node
-        order = self._order_edges(inputs, edges)
-        ordered_body: PlanNode = inputs[order.start_table]
-        joined = {order.start_table}
-        for edge in order.edges:
-            left_table, right_table = edge.tables()
-            new_table = right_table if left_table in joined else left_table
-            ordered_body = Join(ordered_body, inputs[new_table], edge)
-            joined.add(new_table)
-
-        for wrapper in reversed(wrappers):
-            if isinstance(wrapper, Project):
-                ordered_body = Project(ordered_body, wrapper.columns)
-            else:
-                ordered_body = Exists(ordered_body)
-        return ordered_body
-
-    @staticmethod
-    def _input_table(node: PlanNode) -> str:
-        if isinstance(node, Scan):
-            return node.table
-        if isinstance(node, Filter) and isinstance(node.child, Scan):
-            return node.child.table
-        raise QueryError(
-            f"join input must be a (filtered) scan, got {node!r}"
-        )
-
-    def _order_edges(
-        self, inputs: dict[str, PlanNode], edges: list[ForeignKey]
-    ) -> JoinOrder:
-        """Greedy cost-based ordering of a join tree's edges."""
         input_rows = {
-            table: self.estimated_rows(node) for table, node in inputs.items()
+            table: float(self.table_rows(table)) for table in query.tables
         }
         start = min(input_rows, key=lambda table: (input_rows[table], table))
         joined = {start}
         current_rows = input_rows[start]
-        remaining = list(edges)
+        remaining = list(query.joins)
         ordered: list[ForeignKey] = []
         while remaining:
-            best: Optional[tuple[float, str, ForeignKey, str]] = None
+            best: Optional[tuple[float, str, str, ForeignKey]] = None
             for edge in remaining:
                 left, right = edge.tables()
-                if left in joined and right in joined:
-                    new_table = left  # redundant edge; apply as a filter
-                    cost = current_rows
-                elif left in joined:
-                    new_table = right
-                    cost = self._join_rows(
-                        current_rows, input_rows[right], edge
-                    )
-                elif right in joined:
-                    new_table = left
-                    cost = self._join_rows(
-                        current_rows, input_rows[left], edge
-                    )
-                else:
+                if (left in joined) == (right in joined):
                     continue
-                candidate = (cost, new_table, edge, str(edge))
-                if best is None or (candidate[0], candidate[3]) < (
-                    best[0], best[3]
-                ):
-                    best = candidate
+                new_table = left if right in joined else right
+                cost = self._join_rows(current_rows, input_rows[new_table], edge)
+                if best is None or (cost, str(edge)) < best[:2]:
+                    best = (cost, str(edge), new_table, edge)
             if best is None:
                 raise QueryError("join edges do not form a connected tree")
-            cost, new_table, edge, __ = best
+            current_rows, __, new_table, edge = best
             ordered.append(edge)
             joined.add(new_table)
-            current_rows = cost
             remaining.remove(edge)
-        return JoinOrder(start, tuple(ordered))
-
-    # ------------------------------------------------------------------
-    # Entry points
-    # ------------------------------------------------------------------
-    def plan_query(
-        self,
-        query: ProjectJoinQuery,
-        predicates: Optional[tuple[PredicateSpec, ...]] = None,
-        exists: bool = False,
-    ) -> PlanNode:
-        """Build and optimize the logical plan of ``query``."""
-        return self.optimize(
-            logical_plan_for_query(query, predicates, exists=exists)
-        )
+        return JoinOrder(start, tuple(ordered)), current_rows
 
     def join_order(self, query: ProjectJoinQuery) -> JoinOrder:
-        """The optimized physical join order of ``query``.
+        """The cost-based physical join order of ``query``.
 
         This is what the executor lowers to probe steps; it depends only
-        on the query's join structure and the statistics, so it is safe
-        to cache under the structure's canonical prefix key.
+        on the query's join structure and the statistics, and the
+        executor caches the lowered plan under the structure's prefix
+        key.
         """
-        if not query.joins:
-            return JoinOrder(next(iter(query.tables)), ())
-        plan = self.plan_query(query)
-        body: PlanNode = plan
-        while isinstance(body, (Exists, Project)):
-            body = body.child
-        edges_in_order: list[ForeignKey] = []
-        node = body
-        while isinstance(node, Join):
-            edges_in_order.append(node.edge)
-            node = node.left
-        edges_in_order.reverse()
-        return JoinOrder(self._input_table(node), tuple(edges_in_order))
+        return self._order(query)[0]
 
     def structure_rows(self, query: ProjectJoinQuery) -> float:
-        """Estimated result cardinality of a query's optimized join
-        structure, memoized per canonical join prefix.
+        """Estimated result cardinality of a query's join structure in
+        its planned order, memoized per canonical join prefix.
 
         This is the scheduler's cost signal: validating a filter means
         probing its join structure, and the sketched estimate prices a
@@ -451,9 +358,40 @@ class Planner:
         key = join_prefix_key(query)
         cached = self._structure_memo.get(key)
         if cached is None:
-            cached = self.estimated_rows(self.plan_query(query))
-            self._structure_memo[key] = cached
+            cached = self._structure_memo[key] = self._order(query)[1]
         return cached
+
+    def plan_query(
+        self,
+        query: ProjectJoinQuery,
+        predicates: tuple[PredicateSpec, ...] = (),
+    ) -> PlanNode:
+        """The plan tree of ``query``'s join order, for explain.
+
+        The tree is left-deep: the start table's scan, then one
+        :class:`~repro.query.plan.Join` per edge of :meth:`join_order`
+        with the newly attached table's scan on the right, under a
+        :class:`~repro.query.plan.Project`.  Each predicate sits in a
+        :class:`~repro.query.plan.Filter` directly above its table's
+        scan; predicates never change the order.
+        """
+        per_table: dict[str, list[PredicateSpec]] = {}
+        for spec in predicates:
+            per_table.setdefault(spec.table, []).append(spec)
+
+        def leaf(table: str) -> PlanNode:
+            specs = per_table.get(table)
+            return Filter(Scan(table), tuple(specs)) if specs else Scan(table)
+
+        order = self.join_order(query)
+        plan = leaf(order.start_table)
+        joined = {order.start_table}
+        for edge in order.edges:
+            left, right = edge.tables()
+            new_table = right if left in joined else left
+            plan = Join(plan, leaf(new_table), edge)
+            joined.add(new_table)
+        return Project(plan, query.projections)
 
     def node_estimate(self, plan: PlanNode) -> tuple[float, float, str]:
         """``(rows, raw_rows, source)`` for one plan node's own estimate.
@@ -488,11 +426,6 @@ class Planner:
             return rows, rows, "raw"
         finally:
             self._counting = was_counting
-
-    @staticmethod
-    def prefix_key(query: ProjectJoinQuery) -> tuple:
-        """Canonical join-prefix key (see :func:`join_prefix_key`)."""
-        return join_prefix_key(query)
 
     @staticmethod
     def group_by_prefix(queries) -> dict[tuple, list]:

@@ -1,12 +1,13 @@
-"""SQL rendering for Project-Join queries and logical plans.
+"""SQL rendering for Project-Join queries.
 
 The Result section of the demo shows the synthesized queries as SQL text
 (Figure 4b).  Join trees never repeat a table, so no aliases are required
 and the classic ``SELECT ... FROM ... WHERE`` comma-join form used in the
-paper's example is emitted.  Rendering goes through the logical-plan IR:
-:func:`to_sql` builds the plan of its query and hands it to
-:func:`plan_to_sql`, so the SQL text is by construction a rendering of
-the same structure the planner optimizes and the executor runs.
+paper's example is emitted.  :func:`to_sql` renders straight from the
+query: its projections, its tables in sorted order and its join
+conditions in connected order (each edge touching a table an earlier
+edge joined), so edge tuples the discovery pipeline builds, which are
+already connected, render in the order the query lists them.
 
 Passing the user's :class:`~repro.constraints.spec.MappingSpec` renders
 the sample-value constraints as WHERE predicates too.  Sample cells are
@@ -35,16 +36,10 @@ from repro.constraints.values import (
 )
 from repro.errors import QueryError
 from repro.query.pj_query import ProjectJoinQuery
-from repro.query.plan import (
-    Join,
-    PlanNode,
-    Project,
-    logical_plan_for_query,
-)
+from repro.query.plan import _connected_edge_order
 
 __all__ = [
     "to_sql",
-    "plan_to_sql",
     "render_literal",
     "parse_literal",
     "constraint_to_sql",
@@ -171,69 +166,12 @@ def _sample_predicates(projections, spec: MappingSpec) -> list[str]:
     return groups
 
 
-def _join_conditions(node: PlanNode) -> list[str]:
-    """Join predicates collected bottom-up (first-joined edge first)."""
-    if isinstance(node, Join):
-        conditions = _join_conditions(node.left)
-        conditions.extend(_join_conditions(node.right))
-        edge = node.edge
-        conditions.append(
-            f"{_quote_identifier(edge.child_table)}."
-            f"{_quote_identifier(edge.child_column)} = "
-            f"{_quote_identifier(edge.parent_table)}."
-            f"{_quote_identifier(edge.parent_column)}"
-        )
-        return conditions
-    conditions = []
-    for child in node.children():
-        conditions.extend(_join_conditions(child))
-    return conditions
-
-
-def plan_to_sql(
-    plan: PlanNode,
-    pretty: bool = False,
-    spec: Optional[MappingSpec] = None,
-) -> str:
-    """Render a logical plan as a SQL string.
-
-    The plan must contain a :class:`~repro.query.plan.Project` node (every
-    plan built from a PJ query does).  Join predicates are emitted in the
-    plan's join order; symbolic :class:`~repro.query.plan.Filter` nodes
-    are not rendered — cell predicates are arbitrary Python callables —
-    but a ``spec``'s sample-value constraints are, exactly as before.
-    """
-    project = next(
-        (node for node in plan.walk() if isinstance(node, Project)), None
-    )
-    if project is None:
-        raise QueryError("cannot render a plan without a Project node")
-    select_list = ", ".join(
-        f"{_quote_identifier(ref.table)}.{_quote_identifier(ref.column)}"
-        for ref in project.columns
-    )
-    tables = sorted(plan.tables)
-    from_list = ", ".join(_quote_identifier(table) for table in tables)
-    conditions = _join_conditions(plan)
-    if spec is not None:
-        groups = _sample_predicates(project.columns, spec)
-        if groups:
-            conditions.append(
-                groups[0] if len(groups) == 1 else "(" + " OR ".join(groups) + ")"
-            )
-    separator = "\n" if pretty else " "
-    parts = [f"SELECT {select_list}", f"FROM {from_list}"]
-    if conditions:
-        parts.append("WHERE " + " AND ".join(conditions))
-    return separator.join(parts)
-
-
 def to_sql(
     query: ProjectJoinQuery,
     pretty: bool = False,
     spec: Optional[MappingSpec] = None,
 ) -> str:
-    """Render ``query`` as a SQL string (via its logical plan).
+    """Render ``query`` as a SQL string.
 
     Args:
         query: the Project-Join query to render.
@@ -243,4 +181,28 @@ def to_sql(
             sample row), with all constants escaped via
             :func:`render_literal`.
     """
-    return plan_to_sql(logical_plan_for_query(query), pretty=pretty, spec=spec)
+    select_list = ", ".join(
+        f"{_quote_identifier(ref.table)}.{_quote_identifier(ref.column)}"
+        for ref in query.projections
+    )
+    from_list = ", ".join(
+        _quote_identifier(table) for table in sorted(query.tables)
+    )
+    conditions = [
+        f"{_quote_identifier(edge.child_table)}."
+        f"{_quote_identifier(edge.child_column)} = "
+        f"{_quote_identifier(edge.parent_table)}."
+        f"{_quote_identifier(edge.parent_column)}"
+        for edge in (_connected_edge_order(query) if query.joins else ())
+    ]
+    if spec is not None:
+        groups = _sample_predicates(query.projections, spec)
+        if groups:
+            conditions.append(
+                groups[0] if len(groups) == 1 else "(" + " OR ".join(groups) + ")"
+            )
+    separator = "\n" if pretty else " "
+    parts = [f"SELECT {select_list}", f"FROM {from_list}"]
+    if conditions:
+        parts.append("WHERE " + " AND ".join(conditions))
+    return separator.join(parts)

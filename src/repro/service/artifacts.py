@@ -46,6 +46,7 @@ from repro.errors import ArtifactError, ReproError
 
 __all__ = [
     "ARTIFACT_FORMAT",
+    "MAX_DELTA_FRACTION",
     "ArtifactKey",
     "ArtifactBundle",
     "ArtifactStore",
@@ -56,6 +57,13 @@ __all__ = [
 #: Bump it whenever a pickled class changes shape: bundles written under
 #: another number are then never found, and the store rebuilds them.
 ARTIFACT_FORMAT = 3
+
+#: Largest append delta :meth:`ArtifactStore.refresh` folds into a bundle
+#: in place, as a fraction of the bundle's rows.  A larger delta falls
+#: back to a full rebuild: at that size a rebuild is competitive, and it
+#: resets any floating-point drift accumulated in the catalog's running
+#: moments.
+MAX_DELTA_FRACTION = 0.25
 
 _PICKLE_PROTOCOL = 4
 _UNSAFE_FILENAME = re.compile(r"[^A-Za-z0-9_.-]+")
@@ -113,12 +121,6 @@ class ArtifactBundle:
     schema_graph: SchemaGraph
     models: BayesianModelSet
     marks: dict
-
-    def engine(self, **kwargs):
-        """Construct a cheap per-request :class:`Prism` over this bundle."""
-        from repro.discovery.engine import Prism
-
-        return Prism.from_artifacts(self, **kwargs)
 
 
 @dataclass
@@ -199,27 +201,14 @@ class ArtifactStore:
         True
     """
 
-    def __init__(
-        self,
-        persist_dir: Optional[Union[str, Path]] = None,
-        max_delta_fraction: float = 0.25,
-    ):
+    def __init__(self, persist_dir: Optional[Union[str, Path]] = None):
         """Create a store.
 
         Args:
             persist_dir: directory for persisted bundles (created on first
                 write).  ``None`` disables persistence.
-            max_delta_fraction: bound on the append delta
-                :meth:`refresh` will fold incrementally, as a fraction of
-                the bundle's row count; larger deltas fall back to a
-                full rebuild (at that size a rebuild is competitive and
-                resets any accumulated floating-point drift in the
-                catalog's running moments).
         """
-        if max_delta_fraction <= 0:
-            raise ArtifactError("max_delta_fraction must be positive")
         self._persist_dir = Path(persist_dir) if persist_dir is not None else None
-        self._max_delta_fraction = max_delta_fraction
         self._bundles: dict[str, ArtifactBundle] = {}
         self._build_locks: dict[str, threading.Lock] = {}
         self._mutex = threading.Lock()
@@ -260,7 +249,7 @@ class ArtifactStore:
         ``stats.fallback_reasons``) when the change is not expressible as
         pure appends or would mutate shared state unsafely: a schema
         change, a dropped/recreated table, a non-append storage write, a
-        delta larger than ``max_delta_fraction`` of the bundle, or a
+        delta larger than :data:`MAX_DELTA_FRACTION` of the bundle, or a
         bundle loaded from disk (whose database is a private copy
         detached from the live one).
 
@@ -341,7 +330,7 @@ class ArtifactStore:
             return self._fallback("inconsistent_marks")
         delta_rows = sum(delta.num_rows for delta in deltas.values())
         base_rows = sum(mark.num_rows for mark in marks.values())
-        if base_rows == 0 or delta_rows > self._max_delta_fraction * base_rows:
+        if base_rows == 0 or delta_rows > MAX_DELTA_FRACTION * base_rows:
             return self._fallback("delta_overflow")
 
         new_marks = dict(marks)

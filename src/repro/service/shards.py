@@ -257,7 +257,6 @@ class ShardProcessPool:
         limits: Optional[GenerationLimits] = None,
         refresh_artifacts: bool = False,
         start_method: Optional[str] = None,
-        ready_timeout_s: float = _READY_TIMEOUT_S,
     ):
         self.num_shards = num_shards
         self._databases = dict(databases)
@@ -272,7 +271,6 @@ class ShardProcessPool:
         self._limits = limits
         self._refresh_artifacts = refresh_artifacts
         self._ctx = multiprocessing.get_context(start_method)
-        self._ready_timeout_s = ready_timeout_s
         self._on_ready = on_ready
         self._shards: list[_Shard] = []
         self._respawns = 0
@@ -330,14 +328,14 @@ class ShardProcessPool:
         return _Shard(shard_id, parent_conn, process)
 
     def _await_ready(self, shard: _Shard) -> None:
-        deadline = time.monotonic() + self._ready_timeout_s
+        deadline = time.monotonic() + _READY_TIMEOUT_S
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0 or not shard.conn.poll(remaining):
                 self._kill(shard)
                 raise ServiceError(
                     f"shard {shard.id} did not finish warming up within "
-                    f"{self._ready_timeout_s:.0f}s"
+                    f"{_READY_TIMEOUT_S:.0f}s"
                 )
             try:
                 frame = _recv(shard.conn)

@@ -316,7 +316,7 @@ class PrismSession:
     def explain_plan(
         self, index: Optional[int] = None, sample: Optional[int] = None
     ) -> str:
-        """The optimized logical plan of the selected (or given) query.
+        """The plan tree of the selected (or given) query's join order.
 
         The join order is exactly what the engine's executor runs for
         the query (physical plans are keyed by join structure, so it

@@ -48,6 +48,7 @@ from repro.query.pj_query import ProjectJoinQuery
 from repro.query.reference import execute_reference, exists_reference
 from repro.query.sql import to_sql
 from repro.api import ArtifactStore
+from repro.service import artifacts
 from repro.workloads.degrade import ResolutionLevel, spec_for_level
 from repro.workloads.generator import WorkloadGenerator
 from repro.datasets.synthetic import generate_synthetic_database
@@ -373,9 +374,10 @@ def test_sketches_never_change_discovery_outcomes(seed, level):
 # ----------------------------------------------------------------------
 class TestRefreshEquivalence:
     @pytest.mark.parametrize("seed", [7, 41])
-    def test_refresh_matches_cold_build_across_paths(self, seed):
+    def test_refresh_matches_cold_build_across_paths(self, seed, monkeypatch):
         database = build_company_database()
-        store = ArtifactStore(max_delta_fraction=0.9)
+        monkeypatch.setattr(artifacts, "MAX_DELTA_FRACTION", 0.9)
+        store = ArtifactStore()
         store.get(database)
         rng = random.Random(seed)
         for __ in range(3):

@@ -1,4 +1,4 @@
-"""Unit tests for the logical-plan IR (canonical hashing, SQL routing)."""
+"""Unit tests for explain plan trees, join-structure keys and SQL text."""
 
 from __future__ import annotations
 
@@ -7,17 +7,15 @@ import pytest
 from repro.dataset.schema import ColumnRef, ForeignKey
 from repro.query.pj_query import ProjectJoinQuery
 from repro.query.plan import (
-    Exists,
     Filter,
-    Join,
     PredicateSpec,
     Project,
     Scan,
     edge_key,
     join_prefix_key,
-    logical_plan_for_query,
 )
-from repro.query.sql import plan_to_sql, to_sql
+from repro.query.planner import Planner
+from repro.query.sql import to_sql
 
 EMP_DEPT = ForeignKey("Employee", "Department", "Department", "Name")
 ASSIGN_EMP = ForeignKey("Assignment", "EmployeeId", "Employee", "Id")
@@ -29,78 +27,44 @@ TWO_TABLE = ProjectJoinQuery(
 )
 
 
+@pytest.fixture()
+def planner(company_db):
+    return Planner(company_db)
+
+
 class TestPlanConstruction:
-    def test_single_table_plan_is_project_over_scan(self):
+    def test_single_table_plan_is_project_over_scan(self, planner):
         query = ProjectJoinQuery((ColumnRef("Employee", "Name"),))
-        plan = logical_plan_for_query(query)
+        plan = planner.plan_query(query)
         assert isinstance(plan, Project)
         assert isinstance(plan.child, Scan)
         assert plan.tables == frozenset({"Employee"})
 
-    def test_join_plan_contains_every_edge_and_table(self):
+    def test_join_plan_contains_every_edge_and_table(self, planner):
         query = ProjectJoinQuery(
             (ColumnRef("Department", "Name"), ColumnRef("Project", "Title")),
             (EMP_DEPT, ASSIGN_EMP, ASSIGN_PROJ),
         )
-        plan = logical_plan_for_query(query)
+        plan = planner.plan_query(query)
         assert set(plan.edges()) == {EMP_DEPT, ASSIGN_EMP, ASSIGN_PROJ}
         assert plan.tables == frozenset(
             {"Department", "Employee", "Assignment", "Project"}
         )
 
-    def test_predicates_are_pushed_onto_their_scan(self):
+    def test_predicates_are_pushed_onto_their_scan(self, planner):
         spec = PredicateSpec("Employee", "Name", tag="= Alice")
-        plan = logical_plan_for_query(TWO_TABLE, (spec,))
+        plan = planner.plan_query(TWO_TABLE, (spec,))
         filters = [node for node in plan.walk() if isinstance(node, Filter)]
         assert len(filters) == 1
         assert isinstance(filters[0].child, Scan)
         assert filters[0].child.table == "Employee"
-        assert plan.predicates() == (spec,)
-
-    def test_exists_wrapper(self):
-        plan = logical_plan_for_query(TWO_TABLE, exists=True)
-        assert isinstance(plan, Exists)
-        assert isinstance(plan.child, Project)
+        assert filters[0].specs == (spec,)
 
 
 class TestCanonicalHashing:
     def test_edge_key_is_symmetric(self):
         flipped = ForeignKey("Department", "Name", "Employee", "Department")
         assert edge_key(EMP_DEPT) == edge_key(flipped)
-
-    def test_same_join_different_edge_order_hashes_equal(self):
-        forward = ProjectJoinQuery(
-            (ColumnRef("Department", "Name"), ColumnRef("Project", "Title")),
-            (EMP_DEPT, ASSIGN_EMP, ASSIGN_PROJ),
-        )
-        backward = ProjectJoinQuery(
-            (ColumnRef("Department", "Name"), ColumnRef("Project", "Title")),
-            (ASSIGN_PROJ, ASSIGN_EMP, EMP_DEPT),
-        )
-        forward_plan = logical_plan_for_query(forward)
-        backward_plan = logical_plan_for_query(backward)
-        assert (
-            forward_plan.child.canonical_key()
-            == backward_plan.child.canonical_key()
-        )
-
-    def test_projections_do_not_affect_the_join_subtree_key(self):
-        other = ProjectJoinQuery(
-            (ColumnRef("Department", "Budget"), ColumnRef("Employee", "Salary")),
-            (EMP_DEPT,),
-        )
-        ours = logical_plan_for_query(TWO_TABLE)
-        theirs = logical_plan_for_query(other)
-        assert ours.child.canonical_key() == theirs.child.canonical_key()
-        # The Project wrappers themselves do differ.
-        assert ours.canonical_key() != theirs.canonical_key()
-
-    def test_filters_change_the_key(self):
-        bare = logical_plan_for_query(TWO_TABLE)
-        filtered = logical_plan_for_query(
-            TWO_TABLE, (PredicateSpec("Employee", "Name", tag="x"),)
-        )
-        assert bare.canonical_key() != filtered.canonical_key()
 
     def test_join_prefix_key_ignores_projections_and_edge_order(self):
         other = ProjectJoinQuery(
@@ -110,12 +74,18 @@ class TestCanonicalHashing:
         assert join_prefix_key(TWO_TABLE) == join_prefix_key(other)
         single = ProjectJoinQuery((ColumnRef("Employee", "Salary"),))
         assert join_prefix_key(TWO_TABLE) != join_prefix_key(single)
+        forward = ProjectJoinQuery(
+            (ColumnRef("Department", "Name"), ColumnRef("Project", "Title")),
+            (EMP_DEPT, ASSIGN_EMP, ASSIGN_PROJ),
+        )
+        backward = ProjectJoinQuery(
+            (ColumnRef("Project", "Title"),),
+            (ASSIGN_PROJ, ASSIGN_EMP, EMP_DEPT),
+        )
+        assert join_prefix_key(forward) == join_prefix_key(backward)
 
 
 class TestPlanSql:
-    def test_to_sql_is_routed_through_the_plan(self):
-        assert plan_to_sql(logical_plan_for_query(TWO_TABLE)) == to_sql(TWO_TABLE)
-
     def test_single_table_sql_is_stable(self):
         query = ProjectJoinQuery(
             (ColumnRef("Employee", "Name"), ColumnRef("Employee", "Salary"))
@@ -134,24 +104,17 @@ class TestPlanSql:
         assert "FROM Assignment, Department, Employee, Project" in sql
         assert sql.count(" = ") == 3
 
-    def test_plan_without_project_is_rejected(self):
-        from repro.errors import QueryError
-
-        with pytest.raises(QueryError):
-            plan_to_sql(Scan("Employee"))
-
 
 class TestWalkHelpers:
-    def test_walk_visits_every_node_once(self):
-        plan = logical_plan_for_query(
+    def test_walk_visits_every_node_once(self, planner):
+        plan = planner.plan_query(
             ProjectJoinQuery(
                 (ColumnRef("Department", "Name"), ColumnRef("Project", "Title")),
                 (EMP_DEPT, ASSIGN_EMP, ASSIGN_PROJ),
             ),
             (PredicateSpec("Project", "Title", tag="t"),),
-            exists=True,
         )
         nodes = list(plan.walk())
         assert len(nodes) == len(set(id(node) for node in nodes))
         kinds = {type(node).__name__ for node in nodes}
-        assert kinds == {"Exists", "Project", "Join", "Filter", "Scan"}
+        assert kinds == {"Project", "Join", "Filter", "Scan"}

@@ -14,7 +14,6 @@ from repro.query.plan import (
     PredicateSpec,
     Project,
     Scan,
-    logical_plan_for_query,
 )
 from repro.query.planner import DEFAULT_FILTER_SELECTIVITY, Planner
 
@@ -78,9 +77,15 @@ class TestCardinalities:
         join = Join(Scan("Employee"), Scan("Department"), EMP_DEPT)
         assert planner.estimated_rows(join) == pytest.approx(6.0, rel=0.05)
 
-    def test_project_and_exists_are_transparent(self, planner):
-        plan = logical_plan_for_query(TWO_TABLE, exists=True)
+    def test_project_is_transparent(self, planner):
+        plan = planner.plan_query(TWO_TABLE)
         assert planner.estimated_rows(plan) == planner.estimated_rows(plan.child)
+
+    def test_structure_rows_is_the_planned_tree_estimate(self, planner):
+        for query in (TWO_TABLE, FOUR_TABLE):
+            assert planner.structure_rows(query) == planner.estimated_rows(
+                planner.plan_query(query)
+            )
 
 
 class TestJoinOrdering:
@@ -89,17 +94,18 @@ class TestJoinOrdering:
         assert order.start_table == "Department"
         assert order.edges == (EMP_DEPT,)
 
-    def test_filtered_table_becomes_the_start(self, planner):
+    def test_predicates_do_not_choose_the_start(self, planner):
         plan = planner.plan_query(
             TWO_TABLE, (PredicateSpec("Employee", "Name", tag="x"),)
         )
-        # The filtered Employee side (~1 row) is now cheaper than the
-        # 4-row Department scan, so it anchors the join.
-        body = plan.child if isinstance(plan, Project) else plan
+        # The filtered Employee side (~1 row) would be cheaper than the
+        # 4-row Department scan, but explain draws the order the
+        # executor runs, which never depends on predicates.
+        body = plan.child
         assert isinstance(body, Join)
-        left = body.left
-        assert isinstance(left, Filter)
-        assert left.child.table == "Employee"
+        assert body.left == Scan("Department")
+        assert isinstance(body.right, Filter)
+        assert body.right.child == Scan("Employee")
 
     def test_four_table_order_is_connected(self, planner):
         order = planner.join_order(FOUR_TABLE)
@@ -133,15 +139,11 @@ class TestJoinOrdering:
         assert order.edges == ()
 
     def test_disconnected_edges_are_rejected(self, planner):
-        bad = logical_plan_for_query(TWO_TABLE)
-        disconnected = Join(
-            Join(Scan("Employee"), Scan("Department"), EMP_DEPT),
-            Scan("Project"),
-            ForeignKey("Ghost", "x", "Phantom", "y"),
+        disconnected = ProjectJoinQuery(
+            TWO_TABLE.projections, (EMP_DEPT, ASSIGN_PROJ)
         )
-        with pytest.raises(QueryError):
-            planner.optimize(Project(disconnected, TWO_TABLE.projections))
-        assert planner.optimize(bad) is not None
+        with pytest.raises(QueryError, match="connected tree"):
+            planner.join_order(disconnected)
 
 
 class TestPrefixGrouping:

@@ -173,10 +173,11 @@ def _specs():
 
 class TestRefreshEquivalence:
     @pytest.mark.parametrize("seed", [3, 17, 92])
-    def test_randomized_appends_match_cold_build(self, seed):
+    def test_randomized_appends_match_cold_build(self, seed, monkeypatch):
         rng = random.Random(seed)
         database = build_company_database()
-        store = ArtifactStore(max_delta_fraction=0.9)
+        monkeypatch.setattr(artifacts, "MAX_DELTA_FRACTION", 0.9)
+        store = ArtifactStore()
         store.get(database)
         # Several append → refresh cycles so deltas chain across marks.
         for _ in range(3):
@@ -191,10 +192,11 @@ class TestRefreshEquivalence:
         _assert_bundles_equivalent(refreshed, cold)
 
     @pytest.mark.parametrize("seed", [5, 31])
-    def test_discovery_results_are_bit_for_bit_identical(self, seed):
+    def test_discovery_results_are_bit_for_bit_identical(self, seed, monkeypatch):
         rng = random.Random(seed)
         database = build_company_database()
-        store = ArtifactStore(max_delta_fraction=0.9)
+        monkeypatch.setattr(artifacts, "MAX_DELTA_FRACTION", 0.9)
+        store = ArtifactStore()
         store.get(database)
         _append_random_batch(rng, database, max_rows=6)
         refreshed = store.refresh(database)
@@ -219,7 +221,7 @@ class TestHugeIntegerCells:
         spec = MappingSpec(1).add_sample_cells([parse_value_constraint(text)])
         return Prism.from_artifacts(bundle).discover(spec).sql()
 
-    def test_build_discover_and_refresh(self):
+    def test_build_discover_and_refresh(self, monkeypatch):
         database = Database("ledger")
         ledger = database.create_table("Ledger", [
             Column("Id", DataType.INT),
@@ -228,7 +230,8 @@ class TestHugeIntegerCells:
         ])
         ledger.insert_many([(1, 5, "small"), (2, self.HUGE, "huge"),
                             (3, None, "unknown")])
-        store = ArtifactStore(max_delta_fraction=0.9)
+        monkeypatch.setattr(artifacts, "MAX_DELTA_FRACTION", 0.9)
+        store = ArtifactStore()
         built = store.get(database)
         assert self._sql(built, str(self.HUGE)) == [
             "SELECT Ledger.Amount FROM Ledger"
@@ -249,9 +252,10 @@ class TestHugeIntegerCells:
 
 
 class TestRefreshBookkeeping:
-    def test_refresh_counters_and_key_progression(self):
+    def test_refresh_counters_and_key_progression(self, monkeypatch):
         database = build_company_database()
-        store = ArtifactStore(max_delta_fraction=0.9)
+        monkeypatch.setattr(artifacts, "MAX_DELTA_FRACTION", 0.9)
+        store = ArtifactStore()
         first = store.refresh(database)           # nothing cached: build
         assert store.stats.builds == 1
         again = store.refresh(database)           # unchanged: hit
@@ -268,9 +272,10 @@ class TestRefreshBookkeeping:
         assert snapshot["delta_rows_applied"] == 1
         assert snapshot["rebuild_fallbacks"] == 0
 
-    def test_refreshed_bundle_is_persisted(self, tmp_path):
+    def test_refreshed_bundle_is_persisted(self, tmp_path, monkeypatch):
         database = build_company_database()
-        store = ArtifactStore(persist_dir=tmp_path, max_delta_fraction=0.9)
+        monkeypatch.setattr(artifacts, "MAX_DELTA_FRACTION", 0.9)
+        store = ArtifactStore(persist_dir=tmp_path)
         store.get(database)
         database.table("Project").insert(("P901", "Moonshot", 2_000.0))
         upgraded = store.refresh(database)
@@ -282,11 +287,12 @@ class TestRefreshBookkeeping:
         assert other.stats.builds == 0
         assert warm.key == upgraded.key
 
-    def test_service_metrics_expose_refresh_counters(self):
+    def test_service_metrics_expose_refresh_counters(self, monkeypatch):
         from repro.api import DiscoveryRequest, DiscoveryService
 
         database = build_company_database()
-        store = ArtifactStore(max_delta_fraction=0.9)
+        monkeypatch.setattr(artifacts, "MAX_DELTA_FRACTION", 0.9)
+        store = ArtifactStore()
         spec = MappingSpec(2)
         spec.add_sample_cells([ExactValue("Alice Chen"), None])
         with DiscoveryService(
@@ -305,9 +311,10 @@ class TestRefreshBookkeeping:
 
 
 class TestRebuildFallbacks:
-    def test_schema_change_falls_back(self):
+    def test_schema_change_falls_back(self, monkeypatch):
         database = build_company_database()
-        store = ArtifactStore(max_delta_fraction=0.9)
+        monkeypatch.setattr(artifacts, "MAX_DELTA_FRACTION", 0.9)
+        store = ArtifactStore()
         store.get(database)
         database.create_table("Audit", [Column("Entry", DataType.TEXT)])
         database.table("Audit").insert(("created",))
@@ -319,9 +326,10 @@ class TestRebuildFallbacks:
         assert bundle.key == ArtifactKey.for_database(database)
         _assert_bundles_equivalent(bundle, ArtifactStore().build(database))
 
-    def test_drop_table_falls_back(self):
+    def test_drop_table_falls_back(self, monkeypatch):
         database = build_company_database()
-        store = ArtifactStore(max_delta_fraction=0.9)
+        monkeypatch.setattr(artifacts, "MAX_DELTA_FRACTION", 0.9)
+        store = ArtifactStore()
         store.get(database)
         database.drop_table("Assignment")
         bundle = store.refresh(database)
@@ -332,10 +340,11 @@ class TestRebuildFallbacks:
             type(bundle.catalog.columns()[0])("Assignment", "Hours")
         )
 
-    def test_drop_and_recreate_same_name_falls_back(self):
+    def test_drop_and_recreate_same_name_falls_back(self, monkeypatch):
         """The delete/recreate path: same table name, different rows."""
         database = build_company_database()
-        store = ArtifactStore(max_delta_fraction=0.9)
+        monkeypatch.setattr(artifacts, "MAX_DELTA_FRACTION", 0.9)
+        store = ArtifactStore()
         store.get(database)
         database.drop_table("Project")
         database.create_table("Project", [
@@ -349,9 +358,10 @@ class TestRebuildFallbacks:
         assert store.stats.fallback_reasons["schema_change"] == 1
         _assert_bundles_equivalent(bundle, ArtifactStore().build(database))
 
-    def test_delta_overflow_falls_back(self):
+    def test_delta_overflow_falls_back(self, monkeypatch):
         database = build_company_database()
-        store = ArtifactStore(max_delta_fraction=0.05)
+        monkeypatch.setattr(artifacts, "MAX_DELTA_FRACTION", 0.05)
+        store = ArtifactStore()
         store.get(database)
         for i in range(5):  # 5 rows > 5% of the ~19-row company database
             database.table("Project").insert((f"P5{i}", f"Bulk {i}", 1.0))
@@ -361,10 +371,11 @@ class TestRebuildFallbacks:
         assert store.stats.fallback_reasons["delta_overflow"] == 1
         assert bundle.key == ArtifactKey.for_database(database)
 
-    def test_disk_loaded_bundle_falls_back_then_reattaches(self, tmp_path):
+    def test_disk_loaded_bundle_falls_back_then_reattaches(self, tmp_path, monkeypatch):
         database = build_company_database()
         ArtifactStore(persist_dir=tmp_path).get(database)
-        store = ArtifactStore(persist_dir=tmp_path, max_delta_fraction=0.9)
+        monkeypatch.setattr(artifacts, "MAX_DELTA_FRACTION", 0.9)
+        store = ArtifactStore(persist_dir=tmp_path)
         loaded = store.get(database)  # private unpickled database copy
         assert store.stats.disk_loads == 1
         database.table("Project").insert(("P904", "Detached", 1.0))
@@ -387,7 +398,8 @@ class TestRebuildFallbacks:
 
     def test_unexpected_apply_error_evicts_bundle(self, monkeypatch):
         database = build_company_database()
-        store = ArtifactStore(max_delta_fraction=0.9)
+        monkeypatch.setattr(artifacts, "MAX_DELTA_FRACTION", 0.9)
+        store = ArtifactStore()
         store.get(database)
         database.table("Project").insert(("P906", "Boom", 3.0))
 
@@ -423,9 +435,10 @@ class TestRebuildFallbacks:
         assert reloaded.stats.disk_loads == 1
         assert reloaded.stats.builds == 0
 
-    def test_fallback_serves_correct_results(self):
+    def test_fallback_serves_correct_results(self, monkeypatch):
         database = build_company_database()
-        store = ArtifactStore(max_delta_fraction=0.9)
+        monkeypatch.setattr(artifacts, "MAX_DELTA_FRACTION", 0.9)
+        store = ArtifactStore()
         store.get(database)
         database.create_table("Audit", [Column("Entry", DataType.TEXT)])
         bundle = store.refresh(database)

@@ -6,6 +6,7 @@ import threading
 
 from repro.constraints.spec import MappingSpec
 from repro.constraints.values import ExactValue
+from repro.discovery.engine import Prism
 from repro.service.artifacts import ArtifactKey, ArtifactStore
 
 
@@ -52,7 +53,7 @@ class TestArtifactStore:
 
     def test_engine_over_bundle_discovers(self, company_db):
         store = ArtifactStore()
-        engine = store.get(company_db).engine()
+        engine = Prism.from_artifacts(store.get(company_db))
         result = engine.discover(_company_spec())
         assert result.num_queries >= 1
         # The engine shares the bundle's artifacts instead of rebuilding.
@@ -130,7 +131,7 @@ class TestPersistence:
         # Loaded bundles own a private database copy, isolated from the
         # caller's objects, and still answer discovery correctly.
         assert loaded.database is not company_db
-        result = loaded.engine().discover(_company_spec())
+        result = Prism.from_artifacts(loaded).discover(_company_spec())
         assert result.num_queries >= 1
 
     def test_stale_persisted_bundle_is_not_loaded(self, company_db, tmp_path):

@@ -10,6 +10,7 @@ to the cheapest method the platform offers.
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import multiprocessing
 import os
@@ -227,13 +228,20 @@ class TestProcessServing:
         os.kill(processes[0].pid, signal.SIGSTOP)
         try:
             svc.shutdown(wait=False)
-            for process in processes:
-                process.join(timeout=5.0)
+            # The pool's shutdown thread reaps the shards; until it stores
+            # a shard's exit code, is_alive() here can still read True for
+            # an exited shard, so poll up to the deadline.
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and any(
+                process.is_alive() for process in processes
+            ):
+                time.sleep(0.05)
             assert [process.is_alive() for process in processes] == [False, False]
         finally:
             for process in processes:
                 if process.is_alive():
-                    os.kill(process.pid, signal.SIGKILL)
+                    with contextlib.suppress(ProcessLookupError):
+                        os.kill(process.pid, signal.SIGKILL)
                     process.join(timeout=5.0)
 
     def test_warm_start_from_persisted_bundles(

@@ -353,13 +353,15 @@ class TestBackendRegressions:
 
 
 class TestArtifactDeltaOverflow:
-    def test_overflow_falls_back_to_rebuild(self):
+    def test_overflow_falls_back_to_rebuild(self, monkeypatch):
         from repro.api import ArtifactStore
+        from repro.service import artifacts
         from repro.service.artifacts import ArtifactKey
         from tests.conftest import build_company_database
 
         database = build_company_database()
-        store = ArtifactStore(max_delta_fraction=0.05)
+        monkeypatch.setattr(artifacts, "MAX_DELTA_FRACTION", 0.05)
+        store = ArtifactStore()
         store.get(database)
         for i in range(5):  # 5 rows > 5% of the ~19-row company database
             database.table("Project").insert((f"P5{i}", f"Bulk {i}", 1.0))
