@@ -9,7 +9,10 @@ tables, optionally passing through a bounded number of intermediate tables.
 
 The enumeration is exhaustive up to the configured bounds (maximum number
 of tables in a tree and maximum number of trees returned), which mirrors
-the paper's bounded interactive search.
+the paper's bounded interactive search.  A graph memoizes each answer:
+its structure never changes (:meth:`SchemaGraph.apply_delta` raises
+first), and candidate generation asks for the same required-table sets
+in every round.
 """
 
 from __future__ import annotations
@@ -24,12 +27,22 @@ from repro.errors import SchemaError
 
 __all__ = ["SchemaGraph"]
 
+#: Answers :meth:`SchemaGraph.join_trees` keeps per graph.  Once full,
+#: the memo stops growing: further answers are computed every time.
+JOIN_TREE_MEMO_SIZE = 1024
+
 
 class SchemaGraph:
     """Undirected multigraph over the tables of a database."""
 
     def __init__(self, database: Database):
         self._database = database
+        # (required tables, max_tables, max_trees) -> join trees.  Never
+        # invalidated, because the structure never changes, and never
+        # evicted, so no caller reads it while another resizes it.  No
+        # lock (the graph is pickled in bundles): callers racing on one
+        # key store equal answers, and can pass the bound by one each.
+        self._join_trees: dict[tuple, tuple[tuple[ForeignKey, ...], ...]] = {}
         self._graph = nx.MultiGraph()
         for table_name in database.table_names:
             self._graph.add_node(table_name)
@@ -144,24 +157,38 @@ class SchemaGraph:
             max_trees: cap on the number of trees returned.
 
         Returns:
-            A list of edge tuples; the single-table case yields one empty
-            tuple.  Trees are returned smaller-first (fewer edges first).
+            A new list of edge tuples; the single-table case yields one
+            empty tuple.  Trees are returned smaller-first (fewer edges
+            first).
         """
-        required = sorted(set(required_tables))
-        for table in required:
+        required = frozenset(required_tables)
+        key = (required, max_tables, max_trees)
+        trees = self._join_trees.get(key)
+        if trees is None:
+            trees = self._search(required, max_tables, max_trees)
+            if len(self._join_trees) < JOIN_TREE_MEMO_SIZE:
+                self._join_trees[key] = trees
+        return list(trees)
+
+    def _search(
+        self,
+        required: frozenset[str],
+        max_tables: Optional[int],
+        max_trees: Optional[int],
+    ) -> tuple[tuple[ForeignKey, ...], ...]:
+        """:meth:`join_trees`' answer, enumerated afresh."""
+        for table in sorted(required):
             if table not in self._graph:
                 raise SchemaError(f"unknown table in schema graph: {table!r}")
         if not required:
-            return [()]
+            return ((),)
         if max_tables is None:
             max_tables = len(required) + 2
         max_tables = max(max_tables, len(required))
 
         results: list[tuple[ForeignKey, ...]] = []
         seen: set[frozenset[ForeignKey]] = set()
-        required_set = frozenset(required)
-
-        for tree in self._enumerate_trees(required_set, max_tables):
+        for tree in self._enumerate_trees(required, max_tables):
             key = frozenset(tree)
             if key in seen:
                 continue
@@ -170,7 +197,7 @@ class SchemaGraph:
             if max_trees is not None and len(results) >= max_trees:
                 break
         results.sort(key=lambda edges: (len(edges), [str(edge) for edge in edges]))
-        return results
+        return tuple(results)
 
     def _enumerate_trees(
         self, required: frozenset[str], max_tables: int

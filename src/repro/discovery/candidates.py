@@ -12,6 +12,12 @@ assigned tables (bounded by ``max_tables``), and — for target positions the
 user left completely unconstrained — assigns any remaining column of the
 join tree's tables.  Candidates are deduplicated by query signature and the
 overall number is bounded to keep the search interactive.
+
+Many assignments share one set of tables, within a round and across
+rounds; the schema graph memoizes its join trees per required-table set,
+so each set is searched once per graph.  A required table the graph does
+not know (a graph built for another database) raises
+:class:`~repro.errors.SchemaError`.
 """
 
 from __future__ import annotations
@@ -113,14 +119,11 @@ class CandidateGenerator:
             if deadline is not None and time.monotonic() > deadline:
                 break
             required_tables = {ref.table for ref in assignment.values()}
-            try:
-                trees = self._graph.join_trees(
-                    required_tables,
-                    max_tables=self._limits.max_tables,
-                    max_trees=self._limits.max_trees_per_assignment,
-                )
-            except Exception:  # pragma: no cover - defensive
-                continue
+            trees = self._graph.join_trees(
+                required_tables,
+                max_tables=self._limits.max_tables,
+                max_trees=self._limits.max_trees_per_assignment,
+            )
             for tree in trees:
                 for projections in self._complete_projections(
                     spec, assignment, unconstrained_positions, tree, required_tables

@@ -17,12 +17,21 @@ Containment gives the dependency structure:
 * if filter B is contained in filter A (same sample, B's join edges,
   tables and projections are subsets of A's) then **B failing implies A
   fails**, and **A passing implies B passes**.
+
+The decomposition is structural work done once per join tree: a tree's
+connected subtrees (its *shapes*) are enumerated once per process and
+cached, in a canonical order that makes filter ids independent of the
+interpreter's hash seed.  Each filter records its shape and its cells
+(``(position, projected column)`` pairs) when it is first built, so
+deduplication compares plain tuples and containment compares stored
+sets.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.constraints.spec import MappingSpec
 from repro.dataset.schema import ColumnRef, ForeignKey
@@ -32,16 +41,14 @@ from repro.query.pj_query import ProjectJoinQuery
 
 __all__ = ["Filter", "FilterSet", "build_filters"]
 
+#: Join trees whose subtree shapes stay cached, least recently used
+#: evicted first.  Two passes of each end-to-end benchmark workload
+#: reach 156 distinct trees, sub-trees included.
+SUBTREE_CACHE_SIZE = 1024
 
-@dataclass(frozen=True)
-class _FilterKey:
-    """Structural identity of a filter (used for cross-candidate sharing)."""
-
-    sample_index: int
-    positions: tuple[int, ...]
-    projections: tuple[ColumnRef, ...]
-    edges: frozenset[ForeignKey]
-    tables: frozenset[str]
+#: One connected subtree: its tables, its edge set and its edges in
+#: canonical order.
+Shape = tuple[frozenset[str], frozenset[ForeignKey], tuple[ForeignKey, ...]]
 
 
 @dataclass
@@ -53,6 +60,10 @@ class Filter:
     positions: tuple[int, ...]
     query: ProjectJoinQuery
     tables: frozenset[str]
+    #: ``(position, projected column)`` pairs the filter checks.
+    cells: frozenset[tuple[int, ColumnRef]]
+    #: The filter's join tree: ``(tables, edge set)``.
+    shape: tuple[frozenset[str], frozenset[ForeignKey]]
     candidate_ids: set[int] = field(default_factory=set)
 
     @property
@@ -91,51 +102,12 @@ class FilterSet:
         self.spec = spec
         self.candidates = list(candidates)
         self.filters: list[Filter] = []
-        self._by_key: dict[_FilterKey, Filter] = {}
         # candidate id -> sample index -> id of the candidate's *top* filter
         self.candidate_tops: dict[int, dict[int, int]] = {}
         # candidate id -> every filter id derived from it
         self.candidate_filters: dict[int, set[int]] = {}
         self._ancestors: Optional[dict[int, set[int]]] = None
         self._descendants: Optional[dict[int, set[int]]] = None
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def add(
-        self,
-        candidate: CandidateQuery,
-        sample_index: int,
-        positions: Sequence[int],
-        query: ProjectJoinQuery,
-        is_top: bool,
-    ) -> Filter:
-        """Register one filter occurrence for ``candidate``."""
-        key = _FilterKey(
-            sample_index=sample_index,
-            positions=tuple(positions),
-            projections=query.projections,
-            edges=frozenset(query.joins),
-            tables=query.tables,
-        )
-        existing = self._by_key.get(key)
-        if existing is None:
-            existing = Filter(
-                id=len(self.filters),
-                sample_index=sample_index,
-                positions=tuple(positions),
-                query=query,
-                tables=query.tables,
-            )
-            self.filters.append(existing)
-            self._by_key[key] = existing
-        existing.candidate_ids.add(candidate.id)
-        self.candidate_filters.setdefault(candidate.id, set()).add(existing.id)
-        if is_top:
-            self.candidate_tops.setdefault(candidate.id, {})[sample_index] = existing.id
-        self._ancestors = None
-        self._descendants = None
-        return existing
 
     # ------------------------------------------------------------------
     # Dependency structure
@@ -146,35 +118,22 @@ class FilterSet:
         A filter's joins form a tree over its tables, so a filter it
         contains spans a connected subtree of that tree, and in a tree
         a subtree's edges are exactly those among its tables.  Indexing
-        filters by ``(sample, tables, joins)`` therefore lets each
-        filter find every filter it may contain under the shapes of its
-        own subtrees; only their cells remain to be compared.
+        filters by ``(sample, tables, edge set)`` therefore lets each
+        filter find every filter it may contain under its own cached
+        subtree shapes; only their stored cell sets remain to be
+        compared.
         """
         ancestors: dict[int, set[int]] = {f.id: set() for f in self.filters}
         descendants: dict[int, set[int]] = {f.id: set() for f in self.filters}
         by_shape: dict[tuple, list[Filter]] = {}
         for filter_ in self.filters:
-            tree = (filter_.tables, frozenset(filter_.query.joins))
-            by_shape.setdefault((filter_.sample_index, *tree), []).append(filter_)
-        # The subtree shapes of each join tree, enumerated once: many
-        # filters share one tree.
-        subtrees: dict[tuple, list[tuple]] = {}
+            by_shape.setdefault(
+                (filter_.sample_index, *filter_.shape), []
+            ).append(filter_)
         for outer in self.filters:
-            tree = (outer.tables, frozenset(outer.query.joins))
-            shapes = subtrees.get(tree)
-            if shapes is None:
-                shapes = subtrees[tree] = [
-                    (nodes, frozenset(edges))
-                    for nodes, edges in _connected_subtrees(
-                        outer.tables, outer.query.joins
-                    )
-                ]
-            own_cells = set(zip(outer.positions, outer.query.projections))
-            for nodes, edges in shapes:
-                for inner in by_shape.get((outer.sample_index, nodes, edges), ()):
-                    if inner.id != outer.id and own_cells.issuperset(
-                        zip(inner.positions, inner.query.projections)
-                    ):
+            for nodes, edge_set, __ in _subtree_shapes(*outer.shape):
+                for inner in by_shape.get((outer.sample_index, nodes, edge_set), ()):
+                    if inner.cells <= outer.cells and inner is not outer:
                         ancestors[inner.id].add(outer.id)
                         descendants[outer.id].add(inner.id)
         self._ancestors = ancestors
@@ -212,40 +171,48 @@ class FilterSet:
         return tops
 
 
-def _connected_subtrees(
-    tables: frozenset[str],
-    edges: Sequence[ForeignKey],
-) -> list[tuple[frozenset[str], tuple[ForeignKey, ...]]]:
-    """Enumerate connected subtrees (node set, induced edges) of a join tree."""
+@functools.lru_cache(maxsize=SUBTREE_CACHE_SIZE)
+def _subtree_shapes(
+    tables: frozenset[str], edges: frozenset[ForeignKey]
+) -> tuple[Shape, ...]:
+    """Every connected subtree of the join tree ``(tables, edges)``.
+
+    Smaller subtrees come first, so a tree's last shape is the whole
+    tree.  The order is canonical: single tables in name order, and each
+    larger subtree grown from the first-found smaller one, walking its
+    tables in name order and their edges in text order.  Filter ids
+    follow this order, so it must not depend on frozenset iteration
+    order, which the hash seed sets.
+    """
     adjacency: dict[str, list[ForeignKey]] = {table: [] for table in tables}
-    for edge in edges:
+    for edge in sorted(edges, key=str):
         left, right = edge.tables()
         adjacency[left].append(edge)
         adjacency[right].append(edge)
 
-    results: dict[frozenset[str], tuple[ForeignKey, ...]] = {}
-    for table in tables:
-        results.setdefault(frozenset({table}), ())
-    frontier: list[tuple[frozenset[str], tuple[ForeignKey, ...]]] = [
-        (frozenset({table}), ()) for table in tables
-    ]
+    found: dict[frozenset[str], tuple[ForeignKey, ...]] = {
+        frozenset({table}): () for table in sorted(tables)
+    }
+    frontier = list(found.items())
     while frontier:
         next_frontier = []
         for node_set, tree_edges in frontier:
-            for table in node_set:
+            for table in sorted(node_set):
                 for edge in adjacency[table]:
                     left, right = edge.tables()
                     other = right if left == table else left
                     if other in node_set:
                         continue
                     new_nodes = node_set | {other}
-                    if new_nodes in results:
+                    if new_nodes in found:
                         continue
-                    new_edges = tree_edges + (edge,)
-                    results[new_nodes] = new_edges
+                    new_edges = found[new_nodes] = tree_edges + (edge,)
                     next_frontier.append((new_nodes, new_edges))
         frontier = next_frontier
-    return [(nodes, results[nodes]) for nodes in results]
+    return tuple(
+        (nodes, frozenset(tree_edges), tree_edges)
+        for nodes, tree_edges in found.items()
+    )
 
 
 def build_filters(
@@ -253,57 +220,71 @@ def build_filters(
 ) -> FilterSet:
     """Decompose every candidate into filters for every sample constraint.
 
+    Every connected subtree of a candidate's join tree that holds at
+    least one constrained column becomes a filter; the whole tree, with
+    every constrained column, is the candidate's *top* filter for that
+    sample: passing it certifies the candidate's result truly contains
+    the sample.
+
     Args:
         spec: the mapping specification (provides the sample constraints).
         candidates: candidate queries from the generator.
     """
     filter_set = FilterSet(spec, candidates)
-    samples = spec.samples
-    if not samples:
+    constrained_per_sample = [
+        sample.constrained_positions() for sample in spec.samples
+    ]
+    if not constrained_per_sample:
         return filter_set
 
+    filters = filter_set.filters
+    by_key: dict[tuple, Filter] = {}
     for candidate in candidates:
         query = candidate.query
-        candidate_tables = query.tables
-        for sample_index, sample in enumerate(samples):
-            constrained = [
-                position
-                for position in sample.constrained_positions()
-                if position < query.width
-            ]
+        projections = query.projections
+        shapes = _subtree_shapes(query.tables, frozenset(query.joins))
+        whole, whole_edges, __ = shapes[-1]
+        if whole != query.tables or len(whole_edges) != len(query.joins):
+            raise DiscoveryError(
+                f"candidate {candidate.id}'s joins do not form one tree "
+                "over its tables"
+            )
+        own_ids: set[int] = set()
+        tops: dict[int, int] = {}
+        for sample_index, constrained in enumerate(constrained_per_sample):
+            constrained = [p for p in constrained if p < query.width]
             if not constrained:
                 continue
-            # Sub-filters: every connected subtree containing >= 1 constrained column.
-            for node_set, sub_edges in _connected_subtrees(
-                candidate_tables, query.joins
-            ):
-                positions = [
-                    position
-                    for position in constrained
-                    if query.projections[position].table in node_set
-                ]
+            for nodes, edge_set, edges in shapes:
+                positions = tuple(
+                    p for p in constrained if projections[p].table in nodes
+                )
                 if not positions:
                     continue
-                projections = tuple(query.projections[p] for p in positions)
-                sub_query = ProjectJoinQuery(projections, sub_edges)
-                filter_set.add(
-                    candidate,
-                    sample_index,
-                    positions,
-                    sub_query,
-                    is_top=False,
-                )
-            # The top filter spans the *entire* candidate join tree with all
-            # constrained positions: passing it certifies the candidate's
-            # result truly contains the sample.
-            top_projections = tuple(query.projections[p] for p in constrained)
-            top_query = ProjectJoinQuery(top_projections, query.joins)
-            filter_set.add(
-                candidate, sample_index, constrained, top_query, is_top=True
-            )
-        if candidate.id not in filter_set.candidate_tops and samples:
+                cells = tuple(projections[p] for p in positions)
+                key = (sample_index, positions, cells, edge_set, nodes)
+                filter_ = by_key.get(key)
+                if filter_ is None:
+                    filter_ = by_key[key] = Filter(
+                        id=len(filters),
+                        sample_index=sample_index,
+                        positions=positions,
+                        query=ProjectJoinQuery(cells, edges),
+                        tables=nodes,
+                        cells=frozenset(zip(positions, cells)),
+                        shape=(nodes, edge_set),
+                    )
+                    filters.append(filter_)
+                filter_.candidate_ids.add(candidate.id)
+                own_ids.add(filter_.id)
+            # The last shape is the whole tree, holding every constrained
+            # position.
+            tops[sample_index] = filter_.id
+        if not tops:
             raise DiscoveryError(
                 f"candidate {candidate.id} produced no top filter; "
                 "samples may not constrain any projected column"
             )
+        filter_set.candidate_filters[candidate.id] = own_ids
+        filter_set.candidate_tops[candidate.id] = tops
     return filter_set

@@ -21,10 +21,12 @@ Bundles are read-only to every consumer
 (:class:`~repro.discovery.engine.Prism` engines, the
 :class:`~repro.api.DiscoveryService` workers): consumers layer
 their own mutable state (executor caches, statistics) on top.  The one
-writer is :meth:`ArtifactStore.refresh`, which — under the per-database
-build lock — upgrades a bundle to a newer database state by folding the
-append delta into its artifacts in place instead of rebuilding them
-(see ``docs/incremental.md``).
+writer of artifact state is :meth:`ArtifactStore.refresh`, which —
+under the per-database build lock — upgrades a bundle to a newer
+database state by folding the append delta into its artifacts in place
+instead of rebuilding them (see ``docs/incremental.md``).  The one
+exception is derived and grows only: the schema graph memoizes the join
+trees consumers ask it for, answers that no append can change.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ __all__ = [
 #: Layout version of persisted bundles, part of every bundle's file name.
 #: Bump it whenever a pickled class changes shape: bundles written under
 #: another number are then never found, and the store rebuilds them.
-ARTIFACT_FORMAT = 3
+ARTIFACT_FORMAT = 4
 
 #: Largest append delta :meth:`ArtifactStore.refresh` folds into a bundle
 #: in place, as a fraction of the bundle's rows.  A larger delta falls

@@ -7,12 +7,15 @@ import pytest
 from repro.constraints.spec import MappingSpec
 from repro.constraints.values import ExactValue
 from repro.dataset.catalog import MetadataCatalog
+from repro.dataset.database import Database
 from repro.dataset.index import InvertedIndex
-from repro.dataset.schema import ColumnRef
+from repro.dataset.schema import Column, ColumnRef
 from repro.dataset.schema_graph import SchemaGraph
+from repro.dataset.types import DataType
 from repro.discovery.candidates import CandidateGenerator, GenerationLimits
+from repro.discovery.engine import Prism
 from repro.discovery.related_columns import RelatedColumnFinder, RelatedColumns
-from repro.errors import DiscoveryError
+from repro.errors import DiscoveryError, SchemaError
 
 
 @pytest.fixture()
@@ -91,6 +94,16 @@ class TestGeneration:
         spec.add_sample_cells([ExactValue("Engineering"), ExactValue("Engineering")])
         for candidate in generator.generate(spec, finder.find(spec)):
             assert len(set(candidate.query.projections)) == 2
+
+    def test_a_schema_graph_of_another_database_raises(self, company_db):
+        """A graph that does not know the related columns' tables is an
+        error, not a discovery that silently finds nothing."""
+        other = Database("other")
+        other.create_table("Elsewhere", [Column("x", DataType.INT)])
+        prism = Prism(company_db, schema_graph=SchemaGraph(other))
+        spec = MappingSpec(1).add_sample_cells([ExactValue("Engineering")])
+        with pytest.raises(SchemaError, match="unknown table"):
+            prism.discover(spec)
 
 
 class TestLimits:

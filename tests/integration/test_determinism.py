@@ -8,7 +8,10 @@ SQL and the same non-timing statistics in every process.  The first
 test runs the quickstart's Mondial discovery (Lake Tahoe, California or
 Nevada, a non-negative decimal area) in fresh interpreters under several
 hash seeds and compares what they report; the second compares the rows
-one existence probe scans before its pushdown meets an empty selection.
+one existence probe scans before its pushdown meets an empty selection;
+the third runs an IMDB spec whose validation counts under the ``filter``
+and ``optimal`` policies once followed the filter ids, which followed
+the iteration order of frozensets of table names.
 """
 
 from __future__ import annotations
@@ -114,3 +117,61 @@ def test_rows_scanned_is_identical_under_every_hash_seed():
         assert done.returncode == 0, done.stderr
         scanned[seed] = int(done.stdout)
     assert len(set(scanned.values())) == 1, scanned
+
+
+_TIE_BREAKS = f"""
+import dataclasses
+import json
+
+from repro import GenerationLimits, MappingSpec, Prism, load_imdb
+from repro.constraints.values import ExactValue
+from repro.discovery.filters import build_filters
+
+database = load_imdb()
+limits = GenerationLimits(
+    max_candidates=200, max_assignments=400, max_trees_per_assignment=6
+)
+spec = MappingSpec(num_columns=3)
+spec.add_sample_cells([ExactValue(3), ExactValue(3), ExactValue(43)])
+report = {{}}
+for policy in ("filter", "optimal"):
+    prism = Prism(database, scheduler=policy, limits=limits, train_bayesian=False)
+    result = prism.discover(spec)
+    stats = dataclasses.asdict(result.stats)
+    for field in {sorted(_TIMING_FIELDS)!r}:
+        del stats[field]
+    report[policy] = {{"sql": result.sql(), "stats": stats}}
+report["filters"] = [
+    [
+        filter_.sample_index,
+        list(filter_.positions),
+        [str(ref) for ref in filter_.query.projections],
+        sorted(str(edge) for edge in filter_.query.joins),
+        sorted(filter_.tables),
+    ]
+    for filter_ in build_filters(spec, prism.candidate_queries(spec)).filters
+]
+print(json.dumps(report))
+"""
+
+
+def test_filter_ids_and_tie_breaks_are_identical_under_every_hash_seed():
+    """The ``filter`` and ``optimal`` policies break ties by filter id:
+    each filter's id, and so each count, must not depend on hashing."""
+    reports = {}
+    for seed in _HASH_SEEDS:
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(_SRC))
+        done = subprocess.run(
+            [sys.executable, "-c", _TIE_BREAKS],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        reports[seed] = json.loads(done.stdout)
+
+    first = reports[_HASH_SEEDS[0]]
+    assert first["filters"] and first["filter"]["stats"]["validations"]
+    for seed in _HASH_SEEDS[1:]:
+        assert reports[seed] == first, seed
