@@ -229,4 +229,4 @@ def test_numpy_kernels_smoke(benchmark):
     ]
     assert outcomes == expected + expected
     # The semijoin sweep decided the probes.
-    assert executor._edge_kernels
+    assert executor.cache.edge_kernels

@@ -2,7 +2,9 @@
 
 The planner keys physical plans by canonical join-structure hash and the
 validation driver batches filters sharing one join prefix into single
-executor passes.  This harness measures both effects on an e3-style
+executor passes, scanning each (table, column, constraint) once per
+round; with batching off, every probe scans for itself.  This harness
+measures these effects on an e3-style
 filter-validation workload (ground-truth cases from a WorkloadGenerator,
 MIXED resolution, the default bayesian scheduler) over a synthetic
 database large enough that validation dominates the round — the regime

@@ -9,6 +9,7 @@ paper's interactive time limit (60 seconds per round by default, §2.2).
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import replace
 from typing import Optional
 
@@ -26,7 +27,7 @@ from repro.discovery.result import DiscoveryResult, DiscoveryStats
 from repro.discovery.scheduler import ValidationDriver, make_policy
 from repro.discovery.validation import FilterValidator
 from repro.errors import DiscoveryError, DiscoveryTimeout
-from repro.query.executor import Executor
+from repro.query.executor import Executor, ExecutorCache
 from repro.query.sql import to_sql
 
 __all__ = ["Prism", "DEFAULT_TIME_LIMIT_SECONDS"]
@@ -75,6 +76,7 @@ class Prism:
         catalog: Optional[MetadataCatalog] = None,
         schema_graph: Optional[SchemaGraph] = None,
         models: Optional[BayesianModelSet] = None,
+        cache: Optional[ExecutorCache] = None,
     ):
         """Preprocess ``database`` and prepare the engine.
 
@@ -82,8 +84,10 @@ class Prism:
         schema graph, Bayesian models) may be injected instead of built, so
         many engines can serve over one shared, immutable artifact set —
         see :meth:`from_artifacts` and :class:`repro.api.ArtifactStore`.
-        An engine constructed from injected artifacts holds no mutable
-        state of its own beyond its private :class:`Executor` caches.
+        So may the artifacts' :class:`~repro.query.executor.ExecutorCache`
+        (plans, edge kernels, Bloom masks, planner memos), which engines
+        over one bundle then share.  Beyond that, an engine holds only
+        its :class:`Executor`'s counters and probe outcomes.
 
         Args:
             database: the source database.
@@ -94,13 +98,17 @@ class Prism:
             train_bayesian: train the Bayesian models eagerly (required for
                 the ``bayesian`` scheduler; ignored when ``models`` is
                 injected).
-            batch_validation: validate filters sharing one join structure
-                in batched executor passes (see
-                :meth:`~repro.query.executor.Executor.exists_batch`).
-                Discovery results and validation counts are identical
-                either way; disabling it forces the per-candidate
-                execution path (used by benchmarks and differential
-                tests).
+            batch_validation: share validation work across probes:
+                validate filters sharing one join structure in batched
+                executor passes (see
+                :meth:`~repro.query.executor.Executor.exists_batch`), and
+                scan each (table, column, constraint) once per
+                ``discover()`` call (see
+                :meth:`~repro.query.executor.Executor.round`).  Discovery
+                results and validation counts are identical either way;
+                disabling it decides every probe on its own, the
+                per-candidate baseline that benchmarks and differential
+                tests compare against.
             use_sketches: consult the catalog's statistics sketches
                 (HyperLogLog join estimates, Bloom probe pre-filtering,
                 histogram selectivity, sketch-informed scheduling cost).
@@ -111,6 +119,9 @@ class Prism:
             catalog: prebuilt metadata catalog for ``database``.
             schema_graph: prebuilt schema graph for ``database``.
             models: pretrained Bayesian model set for ``database``.
+            cache: the executor cache of the artifacts above (an
+                artifact bundle's ``cache``); the engine fills a private
+                one without it.
         """
         _check_time_limit(time_limit)
         self.database = database
@@ -128,7 +139,8 @@ class Prism:
         # shared across every candidate joining the same structure.
         self.use_sketches = use_sketches
         self.executor = Executor(
-            database, catalog=self.catalog, use_sketches=use_sketches
+            database, catalog=self.catalog, use_sketches=use_sketches,
+            cache=cache,
         )
         self.limits = limits or GenerationLimits()
         self.batch_validation = batch_validation
@@ -155,10 +167,13 @@ class Prism:
 
         ``bundle`` is a :class:`repro.service.artifacts.ArtifactBundle` (or
         any object exposing ``database``, ``index``, ``catalog``,
-        ``schema_graph`` and ``models``).  No preprocessing runs: the
-        returned engine is a cheap, stateless view over the bundle's
-        immutable artifacts plus a private executor, so constructing one
-        per request is the intended usage under concurrency.
+        ``schema_graph``, ``models`` and ``cache``).  No preprocessing
+        runs: the returned engine is a cheap view over the bundle's
+        immutable artifacts.  Its executor shares the bundle's cache of
+        plans, edge kernels, Bloom masks and planner memos with every
+        other engine over the bundle, and keeps its own counters and
+        probe outcomes, so constructing one per request is the intended
+        usage under concurrency.
         """
         return cls(
             bundle.database,
@@ -170,6 +185,7 @@ class Prism:
             catalog=bundle.catalog,
             schema_graph=bundle.schema_graph,
             models=bundle.models,
+            cache=bundle.cache,
         )
 
     # ------------------------------------------------------------------
@@ -267,7 +283,8 @@ class Prism:
             planner=self.executor.planner if self.use_sketches else None,
         )
         executor_before = replace(self.executor.stats)
-        scheduling = driver.run()
+        with self.executor.round() if self.batch_validation else nullcontext():
+            scheduling = driver.run()
         executor_after = self.executor.stats
         stats.validation_seconds = time.monotonic() - stage_start
         stats.validations = scheduling.validations

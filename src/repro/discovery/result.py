@@ -28,6 +28,14 @@ class DiscoveryStats:
     kept by the engine's executor for one artifact key, so a repeated
     ``discover()`` on one engine executes nothing it already decided.
 
+    No counter depends on how warm the engine's artifact bundle is.
+    ``plan_cache_builds`` counts the engine's first plan of each join
+    structure, ``plan_cache_hits`` its later plan lookups, and
+    ``sketch_estimates_used`` the sketched joins of those structures'
+    ordering passes, whether the bundle's shared executor cache already
+    held a plan and pass or the round built them.  So one spec gives the
+    same counters on a cold and a warm bundle, and on every shard.
+
     ``join_index_hits`` and ``join_index_builds`` are always 0: the
     executor no longer builds join indexes.  They stay because the v1
     wire format checks its stats fields strictly and the end-to-end

@@ -43,7 +43,7 @@ from repro.bayesian.estimator import SelectivityEstimator
 from repro.constraints.spec import MappingSpec
 from repro.discovery.filters import Filter, FilterSet
 from repro.discovery.validation import FilterValidator
-from repro.errors import DiscoveryError
+from repro.errors import DiscoveryError, QueryError, SchemaError
 from repro.query.plan import join_prefix_key
 from repro.query.planner import Planner
 
@@ -181,6 +181,9 @@ class _DriverContext:
         (early-terminating semijoins), while a high-overlap join streams
         a large intermediate result.  The log damping reflects that
         early termination makes probe cost sublinear in result size.
+        A structure the planner cannot order (a ``QueryError``) or whose
+        tables it cannot find (a ``SchemaError``) costs the structural
+        unit; any other error propagates.
         """
         base = self.structural_cost(filter_)
         planner = self.planner
@@ -188,7 +191,7 @@ class _DriverContext:
             return base
         try:
             rows = planner.structure_rows(filter_.query)
-        except Exception:
+        except (QueryError, SchemaError):
             return base
         return base + math.log2(1.0 + max(rows, 0.0))
 

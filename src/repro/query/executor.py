@@ -23,15 +23,20 @@ execution model is column- and array-oriented:
   one) and :meth:`Executor.exists_batch` decide every probe with the
   vectorized bottom-up semijoin sweep of :mod:`repro.query.kernels`
   over the storage's column array snapshots, whatever the table sizes
-  or key types.  A batch shares its plan, its pushdown scans (keyed by
-  table, column and constraint), its Bloom checks and its edge kernels
-  across probes;
-* **one cache generation per artifact key** — lowered plans, edge
-  kernels, Bloom membership masks and the probe outcomes callers store
-  in :attr:`Executor.outcomes` are kept for exactly one
-  :meth:`~repro.dataset.database.Database.artifact_key`: every append
-  bumps a storage version and every table creation or drop the schema
-  version, so when the key moves they are all dropped together;
+  or key types.  A batch shares its plan, its Bloom checks and its edge
+  kernels across probes, and its pushdown scans (keyed by table, column
+  and constraint) with every call of the same :meth:`Executor.round`;
+* **one cache generation per artifact key** — everything derived from
+  one :meth:`~repro.dataset.database.Database.artifact_key` (lowered
+  plans, edge kernels, Bloom membership masks and the planner's memos)
+  lives in an :class:`ExecutorCache` of that key.  An
+  :class:`~repro.service.artifacts.ArtifactBundle` carries one, and
+  every executor over the bundle shares it while the database still has
+  the bundle's key; otherwise an executor uses a private cache.  Every
+  append bumps a storage version and every table creation or drop the
+  schema version, so when the key moves the executor switches to a new
+  cache and drops the probe outcomes callers store in
+  :attr:`Executor.outcomes`;
 * **one join mechanism** — :meth:`Executor.execute` runs the same
   semijoin sweep over the same edge kernels, then enumerates the
   surviving rows with one array join per plan step
@@ -50,8 +55,9 @@ reference evaluator :mod:`repro.query.reference`.
 from __future__ import annotations
 
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -62,12 +68,12 @@ from repro.errors import QueryError
 from repro.query import kernels as _kernels
 from repro.query.pj_query import ProjectJoinQuery
 from repro.query.plan import PlanNode, PredicateSpec, join_prefix_key
-from repro.query.planner import Planner
+from repro.query.planner import JoinOrder, Planner, PlannerMemos
 
 if TYPE_CHECKING:
     from repro.dataset.catalog import MetadataCatalog
 
-__all__ = ["Executor", "ExecutionStats", "BatchProbe"]
+__all__ = ["Executor", "ExecutorCache", "ExecutionStats", "BatchProbe"]
 
 # The value constraints of each constrained table, as (column,
 # constraint) pairs.
@@ -77,9 +83,12 @@ _Checks = dict[str, list[tuple[str, ValueConstraint]]]
 # constraint restricts; a table without an entry selects every row.
 _Selections = dict[str, np.ndarray]
 
-# Cap on the plan cache so a long-lived session over a static database
-# cannot grow it without bound; oldest entries are evicted first.
+# Cap on the plan cache so a long-lived cache over a static database
+# cannot grow it without bound; once full, further plans are lowered but
+# not kept.
 MAX_PLAN_CACHE_ENTRIES = 10_000
+
+_MISSING = object()
 
 # Bloom pre-filtering only probes selections at most this large: the
 # pushed-down selections it can kill cheaply are small by construction,
@@ -90,38 +99,61 @@ BLOOM_PROBE_MAX_ROWS = 2048
 
 @dataclass
 class ExecutionStats:
-    """Counters accumulated by an :class:`Executor` across calls."""
+    """Counters accumulated by one :class:`Executor` across calls.
 
-    queries_executed: int = 0
+    They describe this executor's own calls: executors sharing an
+    :class:`ExecutorCache` count as if each cache were private, so the
+    counters never depend on what another executor did first.
+    """
+
+    #: Rows of every table each pushdown visited, scan shared or not.
     rows_scanned: int = 0
-    rows_emitted: int = 0
     joins_performed: int = 0
+    #: Plan lookups for a join structure this executor had planned
+    #: before under the current artifact key ...
     plan_cache_hits: int = 0
+    #: ... and first plans of a structure, lowered here or found in a
+    #: shared cache.
     plan_cache_builds: int = 0
-    batch_executions: int = 0
-    batched_probes: int = 0
     #: Probe rows discarded because a join-key Bloom filter proved their
     #: key absent from the opposite side of an edge (see _bloom_prune).
     bloom_rejections: int = 0
     #: Planner estimates that came from statistics sketches (HLL join
     #: overlap, histogram selectivity) rather than raw catalog counts.
-    #: An ordering pass (``join_order``, or a ``structure_rows`` memo
-    #: miss) counts each sketched join it prices; the chosen order is
-    #: not estimated a second time.
+    #: A structure's ordering pass counts each sketched join it prices,
+    #: once when this executor first plans the structure and once when
+    #: its planner first estimates it (``structure_rows``), however
+    #: often the memoized pass is reused.
     sketch_estimates_used: int = 0
 
-    def merge(self, other: "ExecutionStats") -> None:
-        """Accumulate another stats object into this one."""
-        self.queries_executed += other.queries_executed
-        self.rows_scanned += other.rows_scanned
-        self.rows_emitted += other.rows_emitted
-        self.joins_performed += other.joins_performed
-        self.plan_cache_hits += other.plan_cache_hits
-        self.plan_cache_builds += other.plan_cache_builds
-        self.batch_executions += other.batch_executions
-        self.batched_probes += other.batched_probes
-        self.bloom_rejections += other.bloom_rejections
-        self.sketch_estimates_used += other.sketch_estimates_used
+
+class ExecutorCache(PlannerMemos):
+    """Everything executors derive from one artifact key.
+
+    Lowered plans per join structure, aligned edge kernels per probe
+    step, Bloom membership masks per (table, position, other table,
+    other position) — ``None`` where the other side has no filter — and
+    the planner's memos.  Entries depend only on the database state
+    ``key`` names and on the catalog, so every executor over the same
+    database and catalog with sketches on may share one cache: an
+    :class:`~repro.service.artifacts.ArtifactBundle` carries one for
+    its engines.  The cache fills lazily.  Entries are published once
+    and never changed, so executors on several threads read it without
+    a lock; a racing duplicate build only costs time.  A pickled cache
+    travels empty, since its entries bind column snapshots.
+    """
+
+    __slots__ = ("key", "plans", "edge_kernels", "bloom_masks")
+
+    def __init__(self, key: tuple):
+        super().__init__()
+        self.key = key
+        self.plans: dict[tuple, _JoinPlan] = {}
+        self.edge_kernels: dict[_ProbeStep, _kernels.EdgeKernel] = {}
+        self.bloom_masks: dict[tuple, Optional[_kernels.BloomMask]] = {}
+
+    def __reduce__(self):
+        return (ExecutorCache, (self.key,))
 
 
 @dataclass(frozen=True)
@@ -156,10 +188,12 @@ class _ProbeStep:
 
 @dataclass(frozen=True)
 class _JoinPlan:
-    """A structure's physical join strategy (no per-request state)."""
+    """A structure's physical join strategy (no per-request state), with
+    the number of sketched estimates its ordering pass priced."""
 
     start_table: str
     steps: tuple[_ProbeStep, ...]
+    sketch_estimates: int
 
 
 class Executor:
@@ -172,6 +206,7 @@ class Executor:
         catalog: Optional["MetadataCatalog"] = None,
         *,
         use_sketches: bool = True,
+        cache: Optional[ExecutorCache] = None,
     ):
         """Create an executor.
 
@@ -185,29 +220,31 @@ class Executor:
                 pre-filtering of existence probes.  Outcomes are
                 identical either way; only plan choices and probe work
                 change.
+            cache: an :class:`ExecutorCache` shared with other executors
+                over the same database and catalog with sketches on —
+                an artifact bundle's.  It is used while its key equals
+                the database's artifact key; otherwise, and without
+                one, the executor fills a private cache.
         """
         self._database = database
         self._catalog = catalog
         self._use_sketches = use_sketches
+        self._shared = cache
         self.stats = ExecutionStats()
         self.planner = Planner(
             database, catalog, use_sketches=use_sketches, stats=self.stats
         )
-        # Every cache below holds for one artifact key only; the first
-        # call under a new key drops them all (see _sync_generation).
-        self._artifact_key: Optional[tuple] = None
-        # Whether Bloom pre-filtering is sound in this generation.
+        # The cache of the current artifact key (see _generation), and
+        # what this executor keeps for that key only: whether Bloom
+        # pre-filtering is sound, the structures it has planned (for
+        # the plan counters), the outcomes callers store, and the
+        # pushdown scans of the current round (None outside a round).
+        self._cache: Optional[ExecutorCache] = None
         self._bloom_fresh = False
-        # Bloom membership masks keyed by (table, position, other table,
-        # other position); None: no filter on that side.
-        self._bloom_masks: dict[tuple, Optional[_kernels.BloomMask]] = {}
-        # Physical plans keyed by canonical join-structure hash, so
-        # every query over the same structure — across candidates and
-        # across differing projections — shares one lowered plan.
-        self._plan_cache: dict[tuple, _JoinPlan] = {}
-        # Aligned edge kernels keyed by probe step.
-        self._edge_kernels: dict[_ProbeStep, _kernels.EdgeKernel] = {}
+        self._planned: set[tuple] = set()
         self._outcomes: dict[Any, bool] = {}
+        self._scans: Optional[dict[tuple, np.ndarray]] = None
+        self._generation()
 
     @property
     def database(self) -> Database:
@@ -215,11 +252,35 @@ class Executor:
         return self._database
 
     @property
+    def cache(self) -> ExecutorCache:
+        """The :class:`ExecutorCache` of the database's current artifact
+        key: the shared one while its key stands, else a private one."""
+        return self._generation()
+
+    @property
     def outcomes(self) -> dict[Any, bool]:
         """Existence outcomes callers store here (the filter validator's
-        cache), held and dropped with this generation's other caches."""
-        self._sync_generation()
+        cache), kept by this executor alone for the current artifact
+        key."""
+        self._generation()
         return self._outcomes
+
+    @contextmanager
+    def round(self) -> Iterator[None]:
+        """Share pushdown scans across every call inside the block.
+
+        One discovery round validates many filters whose probes
+        constrain the same columns with equal constraints; inside the
+        block each (table, column, constraint) is scanned once, as long
+        as the artifact key stands.  The masks are dropped when the
+        block ends.
+        """
+        self._generation()
+        self._scans = {}
+        try:
+            yield
+        finally:
+            self._scans = None
 
     # ------------------------------------------------------------------
     # Public API
@@ -244,7 +305,7 @@ class Executor:
             QueryError: the query is invalid, or a ``cell_predicates``
                 key is out of range or its value not a constraint.
         """
-        self._sync_generation()
+        self._generation()
         rows = self._join_rows(query, cell_predicates, limit)
         columns = [
             list(map(
@@ -253,9 +314,7 @@ class Executor:
             ))
             for ref in query.projections
         ]
-        results = list(zip(*columns))
-        self.stats.rows_emitted += len(results)
-        return results
+        return list(zip(*columns))
 
     def exists(
         self,
@@ -264,34 +323,31 @@ class Executor:
     ) -> bool:
         """Whether at least one result row satisfies all cell constraints.
 
-        Decided as a batch of one (see :meth:`exists_batch`); a true
-        outcome that reached the join counts one ``rows_emitted``.
+        Decided as a batch of one (see :meth:`exists_batch`).
 
         Args:
             query: the PJ query to probe.
             cell_predicates: optional per-projection-position constraints.
         """
-        self._sync_generation()
-        (outcome,), swept = self._decide((BatchProbe(query, cell_predicates),))
-        if swept and outcome:
-            self.stats.rows_emitted += 1
+        self._generation()
+        (outcome,) = self._decide((BatchProbe(query, cell_predicates),))
         return outcome
 
     def exists_batch(self, probes: Sequence[BatchProbe]) -> list[bool]:
         """Decide many existence probes over one shared join structure.
 
         Outcomes equal per-probe :meth:`exists` calls bit for bit.  The
-        batch plans once, scans each (table, column, constraint) once,
-        caches Bloom checks across probes whose constraints select the
-        same rows, and counts its join steps (``joins_performed``) once
-        instead of once per probe; every probe whose selections survive
-        pushdown and Bloom pruning is then decided by its own semijoin
-        sweep.
+        batch plans once, scans each (table, column, constraint) once
+        (once per :meth:`round` inside one), caches Bloom checks across
+        probes whose constraints select the same rows, and counts its
+        join steps (``joins_performed``) once instead of once per probe;
+        every probe whose selections survive pushdown and Bloom pruning
+        is then decided by its own semijoin sweep.
 
         Raises:
             QueryError: the probes do not share one join structure.
         """
-        self._sync_generation()
+        self._generation()
         if not probes:
             return []
         structure = join_prefix_key(probes[0].query)
@@ -300,11 +356,7 @@ class Executor:
                 raise QueryError(
                     "exists_batch requires probes sharing one join structure"
                 )
-        outcomes, swept = self._decide(probes)
-        if swept:
-            self.stats.batch_executions += 1
-            self.stats.batched_probes += swept
-        return outcomes
+        return self._decide(probes)
 
     def logical_plan(
         self,
@@ -320,30 +372,29 @@ class Executor:
         cardinality annotation (see
         :meth:`~repro.query.planner.Planner.plan_query`).
         """
+        self._generation()
         return self.planner.plan_query(query, tuple(predicates))
 
     # ------------------------------------------------------------------
     # Existence probes: the semijoin sweep
     # ------------------------------------------------------------------
-    def _decide(
-        self, probes: Sequence[BatchProbe]
-    ) -> tuple[list[bool], int]:
+    def _decide(self, probes: Sequence[BatchProbe]) -> list[bool]:
         """Decide probes sharing one join structure.
 
         Every probe pushes its constraints down, sharing each (table,
-        column, constraint) scan with the call's other probes, and the
-        first probe to survive pushdown plans the shared structure.
-        Join-key Bloom filters then prune each probe's selections; a
-        probe with rows left on every table is decided by one semijoin
-        sweep over the plan's edge kernels.  Returns the outcomes and
-        the number of probes that reached the sweep.
+        column, constraint) scan with the call's other probes (and with
+        the round's other calls, inside a :meth:`round`), and the first
+        probe to survive pushdown plans the shared structure.  Join-key
+        Bloom filters then prune each probe's selections; a probe with
+        rows left on every table is decided by one semijoin sweep over
+        the plan's edge kernels.
         """
         outcomes: list[bool] = []
         plan: Optional[_JoinPlan] = None
         edges: Optional[list] = None
-        scans: dict[tuple, np.ndarray] = {}
+        scans = self._scans if self._scans is not None else {}
         bloom_keep: dict[tuple, tuple[np.ndarray, int]] = {}
-        swept = 0
+        swept = False
         for probe in probes:
             outcome = False
             checks = self._checks(probe.query, probe.cell_predicates)
@@ -360,11 +411,11 @@ class Executor:
                 outcome = _kernels.semijoin_exists(
                     plan.start_table, plan.steps, edges, selections
                 )
-                swept += 1
+                swept = True
             outcomes.append(bool(outcome))
         if swept:
             self.stats.joins_performed += len(plan.steps)
-        return outcomes, swept
+        return outcomes
 
     def _column_kernel(self, table: str, position: int):
         """The backend's column array snapshot."""
@@ -375,13 +426,13 @@ class Executor:
     def _edge_kernel(self, step: _ProbeStep) -> _kernels.EdgeKernel:
         """The cached aligned :class:`~repro.query.kernels.EdgeKernel`
         of one probe step."""
-        edge = self._edge_kernels.get(step)
+        kernels = self._cache.edge_kernels
+        edge = kernels.get(step)
         if edge is None:
-            edge = _kernels.EdgeKernel(
+            edge = kernels.setdefault(step, _kernels.EdgeKernel(
                 self._column_kernel(step.existing_table, step.existing_position),
                 self._column_kernel(step.new_table, step.new_position),
-            )
-            self._edge_kernels[step] = edge
+            ))
         return edge
 
     # ------------------------------------------------------------------
@@ -401,7 +452,9 @@ class Executor:
         :func:`~repro.query.kernels.join_rows` enumerates them.
         """
         empty = dict.fromkeys(query.tables, np.zeros(0, dtype=np.int64))
-        masks = self._pushdown(query, self._checks(query, cell_predicates))
+        masks = self._pushdown(
+            query, self._checks(query, cell_predicates), self._scans
+        )
         if masks is None:
             return empty
         plan = self._plan(query)
@@ -467,11 +520,10 @@ class Executor:
         several constraints keeps only the rows passing all of them.
         With a ``scans`` cache, each (table, column, constraint) scan
         runs once across calls sharing it; the masks are shared, so
-        nothing may write to them.  Counts the query and its scanned
-        rows in :attr:`stats`.
+        nothing may write to them.  Counts the rows of every table it
+        visits in :attr:`stats`, whether their scans ran or were shared.
         """
         query.validate(self._database)
-        self.stats.queries_executed += 1
         selections: _Selections = {}
         # Sorted, so the tables scanned before an empty selection stops
         # the walk (and ``rows_scanned``) do not depend on string hashing.
@@ -500,30 +552,42 @@ class Executor:
     # ------------------------------------------------------------------
     # Cache generations
     # ------------------------------------------------------------------
-    def _sync_generation(self) -> None:
-        """Drop every cache when the artifact key has moved.
+    def _generation(self) -> ExecutorCache:
+        """The cache of the database's current artifact key.
 
-        Plans bake in column positions (a recreated table may place
-        columns differently), edge kernels and Bloom masks bind column
-        snapshots, and outcomes describe the data.  Bloom pre-filtering
-        is on only with sketches, a catalog and — the soundness guard —
-        a catalog built from (or delta-folded up to) exactly this key: a
-        filter that has not seen every row of a column could otherwise
-        report a present key as absent.
+        While the key stands this is the cache already in use.  When it
+        has moved, the executor takes the shared cache if that one
+        belongs to the new key, and a new private cache otherwise; the
+        planner memoizes into it from then on, and this executor's own
+        per-key state (outcomes, planned structures, round scans) starts
+        over.  Plans bake in column positions (a recreated table may
+        place columns differently), edge kernels and Bloom masks bind
+        column snapshots, and outcomes describe the data.  Bloom
+        pre-filtering is on only with sketches, a catalog and — the
+        soundness guard — a catalog built from (or delta-folded up to)
+        exactly this key: a filter that has not seen every row of a
+        column could otherwise report a present key as absent.
         """
         key = self._database.artifact_key()
-        if key == self._artifact_key:
-            return
-        self._artifact_key = key
-        self._plan_cache.clear()
-        self._edge_kernels.clear()
-        self._bloom_masks.clear()
+        cache = self._cache
+        if cache is not None and cache.key == key:
+            return cache
+        shared = self._shared
+        cache = shared if shared is not None and shared.key == key else (
+            ExecutorCache(key)
+        )
+        self._cache = cache
+        self.planner.use_memos(cache)
+        self._planned.clear()
         self._outcomes.clear()
+        if self._scans is not None:
+            self._scans.clear()
         self._bloom_fresh = (
             self._use_sketches
             and self._catalog is not None
             and self._catalog.built_from == key
         )
+        return cache
 
     # ------------------------------------------------------------------
     # Bloom pre-filtering of existence probes
@@ -597,33 +661,47 @@ class Executor:
         catalog's Bloom filter over the edge's other endpoint (``None``
         when that endpoint has no filter)."""
         key = (table, position, other_table, other_position)
-        if key not in self._bloom_masks:
+        masks = self._cache.bloom_masks
+        mask = masks.get(key, _MISSING)
+        if mask is _MISSING:
             column = self._database.table(other_table).columns[other_position].name
             sketches = self._catalog.sketches(_ColumnRef(other_table, column))
-            self._bloom_masks[key] = (
+            mask = masks.setdefault(key, (
                 None if sketches is None or sketches.bloom is None
                 else _kernels.BloomMask(
                     self._column_kernel(table, position), sketches.bloom
                 )
-            )
-        return self._bloom_masks[key]
+            ))
+        return mask
 
     def _plan(self, query: ProjectJoinQuery) -> _JoinPlan:
-        """Lower the planner's join order into concrete probe steps.
+        """The physical plan of ``query``'s join structure.
 
         Physical plans depend only on join structure (plus the schema's
         column layout), so they are cached under the structure's prefix
         key — shared across every candidate and filter on that
-        structure — for one cache generation.
+        structure, and across the executors sharing the cache — for one
+        cache generation.  The counters describe this executor's
+        lookups: its first plan of a structure is a build, with its
+        pass's sketched estimates, and every later one a hit.
         """
         structure = join_prefix_key(query)
-        plan = self._plan_cache.get(structure)
-        if plan is not None:
+        plans = self._cache.plans
+        plan = plans.get(structure)
+        if plan is None:
+            plan = self._lower(self.planner.join_order(query))
+            if len(plans) < MAX_PLAN_CACHE_ENTRIES:
+                plan = plans.setdefault(structure, plan)
+        if structure in self._planned:
             self.stats.plan_cache_hits += 1
-            return plan
-        self.stats.plan_cache_builds += 1
+        else:
+            self._planned.add(structure)
+            self.stats.plan_cache_builds += 1
+            self.stats.sketch_estimates_used += plan.sketch_estimates
+        return plan
 
-        order = self.planner.join_order(query)
+    def _lower(self, order: JoinOrder) -> _JoinPlan:
+        """Lower a join order into concrete probe steps."""
         joined = {order.start_table}
         steps: list[_ProbeStep] = []
         for edge in order.edges:
@@ -649,11 +727,7 @@ class Executor:
                 )
             )
             joined.add(new_table)
-        plan = _JoinPlan(order.start_table, tuple(steps))
-        if len(self._plan_cache) >= MAX_PLAN_CACHE_ENTRIES:
-            del self._plan_cache[next(iter(self._plan_cache))]
-        self._plan_cache[structure] = plan
-        return plan
+        return _JoinPlan(order.start_table, tuple(steps), order.sketch_estimates)
 
     def _column_position(self, table: str, column: str) -> int:
         return self._database.table(table).column_position(column)
@@ -668,8 +742,3 @@ class Executor:
         raise QueryError(
             f"join edge {edge} does not connect {existing_table} and {new_table}"
         )
-
-    @property
-    def plan_cache_size(self) -> int:
-        """Number of lowered physical plans currently cached."""
-        return len(self._plan_cache)

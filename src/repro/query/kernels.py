@@ -76,8 +76,10 @@ class BloomMask:
     never kept (they can never join).  The hashes are the sketch layer's
     canonical value hashes, so the kept rows equal those of a per-row
     ``bloom.might_contain`` loop.  Bound to one kernel snapshot
-    (``kernel``) and one filter state, so the executor keeps it for one
-    artifact key only.
+    (``kernel``) and one filter state, so it lives in the executor
+    cache of one artifact key, which executors on several threads may
+    share: a text mask's entry is only ever written with its one correct
+    value, so calls filling it at once need no lock.
     """
 
     __slots__ = ("kernel", "_bloom", "_rows", "_entries")
@@ -128,9 +130,10 @@ class EdgeKernel:
 
     Bound to specific kernel objects (``existing``/``new``): the store
     publishes a fresh kernel after every append, which also moves the
-    database's artifact key, so the executor keeps an edge for one
-    artifact key only.  The fully-unconstrained fold (``new_mask is None`` — by far the common
-    case for interior tables of a probe) is computed once and cached.
+    database's artifact key, so an edge lives in the executor cache of
+    one artifact key.  The fully-unconstrained fold (``new_mask is None`` — by far the common
+    case for interior tables of a probe) is computed once and cached;
+    callers racing to compute it store equal arrays.
     """
 
     __slots__ = ("existing", "new", "mode", "_translate", "_full_keep")

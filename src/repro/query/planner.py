@@ -20,6 +20,12 @@ structure and statistics, never on a request's predicates, so they are
 deterministic.  :meth:`Planner.plan_query` draws the order as a plan
 tree for ``prism explain --plan``, where predicate selectivities
 (:meth:`Planner.filter_selectivity`) annotate the filtered scans.
+
+The planner memoizes each edge's sketched selectivity and each join
+structure's ordering pass in :attr:`Planner.memos`.  An executor points
+them at its cache of the database's current artifact key (see
+:class:`~repro.query.executor.ExecutorCache`), so engines over one
+artifact bundle share them and a new key starts them empty.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.dataset.database import Database
 from repro.dataset.schema import ColumnRef, ForeignKey
-from repro.errors import QueryError
+from repro.errors import QueryError, SchemaError
 from repro.query.pj_query import ProjectJoinQuery
 from repro.query.plan import (
     Filter,
@@ -43,24 +49,58 @@ from repro.query.plan import (
 if TYPE_CHECKING:
     from repro.dataset.catalog import MetadataCatalog
 
-__all__ = ["Planner", "JoinOrder", "DEFAULT_FILTER_SELECTIVITY"]
+__all__ = ["Planner", "PlannerMemos", "JoinOrder", "DEFAULT_FILTER_SELECTIVITY"]
 
 # Selectivity assumed for a predicate on a column with unknown statistics.
 DEFAULT_FILTER_SELECTIVITY = 0.1
 
+_MISSING = object()
+
 
 class JoinOrder:
     """A query's join order: the start table, then one edge per step,
-    each attaching one new table."""
+    each attaching one new table.
 
-    __slots__ = ("start_table", "edges")
+    An order from the planner's greedy pass also records what the pass
+    found: ``rows``, its estimate after the last join (the start table's
+    rows without joins), and ``sketch_estimates``, the number of joins
+    it priced from sketches rather than raw counts.
+    """
 
-    def __init__(self, start_table: str, edges: tuple[ForeignKey, ...]):
+    __slots__ = ("start_table", "edges", "rows", "sketch_estimates")
+
+    def __init__(
+        self,
+        start_table: str,
+        edges: tuple[ForeignKey, ...],
+        rows: float = 0.0,
+        sketch_estimates: int = 0,
+    ):
         self.start_table = start_table
         self.edges = edges
+        self.rows = rows
+        self.sketch_estimates = sketch_estimates
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"JoinOrder(start={self.start_table!r}, edges={self.edges!r})"
+
+
+class PlannerMemos:
+    """The planner's memos for one artifact key: each join edge's
+    sketched selectivity (``None`` without sketches), and each join
+    structure's :class:`JoinOrder`, keyed by
+    :func:`~repro.query.plan.join_prefix_key`.
+
+    Entries are written once and never changed, so planners on several
+    threads may share one instance without a lock; a racing duplicate
+    computes the same value.
+    """
+
+    __slots__ = ("edge_selectivity", "structure_orders")
+
+    def __init__(self) -> None:
+        self.edge_selectivity: dict[tuple, Optional[float]] = {}
+        self.structure_orders: dict[tuple, JoinOrder] = {}
 
 
 class Planner:
@@ -91,17 +131,27 @@ class Planner:
                 :class:`~repro.query.executor.ExecutionStats`) whose
                 ``sketch_estimates_used`` field is bumped whenever a
                 sketch, rather than raw counts, produced an estimate.
+
+        The planner starts with memos of its own, kept for its lifetime;
+        :meth:`use_memos` points it at others.
         """
         self._database = database
         self._catalog = catalog
         self._use_sketches = use_sketches
         self._stats = stats
-        # Memoized sketch-derived quantities, invalidated when the
-        # catalog folds a delta (built_from changes).
-        self._edge_memo: dict = {}
-        self._structure_memo: dict = {}
-        self._memo_version: object = None
         self._counting = True
+        self.use_memos(PlannerMemos())
+
+    def use_memos(self, memos: PlannerMemos) -> None:
+        """Memoize into ``memos`` from now on.
+
+        The executor calls this whenever the database's artifact key
+        moves, with its cache of the new key.  Memos hold only what the
+        database state and the catalog determine; which structures this
+        planner has counted (see :meth:`structure_rows`) starts over.
+        """
+        self.memos = memos
+        self._estimated: set[tuple] = set()
 
     # ------------------------------------------------------------------
     # Cardinality model
@@ -112,7 +162,7 @@ class Planner:
         if catalog is not None:
             try:
                 return catalog.table_row_count(table)
-            except Exception:
+            except SchemaError:  # a table the catalog has no row count for
                 pass
         return self._database.table(table).num_rows
 
@@ -122,7 +172,7 @@ class Planner:
             return None
         try:
             stats = catalog.stats(ColumnRef(table, column))
-        except Exception:
+        except SchemaError:  # a column the catalog has no statistics for
             return None
         return stats.distinct_count
 
@@ -137,15 +187,6 @@ class Planner:
         stats = self._stats
         if stats is not None and self._counting:
             stats.sketch_estimates_used += 1
-
-    def _memo_guard(self) -> None:
-        """Drop sketch memos when the catalog has folded a delta."""
-        catalog = self._catalog
-        version = catalog.built_from if catalog is not None else None
-        if version != self._memo_version:
-            self._edge_memo.clear()
-            self._structure_memo.clear()
-            self._memo_version = version
 
     def filter_selectivity(self, spec: PredicateSpec) -> float:
         """Estimated fraction of rows surviving one pushed predicate.
@@ -198,7 +239,7 @@ class Planner:
         try:
             stats = self._catalog.stats(ColumnRef(spec.table, spec.column))
             selectivity *= 1.0 - stats.null_fraction
-        except Exception:
+        except SchemaError:  # sketches without column statistics
             pass
         return min(1.0, max(selectivity, 0.0))
 
@@ -269,17 +310,18 @@ class Planner:
 
     def _sketch_edge_selectivity(self, edge: ForeignKey) -> Optional[float]:
         """Sketched join-predicate selectivity ``|∩| / (d_c · d_p)``,
-        memoized per edge until the catalog folds a delta."""
-        self._memo_guard()
+        memoized per edge in :attr:`memos`."""
         key = (
             edge.child_table,
             edge.child_column,
             edge.parent_table,
             edge.parent_column,
         )
-        if key in self._edge_memo:
-            return self._edge_memo[key]
-        selectivity: Optional[float] = None
+        memo = self.memos.edge_selectivity
+        selectivity = memo.get(key, _MISSING)
+        if selectivity is not _MISSING:
+            return selectivity
+        selectivity = None
         child = self._column_sketches(edge.child_table, edge.child_column)
         parent = self._column_sketches(edge.parent_table, edge.parent_column)
         if (
@@ -295,19 +337,18 @@ class Planner:
             overlap = min(overlap, child_distinct, parent_distinct)
             denominator = max(child_distinct * parent_distinct, 1.0)
             selectivity = min(1.0, overlap / denominator)
-        self._edge_memo[key] = selectivity
-        return selectivity
+        return memo.setdefault(key, selectivity)
 
     # ------------------------------------------------------------------
     # Join ordering
     # ------------------------------------------------------------------
-    def _order(self, query: ProjectJoinQuery) -> tuple[JoinOrder, float]:
-        """Greedy cost-based join order of ``query``, with the estimated
-        rows after its last join (its one table's rows without joins).
+    def _order(self, query: ProjectJoinQuery) -> JoinOrder:
+        """One greedy cost-based ordering pass over ``query``.
 
         The order starts from the table with the fewest rows (ties by
         name) and always expands with the edge whose join is estimated
-        smallest (ties by the edge's text).
+        smallest (ties by the edge's text).  The pass counts the joins
+        it prices from sketches in the result, not in :attr:`stats`.
         """
         input_rows = {
             table: float(self.table_rows(table)) for table in query.tables
@@ -317,6 +358,7 @@ class Planner:
         current_rows = input_rows[start]
         remaining = list(query.joins)
         ordered: list[ForeignKey] = []
+        sketched = 0
         while remaining:
             best: Optional[tuple[float, str, str, ForeignKey]] = None
             for edge in remaining:
@@ -324,7 +366,10 @@ class Planner:
                 if (left in joined) == (right in joined):
                     continue
                 new_table = left if right in joined else right
-                cost = self._join_rows(current_rows, input_rows[new_table], edge)
+                cost, __, used = self.join_estimate_detail(
+                    current_rows, input_rows[new_table], edge, count=False
+                )
+                sketched += used
                 if best is None or (cost, str(edge)) < best[:2]:
                     best = (cost, str(edge), new_table, edge)
             if best is None:
@@ -333,7 +378,7 @@ class Planner:
             ordered.append(edge)
             joined.add(new_table)
             remaining.remove(edge)
-        return JoinOrder(start, tuple(ordered)), current_rows
+        return JoinOrder(start, tuple(ordered), current_rows, sketched)
 
     def join_order(self, query: ProjectJoinQuery) -> JoinOrder:
         """The cost-based physical join order of ``query``.
@@ -341,9 +386,10 @@ class Planner:
         This is what the executor lowers to probe steps; it depends only
         on the query's join structure and the statistics, and the
         executor caches the lowered plan under the structure's prefix
-        key.
+        key, counting the pass's ``sketch_estimates`` when it first
+        plans the structure.
         """
-        return self._order(query)[0]
+        return self._order(query)
 
     def structure_rows(self, query: ProjectJoinQuery) -> float:
         """Estimated result cardinality of a query's join structure in
@@ -353,13 +399,23 @@ class Planner:
         probing its join structure, and the sketched estimate prices a
         dangling- or disjoint-key join as nearly free (its semijoin dies
         immediately) where raw containment would price it as huge.
+
+        The first estimate of each structure under the current memos
+        counts its pass's sketched joins in ``sketch_estimates_used``,
+        whether this planner ran the pass or found it memoized by
+        another, so the counter does not depend on what other engines
+        sharing the memos did first.
         """
-        self._memo_guard()
         key = join_prefix_key(query)
-        cached = self._structure_memo.get(key)
-        if cached is None:
-            cached = self._structure_memo[key] = self._order(query)[1]
-        return cached
+        orders = self.memos.structure_orders
+        order = orders.get(key)
+        if order is None:
+            order = orders.setdefault(key, self._order(query))
+        if key not in self._estimated:
+            self._estimated.add(key)
+            if self._stats is not None:
+                self._stats.sketch_estimates_used += order.sketch_estimates
+        return order.rows
 
     def plan_query(
         self,

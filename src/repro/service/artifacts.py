@@ -7,7 +7,8 @@ makes that split explicit:
 
 * :class:`ArtifactBundle` — one immutable set of preprocessing artifacts
   (inverted index, metadata catalog, schema graph, trained Bayesian
-  models) for one database state;
+  models) for one database state, plus one derived
+  :class:`~repro.query.executor.ExecutorCache` that fills lazily;
 * :class:`ArtifactKey` — the bundle's identity:
   ``(database, schema_version, data_version)``.  Any schema or data change
   yields a new key, so stale bundles are never served; the persisted file
@@ -20,13 +21,21 @@ makes that split explicit:
 Bundles are read-only to every consumer
 (:class:`~repro.discovery.engine.Prism` engines, the
 :class:`~repro.api.DiscoveryService` workers): consumers layer
-their own mutable state (executor caches, statistics) on top.  The one
+their own mutable state (counters, probe outcomes) on top.  The one
 writer of artifact state is :meth:`ArtifactStore.refresh`, which —
 under the per-database build lock — upgrades a bundle to a newer
 database state by folding the append delta into its artifacts in place
-instead of rebuilding them (see ``docs/incremental.md``).  The one
-exception is derived and grows only: the schema graph memoizes the join
-trees consumers ask it for, answers that no append can change.
+instead of rebuilding them (see ``docs/incremental.md``).  Two
+exceptions are derived and grow only, publishing each entry once:
+
+* the schema graph memoizes the join trees consumers ask it for,
+  answers that no append can change;
+* the bundle's ``cache`` holds what every engine's executor derives
+  from the bundle's key — lowered plans, edge kernels, Bloom membership
+  masks and the planner's memos — so rounds after the first stop
+  rebuilding them.  Every bundle the store builds, refreshes or loads
+  starts with an empty cache, and a pickled bundle holds none of its
+  entries.
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ from repro.dataset.database import Database
 from repro.dataset.index import InvertedIndex
 from repro.dataset.schema_graph import SchemaGraph
 from repro.errors import ArtifactError, ReproError
+from repro.query.executor import ExecutorCache
 
 __all__ = [
     "ARTIFACT_FORMAT",
@@ -58,7 +68,7 @@ __all__ = [
 #: Layout version of persisted bundles, part of every bundle's file name.
 #: Bump it whenever a pickled class changes shape: bundles written under
 #: another number are then never found, and the store rebuilds them.
-ARTIFACT_FORMAT = 4
+ARTIFACT_FORMAT = 5
 
 #: Largest append delta :meth:`ArtifactStore.refresh` folds into a bundle
 #: in place, as a fraction of the bundle's rows.  A larger delta falls
@@ -114,6 +124,11 @@ class ArtifactBundle:
     table, captured at build time; :meth:`ArtifactStore.refresh` compares
     them against the live database to derive the append delta that
     upgrades this bundle in place instead of rebuilding it.
+
+    ``cache`` is the executor cache of ``key``, shared by every
+    :meth:`~repro.discovery.engine.Prism.from_artifacts` engine over the
+    bundle.  It is not a constructor argument: every new bundle,
+    ``dataclasses.replace`` copies included, starts with an empty one.
     """
 
     key: ArtifactKey
@@ -123,6 +138,13 @@ class ArtifactBundle:
     schema_graph: SchemaGraph
     models: BayesianModelSet
     marks: dict
+    cache: ExecutorCache = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        key = self.key
+        object.__setattr__(self, "cache", ExecutorCache(
+            (key.database, key.schema_version, key.data_version)
+        ))
 
 
 @dataclass

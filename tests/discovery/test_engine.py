@@ -315,8 +315,10 @@ class TestInjectedArtifacts:
         second = Prism.from_artifacts(bundle)
         assert first.executor is not second.executor
         first.discover(self._spec())
-        # The sibling engine's executor stats are untouched.
-        assert second.executor.stats.queries_executed == 0
+        assert first.executor.stats.rows_scanned > 0
+        # The sibling engine's executor stats and outcomes are untouched.
+        assert second.executor.stats.rows_scanned == 0
+        assert not second.executor.outcomes
 
     def test_partial_injection_builds_only_whats_missing(self, company_db):
         from repro.dataset.index import InvertedIndex

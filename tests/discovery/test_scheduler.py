@@ -20,10 +20,13 @@ from repro.discovery.scheduler import (
     ValidationDriver,
     make_policy,
 )
+from repro.dataset.catalog import MetadataCatalog
+from repro.discovery.scheduler import _DriverContext
 from repro.discovery.validation import FilterValidator
-from repro.errors import DiscoveryError
+from repro.errors import DiscoveryError, QueryError, SchemaError
 from repro.query.executor import Executor
 from repro.query.pj_query import ProjectJoinQuery
+from repro.query.planner import Planner
 
 
 EMP_DEPT = ForeignKey("Employee", "Department", "Department", "Name")
@@ -244,3 +247,42 @@ class TestIncrementalSelection:
             ).run()
             assert result.timed_out and result.validations == 0
         assert counting.calls == 0
+
+
+class TestCostFallback:
+    """A filter whose structure the planner cannot order costs the
+    structural unit; an unexpected planner error propagates."""
+
+    def _context(self, company_db, planner):
+        spec = build_spec()
+        filter_set = build_filters(spec, build_candidates())
+        validator = FilterValidator(Executor(company_db), spec)
+        context = _DriverContext(filter_set, spec, None, validator, planner)
+        joined = max(filter_set.filters, key=lambda filter_: filter_.join_size)
+        assert joined.join_size >= 1
+        return context, joined
+
+    @pytest.mark.parametrize("error", [QueryError, SchemaError])
+    def test_an_unordered_structure_costs_the_structural_unit(
+        self, company_db, monkeypatch, error
+    ):
+        planner = Planner(company_db, MetadataCatalog.build(company_db))
+        context, joined = self._context(company_db, planner)
+        assert context.cost(joined) > context.structural_cost(joined)
+
+        def unordered(query):
+            raise error("the planner cannot order this structure")
+
+        monkeypatch.setattr(planner, "structure_rows", unordered)
+        assert context.cost(joined) == context.structural_cost(joined)
+
+    def test_a_broken_catalog_propagates(self, company_db, monkeypatch):
+        catalog = MetadataCatalog.build(company_db)
+        context, joined = self._context(company_db, Planner(company_db, catalog))
+
+        def broken(table):
+            raise TypeError("broken catalog")
+
+        monkeypatch.setattr(catalog, "table_row_count", broken)
+        with pytest.raises(TypeError):
+            context.cost(joined)

@@ -202,7 +202,7 @@ def test_cross_type_join_keys_keep_nested_loop_order():
         checked += _assert_matches_oracle(
             executor, _workloads(database, queries, rng)
         )
-        modes |= {edge.mode for edge in executor._edge_kernels.values()}
+        modes |= {edge.mode for edge in executor.cache.edge_kernels.values()}
     assert modes == {"set"}
     assert checked
 

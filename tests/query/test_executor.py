@@ -172,20 +172,11 @@ class TestPredicates:
 class TestStats:
     def test_stats_accumulate(self, executor):
         query = ProjectJoinQuery((ColumnRef("Employee", "Name"),))
+        first = executor.execute(query)
         executor.execute(query)
-        executor.execute(query)
-        assert executor.stats.queries_executed == 2
-        assert executor.stats.rows_emitted == 12
-        assert executor.stats.rows_scanned >= 12
-
-    def test_stats_merge(self, executor):
-        from repro.query.executor import ExecutionStats
-
-        other = ExecutionStats(queries_executed=3, rows_scanned=10,
-                               rows_emitted=5, joins_performed=2)
-        executor.stats.merge(other)
-        assert executor.stats.queries_executed == 3
-        assert executor.stats.joins_performed == 2
+        # Each call visits every row of the query's one table.
+        assert len(first) == 6
+        assert executor.stats.rows_scanned == 12
 
     def test_validate_is_enforced(self, executor):
         query = ProjectJoinQuery((ColumnRef("Ghost", "x"),))

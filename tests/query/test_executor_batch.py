@@ -10,6 +10,7 @@ from repro.constraints.values import AnyValue, ExactValue, Predicate
 from repro.dataset import Table
 from repro.dataset.schema import ColumnRef, ForeignKey
 from repro.errors import QueryError
+from repro.query import kernels
 from repro.query.executor import BatchProbe, Executor
 from repro.query.pj_query import ProjectJoinQuery
 
@@ -62,7 +63,8 @@ class TestOutcomeEquivalence:
         )
         assert outcomes == [False]
         assert executor.stats.joins_performed == 0
-        assert executor.stats.batch_executions == 0
+        # Pushdown decided it: the structure was not even planned.
+        assert executor.stats.plan_cache_builds == 0
 
     def test_empty_batch(self, executor):
         assert executor.exists_batch([]) == []
@@ -74,16 +76,25 @@ class TestOutcomeEquivalence:
 
 
 class TestWorkSharing:
-    def test_batch_joins_once_for_many_probes(self, executor, company_db):
+    def test_batch_joins_once_for_many_probes(
+        self, executor, company_db, monkeypatch
+    ):
         probes = [
             probe(predicates={1: ExactValue(n)})
             for n in ["Alice Chen", "Bob Diaz", "Carol Evans", "Nobody"]
         ]
+        sweeps = []
+        semijoin_exists = kernels.semijoin_exists
+
+        def counting(*args):
+            sweeps.append(args[0])
+            return semijoin_exists(*args)
+
+        monkeypatch.setattr(kernels, "semijoin_exists", counting)
         executor.exists_batch(probes)
-        assert executor.stats.batch_executions == 1
         # "Nobody" empties during pushdown and never reaches the join,
         # exactly as on the per-candidate path.
-        assert executor.stats.batched_probes == 3
+        assert len(sweeps) == 3
         assert executor.stats.joins_performed == 1
 
         per_candidate = Executor(company_db)
@@ -97,7 +108,7 @@ class TestWorkSharing:
         )
         # One lowered plan serves the whole batch ...
         assert executor.stats.plan_cache_builds == 1
-        assert executor.plan_cache_size == 1
+        assert len(executor.cache.plans) == 1
         # ... and any later query over the same structure reuses it.
         executor.execute(OTHER_PROJECTIONS)
         assert executor.stats.plan_cache_hits == 1

@@ -2,28 +2,43 @@
 and edge-case semantics of the vectorized path.
 
 The rule: every executor cache — lowered plans, edge kernels, Bloom
-membership masks and the outcomes callers store in
+membership masks, the planner's memos and the outcomes callers store in
 :attr:`Executor.outcomes` — holds for exactly one
 ``Database.artifact_key()``.  After an append, and after a table
 drop-and-recreate, a held executor rebuilds all of them, and its answers
 equal a fresh executor's.
+
+The derived caches live in an :class:`ExecutorCache` that an artifact
+bundle carries for every engine over it: a second round on one bundle
+builds nothing again, a cold and a warm bundle give the same answers and
+counters, an executor whose database moved past the bundle's key leaves
+the bundle's cache alone, and each entry is built once per key.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from repro.api import ArtifactStore, DiscoveryRequest, DiscoveryService
 from repro.constraints.spec import MappingSpec
 from repro.constraints.values import AnyValue, ExactValue
 from repro.dataset import Column, Database, DataType
 from repro.dataset.catalog import MetadataCatalog
 from repro.dataset.schema import ColumnRef, ForeignKey
+from repro.datasets.synthetic import generate_synthetic_database
 from repro.discovery import validation
-from repro.discovery.candidates import CandidateQuery
+from repro.discovery.candidates import CandidateQuery, GenerationLimits
+from repro.discovery.engine import Prism
 from repro.discovery.filters import build_filters
 from repro.discovery.validation import FilterValidator
 from repro.errors import QueryError
+from repro.query import kernels
 from repro.query.executor import Executor
+from repro.query.planner import Planner
+from repro.workloads.degrade import ResolutionLevel, spec_for_level
+from repro.workloads.generator import WorkloadGenerator
 from repro.query.pj_query import ProjectJoinQuery
 from repro.query.plan import _connected_edge_order
 from repro.query.reference import execute_reference
@@ -45,7 +60,7 @@ def executor(company_db):
 
 def _edge_kernel(executor):
     """The executor's only cached edge kernel (JOIN_QUERY has one edge)."""
-    (edge,) = executor._edge_kernels.values()
+    (edge,) = executor.cache.edge_kernels.values()
     return edge
 
 
@@ -150,10 +165,12 @@ class TestOneGenerationPerArtifactKey:
         assert executor.stats.bloom_rejections == 1
         executor.execute(FAMILY)
         executor.outcomes["stored"] = False
-        (edge,) = executor._edge_kernels.values()
-        masks = {key: mask for key, mask in executor._bloom_masks.items()
+        cache = executor.cache
+        (edge,) = cache.edge_kernels.values()
+        masks = {key: mask for key, mask in cache.bloom_masks.items()
                  if mask is not None}
         assert masks
+        assert cache.structure_orders == {} and cache.edge_selectivity
         builds = executor.stats.plan_cache_builds
 
         change(database, catalog)
@@ -168,18 +185,23 @@ class TestOneGenerationPerArtifactKey:
             )
         assert executor.exists(FAMILY, ORPHAN)
         assert executor.stats.plan_cache_builds == builds + 1
-        (rebuilt,) = executor._edge_kernels.values()
+        rebuilt_cache = executor.cache
+        assert rebuilt_cache is not cache
+        assert rebuilt_cache.key == database.artifact_key()
+        (rebuilt,) = rebuilt_cache.edge_kernels.values()
         assert rebuilt is not edge
         assert "stored" not in executor.outcomes
+        # The planner memoizes into the new generation's cache.
+        assert executor.planner.memos is rebuilt_cache
         if change is _append:
             # The catalog matches the new key, so Bloom pruning goes on,
             # over masks built against the folded filters.
-            assert executor._bloom_masks.keys() >= masks.keys()
-            assert all(executor._bloom_masks[key] is not mask
+            assert rebuilt_cache.bloom_masks.keys() >= masks.keys()
+            assert all(rebuilt_cache.bloom_masks[key] is not mask
                        for key, mask in masks.items())
         else:
             # A catalog of an older key never prunes.
-            assert executor._bloom_masks == {}
+            assert rebuilt_cache.bloom_masks == {}
 
     def test_an_unchanged_key_keeps_every_cache(self, company_db):
         executor = Executor(company_db)
@@ -241,7 +263,6 @@ class TestEdgeSemantics:
         query = ProjectJoinQuery((ColumnRef("Employee", "Name"),))
         rows = executor.execute(query, limit=2)
         assert len(rows) == 2
-        assert executor.stats.rows_emitted == 2
 
     def test_limit_zero_rows(self, executor):
         query = ProjectJoinQuery((ColumnRef("Employee", "Name"),))
@@ -328,12 +349,179 @@ class TestCacheBounds:
         for filter_ in filters:
             validator.validate(filter_)
         assert len(executor.outcomes) == 3
-        executed = executor.stats.queries_executed
+        scanned = executor.stats.rows_scanned
         # The newest outcome is still cached ...
         assert validator.validate(filters[-1])
-        assert executor.stats.queries_executed == executed
+        assert executor.stats.rows_scanned == scanned
         assert validator.stats.cache_hits == 1
+        assert validator.stats.cache_misses == len(names)
         # ... the oldest was evicted, so validating it executes again.
         assert validator.validate(filters[0])
-        assert executor.stats.queries_executed == executed + 1
+        assert executor.stats.rows_scanned > scanned
         assert validator.stats.cache_misses == len(names) + 1
+
+
+# ----------------------------------------------------------------------
+# The bundle's cache: one per artifact key, shared by its engines
+# ----------------------------------------------------------------------
+CACHE_PARTS = (
+    "plans", "edge_kernels", "bloom_masks", "edge_selectivity",
+    "structure_orders",
+)
+
+
+def _count_builds(monkeypatch) -> Counter:
+    """Count lowered plans (one ordering pass each), edge kernels and
+    Bloom masks built from now on."""
+    builds: Counter = Counter()
+
+    class CountingEdgeKernel(kernels.EdgeKernel):
+        def __init__(self, existing, new):
+            builds["edge_kernels"] += 1
+            super().__init__(existing, new)
+
+    class CountingBloomMask(kernels.BloomMask):
+        def __init__(self, kernel, bloom):
+            builds["bloom_masks"] += 1
+            super().__init__(kernel, bloom)
+
+    join_order = Planner.join_order
+
+    def counting_join_order(self, query):
+        builds["plans"] += 1
+        return join_order(self, query)
+
+    monkeypatch.setattr(kernels, "EdgeKernel", CountingEdgeKernel)
+    monkeypatch.setattr(kernels, "BloomMask", CountingBloomMask)
+    monkeypatch.setattr(Planner, "join_order", counting_join_order)
+    return builds
+
+
+def _company_specs() -> list[MappingSpec]:
+    """Single-table and join specs; the joins constrain both sides, so
+    Bloom pre-filtering runs."""
+    specs = []
+    for cells in (
+        [ExactValue("Ann Arbor"), ExactValue("Alice Chen")],
+        [ExactValue("Chicago"), ExactValue("Frank Hill")],
+        [ExactValue("Engineering"), ExactValue("Query Optimizer")],
+        [ExactValue("Alice Chen"), None],
+    ):
+        specs.append(MappingSpec(2).add_sample_cells(cells))
+    return specs
+
+
+def _answer(result) -> tuple:
+    """A round's SQL and its counters, without timings."""
+    stats = {key: value for key, value in result.stats.as_dict().items()
+             if not key.endswith("seconds")}
+    return result.sql(), stats
+
+
+def _entries(cache) -> dict:
+    return {part: dict(getattr(cache, part)) for part in CACHE_PARTS}
+
+
+class TestBundleCache:
+    def test_a_second_round_on_one_bundle_builds_nothing(
+        self, company_db, monkeypatch
+    ):
+        bundle = ArtifactStore().get(company_db)
+        builds = _count_builds(monkeypatch)
+        first = [Prism.from_artifacts(bundle).discover(spec)
+                 for spec in _company_specs()]
+        assert builds["plans"] and builds["edge_kernels"]
+        assert builds["bloom_masks"]
+        builds.clear()
+        second = [Prism.from_artifacts(bundle).discover(spec)
+                  for spec in _company_specs()]
+        assert builds == Counter()
+        assert [_answer(r) for r in second] == [_answer(r) for r in first]
+
+    def test_cold_and_warm_bundles_give_the_same_answers_and_counters(
+        self, company_db
+    ):
+        """Counters describe each engine's own lookups, so even the plan
+        and sketch counters do not depend on how warm the bundle is."""
+        warm = ArtifactStore().get(company_db)
+        for spec in _company_specs():
+            Prism.from_artifacts(warm).discover(spec)
+        assert all(_entries(warm.cache).values())
+        for spec in _company_specs():
+            cold = ArtifactStore().get(company_db)
+            assert not any(_entries(cold.cache).values())
+            assert _answer(Prism.from_artifacts(warm).discover(spec)) == (
+                _answer(Prism.from_artifacts(cold).discover(spec))
+            )
+
+    def test_an_executor_past_the_bundle_key_leaves_the_bundle_alone(self):
+        database = _parent_child()
+        bundle = ArtifactStore().get(database)
+        executor = Executor(database, bundle.catalog, cache=bundle.cache)
+        assert executor.cache is bundle.cache
+        for predicates in PROBES:
+            executor.exists(FAMILY, predicates)
+            executor.execute(FAMILY, predicates)
+        executor.planner.structure_rows(FAMILY)
+        # The Bloom pre-filter decided the dangling child's probe.
+        assert not executor.exists(FAMILY, ORPHAN)
+        assert executor.stats.bloom_rejections
+        before = _entries(bundle.cache)
+        assert all(before.values())
+
+        # The orphan's parent arrives; the bundle is not refreshed.
+        database.table("Parent").insert(("late", "late parent"))
+        fresh = Executor(database, bundle.catalog)
+        for predicates in PROBES:
+            assert executor.exists(FAMILY, predicates) == fresh.exists(
+                FAMILY, predicates
+            )
+            assert executor.execute(FAMILY, predicates) == fresh.execute(
+                FAMILY, predicates
+            )
+        assert executor.exists(FAMILY, ORPHAN)
+        executor.planner.structure_rows(FAMILY)
+        assert executor.cache is not bundle.cache
+        assert executor.planner.memos is executor.cache
+        after = _entries(bundle.cache)
+        assert after == before
+        assert all(after[part][key] is value
+                   for part, entries in before.items()
+                   for key, value in entries.items())
+
+    def test_each_entry_is_built_once_per_key(self, monkeypatch):
+        """A stream of rounds through a thread-mode service builds each
+        plan, edge kernel and Bloom mask of the bundle's key once."""
+        database = generate_synthetic_database(
+            4, 400, topology="random", seed=3, skew=1.1,
+            dangling_fk_fraction=0.3,
+        )
+        catalog = MetadataCatalog.build(database)
+        generator = WorkloadGenerator(database, seed=5)
+        requests = [
+            DiscoveryRequest(database.name, spec_for_level(
+                generator.generate_case(num_columns=3, num_tables=2),
+                level, database, catalog=catalog, seed=0,
+            ))
+            for __ in range(3)
+            for level in (ResolutionLevel.EXACT, ResolutionLevel.MIXED,
+                          ResolutionLevel.DISJUNCTION)
+        ]
+        service = DiscoveryService(
+            databases={database.name: database},
+            limits=GenerationLimits(max_candidates=60),
+        )
+        bundle = service.store.get(database)
+        builds = _count_builds(monkeypatch)
+        responses = [service.execute(request) for request in requests]
+        assert [response.status for response in responses] == (
+            ["ok"] * len(requests)
+        )
+        masks = [mask for mask in bundle.cache.bloom_masks.values()
+                 if mask is not None]
+        assert masks and bundle.cache.edge_kernels
+        assert builds == {
+            "plans": len(bundle.cache.plans),
+            "edge_kernels": len(bundle.cache.edge_kernels),
+            "bloom_masks": len(masks),
+        }

@@ -41,7 +41,7 @@ class TestPlanCacheKeyedByPlanHash:
         # Different projections, same join structure: one plan build.
         assert executor.stats.plan_cache_builds == 1
         assert executor.stats.plan_cache_hits == 1
-        assert executor.plan_cache_size == 1
+        assert len(executor.cache.plans) == 1
 
     def test_edge_order_does_not_duplicate_plans(self, company_db):
         assign_emp = ForeignKey("Assignment", "EmployeeId", "Employee", "Id")
@@ -63,12 +63,13 @@ class TestPlanCacheKeyedByPlanHash:
     def test_schema_version_change_invalidates_plans(self, company_db):
         executor = Executor(company_db)
         executor.execute(JOIN_QUERY)
-        assert executor.plan_cache_size == 1
+        assert len(executor.cache.plans) == 1
         # Adding a table bumps the schema version; cached plans (which
         # bake in column positions) must be rebuilt.
         company_db.create_table("Extra", [Column("x", DataType.INT)])
         executor.execute(JOIN_QUERY)
         assert executor.stats.plan_cache_builds == 2
+        assert len(executor.cache.plans) == 1
 
     def test_data_growth_rebuilds_plans(self, company_db):
         executor = Executor(company_db)

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.constraints.values import Range
 from repro.dataset.catalog import MetadataCatalog
 from repro.dataset.schema import ColumnRef, ForeignKey
-from repro.errors import QueryError
+from repro.errors import QueryError, SchemaError
 from repro.query.pj_query import ProjectJoinQuery
 from repro.query.plan import (
     Filter,
@@ -156,3 +157,55 @@ class TestPrefixGrouping:
         groups = Planner.group_by_prefix([TWO_TABLE, other, single])
         assert len(groups) == 2
         assert sorted(len(group) for group in groups.values()) == [1, 2]
+
+
+def _raising(error):
+    def fail(*args, **kwargs):
+        raise error
+
+    return fail
+
+
+class TestCatalogErrors:
+    """The planner falls back where the catalog lacks statistics (it
+    raises ``SchemaError``); any other catalog error propagates."""
+
+    def test_table_rows_falls_back_to_the_live_count(self, planner, monkeypatch):
+        catalog = planner._catalog
+        monkeypatch.setattr(catalog, "table_row_count",
+                            _raising(SchemaError("no statistics")))
+        assert planner.table_rows("Employee") == 6
+        monkeypatch.setattr(catalog, "table_row_count",
+                            _raising(TypeError("broken catalog")))
+        with pytest.raises(TypeError):
+            planner.table_rows("Employee")
+
+    def test_distinct_count_falls_back_to_the_default(self, planner, monkeypatch):
+        spec = PredicateSpec("Employee", "Name", tag="x")
+        catalog = planner._catalog
+        monkeypatch.setattr(catalog, "stats",
+                            _raising(SchemaError("no statistics")))
+        assert planner.filter_selectivity(spec) == DEFAULT_FILTER_SELECTIVITY
+        monkeypatch.setattr(catalog, "stats",
+                            _raising(TypeError("broken catalog")))
+        with pytest.raises(TypeError):
+            planner.filter_selectivity(spec)
+
+    def test_histogram_selectivity_skips_the_null_discount(
+        self, planner, monkeypatch
+    ):
+        spec = PredicateSpec("Employee", "Salary", tag=Range(90_000, 130_000))
+        catalog = planner._catalog
+        histogram = catalog.sketches(ColumnRef("Employee", "Salary")).histogram
+        # Salary has no NULLs, so the discount is 1 either way.
+        expected = planner.filter_selectivity(spec)
+        assert expected == pytest.approx(
+            min(1.0, histogram.selectivity(90_000, 130_000))
+        )
+        monkeypatch.setattr(catalog, "stats",
+                            _raising(SchemaError("no statistics")))
+        assert planner.filter_selectivity(spec) == expected
+        monkeypatch.setattr(catalog, "stats",
+                            _raising(TypeError("broken catalog")))
+        with pytest.raises(TypeError):
+            planner.filter_selectivity(spec)

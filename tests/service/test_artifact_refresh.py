@@ -12,6 +12,7 @@ numeric moments, and **bit-for-bit on discovery results**.
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import numpy as np
@@ -308,6 +309,65 @@ class TestRefreshBookkeeping:
         assert metrics.artifacts["refreshes"] == 1
         assert metrics.artifacts["delta_rows_applied"] == 1
         assert metrics.artifacts["rebuild_fallbacks"] == 0
+
+
+def _cache_entries(bundle) -> dict:
+    """What the bundle's executor cache holds, part by part."""
+    cache = bundle.cache
+    return {
+        "plans": dict(cache.plans),
+        "edge_kernels": dict(cache.edge_kernels),
+        "bloom_masks": dict(cache.bloom_masks),
+        "edge_selectivity": dict(cache.edge_selectivity),
+        "structure_orders": dict(cache.structure_orders),
+    }
+
+
+def _warm(bundle) -> list:
+    """Discover every spec on the bundle; returns the SQL, and leaves the
+    bundle's executor cache filled."""
+    answers = [Prism.from_artifacts(bundle).discover(spec).sql()
+               for spec in _specs()]
+    assert all(_cache_entries(bundle).values())
+    return answers
+
+
+class TestBundleCacheLifetime:
+    """Each bundle carries one executor cache for its key: built lazily,
+    dropped with the key, never persisted."""
+
+    def test_refresh_returns_an_empty_cache_and_cold_answers(self, monkeypatch):
+        database = build_company_database()
+        monkeypatch.setattr(artifacts, "MAX_DELTA_FRACTION", 0.9)
+        store = ArtifactStore()
+        bundle = store.get(database)
+        _warm(bundle)
+        _append_random_batch(random.Random(11), database, max_rows=6)
+        refreshed = store.refresh(database)
+        assert store.stats.refreshes == 1
+        assert refreshed.cache is not bundle.cache
+        assert refreshed.cache.key == database.artifact_key()
+        assert not any(_cache_entries(refreshed).values())
+        for spec in _specs():
+            assert Prism.from_artifacts(refreshed).discover(spec).sql() == (
+                Prism(database).discover(spec).sql()
+            )
+
+    def test_a_persisted_bundle_reloads_with_an_empty_cache(self, tmp_path):
+        database = build_company_database()
+        store = ArtifactStore(persist_dir=tmp_path)
+        bundle = store.get(database)
+        answers = _warm(bundle)
+        # Write the warm bundle over its persisted file.
+        with open(store.persisted_path(bundle.key), "wb") as handle:
+            pickle.dump(bundle, handle)
+        other = ArtifactStore(persist_dir=tmp_path)
+        loaded = other.get(database)
+        assert other.stats.disk_loads == 1
+        assert loaded.cache.key == bundle.cache.key
+        assert not any(_cache_entries(loaded).values())
+        assert [Prism.from_artifacts(loaded).discover(spec).sql()
+                for spec in _specs()] == answers
 
 
 class TestRebuildFallbacks:

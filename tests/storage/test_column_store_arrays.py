@@ -236,7 +236,7 @@ class TestNaNColumns:
                 ]
             # The sweep decided the probes: float ⋈ float compares arrays,
             # float ⋈ int Python sets.
-            modes = {edge.mode for edge in executor._edge_kernels.values()}
+            modes = {edge.mode for edge in executor.cache.edge_kernels.values()}
             assert modes == {"array", "set"}
 
 
