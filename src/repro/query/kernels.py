@@ -17,10 +17,11 @@ before its root.  The sweep starts from the pushdown's boolean row masks
 column snapshots) and never writes to them, so one mask may serve many
 probes.  One step folds the new table's surviving-row mask into
 the existing side — ``mask[existing] &= existing key ∈ keys(new rows
-still alive)`` — as one vectorized membership test, and after the sweep
-the start table's mask is non-empty iff the join has at least one result
-row.  A probe over k tables of n rows costs O(k·n log n) in C instead of
-a Python-frame walk of the join.
+still alive)`` — as one scatter and one gather over the edge's key
+codes, and after the sweep the start table's mask is non-empty iff the
+join has at least one result row.  A probe over k tables of n rows costs
+O(k·n) in C instead of a Python-frame walk of the join, once each edge
+has coded its keys (at most one O(n log n) sort per edge).
 
 After the sweep every surviving row extends to a result row, so
 :func:`join_rows` enumerates the join with one array join per step
@@ -28,27 +29,28 @@ After the sweep every surviving row extends to a result row, so
 nowhere.
 
 Key comparisons follow the reference evaluator
-(:mod:`repro.query.reference`) exactly:
+(:mod:`repro.query.reference`) exactly.  An :class:`EdgeKernel` numbers
+both sides' keys once, when it is built, in one code space where equal
+keys share a code:
 
-* **text ⋈ text** compares dictionary codes after translating one
-  column's code space into the other's (a small translate array built
-  once per edge and cached);
-* **same-dtype arrays** (int ⋈ int, float ⋈ float, bool ⋈ bool) compare
-  raw values with ``np.isin`` (sweep) and ``np.searchsorted`` (matching)
-  masked by the NULL bitmasks;
+* **text ⋈ text** translates the new column's dictionary codes into the
+  existing column's (a small translate array);
+* **same-dtype arrays** (int ⋈ int, float ⋈ float, bool ⋈ bool) code
+  integer and boolean keys as offsets from their minimum while the
+  values span at most a few times the two sides' rows, and all other
+  keys by one sort (``np.unique`` with ``return_inverse``);
 * **everything else** — mixed dtypes (int ⋈ float, bool ⋈ int, text ⋈
-  non-text) and object columns (dates, overflowed ints) — drops to
-  Python ``set`` and ``dict`` lookups of the keys, preserving Python's
-  cross-type equality (``True == 1 == 1.0``) bit for bit.
+  non-text) and object columns (dates, overflowed ints) — numbers the
+  keys through one Python ``dict``, preserving Python's cross-type
+  equality (``True == 1 == 1.0``) bit for bit.
 
-NULL keys never match (SQL semantics): the text kernel's NULL code
-``-1`` can never appear in a translated allowed set, and the array/set
-kernels intersect with the NULL masks explicitly.  NaN keys never match
-either, because NaN never equals itself: ``np.isin`` finds no NaN on a
-float ⋈ float edge, and on a set-kernel edge a float NaN only ever meets
-keys of another type.  ``tests/integration/test_kernel_differential.py``
+NULL keys never match (SQL semantics), and NaN keys never match either,
+because NaN never equals itself: both get code ``-1``, as does an
+existing key the new side lacks, and every fold clears the table slot
+that ``-1`` reads.  ``tests/integration/test_kernel_differential.py``
 checks the sweep and the enumeration against the reference on seeded
-random databases.
+random databases, and ``tests/query/test_kernels_reference.py`` checks
+the coded kernel against the one that collected keys on every fold.
 """
 
 from __future__ import annotations
@@ -128,39 +130,37 @@ class BloomMask:
 class EdgeKernel:
     """One join edge lowered onto two :class:`ColumnKernel` snapshots.
 
-    Bound to specific kernel objects (``existing``/``new``): the store
+    Both sides' keys are numbered once, when the edge is built, in one
+    code space (:func:`_codes`): equal keys share a code, and ``-1``
+    marks every key that can never match — NULL, NaN, and an existing
+    key the new side lacks.  A fold is then one scatter of the surviving
+    new-side codes into a boolean table over the codes and one gather of
+    the existing side's codes from it; the table's last slot is the
+    sentinel every ``-1`` lands on, cleared after the scatter.  ``mode``
+    names how the keys were coded (``"text"``, ``"array"`` or
+    ``"set"``).
+
+    Built from two kernel snapshots (``existing``/``new``): the store
     publishes a fresh kernel after every append, which also moves the
     database's artifact key, so an edge lives in the executor cache of
-    one artifact key.  The fully-unconstrained fold (``new_mask is None`` — by far the common
-    case for interior tables of a probe) is computed once and cached;
-    callers racing to compute it store equal arrays.
+    one artifact key.  Nothing changes after construction, so executors
+    on several threads may share an edge without a lock.
     """
 
-    __slots__ = ("existing", "new", "mode", "_translate", "_full_keep")
+    __slots__ = ("mode", "existing_codes", "new_codes", "_size", "_full_keep")
 
     def __init__(self, existing, new):
-        self.existing = existing
-        self.new = new
-        self._full_keep: Optional[np.ndarray] = None
-        if existing.kind == "text" and new.kind == "text":
-            self.mode = "text"
-            # new-side code → existing-side code (-1: absent from the
-            # existing dictionary, matches nothing).
-            self._translate = np.fromiter(
-                (existing.code_of.get(entry, -1) for entry in new.dictionary),
-                dtype=np.int64,
-                count=len(new.dictionary),
-            )
-        elif (
-            existing.kind == "array"
-            and new.kind == "array"
-            and existing.keys.dtype == new.keys.dtype
-        ):
-            self.mode = "array"
-            self._translate = None
-        else:
-            self.mode = "set"
-            self._translate = None
+        self.mode, existing_codes, self.new_codes = _codes(existing, new)
+        # Sized from the codes: a text edge's translate may hold codes of
+        # dictionary entries appended after the existing snapshot.
+        self._size = 1 + int(max(
+            existing_codes.max(initial=-1), self.new_codes.max(initial=-1)
+        ))
+        keep = _fold(existing_codes, self.new_codes, self._size)
+        self.existing_codes = np.where(keep, existing_codes, -1)
+        # The fully-unconstrained fold (by far the common case for
+        # interior tables of a probe).
+        self._full_keep = keep
 
     def keep_existing(self, new_mask: _Mask) -> np.ndarray:
         """Existing-side rows whose key survives on the new side.
@@ -170,48 +170,8 @@ class EdgeKernel:
         False.
         """
         if new_mask is None:
-            keep = self._full_keep
-            if keep is None:
-                keep = self._keep(self._allowed(None))
-                self._full_keep = keep
-            return keep
-        return self._keep(self._allowed(new_mask))
-
-    def _allowed(self, new_mask: _Mask) -> Any:
-        """The surviving new-side keys, in the existing side's key space."""
-        new = self.new
-        if self.mode == "text":
-            codes = new.keys if new_mask is None else new.keys[new_mask]
-            codes = codes[codes >= 0]
-            mapped = self._translate[codes]
-            return np.unique(mapped[mapped >= 0])
-        if self.mode == "array":
-            valid = new.valid if new_mask is None else new_mask & new.valid
-            return np.unique(new.keys[valid])
-        keys = new.python_keys()
-        if new_mask is None:
-            return {key for key in keys if key is not None}
-        return {
-            key
-            for key, keep in zip(keys, new_mask.tolist())
-            if keep and key is not None
-        }
-
-    def _keep(self, allowed: Any) -> np.ndarray:
-        existing = self.existing
-        if self.mode == "text":
-            # NULL code -1 can never be in `allowed` (all entries >= 0);
-            # codes are small bounded ints, so the table method applies.
-            if len(allowed) == 1:
-                return existing.keys == allowed[0]
-            return np.isin(existing.keys, allowed, kind="table")
-        if self.mode == "array":
-            return np.isin(existing.keys, allowed) & existing.valid
-        keys = existing.python_keys()
-        # `allowed` holds no None, so NULL keys fall out naturally.
-        return np.fromiter(
-            (key in allowed for key in keys), dtype=np.bool_, count=len(keys)
-        )
+            return self._full_keep
+        return _fold(self.existing_codes, self.new_codes[new_mask], self._size)
 
     def matches(
         self, existing_rows: np.ndarray, new_mask: _Mask, limit: Optional[int]
@@ -225,38 +185,15 @@ class EdgeKernel:
         the first ``limit`` pairs are built.  ``existing_rows`` must be
         rows the upward pass kept, so none has a NULL or NaN key.
         """
-        new = self.new
-        rows = (
-            np.arange(len(new.keys)) if new_mask is None
-            else np.flatnonzero(new_mask)
-        )
-        # NULL keys never match.  Drop them before translating text
-        # codes: the NULL code -1 would index the last translate entry.
-        rows = rows[new.valid[rows]]
-        if self.mode == "set":
-            # Number the keys by Python equality (True == 1 == 1.0; NaN
-            # never equals itself) and match the numbers.
-            classes: dict[Any, int] = {}
-            new_keys = new.python_keys()
-            keys = np.array(
-                [classes.setdefault(new_keys[row], len(classes))
-                 for row in rows.tolist()],
-                dtype=np.int64,
-            )
-            existing_keys = self.existing.python_keys()
-            probe = np.array(
-                [classes.get(existing_keys[row], -1)
-                 for row in existing_rows.tolist()],
-                dtype=np.int64,
-            )
-        else:
-            keys = new.keys[rows]
-            if self.mode == "text":
-                keys = self._translate[keys]
-            probe = self.existing.keys[existing_rows]
+        alive = self.new_codes >= 0
+        if new_mask is not None:
+            alive &= new_mask
+        rows = np.flatnonzero(alive)
+        keys = self.new_codes[rows]
         # Stable, so rows stay ascending within each key.
         order = np.argsort(keys, kind="stable")
         keys, rows = keys[order], rows[order]
+        probe = self.existing_codes[existing_rows]
         low = np.searchsorted(keys, probe, "left")
         counts = np.searchsorted(keys, probe, "right") - low
         if limit is not None:
@@ -271,6 +208,83 @@ class EdgeKernel:
         first = np.cumsum(counts) - counts
         offsets = np.arange(len(positions)) - np.repeat(first - low, counts)
         return positions, rows[offsets]
+
+
+def _fold(existing_codes: np.ndarray, new_codes: np.ndarray, size: int):
+    """Which existing codes occur among ``new_codes``: one scatter into a
+    table over the ``size`` codes and one gather from it."""
+    table = np.zeros(size + 1, dtype=np.bool_)
+    table[new_codes] = True
+    table[-1] = False  # the sentinel every -1 code lands on
+    return table[existing_codes]
+
+
+#: Integer keys whose values span at most this many times the two
+#: sides' rows are coded as offsets from their minimum; wider spans sort.
+_OFFSET_SPAN = 4
+
+
+def _codes(existing, new) -> tuple[str, np.ndarray, np.ndarray]:
+    """How an edge's keys were coded, and the codes of both sides.
+
+    Keys that compare equal under the reference evaluator's ``==`` share
+    a code; NULL and NaN keys get ``-1``.
+    """
+    if existing.kind == "text" and new.kind == "text":
+        # new-side dictionary code → existing-side code (-1: absent from
+        # the existing dictionary); NULL codes (-1) read the trailing -1.
+        translate = np.array(
+            [existing.code_of.get(entry, -1) for entry in new.dictionary]
+            + [-1],
+            dtype=np.int64,
+        )
+        return "text", existing.keys, translate[new.keys]
+    if (
+        existing.kind == "array"
+        and new.kind == "array"
+        and existing.keys.dtype == new.keys.dtype
+    ):
+        codes = _array_codes(
+            np.concatenate((existing.keys, new.keys)),
+            np.concatenate((existing.valid, new.valid)),
+        )
+        split = len(existing.keys)
+        return "array", codes[:split], codes[split:]
+    # Mixed types and object columns: Python equality (True == 1 == 1.0)
+    # through one dict.  NaN never equals itself, so it gets no code.
+    classes: dict[Any, int] = {}
+    new_codes = [
+        -1 if key is None or key != key
+        else classes.setdefault(key, len(classes))
+        for key in new.python_keys()
+    ]
+    existing_codes = [classes.get(key, -1) for key in existing.python_keys()]
+    return (
+        "set",
+        np.array(existing_codes, dtype=np.int64),
+        np.array(new_codes, dtype=np.int64),
+    )
+
+
+def _array_codes(keys: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Codes of one typed key array: ``-1`` where NULL or NaN."""
+    if keys.dtype.kind == "f":
+        valid = valid & (keys == keys)
+    elif keys.dtype == np.bool_:
+        keys = keys.view(np.uint8)
+    codes = np.full(len(keys), -1, dtype=np.int64)
+    present = keys[valid]
+    if not len(present):
+        return codes
+    if keys.dtype.kind in "iu":
+        low = present.min()
+        if int(present.max()) - int(low) <= _OFFSET_SPAN * len(keys):
+            codes[valid] = present - low
+            return codes
+    # return_inverse keeps np.unique on its sort path (its hash path is
+    # many times slower on int64 keys); -0.0 sorts equal to 0.0.
+    codes[valid] = np.unique(present, return_inverse=True)[1]
+    return codes
 
 
 def semijoin_exists(start_table: str, steps, edges, masks: dict) -> bool:
