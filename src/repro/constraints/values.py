@@ -281,7 +281,18 @@ def _row_mask(
 
 
 class ValueConstraint(ABC):
-    """Base class for every row-level (cell) constraint."""
+    """Base class for every row-level (cell) constraint.
+
+    Constraints compare and hash by typed content (:meth:`_key`).  The
+    hash is computed once per object and kept in the ``_hash`` slot:
+    every class here declares ``__slots__``, so the cache costs no memory
+    beyond the slot.  The cached hash never leaves its process, because
+    ``str`` hashes differ under each ``PYTHONHASHSEED``: copies and
+    pickles carry the constraint's content only (:meth:`__getstate__`),
+    and hash afresh.
+    """
+
+    __slots__ = ("_hash",)
 
     @abstractmethod
     def matches(self, value: Any) -> bool:
@@ -333,7 +344,27 @@ class ValueConstraint(ABC):
         return type(self) is type(other) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self._key()))
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        value = self._hash = hash((type(self).__name__, self._key()))
+        return value
+
+    def __getstate__(self) -> tuple:
+        """Content for :mod:`copy` and :mod:`pickle`: every slot but
+        ``_hash`` (and the ``__dict__`` of a subclass without slots).
+
+        Defined here rather than inherited because ``object`` has no
+        ``__getstate__`` before Python 3.11.
+        """
+        slots = {
+            name: getattr(self, name)
+            for cls in type(self).__mro__
+            for name in vars(cls).get("__slots__", ())
+            if name != "_hash" and hasattr(self, name)
+        }
+        return getattr(self, "__dict__", None), slots
 
     def _key(self) -> tuple:
         return (self.describe(),)
@@ -341,6 +372,8 @@ class ValueConstraint(ABC):
 
 class ExactValue(ValueConstraint):
     """A high-resolution constraint: the cell must contain this value."""
+
+    __slots__ = ("value",)
 
     def __init__(self, value: Any):
         if value is None:
@@ -372,6 +405,8 @@ class ExactValue(ValueConstraint):
 
 class OneOf(ValueConstraint):
     """A disjunction of possible exact values ("California || Nevada")."""
+
+    __slots__ = ("values",)
 
     def __init__(self, values: Sequence[Any]):
         values = [value for value in values if value is not None]
@@ -419,6 +454,8 @@ class OneOf(ValueConstraint):
 
 class Range(ValueConstraint):
     """A numeric value range, optionally open on either side."""
+
+    __slots__ = ("low", "high", "low_inclusive", "high_inclusive")
 
     def __init__(
         self,
@@ -489,6 +526,8 @@ class Range(ValueConstraint):
 class Predicate(ValueConstraint):
     """A single comparison against a constant, e.g. ``>= 0``."""
 
+    __slots__ = ("op", "constant")
+
     def __init__(self, op: str, constant: Any):
         if op not in COMPARISON_OPERATORS:
             raise ConstraintError(f"unknown comparison operator: {op!r}")
@@ -526,6 +565,8 @@ class Predicate(ValueConstraint):
 class Conjunction(ValueConstraint):
     """Logical AND of value constraints."""
 
+    __slots__ = ("parts",)
+
     def __init__(self, parts: Sequence[ValueConstraint]):
         parts = list(parts)
         if len(parts) < 2:
@@ -558,6 +599,8 @@ class Conjunction(ValueConstraint):
 class Disjunction(ValueConstraint):
     """Logical OR of value constraints."""
 
+    __slots__ = ("parts",)
+
     def __init__(self, parts: Sequence[ValueConstraint]):
         parts = list(parts)
         if len(parts) < 2:
@@ -589,6 +632,8 @@ class Disjunction(ValueConstraint):
 
 class AnyValue(ValueConstraint):
     """An explicitly unconstrained (but non-NULL) cell."""
+
+    __slots__ = ()
 
     def matches(self, value: Any) -> bool:
         return value is not None

@@ -38,6 +38,7 @@ from repro.dataset.schema import ColumnRef, ForeignKey
 from repro.discovery.candidates import CandidateQuery
 from repro.errors import DiscoveryError
 from repro.query.pj_query import ProjectJoinQuery
+from repro.query.plan import tree_prefix_key
 
 __all__ = ["Filter", "FilterSet", "build_filters"]
 
@@ -46,9 +47,10 @@ __all__ = ["Filter", "FilterSet", "build_filters"]
 #: reach 156 distinct trees, sub-trees included.
 SUBTREE_CACHE_SIZE = 1024
 
-#: One connected subtree: its tables, its edge set and its edges in
-#: canonical order.
-Shape = tuple[frozenset[str], frozenset[ForeignKey], tuple[ForeignKey, ...]]
+#: One connected subtree: its tables, its edge set, its edges in
+#: canonical order and its join prefix key
+#: (:func:`~repro.query.plan.join_prefix_key`).
+Shape = tuple[frozenset[str], frozenset[ForeignKey], tuple[ForeignKey, ...], tuple]
 
 
 @dataclass
@@ -131,7 +133,7 @@ class FilterSet:
                 (filter_.sample_index, *filter_.shape), []
             ).append(filter_)
         for outer in self.filters:
-            for nodes, edge_set, __ in _subtree_shapes(*outer.shape):
+            for nodes, edge_set, __, __ in _subtree_shapes(*outer.shape):
                 for inner in by_shape.get((outer.sample_index, nodes, edge_set), ()):
                     if inner.cells <= outer.cells and inner is not outer:
                         ancestors[inner.id].add(outer.id)
@@ -182,7 +184,8 @@ def _subtree_shapes(
     larger subtree grown from the first-found smaller one, walking its
     tables in name order and their edges in text order.  Filter ids
     follow this order, so it must not depend on frozenset iteration
-    order, which the hash seed sets.
+    order, which the hash seed sets.  Each shape carries its join prefix
+    key, so filters over it share one key computed once.
     """
     adjacency: dict[str, list[ForeignKey]] = {table: [] for table in tables}
     for edge in sorted(edges, key=str):
@@ -210,7 +213,7 @@ def _subtree_shapes(
                     next_frontier.append((new_nodes, new_edges))
         frontier = next_frontier
     return tuple(
-        (nodes, frozenset(tree_edges), tree_edges)
+        (nodes, frozenset(tree_edges), tree_edges, tree_prefix_key(nodes, tree_edges))
         for nodes, tree_edges in found.items()
     )
 
@@ -224,7 +227,8 @@ def build_filters(
     least one constrained column becomes a filter; the whole tree, with
     every constrained column, is the candidate's *top* filter for that
     sample: passing it certifies the candidate's result truly contains
-    the sample.
+    the sample.  Each filter's sub-query is built with its shape's
+    tables and join prefix key already set.
 
     Args:
         spec: the mapping specification (provides the sample constraints).
@@ -243,7 +247,7 @@ def build_filters(
         query = candidate.query
         projections = query.projections
         shapes = _subtree_shapes(query.tables, frozenset(query.joins))
-        whole, whole_edges, __ = shapes[-1]
+        whole, whole_edges, __, __ = shapes[-1]
         if whole != query.tables or len(whole_edges) != len(query.joins):
             raise DiscoveryError(
                 f"candidate {candidate.id}'s joins do not form one tree "
@@ -255,7 +259,7 @@ def build_filters(
             constrained = [p for p in constrained if p < query.width]
             if not constrained:
                 continue
-            for nodes, edge_set, edges in shapes:
+            for nodes, edge_set, edges, prefix_key in shapes:
                 positions = tuple(
                     p for p in constrained if projections[p].table in nodes
                 )
@@ -269,7 +273,9 @@ def build_filters(
                         id=len(filters),
                         sample_index=sample_index,
                         positions=positions,
-                        query=ProjectJoinQuery(cells, edges),
+                        query=ProjectJoinQuery.over_tree(
+                            cells, edges, nodes, prefix_key
+                        ),
                         tables=nodes,
                         cells=frozenset(zip(positions, cells)),
                         shape=(nodes, edge_set),

@@ -28,6 +28,14 @@ and the validation driver selects lazily: one heap holds every pending
 filter's last score, and only the popped filter is scored again — kept
 if its score held, pushed back if it fell.  Impact, confirmations and
 the pending filters are counts, updated as outcomes arrive.
+
+Many filters share sample cells and join shapes, so the Bayesian
+failure probabilities are built from factors memoized for the run
+(:class:`~repro.bayesian.estimator.EstimateMemo`): each cell's match
+probability once per (sample, position, projected column), and each
+sub-query's expected result size once per tables and joins in order.
+Batch-mates are grouped by the join prefix key each filter's sub-query
+was built with (:func:`~repro.discovery.filters.build_filters`).
 """
 
 from __future__ import annotations
@@ -39,8 +47,9 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.bayesian.estimator import SelectivityEstimator
+from repro.bayesian.estimator import EstimateMemo, SelectivityEstimator
 from repro.constraints.spec import MappingSpec
+from repro.constraints.values import ValueConstraint
 from repro.discovery.filters import Filter, FilterSet
 from repro.discovery.validation import FilterValidator
 from repro.errors import DiscoveryError, QueryError, SchemaError
@@ -90,6 +99,7 @@ class _DriverContext:
     undecided.  A filter is *pending* while its outcome is unknown and
     its impact is positive.  The numbers of pending filters and of
     undecided candidates are kept as counts, updated as outcomes arrive.
+    ``estimates`` memoizes the Bayesian estimator's factors for the run.
     """
 
     def __init__(
@@ -126,7 +136,9 @@ class _DriverContext:
             for filter_id in tops.values():
                 self._topped.setdefault(filter_id, []).append(candidate_id)
         self._tops_passed = dict.fromkeys(filter_set.candidate_tops, 0)
-        self._num_samples = len(spec.samples)
+        self._samples = spec.samples
+        self._num_samples = len(self._samples)
+        self.estimates = EstimateMemo()
         # The policy's per-filter constants and its selection heap of
         # (rank, filter id) entries, both built at the first selection.
         self.constants: list[tuple] = []
@@ -205,15 +217,24 @@ class _DriverContext:
         """
         return 1.0 + filter_.join_size
 
-    def cell_constraints(self, filter_: Filter) -> dict[int, object]:
-        """Cell constraints keyed by projection index within the filter."""
-        sample = self.spec.samples[filter_.sample_index]
+    def cells(
+        self, filter_: Filter
+    ) -> tuple[dict[int, ValueConstraint], list[tuple]]:
+        """The filter's cell constraints by projection index, and each
+        projection's cell key in :attr:`estimates`: its (sample index,
+        position, projected column)."""
+        sample_index = filter_.sample_index
+        sample = self._samples[sample_index]
         constraints = {}
-        for projection_index, position in enumerate(filter_.positions):
+        keys = []
+        for projection_index, (position, ref) in enumerate(
+            zip(filter_.positions, filter_.query.projections)
+        ):
+            keys.append((sample_index, position, ref))
             cell = sample.cell(position)
             if cell is not None:
                 constraints[projection_index] = cell
-        return constraints
+        return constraints, keys
 
     @property
     def max_join_size(self) -> int:
@@ -318,8 +339,9 @@ class BayesianPolicy(SchedulingPolicy):
         return super().select(context)
 
     def constants(self, filter_: Filter, context: _DriverContext) -> tuple:
+        constraints, keys = context.cells(filter_)
         failure_probability = context.estimator.failure_probability(
-            filter_.query, context.cell_constraints(filter_)
+            filter_.query, constraints, context.estimates, keys
         )
         return (failure_probability, context.cost(filter_))
 
@@ -391,12 +413,16 @@ class ValidationDriver:
     When ``batch`` is enabled (the default), each time the policy picks a
     filter with at least one join, every other pending filter sharing the
     chosen filter's join structure (its *join prefix*,
-    :func:`~repro.query.plan.join_prefix_key`) is handed to the validator
-    as a batch-mate: one streamed pass over the shared join decides all
-    of them (:meth:`FilterValidator.validate_batch`), and batch-mates the
-    policy picks later resolve from the validator cache.  Scheduling
-    order, validation counts and discovery results are bit-for-bit
-    identical to the unbatched path — only the executor work is shared.
+    :func:`~repro.query.plan.join_prefix_key`, set on each filter's
+    sub-query when it was built) is handed to the validator as a
+    batch-mate: one streamed pass over the shared join decides all of
+    them (:meth:`FilterValidator.validate_batch`), and batch-mates the
+    policy picks later resolve from the validator cache.  Filters are
+    grouped by that key rather than by :attr:`Filter.shape`: two foreign
+    keys naming one edge in opposite directions share a key, not a
+    shape.  Scheduling order, validation counts and discovery results
+    are bit-for-bit identical to the unbatched path — only the executor
+    work is shared.
     """
 
     def __init__(
@@ -435,9 +461,12 @@ class ValidationDriver:
         )
         # Filters sharing one join structure, grouped once up front —
         # the candidates for each batched validation pass.
-        prefix_groups = (
-            Planner.group_by_prefix(filter_set.filters) if self._batch else {}
-        )
+        prefix_groups: dict[tuple, list[Filter]] = {}
+        if self._batch:
+            for filter_ in filter_set.filters:
+                prefix_groups.setdefault(join_prefix_key(filter_.query), []).append(
+                    filter_
+                )
 
         if not spec.samples:
             # Metadata-only specs have nothing to validate: every candidate

@@ -9,11 +9,15 @@ cache is keyed by probe content (sub-query signature and constraints,
 not the sample they came from) and lives in the executor's
 :attr:`~repro.query.executor.Executor.outcomes`, so identical probes are
 shared across samples, validators and ``discover()`` runs on one
-executor until the database's artifact key moves.
+executor until the database's artifact key moves.  A sub-query computes
+its signature once, and a constraint its hash once, however many probes
+key on them.
 
 Validation can be **batched across candidates**: filters whose sub-queries
 share one join structure (same tables, same edges —
-:func:`~repro.query.plan.join_prefix_key`) are decided together by
+:func:`~repro.query.plan.join_prefix_key`, which every filter's
+sub-query carries from :func:`~repro.discovery.filters.build_filters`)
+are decided together by
 :meth:`~repro.query.executor.Executor.exists_batch`, which plans the
 shared structure once and shares pushdown scans, Bloom checks and edge
 kernels across the filters' probes.  Outcomes are bit-for-bit identical

@@ -37,6 +37,24 @@ class ProjectJoinQuery:
         object.__setattr__(self, "projections", tuple(self.projections))
         object.__setattr__(self, "joins", tuple(self.joins))
 
+    @classmethod
+    def over_tree(
+        cls,
+        projections: tuple[ColumnRef, ...],
+        joins: tuple[ForeignKey, ...],
+        tables: frozenset[str],
+        prefix_key: tuple,
+    ) -> "ProjectJoinQuery":
+        """A query whose caller already holds its tables and its join
+        prefix key (:func:`~repro.query.plan.join_prefix_key`), computed
+        from the same join tree: both are stored as the query would cache
+        them, so neither is computed again."""
+        query = cls(projections, joins)
+        cache = query.__dict__
+        cache["_tables"] = tables
+        cache["_prefix_key"] = prefix_key
+        return query
+
     # ------------------------------------------------------------------
     # Derived structure
     # ------------------------------------------------------------------
@@ -173,11 +191,19 @@ class ProjectJoinQuery:
         return ProjectJoinQuery(kept_projections, kept_joins)
 
     def signature(self) -> tuple:
-        """A hashable canonical signature (used for deduplication)."""
-        return (
-            self.projections,
-            tuple(sorted((str(edge) for edge in self.joins))),
-        )
+        """A hashable canonical signature (used for deduplication).
+
+        Computed once and cached on the query, like :attr:`tables`: the
+        validator keys every probe of a filter with it.
+        """
+        cached = self.__dict__.get("_signature")
+        if cached is None:
+            cached = (
+                self.projections,
+                tuple(sorted((str(edge) for edge in self.joins))),
+            )
+            object.__setattr__(self, "_signature", cached)
+        return cached
 
     def __str__(self) -> str:
         from repro.query.sql import to_sql

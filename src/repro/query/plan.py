@@ -24,7 +24,7 @@ shared join.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterator
+from typing import Hashable, Iterable, Iterator
 
 from repro.dataset.schema import ColumnRef, ForeignKey
 from repro.errors import QueryError
@@ -38,6 +38,7 @@ __all__ = [
     "Project",
     "PredicateSpec",
     "join_prefix_key",
+    "tree_prefix_key",
     "edge_key",
 ]
 
@@ -197,15 +198,21 @@ def join_prefix_key(query: ProjectJoinQuery) -> tuple:
     in a single batched pass over the shared join, and physical join
     plans cached under it are reused across all of them.
 
-    The key is computed once per (immutable) query and cached on it:
-    the validation driver asks for it for every pending filter on every
-    scheduling step.
+    The key is computed once per (immutable) query and cached on it,
+    unless the query was built with it already
+    (:meth:`ProjectJoinQuery.over_tree`, as every filter's sub-query is).
     """
     cached = query.__dict__.get("_prefix_key")
     if cached is None:
-        cached = (
-            tuple(sorted(edge_key(edge) for edge in query.joins)),
-            tuple(sorted(query.tables)),
-        )
+        cached = tree_prefix_key(query.tables, query.joins)
         object.__setattr__(query, "_prefix_key", cached)
     return cached
+
+
+def tree_prefix_key(tables: Iterable[str], joins: Iterable[ForeignKey]) -> tuple:
+    """:func:`join_prefix_key` of any query over ``tables`` joined by
+    ``joins``."""
+    return (
+        tuple(sorted(edge_key(edge) for edge in joins)),
+        tuple(sorted(tables)),
+    )

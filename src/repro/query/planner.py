@@ -482,12 +482,3 @@ class Planner:
             return rows, rows, "raw"
         finally:
             self._counting = was_counting
-
-    @staticmethod
-    def group_by_prefix(queries) -> dict[tuple, list]:
-        """Group queries (or filters exposing ``.query``) by join prefix."""
-        groups: dict[tuple, list] = {}
-        for item in queries:
-            query = getattr(item, "query", item)
-            groups.setdefault(join_prefix_key(query), []).append(item)
-        return groups

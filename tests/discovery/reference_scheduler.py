@@ -1,15 +1,18 @@
 """Reference validation driver and policies for the differential tests.
 
 This is the scheduler as it stood before the validation driver became
-incremental, kept verbatim below this docstring: every decision
-rebuilds the list of pending filters, every policy re-scores all of
-them, impact is a set intersection and confirmation rescans every
+incremental, kept verbatim below this docstring except that it groups
+batch-mates with :func:`group_by_prefix`, a copy of the planner's
+``Planner.group_by_prefix`` it called then: every decision rebuilds
+the list of pending filters, every policy re-scores all of them, with
+no memo, impact is a set intersection and confirmation rescans every
 undecided candidate.  It is the oracle
 :mod:`tests.discovery.test_driver_differential` holds
 :class:`repro.discovery.scheduler.ValidationDriver` to: the same
-filters chosen in the same order, the same batch peers, and the same
-counters.  :func:`all_pairs_containment` is the containment DAG as it
-was computed, by testing every pair of filters of one sample with
+filters chosen in the same order, the same batch peers, the same
+counters and the same rank constants.  :func:`all_pairs_containment`
+is the containment DAG as it was computed, by testing every pair of
+filters of one sample with
 :meth:`~repro.discovery.filters.Filter.contains`.
 
 Nothing under ``src/`` imports this module.
@@ -42,6 +45,7 @@ __all__ = [
     "make_policy",
     "POLICY_NAMES",
     "all_pairs_containment",
+    "group_by_prefix",
 ]
 
 
@@ -332,7 +336,7 @@ class ValidationDriver:
         # Filters sharing one join structure, grouped once up front —
         # the candidates for each batched validation pass.
         prefix_groups = (
-            Planner.group_by_prefix(filter_set.filters) if self._batch else {}
+            group_by_prefix(filter_set.filters) if self._batch else {}
         )
 
         if num_samples == 0:
@@ -440,6 +444,15 @@ class ValidationDriver:
         )
         result.elapsed_seconds = time.monotonic() - started
         return result
+
+
+def group_by_prefix(queries) -> dict[tuple, list]:
+    """Group queries (or filters exposing ``.query``) by join prefix."""
+    groups: dict[tuple, list] = {}
+    for item in queries:
+        query = getattr(item, "query", item)
+        groups.setdefault(join_prefix_key(query), []).append(item)
+    return groups
 
 
 def all_pairs_containment(

@@ -12,6 +12,14 @@ pins the oracle's peek order), reach the same confirmed and pruned
 candidates and the same counters, and leave the executor with the same
 statistics, ``sketch_estimates_used`` included.
 
+Each filter's rank constants (a failure probability and a cost, for
+the ``filter`` and ``bayesian`` policies) must equal, with ``==``, what
+the reference policies compute for that filter on its own, although the
+driver builds the Bayesian ones from factors memoized once per run:
+each cell's match probability and each sub-query's expected result
+size are computed once per distinct cell and sub-query, and again in
+the next run.
+
 The containment DAG, found through the subtree-shape index, must equal
 the all-pairs :meth:`~repro.discovery.filters.Filter.contains`
 definition on the same filter sets.
@@ -20,6 +28,7 @@ definition on the same filter sets.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -31,6 +40,8 @@ from repro import (
     load_mondial,
     load_nba,
 )
+from repro.bayesian.distributions import ColumnDistribution
+from repro.bayesian.estimator import SelectivityEstimator
 from repro.discovery import scheduler
 from repro.discovery.filters import build_filters
 from repro.discovery.validation import FilterValidator
@@ -163,6 +174,134 @@ def test_driver_matches_the_reference(engines, database, shape, level):
                 assert actual == expected, (policy, batch, budget)
                 decided += len(actual["confirmed"]) + len(actual["pruned"])
     assert decided
+
+
+def _driver_constants(policy, engine, spec, filter_set) -> list[tuple]:
+    """Each filter's rank constants as one driver run computes them."""
+    contexts = []
+
+    class Capturing(type(scheduler.make_policy(policy))):
+        def select(self, context):
+            contexts.append(context)
+            return super().select(context)
+
+    executor = Executor(engine.database, catalog=engine.catalog, use_sketches=True)
+    scheduler.ValidationDriver(
+        filter_set,
+        FilterValidator(executor, spec),
+        Capturing(),
+        estimator=engine.estimator,
+        planner=executor.planner,
+    ).run()
+    return contexts[0].constants
+
+
+def _reference_constants(policy, engine, spec, filter_set) -> list[tuple]:
+    """Each filter's rank constants, each computed on its own from the
+    reference driver's context, as its policies score a filter."""
+    executor = Executor(engine.database, catalog=engine.catalog, use_sketches=True)
+    validator = FilterValidator(executor, spec)
+    context = reference._DriverContext(
+        filter_set, spec, engine.estimator, validator, executor.planner
+    )
+
+    def constants(filter_) -> tuple:
+        if policy == "naive":
+            return (filter_.id not in context.top_filter_ids,)
+        if policy == "filter":
+            failure_probability = (filter_.join_size + 1.0) / (
+                context.max_join_size + 2.0
+            )
+            return (failure_probability, context.structural_cost(filter_))
+        if policy == "bayesian":
+            failure_probability = context.estimator.failure_probability(
+                filter_.query, context.cell_constraints(filter_)
+            )
+            return (failure_probability, context.cost(filter_))
+        return (
+            not validator.peek(filter_),
+            filter_.id in context.top_filter_ids,
+            context.structural_cost(filter_),
+        )
+
+    return [constants(filter_) for filter_ in filter_set.filters]
+
+
+@pytest.mark.parametrize("database, shape, level", _CASES, ids=_ids(_CASES))
+def test_policy_constants_match_the_reference(engines, database, shape, level):
+    """Bit for bit: the memoized factors multiply in the same order."""
+    engine = engines(database)
+    spec, filter_set = _case(engine, shape, level)
+    for policy in scheduler.POLICY_NAMES:
+        actual = _driver_constants(policy, engine, spec, filter_set)
+        expected = _reference_constants(policy, engine, spec, filter_set)
+        assert len(actual) == filter_set.num_filters
+        assert actual == expected, policy
+
+
+@pytest.mark.parametrize("database, shape, level", _CASES, ids=_ids(_CASES))
+def test_each_factor_is_computed_once_per_run(
+    engines, database, shape, level, monkeypatch
+):
+    """One ``match_probability`` per distinct (sample, position, projected
+    column) cell and one ``expected_result_size`` per distinct (tables,
+    joins in order) sub-query, in every run."""
+    engine = engines(database)
+    spec, filter_set = _case(engine, shape, level)
+    samples = spec.samples
+    cells = {
+        (filter_.sample_index, position, ref)
+        for filter_ in filter_set.filters
+        for position, ref in zip(filter_.positions, filter_.query.projections)
+    }
+    # The call each cell needs: its column's distribution and its
+    # constraint object.  Parts of compound constraints are not cells.
+    expected_cells = Counter(
+        (
+            id(engine.estimator.relation_model(ref.table).distribution(ref.column)),
+            id(samples[sample_index].cell(position)),
+        )
+        for sample_index, position, ref in cells
+    )
+    structures = {
+        (tuple(filter_.query.tables), filter_.query.joins)
+        for filter_ in filter_set.filters
+    }
+    cell_ids = {id(cell) for sample in samples for cell in sample.cells}
+    matched: Counter = Counter()
+    sized: Counter = Counter()
+    match_probability = ColumnDistribution.match_probability
+    expected_result_size = SelectivityEstimator.expected_result_size
+
+    def counting_match(distribution, constraint):
+        if id(constraint) in cell_ids:
+            matched[id(distribution), id(constraint)] += 1
+        return match_probability(distribution, constraint)
+
+    def counting_size(estimator, query):
+        sized[tuple(query.tables), query.joins] += 1
+        return expected_result_size(estimator, query)
+
+    monkeypatch.setattr(ColumnDistribution, "match_probability", counting_match)
+    monkeypatch.setattr(SelectivityEstimator, "expected_result_size", counting_size)
+    for run in (1, 2):
+        executor = Executor(
+            engine.database, catalog=engine.catalog, use_sketches=True
+        )
+        scheduler.ValidationDriver(
+            filter_set,
+            FilterValidator(executor, spec),
+            scheduler.make_policy("bayesian"),
+            estimator=engine.estimator,
+            planner=executor.planner,
+        ).run()
+        assert matched == Counter(
+            {key: count * run for key, count in expected_cells.items()}
+        )
+        assert sized == Counter(dict.fromkeys(structures, run))
+    # Filters share cells and sub-queries: the memo has work to save.
+    assert sum(len(filter_.positions) for filter_ in filter_set.filters) > len(cells)
+    assert filter_set.num_filters > len(structures)
 
 
 @pytest.mark.parametrize("database, shape, level", _CASES, ids=_ids(_CASES))

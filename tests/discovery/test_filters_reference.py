@@ -13,7 +13,9 @@ sub-query as ``(projections, frozenset(joins))``.  Over the specs of
 level on the bundled databases and on seeded synthetic schemas, with one
 and two sample rows, both must build the same filters, share them
 between the same candidates, pick the same top filters and relate the
-same pairs by containment.
+same pairs by containment.  Each filter's sub-query must carry, preset
+from its shape, the tables and join prefix key that a fresh query of
+the same projections and joins computes.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.discovery.candidates import CandidateQuery
 from repro.discovery.filters import build_filters
 from repro.errors import DiscoveryError, WorkloadError
 from repro.query.pj_query import ProjectJoinQuery
+from repro.query.plan import join_prefix_key
 from repro.workloads.degrade import ResolutionLevel, spec_for_level
 from repro.workloads.generator import WorkloadGenerator
 from tests.discovery import reference_filters as reference
@@ -108,6 +111,11 @@ def _check(spec, candidates) -> int:
             zip(filter_.positions, filter_.query.projections)
         )
         assert filter_.shape == (filter_.tables, frozenset(filter_.query.joins))
+        # The sub-query was built with its tables and prefix key preset.
+        fresh = ProjectJoinQuery(filter_.query.projections, filter_.query.joins)
+        assert filter_.query.tables is filter_.tables
+        assert filter_.query.tables == fresh.tables
+        assert join_prefix_key(filter_.query) == join_prefix_key(fresh)
     assert actual.num_filters == expected.num_filters
     assert _decomposition(actual) == _decomposition(expected)
     return actual.num_filters

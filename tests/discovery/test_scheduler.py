@@ -26,6 +26,7 @@ from repro.discovery.validation import FilterValidator
 from repro.errors import DiscoveryError, QueryError, SchemaError
 from repro.query.executor import Executor
 from repro.query.pj_query import ProjectJoinQuery
+from repro.query.plan import join_prefix_key
 from repro.query.planner import Planner
 
 
@@ -199,15 +200,16 @@ class _RowsPlanner:
 
 
 class _CountingEstimator:
-    """Wraps an estimator, counting ``failure_probability`` calls."""
+    """Wraps an estimator, counting ``failure_probability`` calls and
+    passing the run's memo through."""
 
     def __init__(self, estimator):
         self._estimator = estimator
         self.calls = 0
 
-    def failure_probability(self, query, cell_constraints):
+    def failure_probability(self, query, cell_constraints, *memo):
         self.calls += 1
-        return self._estimator.failure_probability(query, cell_constraints)
+        return self._estimator.failure_probability(query, cell_constraints, *memo)
 
 
 class TestIncrementalSelection:
@@ -247,6 +249,63 @@ class TestIncrementalSelection:
             ).run()
             assert result.timed_out and result.validations == 0
         assert counting.calls == 0
+
+
+class _BatchRecordingValidator(FilterValidator):
+    """Records each batched validation: the chosen filter and its peers."""
+
+    def __init__(self, executor, spec):
+        super().__init__(executor, spec)
+        self.batches: list[tuple[int, tuple[int, ...]]] = []
+
+    def validate_batch(self, filter_, peers=()):
+        self.batches.append((filter_.id, tuple(peer.id for peer in peers)))
+        return super().validate_batch(filter_, peers)
+
+
+class TestPrefixGrouping:
+    def test_batch_mates_share_a_prefix_key_not_a_shape(self, company_db):
+        """A foreign key and its reverse name one equi-join: filters over
+        them share a join prefix key but not a shape, and are batched."""
+        reverse = ForeignKey("Department", "Name", "Employee", "Department")
+        spec = MappingSpec(2)
+        spec.add_sample_cells([ExactValue("Engineering"), ExactValue("Alice Chen")])
+        candidates = [
+            CandidateQuery(
+                0,
+                ProjectJoinQuery(
+                    (ColumnRef("Department", "Name"), ColumnRef("Employee", "Name")),
+                    (EMP_DEPT,),
+                ),
+            ),
+            CandidateQuery(
+                1,
+                ProjectJoinQuery(
+                    (ColumnRef("Department", "City"), ColumnRef("Employee", "Name")),
+                    (reverse,),
+                ),
+            ),
+        ]
+        filter_set = build_filters(spec, candidates)
+        forward, backward = (
+            filter_set.filter(filter_set.candidate_tops[candidate.id][0])
+            for candidate in candidates
+        )
+        assert forward.shape != backward.shape
+        assert join_prefix_key(forward.query) == join_prefix_key(backward.query)
+
+        outcomes = {}
+        for batch in (True, False):
+            validator = _BatchRecordingValidator(Executor(company_db), spec)
+            result = ValidationDriver(
+                filter_set, validator, NaivePolicy(), batch=batch
+            ).run()
+            outcomes[batch] = (
+                result.confirmed_candidate_ids, result.pruned_candidate_ids
+            )
+            if batch:
+                assert validator.batches[0] == (forward.id, (backward.id,))
+        assert outcomes[True] == outcomes[False] == ([0], [1])
 
 
 class TestCostFallback:

@@ -7,6 +7,7 @@ import pytest
 from repro.dataset.schema import ColumnRef, ForeignKey
 from repro.errors import QueryError
 from repro.query.pj_query import ProjectJoinQuery
+from repro.query.plan import join_prefix_key
 
 
 EMP_DEPT = ForeignKey("Employee", "Department", "Department", "Name")
@@ -135,6 +136,21 @@ class TestDerivation:
             (EMP_DEPT,),
         )
         assert first.signature() != second.signature()
+
+    def test_signature_is_computed_once(self):
+        query = two_table_query()
+        assert query.signature() is query.signature()
+
+    def test_over_tree_keeps_the_structure_it_is_given(self):
+        query = two_table_query()
+        tables = frozenset(query.tables)
+        key = join_prefix_key(query)
+        built = ProjectJoinQuery.over_tree(
+            query.projections, query.joins, tables, key
+        )
+        assert built == query
+        assert built.tables is tables
+        assert join_prefix_key(built) is key
 
     def test_str_is_sql(self):
         assert str(single_table_query()).startswith("SELECT Employee.Name")

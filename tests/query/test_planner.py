@@ -147,18 +147,6 @@ class TestJoinOrdering:
             planner.join_order(disconnected)
 
 
-class TestPrefixGrouping:
-    def test_group_by_prefix_unites_same_structure_queries(self, planner):
-        other = ProjectJoinQuery(
-            (ColumnRef("Employee", "Salary"),),
-            (EMP_DEPT,),
-        )
-        single = ProjectJoinQuery((ColumnRef("Employee", "Name"),))
-        groups = Planner.group_by_prefix([TWO_TABLE, other, single])
-        assert len(groups) == 2
-        assert sorted(len(group) for group in groups.values()) == [1, 2]
-
-
 def _raising(error):
     def fail(*args, **kwargs):
         raise error
