@@ -119,6 +119,15 @@ class ColumnDistribution:
                 else np.concatenate([self._numeric, appended])
             )
 
+    @property
+    def frequencies(self) -> Counter:
+        """Row count per normalized whole value (NULLs excluded).
+
+        The live counter, shared with the join models over this column:
+        treat it as read-only.
+        """
+        return self._frequencies
+
     # ------------------------------------------------------------------
     # Incremental maintenance
     # ------------------------------------------------------------------

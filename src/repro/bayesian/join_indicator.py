@@ -12,6 +12,7 @@ along with the expected fan-out used to size join results.
 from __future__ import annotations
 
 from collections import Counter
+from typing import Any, Mapping
 
 from repro.dataset.database import Database
 from repro.dataset.index import normalize_term
@@ -24,11 +25,19 @@ __all__ = ["JoinIndicatorModel"]
 class JoinIndicatorModel:
     """Selectivity statistics for one foreign-key join edge.
 
-    Fitted models retain their sufficient statistics — the normalized
-    key-value frequency counters of both sides plus the two row counts —
-    so appended rows can be folded in incrementally
-    (:meth:`apply_delta`) with the derived probabilities recomputed
-    through exactly the same arithmetic as a from-scratch fit.
+    A fitted model keeps its sufficient statistics: the normalized
+    key-value counts of both sides, the two row counts, and three
+    integer sums over the keys — the join size ``Σ c·p``, the matched
+    child rows ``Σ c·[p>0]`` and the matched parent rows ``Σ p·[c>0]``,
+    where ``c`` and ``p`` are one key's child and parent counts.  The
+    four probabilities are derived from those integers alone.
+
+    In a trained model set the two count maps are not the model's own:
+    they are the ``frequencies`` of the key columns' relation-model
+    distributions, which hold the same normalized counts, so each count
+    has one owner.  :meth:`apply_delta` then reads the counts after the
+    relation models folded an append and updates the sums for the keys
+    the append touched.
     """
 
     def __init__(
@@ -44,54 +53,59 @@ class JoinIndicatorModel:
         self.expected_join_size = expected_join_size
         self.child_match_fraction = child_match_fraction
         self.parent_match_fraction = parent_match_fraction
-        # Sufficient statistics; populated by fit(), absent on
+        # Sufficient statistics; populated by from_counts(), absent on
         # hand-constructed models (which then cannot apply deltas).
-        self._child_counts: Counter | None = None
-        self._parent_counts: Counter | None = None
+        self._child_counts: Mapping[str, int] | None = None
+        self._parent_counts: Mapping[str, int] | None = None
         self._child_rows = 0
         self._parent_rows = 0
+        self._join_size = 0
+        self._matched_child_rows = 0
+        self._matched_parent_rows = 0
 
     @classmethod
     def fit(cls, database: Database, foreign_key: ForeignKey) -> "JoinIndicatorModel":
-        """Estimate the join-indicator statistics for one edge."""
+        """Estimate the join-indicator statistics for one edge from the
+        tables' own key counts (a cold fit)."""
         child = database.table(foreign_key.child_table)
         parent = database.table(foreign_key.parent_table)
-        # Aggregate over the backend's distinct-value counts so each value
-        # is normalized once, not once per row.
-        child_counts: Counter = Counter()
-        for value, count in child.value_counts(foreign_key.child_column).items():
-            child_counts[normalize_term(value)] += count
-        parent_counts: Counter = Counter()
-        for value, count in parent.value_counts(foreign_key.parent_column).items():
-            parent_counts[normalize_term(value)] += count
-        return cls._from_statistics(
-            foreign_key, child_counts, parent_counts,
+        return cls.from_counts(
+            foreign_key,
+            _normalized_counts(child.value_counts(foreign_key.child_column)),
+            _normalized_counts(parent.value_counts(foreign_key.parent_column)),
             child.num_rows, parent.num_rows,
         )
 
     @classmethod
-    def _from_statistics(
+    def from_counts(
         cls,
         foreign_key: ForeignKey,
-        child_counts: Counter,
-        parent_counts: Counter,
+        child_counts: Mapping[str, int],
+        parent_counts: Mapping[str, int],
         child_rows: int,
         parent_rows: int,
     ) -> "JoinIndicatorModel":
-        """Build a model from sufficient statistics (the single place the
-        derived probabilities are computed, shared by fit and refresh)."""
+        """Build a model over normalized key counts, kept by reference.
+
+        The one place the three sums are computed over every key; later
+        appends update them key by key (:meth:`apply_delta`).
+        """
         model = cls(foreign_key, 0.0, 0.0, 0.0, 0.0)
         model._child_counts = child_counts
         model._parent_counts = parent_counts
         model._child_rows = child_rows
         model._parent_rows = parent_rows
-        model._recompute()
+        for value, child_count in child_counts.items():
+            parent_count = parent_counts.get(value, 0)
+            if parent_count:
+                model._join_size += child_count * parent_count
+                model._matched_child_rows += child_count
+                model._matched_parent_rows += parent_count
+        model._derive()
         return model
 
-    def _recompute(self) -> None:
-        """Derive the probabilities from the sufficient statistics."""
-        child_counts = self._child_counts
-        parent_counts = self._parent_counts
+    def _derive(self) -> None:
+        """Derive the probabilities from the integer sums."""
         total_pairs = self._child_rows * self._parent_rows
         if total_pairs == 0:
             self.join_probability = 0.0
@@ -99,26 +113,11 @@ class JoinIndicatorModel:
             self.child_match_fraction = 0.0
             self.parent_match_fraction = 0.0
             return
-
-        join_size = 0
-        matched_child_rows = 0
-        matched_parent_rows = 0
-        for value, child_count in child_counts.items():
-            parent_count = parent_counts.get(value, 0)
-            if parent_count:
-                join_size += child_count * parent_count
-                matched_child_rows += child_count
-        for value, parent_count in parent_counts.items():
-            if value in child_counts:
-                matched_parent_rows += parent_count
-
-        self.join_probability = join_size / total_pairs
-        self.expected_join_size = float(join_size)
-        self.child_match_fraction = (
-            matched_child_rows / self._child_rows if self._child_rows else 0.0
-        )
+        self.join_probability = self._join_size / total_pairs
+        self.expected_join_size = float(self._join_size)
+        self.child_match_fraction = self._matched_child_rows / self._child_rows
         self.parent_match_fraction = (
-            matched_parent_rows / self._parent_rows if self._parent_rows else 0.0
+            self._matched_parent_rows / self._parent_rows
         )
 
     # ------------------------------------------------------------------
@@ -131,30 +130,51 @@ class JoinIndicatorModel:
         child_rows: "int | None" = None,
         parent_rows: "int | None" = None,
     ) -> None:
-        """Fold appended key values of either side into the model.
+        """Update the sums for the keys an append touched.
 
+        The count maps must already hold the appended keys: in a model
+        set they are the relation models' distributions, which
+        :meth:`BayesianModelSet.apply_delta` folds first.
         ``child_values``/``parent_values`` are the non-NULL key cells
         appended to each side (empty when that side did not change);
         ``child_rows``/``parent_rows`` are the post-delta row counts
-        (``None`` keeps the side's current count).  The counters are
-        exact, so the recomputed probabilities equal a from-scratch fit
-        bit-for-bit.  Raises :class:`~repro.errors.TrainingError` when
-        the model lacks its sufficient statistics (hand-built models).
+        (``None`` keeps the side's current count).  Each touched key's
+        old terms, from its counts minus the appended ones, are
+        replaced by its new terms, so the work is O(delta) and the sums
+        equal a cold fit's exactly.  Raises
+        :class:`~repro.errors.TrainingError` when the model lacks its
+        sufficient statistics (hand-built models).
         """
-        if self._child_counts is None or self._parent_counts is None:
+        child_counts = self._child_counts
+        parent_counts = self._parent_counts
+        if child_counts is None or parent_counts is None:
             raise TrainingError(
                 f"join model for {self.foreign_key} carries no sufficient "
                 "statistics; refit it"
             )
-        for value, count in Counter(child_values).items():
-            self._child_counts[normalize_term(value)] += count
-        for value, count in Counter(parent_values).items():
-            self._parent_counts[normalize_term(value)] += count
+        child_added = Counter(map(normalize_term, child_values))
+        parent_added = Counter(map(normalize_term, parent_values))
+        for value in child_added.keys() | parent_added.keys():
+            child_count = child_counts.get(value, 0)
+            parent_count = parent_counts.get(value, 0)
+            old_child = child_count - child_added.get(value, 0)
+            old_parent = parent_count - parent_added.get(value, 0)
+            self._join_size += (
+                child_count * parent_count - old_child * old_parent
+            )
+            if parent_count:
+                self._matched_child_rows += child_count
+            if old_parent:
+                self._matched_child_rows -= old_child
+            if child_count:
+                self._matched_parent_rows += parent_count
+            if old_child:
+                self._matched_parent_rows -= old_parent
         if child_rows is not None:
             self._child_rows = child_rows
         if parent_rows is not None:
             self._parent_rows = parent_rows
-        self._recompute()
+        self._derive()
 
     @staticmethod
     def key(foreign_key: ForeignKey) -> tuple[str, str, str, str]:
@@ -172,3 +192,12 @@ class JoinIndicatorModel:
             f"p_join={self.join_probability:.3g}, "
             f"size={self.expected_join_size:.1f})"
         )
+
+
+def _normalized_counts(value_counts: Mapping[Any, int]) -> Counter:
+    """Counts per normalized key, as a distribution keeps them: each
+    distinct value is normalized once."""
+    counts: Counter = Counter()
+    for value, count in value_counts.items():
+        counts[normalize_term(value)] += count
+    return counts

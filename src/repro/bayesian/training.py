@@ -44,11 +44,12 @@ class BayesianModelSet:
     ) -> None:
         """Fold appended rows into every affected model in place.
 
-        Relation models of changed tables absorb their table's delta;
-        join models are updated whenever either endpoint's key column
-        gained rows.  Raises :class:`TrainingError` when a changed
-        table has no fitted model or a join model lacks its sufficient
-        statistics.
+        Relation models of changed tables absorb their table's delta
+        first; join models share their key counts with those models'
+        distributions, so they then only update their sums for the keys
+        either endpoint's key column gained.  Raises
+        :class:`TrainingError` when a changed table has no fitted model
+        or a join model lacks its sufficient statistics.
         """
         for table_name, delta in deltas.items():
             model = self.relation_models.get(table_name)
@@ -100,6 +101,9 @@ class BayesianModelSet:
 def train_models(database: Database) -> BayesianModelSet:
     """Train the full Bayesian model set for ``database``.
 
+    Each join model counts no keys of its own: it is handed the
+    ``frequencies`` of its key columns' distributions, which hold the
+    same normalized counts a cold :meth:`JoinIndicatorModel.fit` makes.
     Raises :class:`TrainingError` for an empty database (no tables).
     """
     if not database.table_names:
@@ -109,8 +113,18 @@ def train_models(database: Database) -> BayesianModelSet:
     model_set = BayesianModelSet(database_name=database.name)
     for table in database:
         model_set.relation_models[table.name] = SingleRelationModel.fit(table)
+    relation_models = model_set.relation_models
     for foreign_key in database.foreign_keys:
+        child = relation_models[foreign_key.child_table].distribution(
+            foreign_key.child_column
+        )
+        parent = relation_models[foreign_key.parent_table].distribution(
+            foreign_key.parent_column
+        )
         model_set.join_models[JoinIndicatorModel.key(foreign_key)] = (
-            JoinIndicatorModel.fit(database, foreign_key)
+            JoinIndicatorModel.from_counts(
+                foreign_key, child.frequencies, parent.frequencies,
+                child.row_count, parent.row_count,
+            )
         )
     return model_set

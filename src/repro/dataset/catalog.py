@@ -68,10 +68,15 @@ class MetadataCatalog:
         self._stats: dict[ColumnRef, ColumnStats] = {}
         self._table_rows: dict[str, int] = {}
         # Sufficient statistics for incremental maintenance: per-column
-        # distinct-value sets (non-text columns) and (sum, sum-of-squares)
+        # distinct values (non-text columns) and (sum, sum-of-squares)
         # running moments for numeric columns.  Text columns need neither
-        # — the store's dictionary itself is the distinct set.
-        self._distinct_values: dict[ColumnRef, set] = {}
+        # — the store's dictionary itself is the distinct set.  Distinct
+        # values are the keys of a dict (values None): membership works
+        # as in a set (hash, then identity or equality), but a set keeps
+        # 16-byte slots at most 60% full and grows fourfold below 50k
+        # entries, so the compact dict layout is smaller at most sizes
+        # (0.28 to 1.12 times a set's bytes below 44k entries).
+        self._distinct_values: dict[ColumnRef, dict] = {}
         self._numeric_moments: dict[ColumnRef, tuple[float, float]] = {}
         # Statistics sketches (HyperLogLog / Bloom / equi-depth histogram)
         # per column; see repro.dataset.sketches.  Maintained alongside the
@@ -166,7 +171,7 @@ class MetadataCatalog:
         non_null = [value for value in values if value is not None]
         row_count = len(values)
         null_count = row_count - len(non_null)
-        distinct = set(non_null)
+        distinct = dict.fromkeys(non_null)
         distinct_count = len(distinct)
         self._distinct_values[ref] = distinct
 
@@ -290,7 +295,8 @@ class MetadataCatalog:
         """Update a non-text column's statistics."""
         distinct = self._distinct_values[ref]
         non_null = column_delta.non_null_values
-        distinct.update(non_null)
+        for value in non_null:
+            distinct[value] = None
 
         min_value = old.min_value
         max_value = old.max_value

@@ -51,26 +51,36 @@ def _distinct_values(values: Iterable[Any]) -> list[Any]:
 
 
 class _Linker:
-    """Adds columns to terms' column sets during one build or delta.
+    """Adds columns to terms' column sets, for one index's lifetime.
 
-    Equal column sets are shared between terms: most terms live in one
-    column, and a term met in another column moves to the one interned
+    Equal column sets are one shared object: most terms live in one
+    column, and a term met in another column moves to the interned
     union of its old set and that column, so memory grows with the
-    distinct sets, not with the terms.  The sets are immutable, so
-    sharing them is safe.
+    distinct sets, not with the terms.  Unions are interned by value,
+    so a set reached by adding columns in another order (an append
+    meets columns in its own order) is still the one object.  The
+    index keeps one linker from its build through every
+    :meth:`InvertedIndex.apply_delta`, and pickles it along, so the
+    sets of a delta join the ones already interned.  The sets are
+    immutable, so sharing them is safe.
     """
 
-    __slots__ = ("_unions",)
+    __slots__ = ("_unions", "_sets")
 
     def __init__(self) -> None:
+        # (set, column) → their union, and each distinct set → itself.
         self._unions: dict[tuple, frozenset[ColumnRef]] = {}
+        self._sets: dict[frozenset[ColumnRef], frozenset[ColumnRef]] = {}
 
     def _union(
         self, columns: frozenset[ColumnRef], ref: ColumnRef
     ) -> frozenset[ColumnRef]:
         union = self._unions.get((columns, ref))
         if union is None:
-            union = self._unions[(columns, ref)] = columns | {ref}
+            union = columns | {ref}
+            union = self._unions[(columns, ref)] = self._sets.setdefault(
+                union, union
+            )
         return union
 
     def link(
@@ -101,6 +111,7 @@ class InvertedIndex:
         self._exact: dict[str, frozenset[ColumnRef]] = {}
         self._tokens: dict[str, frozenset[ColumnRef]] = {}
         self._indexed_cells = 0
+        self._linker = _Linker()
 
     # ------------------------------------------------------------------
     # Construction
@@ -114,7 +125,6 @@ class InvertedIndex:
         columns once per distinct array value.
         """
         index = cls()
-        linker = _Linker()
         for table in database:
             for position, column in enumerate(table.columns):
                 ref = ColumnRef(table.name, column.name)
@@ -122,14 +132,12 @@ class InvertedIndex:
                 present = kernel.keys[kernel.valid]
                 index._indexed_cells += len(present)
                 if kernel.kind == "text":
-                    index._add_entries(linker, ref, kernel.dictionary, present)
+                    index._add_entries(ref, kernel.dictionary, present)
                 elif kernel.kind == "array":
-                    index._add_values(
-                        linker, ref, np.unique(present).tolist()
-                    )
+                    index._add_values(ref, np.unique(present).tolist())
                 else:
                     index._add_values(
-                        linker, ref, _distinct_values(present.tolist())
+                        ref, _distinct_values(present.tolist())
                     )
         return index
 
@@ -143,10 +151,10 @@ class InvertedIndex:
         ``deltas`` maps table name → :class:`~repro.storage.TableDelta`
         as produced by :meth:`Database.storage_deltas_since`.  Each
         appended value's column joins its terms' column sets — a set
-        union, so the result equals a from-scratch build over the grown
-        database.
+        union through the index's one linker, so the result equals a
+        from-scratch build over the grown database and equal sets stay
+        one object.
         """
-        linker = _Linker()
         for table_name, delta in deltas.items():
             table = database.table(table_name)
             for column, column_delta in zip(table.columns, delta.columns):
@@ -157,16 +165,15 @@ class InvertedIndex:
                 if column_delta.codes is not None:
                     codes = np.asarray(column_delta.codes, dtype=np.int64)
                     self._add_entries(
-                        linker, ref, column_delta.dictionary, codes[codes >= 0]
+                        ref, column_delta.dictionary, codes[codes >= 0]
                     )
                 else:
                     self._add_values(
-                        linker, ref, _distinct_values(column_delta.values)
+                        ref, _distinct_values(column_delta.values)
                     )
 
     def _add_entries(
-        self, linker: _Linker, ref: ColumnRef, dictionary: Any,
-        codes: np.ndarray,
+        self, ref: ColumnRef, dictionary: Any, codes: np.ndarray
     ) -> None:
         """Index the dictionary entries of a text column that ``codes``
         (non-NULL) reference: each entry's whole value and word tokens."""
@@ -177,14 +184,12 @@ class InvertedIndex:
             key = normalize_term(value)
             keys.append(key)
             tokens.extend(token for token in _tokenize(value) if token != key)
-        linker.link(self._exact, keys, ref)
-        linker.link(self._tokens, tokens, ref)
+        self._linker.link(self._exact, keys, ref)
+        self._linker.link(self._tokens, tokens, ref)
 
-    def _add_values(
-        self, linker: _Linker, ref: ColumnRef, values: Iterable[Any]
-    ) -> None:
+    def _add_values(self, ref: ColumnRef, values: Iterable[Any]) -> None:
         """Index distinct non-text values (only text cells tokenize)."""
-        linker.link(self._exact, map(normalize_term, values), ref)
+        self._linker.link(self._exact, map(normalize_term, values), ref)
 
     # ------------------------------------------------------------------
     # Lookups

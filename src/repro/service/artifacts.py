@@ -68,7 +68,7 @@ __all__ = [
 #: Layout version of persisted bundles, part of every bundle's file name.
 #: Bump it whenever a pickled class changes shape: bundles written under
 #: another number are then never found, and the store rebuilds them.
-ARTIFACT_FORMAT = 5
+ARTIFACT_FORMAT = 6
 
 #: Largest append delta :meth:`ArtifactStore.refresh` folds into a bundle
 #: in place, as a fraction of the bundle's rows.  A larger delta falls

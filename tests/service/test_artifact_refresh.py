@@ -149,7 +149,9 @@ def _assert_models_equal(refreshed, cold):
     for key, want in cold.join_models.items():
         got = refreshed.join_models[key]
         for field in ("join_probability", "expected_join_size",
-                      "child_match_fraction", "parent_match_fraction"):
+                      "child_match_fraction", "parent_match_fraction",
+                      "_join_size", "_matched_child_rows",
+                      "_matched_parent_rows"):
             assert getattr(got, field) == getattr(want, field), (key, field)
 
 
