@@ -1,8 +1,8 @@
 """NumPy semijoin kernels on the exists hot path.
 
 The e3/e4 experiments are dominated by existence probes: filter
-validation issues thousands of ``exists``/``exists_batch`` calls whose
-cost is pushdown scans plus the semijoin sweep that decides each probe
+validation issues thousands of ``exists`` calls whose cost is pushdown
+scans plus the semijoin sweep that decides each probe
 (:mod:`repro.query.kernels`).  This harness measures exactly that regime
 — a deterministic probe workload (single probes and batches, true and
 false outcomes, joins that fail *in the join* rather than in pushdown)

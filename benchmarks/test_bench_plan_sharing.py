@@ -1,54 +1,53 @@
-"""Plan sharing — batched vs per-candidate validation (ISSUE 5).
+"""Plan and scan sharing inside one discovery round.
 
-The planner keys physical plans by canonical join-structure hash and the
-validation driver batches filters sharing one join prefix into single
-executor passes, scanning each (table, column, constraint) once per
-round; with batching off, every probe scans for itself.  This harness
-measures these effects on an e3-style
-filter-validation workload (ground-truth cases from a WorkloadGenerator,
-MIXED resolution, the default bayesian scheduler) over a synthetic
-database large enough that validation dominates the round — the regime
-the paper's e3 experiment is about.  The report test runs the identical
-workload with batching on and off: one untimed warm-up pair, then timed
-pairs in alternating order, so drift between runs hits both modes
-alike.  It asserts
+Validation decides one filter at a time, and each decision is one
+existence probe, but the probes of a round share two things: the
+executor lowers one physical plan per join structure (cached under
+:func:`~repro.query.plan.join_prefix_key`, whatever a probe projects),
+and ``discover()`` runs inside :meth:`~repro.query.executor.Executor.round`,
+which scans each (table, column, constraint) once.  This harness counts
+both on an e3-style filter-validation workload (ground-truth cases from
+a WorkloadGenerator, MIXED resolution, the default bayesian scheduler)
+over a synthetic database large enough that validation dominates the
+round — the regime the paper's e3 experiment is about.  The report test
+asserts, with deterministic counters only,
 
-* discovery results and validation counts are bit-for-bit identical
-  across modes,
-* the batched mode performs **>= 2x fewer join builds** (probe-step
-  resolutions) than per-candidate execution, and
-* the batched mode wins on wall clock: the median per-pair ratio of
-  per-candidate to batched seconds is above 1,
+* one plan per join structure: ``Planner.join_order`` runs once per
+  structure across the workload, ``plan_cache_builds`` counts exactly
+  those structures and every later lookup is a ``plan_cache_hits``, and
+* one ``Table.select_rows`` per (table, column, constraint) inside each
+  ``discover()``,
 
-and writes the comparison to ``REPORT_DIR/plan_sharing.txt``.
+and writes the counts, with each round's wall clock (recorded, not
+asserted), to ``REPORT_DIR/plan_sharing.txt``.
 
-A tiny ``smoke`` benchmark (one batched pass over a four-probe batch on
-a hand-built database) runs in CI so planner/batching regressions fail
-fast without the full workload.
+A tiny ``smoke`` benchmark (eight probes over one structure on a
+hand-built database) runs in CI so a plan or scan that stops being
+shared fails fast without the full workload.
 """
 
 from __future__ import annotations
 
-import statistics
 import time
+from collections import Counter
 
 import pytest
 
 from benchmarks.conftest import write_report
 from repro.constraints.values import Predicate
-from repro.dataset import Column, Database, DataType
+from repro.dataset import Column, Database, DataType, Table
 from repro.dataset.schema import ColumnRef, ForeignKey
 from repro.datasets.synthetic import generate_synthetic_database
 from repro.discovery import GenerationLimits, Prism
 from repro.evaluation.reporting import format_table
-from repro.query.executor import BatchProbe, Executor
+from repro.query.executor import Executor
 from repro.query.pj_query import ProjectJoinQuery
+from repro.query.plan import join_prefix_key
+from repro.query.planner import Planner
 from repro.workloads.degrade import ResolutionLevel, spec_for_level
 from repro.workloads.generator import WorkloadGenerator
 
 _LEVEL = ResolutionLevel.MIXED
-_MODES = ("per_candidate", "batched")
-_TIMED_PAIRS = 3
 _LIMITS = GenerationLimits(
     max_candidates=200, max_assignments=400, max_trees_per_assignment=6
 )
@@ -64,7 +63,7 @@ def sharing_db():
 
 @pytest.fixture(scope="module")
 def base_engine(sharing_db):
-    """One preprocessing pass shared by every per-round engine."""
+    """One preprocessing pass shared by the workload's engine."""
     return Prism(sharing_db, limits=_LIMITS)
 
 
@@ -76,118 +75,94 @@ def sharing_cases(sharing_db):
     ]
 
 
-def _fresh_engine(base: Prism, batched: bool) -> Prism:
-    """A cold-cache engine over the shared artifacts (cheap to build)."""
-    return Prism(
-        base.database,
+def _count_scans(monkeypatch) -> Counter:
+    """``Table.select_rows`` calls per (table, column, constraint)."""
+    scans: Counter = Counter()
+    select_rows = Table.select_rows
+
+    def counting(table, name, constraint):
+        scans[table.name, name, constraint] += 1
+        return select_rows(table, name, constraint)
+
+    monkeypatch.setattr(Table, "select_rows", counting)
+    return scans
+
+
+def _count_orders(monkeypatch) -> Counter:
+    """``Planner.join_order`` calls per join structure."""
+    orders: Counter = Counter()
+    join_order = Planner.join_order
+
+    def counting(planner, query):
+        orders[join_prefix_key(query)] += 1
+        return join_order(planner, query)
+
+    monkeypatch.setattr(Planner, "join_order", counting)
+    return orders
+
+
+def test_plan_sharing_report(benchmark, base_engine, sharing_cases, monkeypatch):
+    """Count each round's plans and scans, and assert they are shared."""
+    scans = _count_scans(monkeypatch)
+    orders = _count_orders(monkeypatch)
+    # A cold-cache engine over the shared artifacts (cheap to build).
+    engine = Prism(
+        base_engine.database,
         limits=_LIMITS,
-        batch_validation=batched,
         train_bayesian=False,
-        index=base.index,
-        catalog=base.catalog,
-        schema_graph=base.schema_graph,
-        models=base.models,
+        index=base_engine.index,
+        catalog=base_engine.catalog,
+        schema_graph=base_engine.schema_graph,
+        models=base_engine.models,
     )
-
-
-def _run_workload(base: Prism, cases, batched: bool):
-    engine = _fresh_engine(base, batched)
-    results = []
-    for case in cases:
+    rows = []
+    for index, case in enumerate(sharing_cases):
         spec = spec_for_level(
-            case, _LEVEL, base.database, catalog=base.catalog, seed=0
+            case, _LEVEL, base_engine.database, catalog=base_engine.catalog, seed=0
         )
-        results.append(engine.discover(spec, scheduler="bayesian"))
-    return results
-
-
-def _totals(results) -> dict:
-    return {
-        "joins_performed": sum(r.stats.joins_performed for r in results),
-        "validations": sum(r.stats.validations for r in results),
-        "validation_batches": sum(
-            r.stats.validation_batches for r in results
-        ),
-        "batched_outcomes": sum(r.stats.batched_outcomes for r in results),
-        "queries": [r.sql() for r in results],
-    }
-
-
-def test_plan_sharing_report(benchmark, base_engine, sharing_cases):
-    """Time both modes in alternating pairs and assert the wins."""
-    # The untimed warm-up pair also yields the deterministic counters.
-    totals = {
-        mode: _totals(
-            _run_workload(base_engine, sharing_cases, mode == "batched")
-        )
-        for mode in _MODES
-    }
-    seconds: dict[str, list[float]] = {mode: [] for mode in _MODES}
-    ratios = []
-    for pair in range(_TIMED_PAIRS):
-        for mode in _MODES if pair % 2 == 0 else reversed(_MODES):
-            started = time.perf_counter()
-            _run_workload(base_engine, sharing_cases, mode == "batched")
-            seconds[mode].append(time.perf_counter() - started)
-        ratios.append(seconds["per_candidate"][-1] / seconds["batched"][-1])
+        scans.clear()
+        started = time.perf_counter()
+        stats = engine.discover(spec, scheduler="bayesian").stats
+        seconds = time.perf_counter() - started
+        # One scan per (table, column, constraint) inside the round.
+        assert scans and max(scans.values()) == 1, scans.most_common(1)
+        rows.append({
+            "case": index,
+            "seconds": round(seconds, 4),
+            "validations": stats.validations,
+            "probes": stats.exists_cache_misses,
+            "select_rows": sum(scans.values()),
+            "plan_builds": stats.plan_cache_builds,
+            "plan_hits": stats.plan_cache_hits,
+            "joins_performed": stats.joins_performed,
+        })
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
-    per_candidate = totals["per_candidate"]
-    batched = totals["batched"]
-
-    # Identical discovery output, identical validation accounting.
-    assert batched["queries"] == per_candidate["queries"]
-    assert batched["validations"] == per_candidate["validations"]
-
-    join_ratio = per_candidate["joins_performed"] / max(
-        batched["joins_performed"], 1
+    # One plan per join structure, across the whole workload.
+    assert orders and max(orders.values()) == 1, orders.most_common(1)
+    builds = sum(row["plan_builds"] for row in rows)
+    hits = sum(row["plan_hits"] for row in rows)
+    assert builds == len(orders) == len(engine.executor.cache.plans)
+    assert hits > builds
+    # Probes share scans: far fewer scans than probes.
+    assert sum(row["select_rows"] for row in rows) < sum(
+        row["probes"] for row in rows
     )
-    speedup = statistics.median(ratios)
 
-    table_rows = [
-        {
-            "mode": mode,
-            "median_seconds": round(statistics.median(seconds[mode]), 4),
-            "joins_performed": totals[mode]["joins_performed"],
-            "validations": totals[mode]["validations"],
-            "validation_batches": totals[mode]["validation_batches"],
-            "batched_outcomes": totals[mode]["batched_outcomes"],
-        }
-        for mode in _MODES
-    ]
+    columns = ["case", "seconds", "validations", "probes", "select_rows",
+               "plan_builds", "plan_hits", "joins_performed"]
     table = format_table(
-        table_rows,
-        columns=["mode", "median_seconds", "joins_performed",
-                 "validations", "validation_batches", "batched_outcomes"],
-        title="Plan sharing: batched vs per-candidate validation "
+        rows,
+        columns=columns,
+        title="Plan and scan sharing per discover() "
               f"(e3-style workload, level={_LEVEL.value}, "
-              "6x2500-row synthetic db)",
+              "6x2500-row synthetic db, one engine)",
     )
-    summary_table = format_table(
-        [{
-            "join_build_reduction": f"{join_ratio:.1f}x",
-            "wall_clock_speedup": f"{speedup:.2f}x",
-            "pair_ratios": " ".join(f"{ratio:.2f}" for ratio in ratios),
-            "identical_results": True,
-        }],
-        columns=["join_build_reduction", "wall_clock_speedup",
-                 "pair_ratios", "identical_results"],
-        title="Plan-sharing summary (target: >=2x fewer join builds, "
-              "wall-clock win)",
-    )
-    write_report("plan_sharing", table + "\n\n" + summary_table)
-
-    assert join_ratio >= 2.0, (
-        f"batched validation only reduced join builds by {join_ratio:.2f}x"
-    )
-    assert speedup > 1.0, (
-        f"batched validation was not a wall-clock win (median pair ratio "
-        f"{speedup:.2f}x)"
-    )
+    write_report("plan_sharing", table)
 
 
 # ----------------------------------------------------------------------
-# CI smoke: one tiny batched pass, no workload, sub-second.
+# CI smoke: eight probes over one structure, no workload, sub-second.
 # ----------------------------------------------------------------------
 def _smoke_database() -> Database:
     database = Database("plansmoke")
@@ -203,26 +178,27 @@ def _smoke_database() -> Database:
     return database
 
 
-def test_plan_sharing_smoke(benchmark):
-    """One batched four-probe pass; asserts sharing vs per-probe exists."""
+def test_plan_sharing_smoke(benchmark, monkeypatch):
+    """Eight probes in one round, over one structure with two different
+    projections: one plan, one scan per distinct constraint."""
     database = _smoke_database()
-    query = ProjectJoinQuery(
-        (ColumnRef("L", "v"), ColumnRef("R", "w")),
-        (ForeignKey("L", "k", "R", "k"),),
-    )
-    probes = [
-        BatchProbe(query, {0: Predicate(">", b)})
-        for b in (10, 100, 200, 399)
-    ]
+    edge = ForeignKey("L", "k", "R", "k")
+    forward = ProjectJoinQuery((ColumnRef("L", "v"), ColumnRef("R", "w")), (edge,))
+    backward = ProjectJoinQuery((ColumnRef("R", "w"), ColumnRef("L", "v")), (edge,))
+    constraints = [Predicate(">", b) for b in (10, 100, 200, 399)]
+    scans = _count_scans(monkeypatch)
 
-    def run() -> int:
+    def run():
+        scans.clear()
         executor = Executor(database)
-        outcomes = executor.exists_batch(probes)
-        assert outcomes == [True, True, True, False]
-        return executor.stats.joins_performed
+        with executor.round():
+            outcomes = [executor.exists(forward, {0: c}) for c in constraints]
+            outcomes += [executor.exists(backward, {1: c}) for c in constraints]
+        return outcomes, executor.stats
 
-    batched_joins = benchmark(run)
-    per_probe = Executor(database)
-    for p in probes:
-        per_probe.exists(p.query, cell_predicates=p.cell_predicates)
-    assert per_probe.stats.joins_performed >= 2 * batched_joins
+    outcomes, stats = benchmark(run)
+    assert outcomes == [True, True, True, False] * 2
+    # "> 399" selects no row, so its two probes never plan.
+    assert (stats.plan_cache_builds, stats.plan_cache_hits) == (1, 5)
+    assert stats.joins_performed == 6
+    assert scans == {("L", "v", c): 1 for c in constraints}

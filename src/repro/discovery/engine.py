@@ -9,7 +9,6 @@ paper's interactive time limit (60 seconds per round by default, §2.2).
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import replace
 from typing import Optional
 
@@ -69,7 +68,6 @@ class Prism:
         time_limit: float = DEFAULT_TIME_LIMIT_SECONDS,
         limits: Optional[GenerationLimits] = None,
         train_bayesian: bool = True,
-        batch_validation: bool = True,
         *,
         use_sketches: bool = True,
         index: Optional[InvertedIndex] = None,
@@ -98,17 +96,6 @@ class Prism:
             train_bayesian: train the Bayesian models eagerly (required for
                 the ``bayesian`` scheduler; ignored when ``models`` is
                 injected).
-            batch_validation: share validation work across probes:
-                validate filters sharing one join structure in batched
-                executor passes (see
-                :meth:`~repro.query.executor.Executor.exists_batch`), and
-                scan each (table, column, constraint) once per
-                ``discover()`` call (see
-                :meth:`~repro.query.executor.Executor.round`).  Discovery
-                results and validation counts are identical either way;
-                disabling it decides every probe on its own, the
-                per-candidate baseline that benchmarks and differential
-                tests compare against.
             use_sketches: consult the catalog's statistics sketches
                 (HyperLogLog join estimates, Bloom probe pre-filtering,
                 histogram selectivity, sketch-informed scheduling cost).
@@ -143,7 +130,6 @@ class Prism:
             cache=cache,
         )
         self.limits = limits or GenerationLimits()
-        self.batch_validation = batch_validation
         self.models: Optional[BayesianModelSet] = None
         self._estimator: Optional[SelectivityEstimator] = None
         if models is not None:
@@ -278,12 +264,13 @@ class Prism:
             policy,
             estimator=self._estimator,
             deadline=deadline,
-            batch=self.batch_validation,
             max_validations=validation_budget,
             planner=self.executor.planner if self.use_sketches else None,
         )
         executor_before = replace(self.executor.stats)
-        with self.executor.round() if self.batch_validation else nullcontext():
+        # One round: each (table, column, constraint) is scanned once
+        # across the run's probes.
+        with self.executor.round():
             scheduling = driver.run()
         executor_after = self.executor.stats
         stats.validation_seconds = time.monotonic() - stage_start
@@ -312,8 +299,6 @@ class Prism:
             executor_after.sketch_estimates_used
             - executor_before.sketch_estimates_used
         )
-        stats.validation_batches = validator.stats.batches
-        stats.batched_outcomes = validator.stats.batched_outcomes
 
         confirmed_ids = set(scheduling.confirmed_candidate_ids)
         confirmed = [

@@ -23,10 +23,13 @@ class DiscoveryStats:
 
     ``exists_cache_hits`` counts the validations the validator's outcome
     cache answered without executing, and ``exists_cache_misses`` the
-    probes executed because it lacked them (batch-mates and the optimal
-    policy's peeks included).  The cache is keyed by probe content and
-    kept by the engine's executor for one artifact key, so a repeated
-    ``discover()`` on one engine executes nothing it already decided.
+    probes executed because it lacked them (the optimal policy's peeks
+    included).  Only the filters the scheduler chooses are executed, so
+    under every other policy a run on a fresh engine has
+    ``exists_cache_hits + exists_cache_misses == validations``.  The
+    cache is keyed by probe content and kept by the engine's executor
+    for one artifact key, so a repeated ``discover()`` on one engine
+    executes nothing it already decided.
 
     No counter depends on how warm the engine's artifact bundle is.
     ``plan_cache_builds`` counts the engine's first plan of each join
@@ -37,9 +40,11 @@ class DiscoveryStats:
     same counters on a cold and a warm bundle, and on every shard.
 
     ``join_index_hits`` and ``join_index_builds`` are always 0: the
-    executor no longer builds join indexes.  They stay because the v1
-    wire format checks its stats fields strictly and the end-to-end
-    benchmark runner still reads them.
+    executor no longer builds join indexes.  ``validation_batches`` and
+    ``batched_outcomes`` are always 0 too: each filter is validated on
+    its own.  All four stay because the v1 wire format checks its stats
+    fields strictly and the end-to-end benchmark runner still reads
+    them.
     """
 
     scheduler_name: str = "bayesian"

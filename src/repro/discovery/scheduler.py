@@ -34,8 +34,8 @@ failure probabilities are built from factors memoized for the run
 (:class:`~repro.bayesian.estimator.EstimateMemo`): each cell's match
 probability once per (sample, position, projected column), and each
 sub-query's expected result size once per tables and joins in order.
-Batch-mates are grouped by the join prefix key each filter's sub-query
-was built with (:func:`~repro.discovery.filters.build_filters`).
+The driver validates only the filter the policy chose; its implied
+outcomes are free, so no other filter is executed on its behalf.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from repro.constraints.values import ValueConstraint
 from repro.discovery.filters import Filter, FilterSet
 from repro.discovery.validation import FilterValidator
 from repro.errors import DiscoveryError, QueryError, SchemaError
-from repro.query.plan import join_prefix_key
 from repro.query.planner import Planner
 
 __all__ = [
@@ -67,10 +66,6 @@ __all__ = [
     "make_policy",
     "POLICY_NAMES",
 ]
-
-#: Bound on how many filters one batched validation pass may decide.
-BATCH_SIZE = 32
-
 
 @dataclass
 class SchedulingResult:
@@ -409,20 +404,6 @@ class ValidationDriver:
     Impact, pending filters and undecided candidates are counts updated
     along the way, so a decision costs the outcomes it settles plus
     heap work, not a pass over every filter and candidate.
-
-    When ``batch`` is enabled (the default), each time the policy picks a
-    filter with at least one join, every other pending filter sharing the
-    chosen filter's join structure (its *join prefix*,
-    :func:`~repro.query.plan.join_prefix_key`, set on each filter's
-    sub-query when it was built) is handed to the validator as a
-    batch-mate: one streamed pass over the shared join decides all of
-    them (:meth:`FilterValidator.validate_batch`), and batch-mates the
-    policy picks later resolve from the validator cache.  Filters are
-    grouped by that key rather than by :attr:`Filter.shape`: two foreign
-    keys naming one edge in opposite directions share a key, not a
-    shape.  Scheduling order, validation counts and discovery results
-    are bit-for-bit identical to the unbatched path — only the executor
-    work is shared.
     """
 
     def __init__(
@@ -432,7 +413,6 @@ class ValidationDriver:
         policy: SchedulingPolicy,
         estimator: Optional[SelectivityEstimator] = None,
         deadline: Optional[float] = None,
-        batch: bool = True,
         max_validations: Optional[int] = None,
         planner: Optional[Planner] = None,
     ):
@@ -441,7 +421,6 @@ class ValidationDriver:
         self._policy = policy
         self._estimator = estimator
         self._deadline = deadline
-        self._batch = batch
         # Deterministic alternative to the wall-clock deadline: stop after
         # this many scheduling decisions (reported as timed_out).
         self._max_validations = max_validations
@@ -459,14 +438,6 @@ class ValidationDriver:
         context = _DriverContext(
             filter_set, spec, self._estimator, self._validator, self._planner
         )
-        # Filters sharing one join structure, grouped once up front —
-        # the candidates for each batched validation pass.
-        prefix_groups: dict[tuple, list[Filter]] = {}
-        if self._batch:
-            for filter_ in filter_set.filters:
-                prefix_groups.setdefault(join_prefix_key(filter_.query), []).append(
-                    filter_
-                )
 
         if not spec.samples:
             # Metadata-only specs have nothing to validate: every candidate
@@ -488,30 +459,7 @@ class ValidationDriver:
             if not context.num_pending:
                 break
             chosen = self._policy.select(context)
-            if self._batch and chosen.join_size >= 1:
-                # Batch-mates: still-pending filters over the chosen
-                # filter's join structure, except its containment
-                # relatives — if the chosen filter fails its ancestors
-                # fail for free, and if it passes its descendants pass
-                # for free, so computing those eagerly would waste the
-                # very outcomes implication is about to hand us.
-                related = filter_set.ancestors(chosen.id) | filter_set.descendants(
-                    chosen.id
-                )
-                peers = [
-                    filter_
-                    for filter_ in prefix_groups.get(
-                        join_prefix_key(chosen.query), ()
-                    )
-                    if filter_.id != chosen.id
-                    and filter_.id not in related
-                    and context.is_pending(filter_.id)
-                ]
-                outcome = self._validator.validate_batch(
-                    chosen, peers[: BATCH_SIZE - 1]
-                )
-            else:
-                outcome = self._validator.validate(chosen)
+            outcome = self._validator.validate(chosen)
             context.settle(chosen.id, outcome)
             # Count scheduling decisions, not executor work: the oracle's
             # free peeks and validator cache hits must not distort the

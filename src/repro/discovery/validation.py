@@ -13,30 +13,23 @@ executor until the database's artifact key moves.  A sub-query computes
 its signature once, and a constraint its hash once, however many probes
 key on them.
 
-Validation can be **batched across candidates**: filters whose sub-queries
-share one join structure (same tables, same edges —
-:func:`~repro.query.plan.join_prefix_key`, which every filter's
-sub-query carries from :func:`~repro.discovery.filters.build_filters`)
-are decided together by
-:meth:`~repro.query.executor.Executor.exists_batch`, which plans the
-shared structure once and shares pushdown scans, Bloom checks and edge
-kernels across the filters' probes.  Outcomes are bit-for-bit identical
-to the per-candidate path; only the join work is shared.  The scheduling layer
-(:class:`~repro.discovery.scheduler.ValidationDriver`) still chooses and
-counts filters one at a time, so validation counts are unaffected —
-batch-mates decided early simply become cache hits when the policy later
-picks them.
+Each filter is validated on its own, when the scheduling layer
+(:class:`~repro.discovery.scheduler.ValidationDriver`) chooses it, so
+the executor runs exactly the probes the policy asks for.  Inside one
+``discover()`` call the probes still share work: the call runs in
+:meth:`~repro.query.executor.Executor.round`, which scans each (table,
+column, constraint) once, and probes over one join structure share its
+cached plan, Bloom masks and edge kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.constraints.spec import MappingSpec
+from repro.constraints.values import ValueConstraint
 from repro.discovery.filters import Filter
-from repro.query.executor import BatchProbe, Executor
-from repro.query.plan import join_prefix_key
+from repro.query.executor import Executor
 
 __all__ = ["FilterValidator", "ValidationStats"]
 
@@ -53,14 +46,10 @@ class ValidationStats:
     #: Validations the outcome cache answered without executing.
     cache_hits: int = 0
     #: Probes executed because the cache lacked their outcome:
-    #: validations, batch-mates and peeks alike.
+    #: validations and peeks alike.
     cache_misses: int = 0
     passed: int = 0
     failed: int = 0
-    #: Batched executor passes issued (each decided >= 2 filters at once).
-    batches: int = 0
-    #: Outcomes computed for batch-mates beyond the requested filter.
-    batched_outcomes: int = 0
 
     def record(self, outcome: bool) -> None:
         """Record one (uncached) validation outcome."""
@@ -82,66 +71,27 @@ class FilterValidator:
 
     def validate(self, filter_: Filter) -> bool:
         """Validate ``filter_`` (counted; cached)."""
-        return self._validate(filter_, ())
-
-    def validate_batch(
-        self, filter_: Filter, peers: Sequence[Filter] = ()
-    ) -> bool:
-        """Validate ``filter_``, deciding same-structure peers on the side.
-
-        ``peers`` are other filters the caller expects to need soon
-        (typically every pending filter sharing ``filter_``'s join
-        prefix).  Peers whose sub-query does not actually share the join
-        structure, or whose outcome is already cached, are skipped.  All
-        computed outcomes — the requested filter's and every batched
-        peer's — land in the outcome cache, so a later :meth:`validate`
-        of a peer is a cache hit.
-
-        Only the requested filter is recorded in
-        :attr:`ValidationStats.validations`; peers are counted under
-        :attr:`ValidationStats.batched_outcomes`.
-        """
-        return self._validate(filter_, peers)
-
-    def peek(self, filter_: Filter) -> bool:
-        """Validate without counting (used by the optimal oracle)."""
-        key, __ = self._probe(filter_)
-        outcomes = self._executor.outcomes
-        if key not in outcomes:
-            self._store(outcomes, key, self._execute(filter_))
-        return outcomes[key]
-
-    def _validate(self, filter_: Filter, peers: Sequence[Filter]) -> bool:
-        key, probe = self._probe(filter_)
+        key, constraints = self._probe(filter_)
         outcomes = self._executor.outcomes
         if key in outcomes:
             self.stats.cache_hits += 1
             return outcomes[key]
-        prefix = join_prefix_key(filter_.query)
-        batch = {key: probe}
-        for peer in peers:
-            peer_key, peer_probe = self._probe(peer)
-            if (
-                peer_key not in batch
-                and peer_key not in outcomes
-                and join_prefix_key(peer.query) == prefix
-            ):
-                batch[peer_key] = peer_probe
-        if len(batch) == 1:
-            decided = [self._execute(filter_)]
-        else:
-            # Constraints hash and compare by content, so the executor
-            # scans each column once per distinct constraint across the
-            # batch.
-            decided = self._executor.exists_batch(list(batch.values()))
-            self.stats.batches += 1
-            self.stats.batched_outcomes += len(batch) - 1
-        for member_key, outcome in zip(batch, decided):
-            self._store(outcomes, member_key, outcome)
-        self.stats.record(decided[0])
-        return decided[0]
+        outcome = self._execute(filter_, constraints)
+        self._store(outcomes, key, outcome)
+        self.stats.record(outcome)
+        return outcome
 
-    def _probe(self, filter_: Filter) -> tuple[tuple, BatchProbe]:
+    def peek(self, filter_: Filter) -> bool:
+        """Validate without counting (used by the optimal oracle)."""
+        key, constraints = self._probe(filter_)
+        outcomes = self._executor.outcomes
+        if key not in outcomes:
+            self._store(outcomes, key, self._execute(filter_, constraints))
+        return outcomes[key]
+
+    def _probe(
+        self, filter_: Filter
+    ) -> tuple[tuple, dict[int, ValueConstraint]]:
         """The executor probe deciding ``filter_`` — the sample's cell
         constraints, keyed by projection position — and its cache key:
         the probe's content, whichever sample it came from."""
@@ -152,7 +102,7 @@ class FilterValidator:
             if (constraint := sample.cell(position)) is not None
         }
         key = (filter_.query.signature(), tuple(constraints.items()))
-        return key, BatchProbe(filter_.query, constraints)
+        return key, constraints
 
     def _store(self, outcomes: dict, key: tuple, outcome: bool) -> None:
         """Cache one executed outcome, evicting the oldest beyond the
@@ -162,9 +112,10 @@ class FilterValidator:
         outcomes[key] = outcome
         self.stats.cache_misses += 1
 
-    def _execute(self, filter_: Filter) -> bool:
-        __, probe = self._probe(filter_)
-        return self._executor.exists(probe.query, probe.cell_predicates)
+    def _execute(
+        self, filter_: Filter, constraints: dict[int, ValueConstraint]
+    ) -> bool:
+        return self._executor.exists(filter_.query, constraints)
 
     @property
     def validations_performed(self) -> int:

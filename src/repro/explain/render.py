@@ -147,7 +147,8 @@ def structure_key(node: PlanNode) -> Optional[tuple]:
 
     ``Scan`` and ``Filter``-over-scan nodes key on their table; ``Join``
     subtrees key on their edge set over their table set (the same
-    identity batched validation groups by).  ``Project`` nodes return
+    identity the executor caches physical plans under).  ``Project``
+    nodes return
     ``None`` — they are never shared.
     """
     if isinstance(node, PlanScan):
@@ -168,12 +169,11 @@ def shared_structure_counts(plans: Iterable[PlanNode]) -> dict[tuple, int]:
 
     Feed every candidate's plan tree in.  A count above one means
     the sub-structure occurs in several candidates' plans.  Physical
-    plans are cached — and validation batched — at *whole-query*
-    join-structure granularity, so for a candidate's top-level join
-    node the count is exactly the number of candidates sharing its
-    cached plan and batch passes; for strict sub-structures it reports
-    structural overlap only (the seam a future sub-plan memo would
-    exploit).
+    plans are cached at *whole-query* join-structure granularity, so
+    for a candidate's top-level join node the count is exactly the
+    number of candidates sharing its cached plan; for strict
+    sub-structures it reports structural overlap only (the seam a
+    future sub-plan memo would exploit).
     """
     counts: dict[tuple, int] = {}
     for plan in plans:
@@ -206,9 +206,8 @@ def plan_to_ascii(
         shared: counts from :func:`shared_structure_counts`; nodes whose
             join structure occurs in more than one candidate are
             annotated ``structure in K candidates`` (for the plan's
-            top-level join this is exactly the plan-cache / batched-
-            validation sharing; for sub-structures it is structural
-            overlap).
+            top-level join this is exactly the plan-cache sharing; for
+            sub-structures it is structural overlap).
     """
     lines: list[str] = []
 

@@ -19,13 +19,14 @@ execution model is column- and array-oriented:
   and every filter of every candidate — joining the same tables over
   the same edges reuses one physical plan regardless of what it
   projects;
-* **one existence-probe path** — :meth:`Executor.exists` (a batch of
-  one) and :meth:`Executor.exists_batch` decide every probe with the
-  vectorized bottom-up semijoin sweep of :mod:`repro.query.kernels`
-  over the storage's column array snapshots, whatever the table sizes
-  or key types.  A batch shares its plan, its Bloom checks and its edge
-  kernels across probes, and its pushdown scans (keyed by table, column
-  and constraint) with every call of the same :meth:`Executor.round`;
+* **one existence-probe path** — :meth:`Executor.exists` decides every
+  probe with the vectorized bottom-up semijoin sweep of
+  :mod:`repro.query.kernels` over the storage's column array
+  snapshots, whatever the table sizes or key types
+  (:meth:`Executor.exists_batch` is a loop over it).  Probes share the
+  cached plans, Bloom masks and edge kernels of their join structure,
+  and their pushdown scans (keyed by table, column and constraint) with
+  every call of the same :meth:`Executor.round`;
 * **one cache generation per artifact key** — everything derived from
   one :meth:`~repro.dataset.database.Database.artifact_key` (lowered
   plans, edge kernels, Bloom membership masks and the planner's memos)
@@ -108,6 +109,8 @@ class ExecutionStats:
 
     #: Rows of every table each pushdown visited, scan shared or not.
     rows_scanned: int = 0
+    #: Join steps of every semijoin sweep: one per step of each probe
+    #: that reaches its sweep, and of each ``execute``.
     joins_performed: int = 0
     #: Plan lookups for a join structure this executor had planned
     #: before under the current artifact key ...
@@ -158,18 +161,8 @@ class ExecutorCache(PlannerMemos):
 
 @dataclass(frozen=True)
 class BatchProbe:
-    """One existence probe inside an :meth:`Executor.exists_batch` call.
-
-    All probes of a batch must share one join structure (same tables,
-    same edges — :func:`~repro.query.plan.join_prefix_key`); projections
-    and constraints are free to differ.  ``cell_predicates`` maps
-    projection positions to
-    :class:`~repro.constraints.values.ValueConstraint` objects, which
-    hash and compare by content: probes of one batch constraining a
-    column with equal constraints share a single pushdown scan of that
-    column — the common case when filters derived from the same sample
-    constraint are batched across candidates.
-    """
+    """One existence probe of an :meth:`Executor.exists_batch` call: the
+    arguments of one :meth:`Executor.exists` call."""
 
     query: ProjectJoinQuery
     cell_predicates: Optional[Mapping[int, ValueConstraint]] = None
@@ -323,40 +316,35 @@ class Executor:
     ) -> bool:
         """Whether at least one result row satisfies all cell constraints.
 
-        Decided as a batch of one (see :meth:`exists_batch`).
+        The constraints are pushed down as row masks (each (table,
+        column, constraint) scanned once per :meth:`round` inside one),
+        join-key Bloom filters prune the masks, and a probe with rows
+        left on every table is decided by one semijoin sweep over the
+        plan's edge kernels.
 
         Args:
             query: the PJ query to probe.
             cell_predicates: optional per-projection-position constraints.
         """
         self._generation()
-        (outcome,) = self._decide((BatchProbe(query, cell_predicates),))
-        return outcome
+        selections = self._pushdown(
+            query, self._checks(query, cell_predicates), self._scans
+        )
+        if selections is None:
+            return False
+        plan = self._plan(query)
+        selections = self._bloom_prune(selections, plan)
+        if selections is None:
+            return False
+        edges = [self._edge_kernel(step) for step in plan.steps]
+        self.stats.joins_performed += len(plan.steps)
+        return bool(_kernels.semijoin_exists(
+            plan.start_table, plan.steps, edges, selections
+        ))
 
     def exists_batch(self, probes: Sequence[BatchProbe]) -> list[bool]:
-        """Decide many existence probes over one shared join structure.
-
-        Outcomes equal per-probe :meth:`exists` calls bit for bit.  The
-        batch plans once, scans each (table, column, constraint) once
-        (once per :meth:`round` inside one), caches Bloom checks across
-        probes whose constraints select the same rows, and counts its
-        join steps (``joins_performed``) once instead of once per probe;
-        every probe whose selections survive pushdown and Bloom pruning
-        is then decided by its own semijoin sweep.
-
-        Raises:
-            QueryError: the probes do not share one join structure.
-        """
-        self._generation()
-        if not probes:
-            return []
-        structure = join_prefix_key(probes[0].query)
-        for probe in probes[1:]:
-            if join_prefix_key(probe.query) != structure:
-                raise QueryError(
-                    "exists_batch requires probes sharing one join structure"
-                )
-        return self._decide(probes)
+        """One :meth:`exists` call per probe, in order."""
+        return [self.exists(p.query, p.cell_predicates) for p in probes]
 
     def logical_plan(
         self,
@@ -376,47 +364,8 @@ class Executor:
         return self.planner.plan_query(query, tuple(predicates))
 
     # ------------------------------------------------------------------
-    # Existence probes: the semijoin sweep
+    # Column and edge kernels
     # ------------------------------------------------------------------
-    def _decide(self, probes: Sequence[BatchProbe]) -> list[bool]:
-        """Decide probes sharing one join structure.
-
-        Every probe pushes its constraints down, sharing each (table,
-        column, constraint) scan with the call's other probes (and with
-        the round's other calls, inside a :meth:`round`), and the first
-        probe to survive pushdown plans the shared structure.  Join-key
-        Bloom filters then prune each probe's selections; a probe with
-        rows left on every table is decided by one semijoin sweep over
-        the plan's edge kernels.
-        """
-        outcomes: list[bool] = []
-        plan: Optional[_JoinPlan] = None
-        edges: Optional[list] = None
-        scans = self._scans if self._scans is not None else {}
-        bloom_keep: dict[tuple, tuple[np.ndarray, int]] = {}
-        swept = False
-        for probe in probes:
-            outcome = False
-            checks = self._checks(probe.query, probe.cell_predicates)
-            selections = self._pushdown(probe.query, checks, scans)
-            if selections is not None:
-                if plan is None:
-                    plan = self._plan(probe.query)
-                selections = self._bloom_prune(
-                    selections, checks, plan, bloom_keep
-                )
-            if selections is not None:
-                if edges is None:
-                    edges = [self._edge_kernel(step) for step in plan.steps]
-                outcome = _kernels.semijoin_exists(
-                    plan.start_table, plan.steps, edges, selections
-                )
-                swept = True
-            outcomes.append(bool(outcome))
-        if swept:
-            self.stats.joins_performed += len(plan.steps)
-        return outcomes
-
     def _column_kernel(self, table: str, position: int):
         """The backend's column array snapshot."""
         return self._database.table(table).backend.column_kernel(
@@ -593,11 +542,7 @@ class Executor:
     # Bloom pre-filtering of existence probes
     # ------------------------------------------------------------------
     def _bloom_prune(
-        self,
-        selections: _Selections,
-        checks: _Checks,
-        plan: _JoinPlan,
-        keep_cache: dict[tuple, tuple[np.ndarray, int]],
+        self, selections: _Selections, plan: _JoinPlan
     ) -> Optional[_Selections]:
         """Drop pushed-down rows whose join key a Bloom filter proves
         absent from the opposite endpoint of an edge.
@@ -609,11 +554,7 @@ class Executor:
         existence outcome — and an emptied selection decides the probe
         ``False`` (returns ``None``) before the sweep runs.  The filter
         has no false negatives, so surviving rows are a superset of the
-        joinable ones.  A table's selection at each step is determined by
-        its constraints (``checks``) and the plan, so each (step side,
-        constraints) check is memoized in ``keep_cache`` across the
-        probes of one call; ``bloom_rejections`` is still counted per
-        probe.
+        joinable ones.
         """
         if not self._bloom_fresh:
             return selections
@@ -631,21 +572,13 @@ class Executor:
                 selected = int(np.count_nonzero(selection))
                 if selected > BLOOM_PROBE_MAX_ROWS:
                     continue
-                cache_key = (
-                    table, position, other_table, other_position,
-                    frozenset(checks[table]),
+                mask = self._bloom_mask(
+                    table, position, other_table, other_position
                 )
-                cached = keep_cache.get(cache_key)
-                if cached is None:
-                    mask = self._bloom_mask(
-                        table, position, other_table, other_position
-                    )
-                    if mask is None:
-                        continue
-                    kept = mask.keep(selection)
-                    cached = (kept, int(np.count_nonzero(kept)))
-                    keep_cache[cache_key] = cached
-                kept, survivors = cached
+                if mask is None:
+                    continue
+                kept = mask.keep(selection)
+                survivors = int(np.count_nonzero(kept))
                 rejected = selected - survivors
                 if rejected:
                     self.stats.bloom_rejections += rejected

@@ -5,8 +5,7 @@ Streaming per-row join assignments through Python frames would, on a
 Over the storage's column array snapshots
 (:meth:`~repro.storage.ColumnStore.column_kernel`), this module runs
 Yannakakis' upward semijoin pass instead; it decides every
-:meth:`~repro.query.executor.Executor.exists` and
-:meth:`~repro.query.executor.Executor.exists_batch` probe, and it
+:meth:`~repro.query.executor.Executor.exists` probe, and it
 reduces the tables before :meth:`~repro.query.executor.Executor.execute`
 enumerates rows, whatever the table sizes or key types:
 

@@ -16,9 +16,7 @@ planner's join order out of immutable nodes:
 
 :func:`join_prefix_key` is a query's join-structure identity: two
 queries joining the same tables over the same edges share it whatever
-they project.  The executor caches its lowered plans under it, and the
-validation driver groups filters by it for batched passes over one
-shared join.
+they project.  The executor caches its lowered plans under it.
 """
 
 from __future__ import annotations
@@ -194,9 +192,8 @@ def join_prefix_key(query: ProjectJoinQuery) -> tuple:
 
     Two queries share a join prefix exactly when they join the same
     tables over the same edges — projections and predicates are
-    irrelevant.  Filters grouped under one prefix key can be validated
-    in a single batched pass over the shared join, and physical join
-    plans cached under it are reused across all of them.
+    irrelevant.  Physical join plans cached under it are reused across
+    every candidate and filter over the structure.
 
     The key is computed once per (immutable) query and cached on it,
     unless the query was built with it already

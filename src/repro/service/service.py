@@ -242,11 +242,6 @@ class ServiceMetrics:
     latency_max_seconds: float = 0.0
     latency_p50_seconds: float = 0.0
     latency_p95_seconds: float = 0.0
-    #: Batched validation passes across all completed rounds, and the
-    #: filter outcomes those batches decided beyond the scheduled filter
-    #: (see :class:`~repro.discovery.validation.ValidationStats`).
-    validation_batches: int = 0
-    batched_outcomes: int = 0
     #: Sketch-layer counters across all completed rounds: probe rows the
     #: Bloom pre-filter rejected before any join work, and planner
     #: estimates answered from HLL/histogram sketches instead of raw
@@ -278,8 +273,6 @@ class ServiceMetrics:
             "latency_max_seconds": self.latency_max_seconds,
             "latency_p50_seconds": self.latency_p50_seconds,
             "latency_p95_seconds": self.latency_p95_seconds,
-            "validation_batches": self.validation_batches,
-            "batched_outcomes": self.batched_outcomes,
             "bloom_rejections": self.bloom_rejections,
             "sketch_estimates_used": self.sketch_estimates_used,
             "artifacts": dict(self.artifacts),
@@ -494,8 +487,6 @@ class DiscoveryService:
         self._latency_total = 0.0
         self._latency_min = float("inf")
         self._latency_max = 0.0
-        self._validation_batches = 0
-        self._batched_outcomes = 0
         self._bloom_rejections = 0
         self._sketch_estimates_used = 0
         self._shard_served: dict[int, int] = {}
@@ -744,8 +735,6 @@ class DiscoveryService:
                 in_flight=self._in_flight,
                 queue_depth=self._queue.qsize(),
                 latency_count=self._latency_count,
-                validation_batches=self._validation_batches,
-                batched_outcomes=self._batched_outcomes,
                 bloom_rejections=self._bloom_rejections,
                 sketch_estimates_used=self._sketch_estimates_used,
             )
@@ -905,8 +894,6 @@ class DiscoveryService:
             self._latency_min = min(self._latency_min, latency)
             self._latency_max = max(self._latency_max, latency)
             if response.result is not None:
-                self._validation_batches += response.result.stats.validation_batches
-                self._batched_outcomes += response.result.stats.batched_outcomes
                 self._bloom_rejections += response.result.stats.bloom_rejections
                 self._sketch_estimates_used += (
                     response.result.stats.sketch_estimates_used

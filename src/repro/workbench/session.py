@@ -326,9 +326,8 @@ class PrismSession:
         showing several at once would misstate the cardinalities.  The
         rendering is annotated with the planner's estimated
         cardinalities and with which sub-structures are shared by other
-        queries of this discovery round (those are the prefixes
-        validated in one batched pass and served by one cached physical
-        plan).
+        queries of this discovery round (a shared top-level structure is
+        served by one cached physical plan).
 
         Args:
             index: query index; defaults to the currently selected query.

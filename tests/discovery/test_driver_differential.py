@@ -5,12 +5,13 @@ confirmations as counts and selects with a lazy-greedy heap; the
 reference (:mod:`tests.discovery.reference_scheduler`) rebuilds the
 pending list and re-scores every filter for every decision.  Over
 seeded specs on the bundled databases and on two synthetic ones, every
-policy, with and without batching and under a validation budget, must
-make the same validator calls in the same order (each chosen filter
-with its batch peers, and each probe that reached the executor, which
-pins the oracle's peek order), reach the same confirmed and pruned
-candidates and the same counters, and leave the executor with the same
-statistics, ``sketch_estimates_used`` included.
+policy, with and without a validation budget, must make the same
+validator calls in the same order (each chosen filter, and each probe
+that reached the executor, which pins the oracle's peek order), reach
+the same confirmed and pruned candidates and the same counters, and
+leave the executor with the same statistics, ``sketch_estimates_used``
+included.  The reference runs with its batching off: the driver
+validates each chosen filter on its own.
 
 Each filter's rank constants (a failure probability and a cost, for
 the ``filter`` and ``bayesian`` policies) must equal, with ``==``, what
@@ -121,29 +122,24 @@ class _RecordingValidator(FilterValidator):
         self.calls.append(("validate", filter_.id))
         return super().validate(filter_)
 
-    def validate_batch(self, filter_, peers=()):
-        self.calls.append(
-            ("validate_batch", filter_.id, tuple(peer.id for peer in peers))
-        )
-        return super().validate_batch(filter_, peers)
-
-    def _execute(self, filter_):
+    def _execute(self, filter_, constraints):
         self.calls.append(("execute", filter_.id))
-        return super()._execute(filter_)
+        return super()._execute(filter_, constraints)
 
 
-def _run(module, policy, engine, spec, filter_set, batch, budget) -> dict:
+def _run(module, policy, engine, spec, filter_set, budget) -> dict:
     """Everything one driver run decides and counts, on a fresh executor."""
     executor = Executor(engine.database, catalog=engine.catalog, use_sketches=True)
     validator = _RecordingValidator(executor, spec)
+    unbatched = {"batch": False} if module is reference else {}
     result = module.ValidationDriver(
         filter_set,
         validator,
         module.make_policy(policy),
         estimator=engine.estimator,
-        batch=batch,
         max_validations=budget,
         planner=executor.planner,
+        **unbatched,
     ).run()
     return {
         "calls": validator.calls,
@@ -163,16 +159,11 @@ def test_driver_matches_the_reference(engines, database, shape, level):
     spec, filter_set = _case(engine, shape, level)
     decided = 0
     for policy in scheduler.POLICY_NAMES:
-        for batch in (True, False):
-            for budget in (None, 3):
-                expected = _run(
-                    reference, policy, engine, spec, filter_set, batch, budget
-                )
-                actual = _run(
-                    scheduler, policy, engine, spec, filter_set, batch, budget
-                )
-                assert actual == expected, (policy, batch, budget)
-                decided += len(actual["confirmed"]) + len(actual["pruned"])
+        for budget in (None, 3):
+            expected = _run(reference, policy, engine, spec, filter_set, budget)
+            actual = _run(scheduler, policy, engine, spec, filter_set, budget)
+            assert actual == expected, (policy, budget)
+            decided += len(actual["confirmed"]) + len(actual["pruned"])
     assert decided
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -10,10 +11,13 @@ from repro.constraints.metadata import MetadataField, MetadataPredicate
 from repro.constraints.parser import parse_metadata_constraint, parse_value_constraint
 from repro.constraints.spec import MappingSpec
 from repro.constraints.values import ExactValue, OneOf, Range
+from repro.dataset import Table
 from repro.dataset.schema import ColumnRef
 from repro.discovery.engine import Prism
 from repro.errors import DiscoveryError, DiscoveryTimeout, SpecError
 from repro.query.sql import to_sql
+from repro.workloads.degrade import ResolutionLevel, spec_for_level
+from repro.workloads.generator import WorkloadGenerator
 
 
 class TestCompanyDiscovery:
@@ -283,6 +287,86 @@ class TestCacheObservability:
         assert second.stats.exists_cache_misses == 0
         assert second.stats.join_index_builds == 0
         assert second.queries == first.queries
+
+
+def _fresh_engine(base: Prism) -> Prism:
+    """A new engine, with an empty executor, over ``base``'s artifacts."""
+    return Prism(
+        base.database,
+        limits=base.limits,
+        train_bayesian=False,
+        index=base.index,
+        catalog=base.catalog,
+        schema_graph=base.schema_graph,
+        models=base.models,
+    )
+
+
+class TestOnlyChosenProbesRun:
+    """Every probe a run executes is one the scheduler chose: on a fresh
+    engine each validation is an outcome-cache hit or one executed
+    probe, and nothing else runs (the optimal oracle, which peeks at
+    outcomes, aside)."""
+
+    @staticmethod
+    def _specs(database, catalog) -> list[MappingSpec]:
+        generator = WorkloadGenerator(database, seed=3)
+        specs = []
+        for shape in ((3, 2), (2, 2), (3, 3)):
+            case = generator.generate_case(*shape, num_samples=2)
+            for level in (ResolutionLevel.EXACT, ResolutionLevel.MIXED):
+                specs.append(spec_for_level(case, level, database, catalog, seed=1))
+        lake_tahoe = MappingSpec(3)
+        lake_tahoe.add_sample_cells([
+            parse_value_constraint("California || Nevada"),
+            parse_value_constraint("Lake Tahoe"),
+            None,
+        ])
+        specs.append(lake_tahoe)
+        return specs
+
+    @pytest.mark.parametrize("scheduler", ["naive", "filter", "bayesian"])
+    def test_each_validation_is_a_hit_or_one_probe(self, mondial_prism, scheduler):
+        executed = 0
+        for spec in self._specs(mondial_prism.database, mondial_prism.catalog):
+            stats = _fresh_engine(mondial_prism).discover(
+                spec, scheduler=scheduler, time_limit=math.inf
+            ).stats
+            assert (
+                stats.exists_cache_hits + stats.exists_cache_misses
+                == stats.validations
+            )
+            assert stats.validation_batches == stats.batched_outcomes == 0
+            executed += stats.exists_cache_misses
+        assert executed
+
+
+class TestRoundSharing:
+    def test_a_discover_scans_each_column_constraint_once(
+        self, mondial_prism, monkeypatch
+    ):
+        """``discover()`` validates inside one executor round: however
+        many probes constrain a column, each (table, column, constraint)
+        is scanned once."""
+        scans: Counter = Counter()
+        select_rows = Table.select_rows
+
+        def counting(table, name, constraint):
+            scans[table.name, name, constraint] += 1
+            return select_rows(table, name, constraint)
+
+        monkeypatch.setattr(Table, "select_rows", counting)
+        spec = MappingSpec(3)
+        spec.add_sample_cells([
+            parse_value_constraint("California || Nevada"),
+            parse_value_constraint("Lake Tahoe"),
+            None,
+        ])
+        stats = _fresh_engine(mondial_prism).discover(
+            spec, time_limit=math.inf
+        ).stats
+        assert stats.exists_cache_misses > len(scans) > 0
+        assert max(scans.values()) == 1
 
 
 class TestInjectedArtifacts:

@@ -251,25 +251,17 @@ class TestIncrementalSelection:
         assert counting.calls == 0
 
 
-class _BatchRecordingValidator(FilterValidator):
-    """Records each batched validation: the chosen filter and its peers."""
-
-    def __init__(self, executor, spec):
-        super().__init__(executor, spec)
-        self.batches: list[tuple[int, tuple[int, ...]]] = []
-
-    def validate_batch(self, filter_, peers=()):
-        self.batches.append((filter_.id, tuple(peer.id for peer in peers)))
-        return super().validate_batch(filter_, peers)
-
-
-class TestPrefixGrouping:
-    def test_batch_mates_share_a_prefix_key_not_a_shape(self, company_db):
+class TestReverseForeignKeyPlan:
+    def test_a_foreign_key_and_its_reverse_share_one_plan(self, company_db):
         """A foreign key and its reverse name one equi-join: filters over
-        them share a join prefix key but not a shape, and are batched."""
+        them share a join prefix key but not a shape, and the executor
+        plans their structure once."""
         reverse = ForeignKey("Department", "Name", "Employee", "Department")
         spec = MappingSpec(2)
-        spec.add_sample_cells([ExactValue("Engineering"), ExactValue("Alice Chen")])
+        # Alice Chen works in Engineering, in Ann Arbor: both pass.
+        spec.add_sample_cells(
+            [OneOf(["Engineering", "Ann Arbor"]), ExactValue("Alice Chen")]
+        )
         candidates = [
             CandidateQuery(
                 0,
@@ -294,18 +286,14 @@ class TestPrefixGrouping:
         assert forward.shape != backward.shape
         assert join_prefix_key(forward.query) == join_prefix_key(backward.query)
 
-        outcomes = {}
-        for batch in (True, False):
-            validator = _BatchRecordingValidator(Executor(company_db), spec)
-            result = ValidationDriver(
-                filter_set, validator, NaivePolicy(), batch=batch
-            ).run()
-            outcomes[batch] = (
-                result.confirmed_candidate_ids, result.pruned_candidate_ids
-            )
-            if batch:
-                assert validator.batches[0] == (forward.id, (backward.id,))
-        assert outcomes[True] == outcomes[False] == ([0], [1])
+        executor = Executor(company_db)
+        validator = FilterValidator(executor, spec)
+        result = ValidationDriver(filter_set, validator, NaivePolicy()).run()
+        assert result.confirmed_candidate_ids == [0, 1]
+        assert validator.stats.cache_misses == result.validations == 2
+        assert executor.stats.plan_cache_builds == 1
+        assert executor.stats.plan_cache_hits == 1
+        assert len(executor.cache.plans) == 1
 
 
 class TestCostFallback:

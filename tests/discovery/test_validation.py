@@ -149,14 +149,3 @@ class TestOutcomeCache:
         assert again.stats.cache_hits == 1
         assert again.stats.cache_misses == 0
         assert executor.stats.rows_scanned == scanned
-
-    def test_a_batch_skips_peers_already_cached(self, company_db):
-        spec = MappingSpec(2)
-        spec.add_sample_cells([ExactValue("Ann Arbor"), ExactValue("Alice Chen")])
-        spec.add_sample_cells([ExactValue("Chicago"), ExactValue("Frank Hill")])
-        first, second = self._tops(spec)
-        validator = FilterValidator(Executor(company_db), spec)
-        assert validator.validate(second)
-        assert validator.validate_batch(first, [second])
-        assert validator.stats.batches == 0
-        assert validator.stats.cache_misses == 2

@@ -13,7 +13,8 @@ the reference at every level —
 
 * ``execute`` / ``exists`` / ``exists_batch`` outcomes on 20 seeded
   databases, including queries where several predicates constrain one
-  table and batches whose probes share tagged pushdown scans;
+  table and probes that share pushdown scans inside one
+  :meth:`~repro.query.executor.Executor.round`;
 * the same equalities again **after randomized append sequences**
   (a long-lived executor spans the appends, so plan-cache and
   edge-kernel revalidation are under test, not just cold caches);
@@ -234,7 +235,8 @@ def _assert_matches_reference(database, executor, workloads, batches) -> None:
             )
             for probe in batch
         ]
-        assert executor.exists_batch(batch) == expected
+        with executor.round():
+            assert executor.exists_batch(batch) == expected
 
 
 @pytest.mark.parametrize("seed", _SEEDS)
@@ -251,8 +253,8 @@ def test_probe_paths_agree_with_kernels_on_and_off(seed):
     ]
     batches = []
     for query in queries[::2]:
-        # Probes constraining a column with equal constraints share its
-        # scan; the repeated first probe does.
+        # Inside a round, probes constraining a column with equal
+        # constraints share its scan; the repeated first probe does.
         probes = [
             BatchProbe(query, predicates)
             for predicates in (

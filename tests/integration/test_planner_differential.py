@@ -3,13 +3,14 @@
 Property-style suite: randomized synthetic databases and candidate sets
 run through the full planner/executor pipeline *and* through the retained
 naive reference path (:mod:`repro.query.reference` — nested-loop joins,
-no planner, no caches, no batching), asserting bit-for-bit identical
-results at every level:
+no planner, no caches), asserting bit-for-bit identical results at every
+level:
 
 * executor vs reference on individual queries and predicate sets;
-* batched existence probes vs per-probe reference outcomes;
-* end-to-end discovery (batched, unbatched and across schedulers) vs a
-  reference decision procedure that brute-forces every candidate.
+* existence probes (through ``exists_batch``, one ``exists`` per probe)
+  vs per-probe reference outcomes;
+* end-to-end discovery vs a reference decision procedure that
+  brute-forces every candidate.
 """
 
 from __future__ import annotations
@@ -175,17 +176,6 @@ class TestDiscoveryVsReference:
             num_tables=4, rows_per_table=40, topology=topology, seed=seed
         )
         engine = Prism(database, limits=LIMITS, time_limit=60.0)
-        unbatched = Prism(
-            database,
-            limits=LIMITS,
-            time_limit=60.0,
-            batch_validation=False,
-            train_bayesian=False,
-            index=engine.index,
-            catalog=engine.catalog,
-            schema_graph=engine.schema_graph,
-            models=engine.models,
-        )
         generator = WorkloadGenerator(database, seed=seed)
         for case_index in range(2):
             case = generator.generate_case(num_columns=3, num_tables=2)
@@ -195,13 +185,8 @@ class TestDiscoveryVsReference:
             result = engine.discover(spec, scheduler="bayesian")
             assert not result.timed_out
 
-            # The planner path agrees with itself without batching ...
-            plain = unbatched.discover(spec, scheduler="bayesian")
-            assert result.sql() == plain.sql()
-            assert result.stats.validations == plain.stats.validations
-
-            # ... and with the naive reference decision over the very
-            # same candidate set.
+            # The planner path agrees with the naive reference decision
+            # over the very same candidate set.
             candidates = engine.candidate_queries(spec)
             reference_sqls = sorted(
                 to_sql(candidate.query)

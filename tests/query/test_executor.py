@@ -2,19 +2,30 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.constraints.values import AnyValue, ExactValue, Predicate
-from repro.dataset import Column, Database, DataType
+from repro.dataset import Column, Database, DataType, Table
 from repro.dataset.schema import ColumnRef, ForeignKey
 from repro.errors import QueryError
-from repro.query.executor import Executor
+from repro.query.executor import BatchProbe, Executor
 from repro.query.pj_query import ProjectJoinQuery
 
 
 EMP_DEPT = ForeignKey("Employee", "Department", "Department", "Name")
 ASSIGN_EMP = ForeignKey("Assignment", "EmployeeId", "Employee", "Id")
 ASSIGN_PROJ = ForeignKey("Assignment", "ProjectCode", "Project", "Code")
+
+JOIN_QUERY = ProjectJoinQuery(
+    (ColumnRef("Department", "City"), ColumnRef("Employee", "Name")),
+    (EMP_DEPT,),
+)
+OTHER_PROJECTIONS = ProjectJoinQuery(
+    (ColumnRef("Department", "Budget"), ColumnRef("Employee", "Salary")),
+    (EMP_DEPT,),
+)
 
 
 @pytest.fixture()
@@ -182,3 +193,63 @@ class TestStats:
         query = ProjectJoinQuery((ColumnRef("Ghost", "x"),))
         with pytest.raises(Exception):
             executor.execute(query)
+
+
+class TestProbeSharing:
+    """What the probes of one executor share: plans per join structure,
+    and pushdown scans inside one round."""
+
+    def test_pushdown_that_selects_no_row_never_plans(self, executor):
+        assert not executor.exists(JOIN_QUERY, {0: ExactValue("Nowhere")})
+        assert executor.stats.joins_performed == 0
+        # Pushdown decided it: the structure was not even planned.
+        assert executor.stats.plan_cache_builds == 0
+
+    def test_one_plan_serves_differing_projections(self, executor):
+        assert executor.exists(JOIN_QUERY, {1: ExactValue("Alice Chen")})
+        assert executor.exists(OTHER_PROJECTIONS, {0: Predicate(">", 1_000_000)})
+        assert executor.stats.plan_cache_builds == 1
+        assert executor.stats.plan_cache_hits == 1
+        assert len(executor.cache.plans) == 1
+        # Each probe sweeps the structure's one join step.
+        assert executor.stats.joins_performed == 2
+
+    def test_equal_constraints_share_one_scan_inside_a_round(
+        self, executor, monkeypatch
+    ):
+        scans = Counter()
+        select_rows = Table.select_rows
+
+        def counting_select_rows(table, name, constraint):
+            scans[table.name, name] += 1
+            return select_rows(table, name, constraint)
+
+        monkeypatch.setattr(Table, "select_rows", counting_select_rows)
+        probes = [
+            {0: ExactValue("Ann Arbor")},
+            {0: ExactValue("Ann Arbor"), 1: AnyValue()},
+        ]
+        with executor.round():
+            assert all(executor.exists(JOIN_QUERY, p) for p in probes)
+        # Equal constraints share one scan of their column ...
+        assert scans == {("Department", "City"): 1, ("Employee", "Name"): 1}
+        # ... and outside a round every probe scans for itself.
+        scans.clear()
+        assert all(executor.exists(JOIN_QUERY, p) for p in probes)
+        assert scans == {("Department", "City"): 2, ("Employee", "Name"): 1}
+
+    def test_exists_batch_is_one_exists_per_probe(self, executor, company_db):
+        single = ProjectJoinQuery((ColumnRef("Employee", "Name"),))
+        probes = [
+            BatchProbe(JOIN_QUERY, {1: ExactValue("Alice Chen")}),
+            BatchProbe(JOIN_QUERY, {1: ExactValue("Nobody")}),
+            BatchProbe(single, {0: ExactValue("Bob Diaz")}),
+            BatchProbe(OTHER_PROJECTIONS),
+        ]
+        reference = Executor(company_db)
+        expected = [reference.exists(p.query, p.cell_predicates) for p in probes]
+        assert executor.exists_batch(probes) == expected == [
+            True, False, True, True
+        ]
+        assert executor.stats == reference.stats
+        assert executor.exists_batch([]) == []

@@ -83,8 +83,8 @@ class TestPlanCacheKeyedByPlanHash:
         assert executor.stats.plan_cache_hits == 0
 
 
-class TestOutcomeInvalidationThroughBatches:
-    def test_batched_outcomes_invalidate_on_data_change(self, company_db):
+class TestOutcomeInvalidation:
+    def test_outcomes_invalidate_on_data_change(self, company_db):
         spec = MappingSpec(2)
         spec.add_sample_cells([ExactValue("Chicago"), ExactValue("Grace Ito")])
         spec.add_sample_cells([ExactValue("Chicago"), ExactValue("Frank Hill")])
@@ -95,16 +95,18 @@ class TestOutcomeInvalidationThroughBatches:
         )
         executor = Executor(company_db)
         validator = FilterValidator(executor, spec)
-        assert not validator.validate_batch(first, [second])
-        assert validator.stats.batches == 1
+        assert not validator.validate(first)
+        assert validator.validate(second)
         assert validator.validate(second)
         assert validator.stats.cache_hits == 1
+        assert validator.stats.cache_misses == 2
         company_db.table("Employee").insert(
             (7, "Grace Ito", "Sales", 88_000.0, 31)
         )
-        # The append dropped both batched outcomes.
-        assert validator.validate_batch(first, [second])
-        assert validator.stats.batches == 2
+        # The append dropped both outcomes.
+        assert validator.validate(first)
+        assert validator.validate(second)
+        assert validator.stats.cache_hits == 1
         assert validator.stats.cache_misses == 4
 
 
