@@ -4,7 +4,14 @@ The paper checks metadata constraints against "metadata information, e.g.,
 min/max values, collected during preprocessing" (§2.3).  The catalog stores,
 for every column: declared data type, min/max value, maximum text length,
 row/null/distinct counts, and (for numeric columns) mean and standard
-deviation.  The same statistics later feed the Bayesian selectivity models.
+deviation.  The same statistics later feed the Bayesian selectivity models,
+and the per-column sketches (HyperLogLog, histogram) feed the planner's
+estimates.
+
+NaN never equals itself, so it has no place in an order: min/max leave
+it out, and all NaN cells of a column count as one distinct value, as
+the HyperLogLog, the histogram and the relation models treat it.  The
+statistics then do not depend on the order rows arrive in.
 """
 
 from __future__ import annotations
@@ -19,6 +26,11 @@ from repro.dataset.types import DataType, to_float
 from repro.errors import SchemaError
 
 __all__ = ["ColumnStats", "MetadataCatalog"]
+
+#: The key NaN cells share in a column's distinct values.  NULLs never
+#: enter them, so ``None`` is free, and it stays one object through a
+#: pickle, where a NaN float would not.
+_NAN_KEY = None
 
 
 @dataclass(frozen=True)
@@ -54,6 +66,17 @@ class ColumnStats:
         return self.data_type.is_numeric
 
 
+def _extremes(ordered: list[Any]) -> tuple[Optional[Any], Optional[Any]]:
+    """Min and max of values none of which is NULL or NaN; ``(None,
+    None)`` when there are none, or when two cannot be compared."""
+    if not ordered:
+        return None, None
+    try:
+        return min(ordered), max(ordered)
+    except TypeError:
+        return None, None
+
+
 def _numeric_moments(values: list[float]) -> tuple[float, float]:
     count = len(values)
     mean = sum(values) / count
@@ -68,25 +91,23 @@ class MetadataCatalog:
         self._stats: dict[ColumnRef, ColumnStats] = {}
         self._table_rows: dict[str, int] = {}
         # Sufficient statistics for incremental maintenance: per-column
-        # distinct values (non-text columns) and (sum, sum-of-squares)
-        # running moments for numeric columns.  Text columns need neither
-        # — the store's dictionary itself is the distinct set.  Distinct
-        # values are the keys of a dict (values None): membership works
-        # as in a set (hash, then identity or equality), but a set keeps
-        # 16-byte slots at most 60% full and grows fourfold below 50k
-        # entries, so the compact dict layout is smaller at most sizes
-        # (0.28 to 1.12 times a set's bytes below 44k entries).
+        # distinct values (non-text columns; NaN under _NAN_KEY) and
+        # (sum, sum-of-squares) running moments for numeric columns.
+        # Text columns need neither — the store's dictionary itself is
+        # the distinct set.  Distinct values are the keys of a dict
+        # (values None): membership works as in a set (hash, then
+        # identity or equality), but a set keeps 16-byte slots at most
+        # 60% full and grows fourfold below 50k entries, so the compact
+        # dict layout is smaller at most sizes (0.28 to 1.12 times a
+        # set's bytes below 44k entries).
         self._distinct_values: dict[ColumnRef, dict] = {}
         self._numeric_moments: dict[ColumnRef, tuple[float, float]] = {}
-        # Statistics sketches (HyperLogLog / Bloom / equi-depth histogram)
-        # per column; see repro.dataset.sketches.  Maintained alongside the
+        # Statistics sketches (HyperLogLog / equi-depth histogram) per
+        # column; see repro.dataset.sketches.  Maintained alongside the
         # exact statistics: built vectorized over ColumnKernel snapshots
         # of typed array columns, folded through apply_delta(),
         # and pickled with the catalog into artifact bundles and shards.
         self._sketches: dict[ColumnRef, ColumnSketches] = {}
-        #: Artifact key of the database this catalog was built from (empty
-        #: for hand-assembled catalogs); see :meth:`Database.artifact_key`.
-        self.built_from: tuple = ()
 
     @classmethod
     def build(cls, database: Database) -> "MetadataCatalog":
@@ -98,11 +119,6 @@ class MetadataCatalog:
         and the NULL count from the column's NULL mask.
         """
         catalog = cls()
-        catalog.built_from = database.artifact_key()
-        join_keys = set()
-        for fk in database.foreign_keys:
-            join_keys.add(ColumnRef(fk.child_table, fk.child_column))
-            join_keys.add(ColumnRef(fk.parent_table, fk.parent_column))
         for table in database:
             catalog._table_rows[table.name] = table.num_rows
             for position, column in enumerate(table.columns):
@@ -126,8 +142,6 @@ class MetadataCatalog:
                     values=values,
                     kernel=kernel,
                     dictionary=dictionary,
-                    distinct_hint=stats.distinct_count,
-                    want_bloom=ref in join_keys,
                 )
         return catalog
 
@@ -172,21 +186,15 @@ class MetadataCatalog:
         row_count = len(values)
         null_count = row_count - len(non_null)
         distinct = dict.fromkeys(non_null)
-        distinct_count = len(distinct)
+        # The distinct values but NaN: the rows' values without repeats.
+        ordered = [value for value in distinct if value == value]
+        if len(ordered) < len(distinct):
+            distinct = dict.fromkeys(ordered)
+            distinct[_NAN_KEY] = None
         self._distinct_values[ref] = distinct
-
-        min_value: Optional[Any] = None
-        max_value: Optional[Any] = None
+        min_value, max_value = _extremes(ordered)
         mean: Optional[float] = None
         stddev: Optional[float] = None
-
-        if non_null:
-            try:
-                min_value = min(non_null)
-                max_value = max(non_null)
-            except TypeError:
-                min_value = None
-                max_value = None
         if data_type.is_numeric:
             numeric = [to_float(value) for value in non_null]
             self._numeric_moments[ref] = (
@@ -201,7 +209,7 @@ class MetadataCatalog:
             data_type=data_type,
             row_count=row_count,
             null_count=null_count,
-            distinct_count=distinct_count,
+            distinct_count=len(distinct),
             min_value=min_value,
             max_value=max_value,
             mean=mean,
@@ -212,10 +220,7 @@ class MetadataCatalog:
     # Incremental maintenance
     # ------------------------------------------------------------------
     def apply_delta(
-        self,
-        database: Database,
-        deltas: Mapping[str, Any],
-        built_from: tuple,
+        self, database: Database, deltas: Mapping[str, Any]
     ) -> None:
         """Fold appended rows into the per-column statistics in place.
 
@@ -238,18 +243,20 @@ class MetadataCatalog:
                     )
                 sketches = self._sketches.get(ref)
                 if sketches is not None:
-                    # HLL registers and Bloom bits fold to exactly the
-                    # state a cold rebuild would reach (max/or are
-                    # order-insensitive); histogram boundaries stay fixed,
-                    # only bucket counts grow.
-                    if column_delta.is_text:
-                        for entry in column_delta.new_dictionary_entries:
-                            sketches.fold_distinct_value(entry)
-                    else:
-                        for value in column_delta.non_null_values:
-                            sketches.fold_value(value)
+                    # HLL registers fold to exactly the state a cold
+                    # rebuild would reach (max is order-insensitive);
+                    # histogram boundaries stay fixed, only bucket counts
+                    # grow.  A text column's sketches hash its distinct
+                    # set, the store's dictionary, so only its new
+                    # entries fold.
+                    values = (
+                        column_delta.new_dictionary_entries
+                        if column_delta.is_text
+                        else column_delta.non_null_values
+                    )
+                    for value in values:
+                        sketches.fold_value(value)
             self._table_rows[table_name] = delta.end_row
-        self.built_from = built_from
 
     @staticmethod
     def _fold_text_delta(old: ColumnStats, column_delta) -> ColumnStats:
@@ -294,31 +301,23 @@ class MetadataCatalog:
     ) -> ColumnStats:
         """Update a non-text column's statistics."""
         distinct = self._distinct_values[ref]
+        # Whether the column held a value other than NaN before the delta.
+        ordered_before = len(distinct) > (_NAN_KEY in distinct)
         non_null = column_delta.non_null_values
-        for value in non_null:
-            distinct[value] = None
+        ordered = [value for value in non_null if value == value]
+        distinct.update(dict.fromkeys(ordered))
+        if len(ordered) < len(non_null):
+            distinct[_NAN_KEY] = None
 
-        min_value = old.min_value
-        max_value = old.max_value
-        if non_null:
-            if old.non_null_count and old.min_value is None:
-                # The pre-delta values were mutually uncomparable; a cold
-                # rebuild over the grown column would fail the same way.
-                pass
-            else:
-                try:
-                    pool = (
-                        non_null if not old.non_null_count
-                        else [old.min_value, *non_null]
-                    )
-                    min_value = min(pool)
-                    max_value = max(
-                        non_null if not old.non_null_count
-                        else [old.max_value, *non_null]
-                    )
-                except TypeError:
-                    min_value = None
-                    max_value = None
+        if ordered_before and old.min_value is None:
+            # The pre-delta values were mutually uncomparable; a cold
+            # rebuild over the grown column would fail the same way.
+            min_value = max_value = None
+        else:
+            min_value, max_value = _extremes(
+                [old.min_value, old.max_value, *ordered] if ordered_before
+                else ordered
+            )
 
         mean = old.mean
         stddev = old.stddev

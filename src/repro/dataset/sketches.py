@@ -1,28 +1,26 @@
-"""Statistics sketches: HyperLogLog, Bloom filters, equi-depth histograms.
+"""Statistics sketches: HyperLogLog and equi-depth histograms.
 
 The planner's raw catalog counts (row counts, exact distinct counts) say
 nothing about how two join-key columns *overlap*, and nothing about where
-a numeric column's mass sits.  This module supplies the three cheap
+a numeric column's mass sits.  This module supplies the two cheap
 summaries that close those gaps:
 
 * :class:`HyperLogLog` — a distinct-count sketch whose registers merge by
   ``max``, so the union of two columns' sketches yields an estimate of
   ``|A ∪ B|`` and, by inclusion–exclusion, of the join-key intersection.
-* :class:`BloomFilter` — a membership summary over join-key columns used
-  by the executor to discard probe rows whose key provably does not occur
-  on the other side of a join edge (no false negatives, so dropping a
-  "definitely absent" row never changes an existence outcome).
 * :class:`EquiDepthHistogram` — bucket boundaries fixed at build time so
   range-predicate selectivity interpolates against observed quantiles
   instead of assuming uniformity.
 
-Every sketch hashes through the deterministic functions below — never
-Python's per-process salted ``hash()`` — so sketches built from array
-snapshots and from plain value lists are byte-identical, survive pickling
-into process shards, and fold appended deltas to the same registers a
-cold rebuild would produce (HLL registers and Bloom bits are order-insensitive
-``max``/``or`` folds; histogram bucket *counts* fold while boundaries stay
-fixed, which is approximate by design).
+Sketches only steer estimates; they never decide a probe (the executor's
+semijoin sweep does that exactly).  Every sketch hashes through the
+deterministic functions below — never Python's per-process salted
+``hash()`` — so sketches built from array snapshots and from plain value
+lists are byte-identical, survive pickling into process shards, and fold
+appended deltas to the same registers a cold rebuild would produce (HLL
+registers are an order-insensitive ``max`` fold; histogram bucket
+*counts* fold while boundaries stay fixed, which is approximate by
+design).
 
 Hash canonicalization mirrors Python equality across numeric types:
 ``True == 1 == 1.0`` all hash identically, non-integral floats hash their
@@ -44,7 +42,6 @@ import numpy as _np
 from repro.dataset.types import to_float
 
 __all__ = [
-    "BloomFilter",
     "ColumnSketches",
     "EquiDepthHistogram",
     "HyperLogLog",
@@ -282,129 +279,6 @@ def _bit_length_u64(values):
 
 
 # ----------------------------------------------------------------------
-# Bloom filter
-# ----------------------------------------------------------------------
-class BloomFilter:
-    """Double-hashing Bloom filter over deterministic 64-bit hashes.
-
-    Membership positions derive purely from the value hash, so filters
-    built from arrays or value lists (or rebuilt after a delta fold)
-    agree bit for bit.  A present value is *never* reported absent; an
-    absent value is reported present with probability
-    ~``0.5 ** num_hashes`` when sized at :data:`BITS_PER_KEY`.
-
-    Sized at 16 bits per key (seven probes) the false-positive rate is
-    under ``1e-3`` — low enough that pruning a multi-hundred-row probe
-    selection rarely lets a stray key through.  The cap bounds one
-    filter at 1 MiB of bits even for multi-million-row key columns.
-    """
-
-    BITS_PER_KEY = 16
-    MIN_BITS = 256
-    MAX_BITS = 1 << 23
-
-    __slots__ = ("num_bits", "num_hashes", "bits")
-
-    def __init__(self, num_bits: int, num_hashes: int = 7) -> None:
-        if num_bits <= 0 or num_bits & (num_bits - 1):
-            raise ValueError("Bloom filter size must be a power of two")
-        self.num_bits = num_bits
-        self.num_hashes = num_hashes
-        self.bits = bytearray(num_bits // 8)
-
-    @classmethod
-    def with_capacity(cls, expected_keys: int) -> "BloomFilter":
-        """Size a filter for ``expected_keys`` distinct values at build
-        time (power-of-two bits, clamped to [MIN_BITS, MAX_BITS])."""
-        wanted = max(cls.MIN_BITS, expected_keys * cls.BITS_PER_KEY)
-        num_bits = 1 << min(
-            cls.MAX_BITS.bit_length() - 1, max(8, (wanted - 1).bit_length())
-        )
-        return cls(num_bits)
-
-    def _positions(self, hashed: int):
-        mask = self.num_bits - 1
-        second = _splitmix64(hashed ^ 0xA076_1D64_78BD_642F) | 1
-        for probe in range(self.num_hashes):
-            yield (hashed + probe * second) & _MASK64 & mask
-
-    def add_hash(self, hashed: int) -> None:
-        for position in self._positions(hashed):
-            self.bits[position >> 3] |= 1 << (position & 7)
-
-    def add_value(self, value: Any) -> None:
-        self.add_hash(hash_value(value))
-
-    def add_hashes(self, hashes: Any) -> None:
-        if isinstance(hashes, _np.ndarray):
-            if not len(hashes):
-                return
-            bits = _np.frombuffer(self.bits, dtype=_np.uint8).copy()
-            mask = _np.uint64(self.num_bits - 1)
-            second = _vector_splitmix64(
-                hashes ^ _np.uint64(0xA076_1D64_78BD_642F)
-            ) | _np.uint64(1)
-            for probe in range(self.num_hashes):
-                with _np.errstate(over="ignore"):
-                    position = (hashes + _np.uint64(probe) * second) & mask
-                _np.bitwise_or.at(
-                    bits,
-                    (position >> _np.uint64(3)).astype(_np.int64),
-                    (
-                        _np.uint8(1)
-                        << (position & _np.uint64(7)).astype(_np.uint8)
-                    ),
-                )
-            self.bits[:] = bits.tobytes()
-            return
-        for hashed in hashes:
-            self.add_hash(hashed)
-
-    def might_contain_hash(self, hashed: int) -> bool:
-        bits = self.bits
-        for position in self._positions(hashed):
-            if not bits[position >> 3] & (1 << (position & 7)):
-                return False
-        return True
-
-    def might_contain(self, value: Any) -> bool:
-        """Whether ``value`` may be in the set (no false negatives)."""
-        return self.might_contain_hash(hash_value(value))
-
-    def contains_hashes(self, hashes):
-        """Vectorized membership over a uint64 hash array -> bool mask."""
-        keep = _np.ones(hashes.shape, dtype=bool)
-        mask = _np.uint64(self.num_bits - 1)
-        bits = _np.frombuffer(self.bits, dtype=_np.uint8)
-        second = _vector_splitmix64(
-            hashes ^ _np.uint64(0xA076_1D64_78BD_642F)
-        ) | _np.uint64(1)
-        for probe in range(self.num_hashes):
-            with _np.errstate(over="ignore"):
-                position = (hashes + _np.uint64(probe) * second) & mask
-            byte = bits[(position >> _np.uint64(3)).astype(_np.int64)]
-            keep &= (
-                byte >> (position & _np.uint64(7)).astype(_np.uint8)
-            ).astype(_np.uint8) & _np.uint8(1) != 0
-        return keep
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BloomFilter)
-            and self.num_bits == other.num_bits
-            and self.num_hashes == other.num_hashes
-            and self.bits == other.bits
-        )
-
-    def __getstate__(self):
-        return (self.num_bits, self.num_hashes, bytes(self.bits))
-
-    def __setstate__(self, state):
-        self.num_bits, self.num_hashes, bits = state
-        self.bits = bytearray(bits)
-
-
-# ----------------------------------------------------------------------
 # Equi-depth histogram
 # ----------------------------------------------------------------------
 class EquiDepthHistogram:
@@ -529,32 +403,17 @@ class EquiDepthHistogram:
 # ----------------------------------------------------------------------
 @dataclass
 class ColumnSketches:
-    """The sketches the catalog maintains for one column.
-
-    ``bloom`` is only built for join-key columns (foreign-key endpoints);
-    ``histogram`` only for numeric columns.
-    """
+    """The sketches the catalog maintains for one column; ``histogram``
+    only for numeric columns."""
 
     hll: HyperLogLog
-    bloom: Optional[BloomFilter] = None
     histogram: Optional[EquiDepthHistogram] = None
 
     def fold_value(self, value: Any) -> None:
         """Fold one appended non-NULL value into every sketch."""
-        hashed = hash_value(value)
-        self.hll.add_hash(hashed)
-        if self.bloom is not None:
-            self.bloom.add_hash(hashed)
+        self.hll.add_value(value)
         if self.histogram is not None:
             self.histogram.fold(value)
-
-    def fold_distinct_value(self, value: Any) -> None:
-        """Fold a newly seen *distinct* value (dictionary-encoded text:
-        the dictionary is the distinct set, so repeats never arrive)."""
-        hashed = hash_value(value)
-        self.hll.add_hash(hashed)
-        if self.bloom is not None:
-            self.bloom.add_hash(hashed)
 
 
 def build_column_sketches(
@@ -563,8 +422,6 @@ def build_column_sketches(
     values: Optional[Iterable[Any]] = None,
     kernel: Any = None,
     dictionary: Optional[Sequence[str]] = None,
-    distinct_hint: int = 0,
-    want_bloom: bool = False,
 ) -> ColumnSketches:
     """Build the sketches for one column from whichever source is best.
 
@@ -575,23 +432,14 @@ def build_column_sketches(
     through :func:`hash_value`'s equality classes.
     """
     sketches = ColumnSketches(hll=HyperLogLog())
-    if want_bloom:
-        sketches.bloom = BloomFilter.with_capacity(max(1, distinct_hint))
-
     numeric = bool(getattr(data_type, "is_numeric", False))
     if dictionary is not None:
-        hashes = [hash_value(entry) for entry in dictionary]
-        sketches.hll.add_hashes(hashes)
-        if sketches.bloom is not None:
-            sketches.bloom.add_hashes(hashes)
+        sketches.hll.add_hashes([hash_value(entry) for entry in dictionary])
         return sketches
 
     if kernel is not None and kernel.kind == "array":
         present = kernel.keys[kernel.valid]
-        hashes = hash_values(present)
-        sketches.hll.add_hashes(hashes)
-        if sketches.bloom is not None:
-            sketches.bloom.add_hashes(hashes)
+        sketches.hll.add_hashes(hash_values(present))
         if numeric:
             sketches.histogram = EquiDepthHistogram.from_values(
                 present.tolist()
@@ -599,10 +447,7 @@ def build_column_sketches(
         return sketches
 
     non_null = [value for value in (values or ()) if value is not None]
-    hashes = [hash_value(value) for value in non_null]
-    sketches.hll.add_hashes(hashes)
-    if sketches.bloom is not None:
-        sketches.bloom.add_hashes(hashes)
+    sketches.hll.add_hashes([hash_value(value) for value in non_null])
     if numeric:
         sketches.histogram = EquiDepthHistogram.from_values(non_null)
     return sketches

@@ -66,8 +66,8 @@ def generate_synthetic_database(
             from uniform-containment ones.
         dangling_fk_fraction: fraction of foreign-key values (in
             ``[0, 1]``) pointing *past* the parent table's id range —
-            dangling references that can never join.  Bloom filters on
-            the parent key detect these without probing.
+            dangling references that can never join: the semijoin
+            sweep drops them at the edge's fold.
     """
     if num_tables < 1:
         raise WorkloadError("num_tables must be at least 1")

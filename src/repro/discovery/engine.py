@@ -8,6 +8,7 @@ paper's interactive time limit (60 seconds per round by default, §2.2).
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import replace
 from typing import Optional
@@ -35,10 +36,17 @@ DEFAULT_TIME_LIMIT_SECONDS = 60.0
 
 
 def _check_time_limit(seconds: float) -> None:
-    """Reject a time limit that is not positive; NaN, which compares
-    false with everything and so would never expire, included."""
-    if not seconds > 0:
-        raise DiscoveryError("time_limit must be positive")
+    """Reject a time limit that is not a positive number: a string, a
+    bool, and NaN, which compares false with everything and so would
+    never expire.  ``math.inf`` sets no limit."""
+    if (
+        isinstance(seconds, bool)
+        or not isinstance(seconds, numbers.Real)
+        or not seconds > 0
+    ):
+        raise DiscoveryError(
+            f"time_limit must be a positive number, got {seconds!r}"
+        )
 
 
 class Prism:
@@ -83,8 +91,8 @@ class Prism:
         many engines can serve over one shared, immutable artifact set —
         see :meth:`from_artifacts` and :class:`repro.api.ArtifactStore`.
         So may the artifacts' :class:`~repro.query.executor.ExecutorCache`
-        (plans, edge kernels, Bloom masks, planner memos), which engines
-        over one bundle then share.  Beyond that, an engine holds only
+        (plans, edge kernels, planner memos), which engines over one
+        bundle then share.  Beyond that, an engine holds only
         its :class:`Executor`'s counters and probe outcomes.
 
         Args:
@@ -97,11 +105,11 @@ class Prism:
                 the ``bayesian`` scheduler; ignored when ``models`` is
                 injected).
             use_sketches: consult the catalog's statistics sketches
-                (HyperLogLog join estimates, Bloom probe pre-filtering,
-                histogram selectivity, sketch-informed scheduling cost).
-                Discovered queries are identical either way; only plan
-                choices and probe work change.  Off is the raw-count
-                baseline the sketch benchmark compares against.
+                (HyperLogLog join estimates, histogram selectivity,
+                sketch-informed scheduling cost).  Discovered queries
+                are identical either way; only plan choices and probe
+                work change.  Off is the raw-count baseline the sketch
+                benchmark compares against.
             index: prebuilt inverted index for ``database``.
             catalog: prebuilt metadata catalog for ``database``.
             schema_graph: prebuilt schema graph for ``database``.
@@ -156,10 +164,10 @@ class Prism:
         ``schema_graph``, ``models`` and ``cache``).  No preprocessing
         runs: the returned engine is a cheap view over the bundle's
         immutable artifacts.  Its executor shares the bundle's cache of
-        plans, edge kernels, Bloom masks and planner memos with every
-        other engine over the bundle, and keeps its own counters and
-        probe outcomes, so constructing one per request is the intended
-        usage under concurrency.
+        plans, edge kernels and planner memos with every other engine
+        over the bundle, and keeps its own counters and probe outcomes,
+        so constructing one per request is the intended usage under
+        concurrency.
         """
         return cls(
             bundle.database,
@@ -291,9 +299,6 @@ class Prism:
         )
         stats.plan_cache_builds = (
             executor_after.plan_cache_builds - executor_before.plan_cache_builds
-        )
-        stats.bloom_rejections = (
-            executor_after.bloom_rejections - executor_before.bloom_rejections
         )
         stats.sketch_estimates_used = (
             executor_after.sketch_estimates_used

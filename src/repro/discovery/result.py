@@ -42,9 +42,10 @@ class DiscoveryStats:
     ``join_index_hits`` and ``join_index_builds`` are always 0: the
     executor no longer builds join indexes.  ``validation_batches`` and
     ``batched_outcomes`` are always 0 too: each filter is validated on
-    its own.  All four stay because the v1 wire format checks its stats
-    fields strictly and the end-to-end benchmark runner still reads
-    them.
+    its own.  So is ``bloom_rejections``: the semijoin sweep alone
+    decides every probe, with no Bloom pre-filter ahead of it.  All five
+    stay because the v1 wire format checks its stats fields strictly and
+    the end-to-end benchmark runner still reads them.
     """
 
     scheduler_name: str = "bayesian"

@@ -19,7 +19,7 @@ the executor runs exactly the probes the policy asks for.  Inside one
 ``discover()`` call the probes still share work: the call runs in
 :meth:`~repro.query.executor.Executor.round`, which scans each (table,
 column, constraint) once, and probes over one join structure share its
-cached plan, Bloom masks and edge kernels.
+cached plan and edge kernels.
 """
 
 from __future__ import annotations

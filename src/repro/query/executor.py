@@ -24,13 +24,13 @@ execution model is column- and array-oriented:
   :mod:`repro.query.kernels` over the storage's column array
   snapshots, whatever the table sizes or key types
   (:meth:`Executor.exists_batch` is a loop over it).  Probes share the
-  cached plans, Bloom masks and edge kernels of their join structure,
-  and their pushdown scans (keyed by table, column and constraint) with
-  every call of the same :meth:`Executor.round`;
+  cached plan and edge kernels of their join structure, and their
+  pushdown scans (keyed by table, column and constraint) with every
+  call of the same :meth:`Executor.round`;
 * **one cache generation per artifact key** — everything derived from
   one :meth:`~repro.dataset.database.Database.artifact_key` (lowered
-  plans, edge kernels, Bloom membership masks and the planner's memos)
-  lives in an :class:`ExecutorCache` of that key.  An
+  plans, edge kernels and the planner's memos) lives in an
+  :class:`ExecutorCache` of that key.  An
   :class:`~repro.service.artifacts.ArtifactBundle` carries one, and
   every executor over the bundle shares it while the database still has
   the bundle's key; otherwise an executor uses a private cache.  Every
@@ -64,7 +64,6 @@ import numpy as np
 
 from repro.constraints.values import ValueConstraint
 from repro.dataset.database import Database
-from repro.dataset.schema import ColumnRef as _ColumnRef
 from repro.errors import QueryError
 from repro.query import kernels as _kernels
 from repro.query.pj_query import ProjectJoinQuery
@@ -89,14 +88,6 @@ _Selections = dict[str, np.ndarray]
 # not kept.
 MAX_PLAN_CACHE_ENTRIES = 10_000
 
-_MISSING = object()
-
-# Bloom pre-filtering only probes selections at most this large: the
-# pushed-down selections it can kill cheaply are small by construction,
-# and a fixed row-count cap keeps the decision deterministic and
-# independent of wall-clock.
-BLOOM_PROBE_MAX_ROWS = 2048
-
 
 @dataclass
 class ExecutionStats:
@@ -118,9 +109,6 @@ class ExecutionStats:
     #: ... and first plans of a structure, lowered here or found in a
     #: shared cache.
     plan_cache_builds: int = 0
-    #: Probe rows discarded because a join-key Bloom filter proved their
-    #: key absent from the opposite side of an edge (see _bloom_prune).
-    bloom_rejections: int = 0
     #: Planner estimates that came from statistics sketches (HLL join
     #: overlap, histogram selectivity) rather than raw catalog counts.
     #: A structure's ordering pass counts each sketched join it prices,
@@ -134,11 +122,9 @@ class ExecutorCache(PlannerMemos):
     """Everything executors derive from one artifact key.
 
     Lowered plans per join structure, aligned edge kernels per probe
-    step, Bloom membership masks per (table, position, other table,
-    other position) — ``None`` where the other side has no filter — and
-    the planner's memos.  Entries depend only on the database state
-    ``key`` names and on the catalog, so every executor over the same
-    database and catalog with sketches on may share one cache: an
+    step, and the planner's memos.  Entries depend only on the database
+    state ``key`` names and on the catalog, so every executor over the
+    same database and catalog with sketches on may share one cache: an
     :class:`~repro.service.artifacts.ArtifactBundle` carries one for
     its engines.  The cache fills lazily.  Entries are published once
     and never changed, so executors on several threads read it without
@@ -146,14 +132,13 @@ class ExecutorCache(PlannerMemos):
     travels empty, since its entries bind column snapshots.
     """
 
-    __slots__ = ("key", "plans", "edge_kernels", "bloom_masks")
+    __slots__ = ("key", "plans", "edge_kernels")
 
     def __init__(self, key: tuple):
         super().__init__()
         self.key = key
         self.plans: dict[tuple, _JoinPlan] = {}
         self.edge_kernels: dict[_ProbeStep, _kernels.EdgeKernel] = {}
-        self.bloom_masks: dict[tuple, Optional[_kernels.BloomMask]] = {}
 
     def __reduce__(self):
         return (ExecutorCache, (self.key,))
@@ -208,11 +193,10 @@ class Executor:
             catalog: optional :class:`~repro.dataset.catalog.MetadataCatalog`
                 handed to the planner for cardinality-based join
                 ordering; without one the planner uses live row counts.
-            use_sketches: consult the catalog's statistics sketches —
-                HLL-informed join estimates in the planner and Bloom
-                pre-filtering of existence probes.  Outcomes are
-                identical either way; only plan choices and probe work
-                change.
+            use_sketches: let the planner consult the catalog's
+                statistics sketches (HLL-informed join estimates,
+                histogram selectivity).  Outcomes are identical either
+                way; only join orders change.
             cache: an :class:`ExecutorCache` shared with other executors
                 over the same database and catalog with sketches on —
                 an artifact bundle's.  It is used while its key equals
@@ -220,20 +204,17 @@ class Executor:
                 one, the executor fills a private cache.
         """
         self._database = database
-        self._catalog = catalog
-        self._use_sketches = use_sketches
         self._shared = cache
         self.stats = ExecutionStats()
         self.planner = Planner(
             database, catalog, use_sketches=use_sketches, stats=self.stats
         )
         # The cache of the current artifact key (see _generation), and
-        # what this executor keeps for that key only: whether Bloom
-        # pre-filtering is sound, the structures it has planned (for
-        # the plan counters), the outcomes callers store, and the
-        # pushdown scans of the current round (None outside a round).
+        # what this executor keeps for that key only: the structures it
+        # has planned (for the plan counters), the outcomes callers
+        # store, and the pushdown scans of the current round (None
+        # outside a round).
         self._cache: Optional[ExecutorCache] = None
-        self._bloom_fresh = False
         self._planned: set[tuple] = set()
         self._outcomes: dict[Any, bool] = {}
         self._scans: Optional[dict[tuple, np.ndarray]] = None
@@ -318,9 +299,8 @@ class Executor:
 
         The constraints are pushed down as row masks (each (table,
         column, constraint) scanned once per :meth:`round` inside one),
-        join-key Bloom filters prune the masks, and a probe with rows
-        left on every table is decided by one semijoin sweep over the
-        plan's edge kernels.
+        and a probe with rows left on every table is decided by one
+        semijoin sweep over the plan's edge kernels.
 
         Args:
             query: the PJ query to probe.
@@ -333,9 +313,6 @@ class Executor:
         if selections is None:
             return False
         plan = self._plan(query)
-        selections = self._bloom_prune(selections, plan)
-        if selections is None:
-            return False
         edges = [self._edge_kernel(step) for step in plan.steps]
         self.stats.joins_performed += len(plan.steps)
         return bool(_kernels.semijoin_exists(
@@ -510,12 +487,8 @@ class Executor:
         planner memoizes into it from then on, and this executor's own
         per-key state (outcomes, planned structures, round scans) starts
         over.  Plans bake in column positions (a recreated table may
-        place columns differently), edge kernels and Bloom masks bind
-        column snapshots, and outcomes describe the data.  Bloom
-        pre-filtering is on only with sketches, a catalog and — the
-        soundness guard — a catalog built from (or delta-folded up to)
-        exactly this key: a filter that has not seen every row of a
-        column could otherwise report a present key as absent.
+        place columns differently), edge kernels bind column snapshots,
+        and outcomes describe the data.
         """
         key = self._database.artifact_key()
         cache = self._cache
@@ -531,81 +504,7 @@ class Executor:
         self._outcomes.clear()
         if self._scans is not None:
             self._scans.clear()
-        self._bloom_fresh = (
-            self._use_sketches
-            and self._catalog is not None
-            and self._catalog.built_from == key
-        )
         return cache
-
-    # ------------------------------------------------------------------
-    # Bloom pre-filtering of existence probes
-    # ------------------------------------------------------------------
-    def _bloom_prune(
-        self, selections: _Selections, plan: _JoinPlan
-    ) -> Optional[_Selections]:
-        """Drop pushed-down rows whose join key a Bloom filter proves
-        absent from the opposite endpoint of an edge.
-
-        For every probe step, each side with a small selection checks its
-        key values against the *other* side's filter; rows with NULL keys
-        or provably absent keys cannot take part in any full assignment,
-        so removing them (``bloom_rejections``) never changes an
-        existence outcome — and an emptied selection decides the probe
-        ``False`` (returns ``None``) before the sweep runs.  The filter
-        has no false negatives, so surviving rows are a superset of the
-        joinable ones.
-        """
-        if not self._bloom_fresh:
-            return selections
-        for step in plan.steps:
-            sides = (
-                (step.existing_table, step.existing_position,
-                 step.new_table, step.new_position),
-                (step.new_table, step.new_position,
-                 step.existing_table, step.existing_position),
-            )
-            for table, position, other_table, other_position in sides:
-                selection = selections.get(table)
-                if selection is None:
-                    continue
-                selected = int(np.count_nonzero(selection))
-                if selected > BLOOM_PROBE_MAX_ROWS:
-                    continue
-                mask = self._bloom_mask(
-                    table, position, other_table, other_position
-                )
-                if mask is None:
-                    continue
-                kept = mask.keep(selection)
-                survivors = int(np.count_nonzero(kept))
-                rejected = selected - survivors
-                if rejected:
-                    self.stats.bloom_rejections += rejected
-                    if not survivors:
-                        return None
-                    selections[table] = kept
-        return selections
-
-    def _bloom_mask(
-        self, table: str, position: int, other_table: str, other_position: int
-    ) -> Optional[_kernels.BloomMask]:
-        """The cached membership mask of one join-key column's keys in the
-        catalog's Bloom filter over the edge's other endpoint (``None``
-        when that endpoint has no filter)."""
-        key = (table, position, other_table, other_position)
-        masks = self._cache.bloom_masks
-        mask = masks.get(key, _MISSING)
-        if mask is _MISSING:
-            column = self._database.table(other_table).columns[other_position].name
-            sketches = self._catalog.sketches(_ColumnRef(other_table, column))
-            mask = masks.setdefault(key, (
-                None if sketches is None or sketches.bloom is None
-                else _kernels.BloomMask(
-                    self._column_kernel(table, position), sketches.bloom
-                )
-            ))
-        return mask
 
     def _plan(self, query: ProjectJoinQuery) -> _JoinPlan:
         """The physical plan of ``query``'s join structure.

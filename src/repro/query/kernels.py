@@ -58,72 +58,10 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.dataset.sketches import hash_value, hash_values
-
-__all__ = ["BloomMask", "EdgeKernel", "join_rows", "semijoin_exists"]
+__all__ = ["EdgeKernel", "join_rows", "semijoin_exists"]
 
 # Row masks are ``np.ndarray`` (bool) or ``None`` meaning "every row".
 _Mask = Optional[np.ndarray]
-
-
-class BloomMask:
-    """Which rows of one column have a key that may be in a Bloom filter.
-
-    The executor's Bloom pre-filter asks this of the same column and
-    filter over and over, so membership is decided once per key, not
-    once per call: for array and object kernels one hash per valid row
-    when the mask is built, for text kernels one hash per dictionary
-    entry, filled lazily for the codes the calls meet.  NULL keys are
-    never kept (they can never join).  The hashes are the sketch layer's
-    canonical value hashes, so the kept rows equal those of a per-row
-    ``bloom.might_contain`` loop.  Bound to one kernel snapshot
-    (``kernel``) and one filter state, so it lives in the executor
-    cache of one artifact key, which executors on several threads may
-    share: a text mask's entry is only ever written with its one correct
-    value, so calls filling it at once need no lock.
-    """
-
-    __slots__ = ("kernel", "_bloom", "_rows", "_entries")
-
-    def __init__(self, kernel, bloom):
-        self.kernel = kernel
-        self._bloom = bloom
-        self._rows: Optional[np.ndarray] = None
-        self._entries: Optional[np.ndarray] = None
-        if kernel.kind == "text":
-            # Per dictionary entry: -1 undecided, 0 absent, 1 may be present.
-            self._entries = np.full(len(kernel.dictionary), -1, dtype=np.int8)
-            return
-        rows = kernel.valid.copy()
-        hashes = hash_values(kernel.keys[rows])  # a list for object keys
-        rows[rows] = bloom.contains_hashes(np.asarray(hashes, dtype=np.uint64))
-        self._rows = rows
-
-    def keep(self, selection: np.ndarray) -> np.ndarray:
-        """The rows of the boolean row mask ``selection`` whose key may be
-        in the filter, as a new mask."""
-        if self._rows is not None:
-            return selection & self._rows
-        rows = np.flatnonzero(selection)
-        codes = self.kernel.keys[rows]
-        valid = codes >= 0
-        rows, codes = rows[valid], codes[valid]
-        entries = self._entries
-        state = entries[codes]
-        undecided = state < 0
-        if undecided.any():
-            new = np.unique(codes[undecided])
-            dictionary = self.kernel.dictionary
-            hashes = np.fromiter(
-                (hash_value(dictionary[code]) for code in new.tolist()),
-                dtype=np.uint64,
-                count=len(new),
-            )
-            entries[new] = self._bloom.contains_hashes(hashes)
-            state = entries[codes]
-        kept = np.zeros(len(selection), dtype=np.bool_)
-        kept[rows[state == 1]] = True
-        return kept
 
 
 class EdgeKernel:

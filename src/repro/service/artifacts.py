@@ -31,9 +31,8 @@ exceptions are derived and grow only, publishing each entry once:
 * the schema graph memoizes the join trees consumers ask it for,
   answers that no append can change;
 * the bundle's ``cache`` holds what every engine's executor derives
-  from the bundle's key — lowered plans, edge kernels, Bloom membership
-  masks and the planner's memos — so rounds after the first stop
-  rebuilding them.  Every bundle the store builds, refreshes or loads
+  from the bundle's key — lowered plans, edge kernels and the planner's
+  memos — so rounds after the first stop rebuilding them.  Every bundle the store builds, refreshes or loads
   starts with an empty cache, and a pickled bundle holds none of its
   entries.
 """
@@ -68,7 +67,7 @@ __all__ = [
 #: Layout version of persisted bundles, part of every bundle's file name.
 #: Bump it whenever a pickled class changes shape: bundles written under
 #: another number are then never found, and the store rebuilds them.
-ARTIFACT_FORMAT = 6
+ARTIFACT_FORMAT = 7
 
 #: Largest append delta :meth:`ArtifactStore.refresh` folds into a bundle
 #: in place, as a fraction of the bundle's rows.  A larger delta falls
@@ -366,7 +365,7 @@ class ArtifactStore:
         target_key = database.artifact_key_at(new_marks)
         try:
             bundle.index.apply_delta(database, deltas)
-            bundle.catalog.apply_delta(database, deltas, built_from=target_key)
+            bundle.catalog.apply_delta(database, deltas)
             bundle.schema_graph.apply_delta(database)
             bundle.models.apply_delta(database, deltas)
         except ReproError:

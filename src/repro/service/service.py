@@ -242,11 +242,9 @@ class ServiceMetrics:
     latency_max_seconds: float = 0.0
     latency_p50_seconds: float = 0.0
     latency_p95_seconds: float = 0.0
-    #: Sketch-layer counters across all completed rounds: probe rows the
-    #: Bloom pre-filter rejected before any join work, and planner
-    #: estimates answered from HLL/histogram sketches instead of raw
-    #: counts (see :class:`~repro.query.executor.ExecutionStats`).
-    bloom_rejections: int = 0
+    #: Planner estimates answered from HLL/histogram sketches instead of
+    #: raw counts, across all completed rounds (see
+    #: :class:`~repro.query.executor.ExecutionStats`).
     sketch_estimates_used: int = 0
     artifacts: dict = field(default_factory=dict)
     #: Process mode only: per-shard breakdown — ``{shard_id: {"served": n,
@@ -273,7 +271,6 @@ class ServiceMetrics:
             "latency_max_seconds": self.latency_max_seconds,
             "latency_p50_seconds": self.latency_p50_seconds,
             "latency_p95_seconds": self.latency_p95_seconds,
-            "bloom_rejections": self.bloom_rejections,
             "sketch_estimates_used": self.sketch_estimates_used,
             "artifacts": dict(self.artifacts),
             "shards": {key: dict(value) for key, value in self.shards.items()},
@@ -411,7 +408,7 @@ class DiscoveryService:
             default_scheduler: scheduling policy for requests that do not
                 name one.
             default_deadline_s: per-round budget (seconds) for requests
-                that do not carry their own.
+                that do not carry their own: a positive int or float.
             limits: candidate-generation bounds applied to every request.
             refresh_artifacts: resolve bundles through
                 :meth:`ArtifactStore.refresh` instead of
@@ -438,7 +435,10 @@ class DiscoveryService:
             )
         if queue_size < 1:
             raise ServiceError("queue_size must be at least 1")
-        if not default_deadline_s > 0:  # NaN included
+        default_deadline_s = _wire.deadline_seconds(
+            default_deadline_s, "the service's default"
+        )
+        if default_deadline_s is None or not default_deadline_s > 0:
             raise ServiceError("default_deadline_s must be positive")
         if shard_mode not in _SHARD_MODES:
             raise ServiceError(
@@ -487,7 +487,6 @@ class DiscoveryService:
         self._latency_total = 0.0
         self._latency_min = float("inf")
         self._latency_max = 0.0
-        self._bloom_rejections = 0
         self._sketch_estimates_used = 0
         self._shard_served: dict[int, int] = {}
         self._shard_artifacts: dict[int, dict] = {}
@@ -642,7 +641,7 @@ class DiscoveryService:
                 f"unknown database {request.database!r}; available: "
                 f"{self.available_databases()}"
             )
-        if not self._budget(request) > 0:  # NaN included
+        if not self._budget(request) > 0:
             raise ServiceError("a request's deadline_s must be positive")
         if request.request_id is None:
             request = DiscoveryRequest(
@@ -696,6 +695,10 @@ class DiscoveryService:
         This is the single-threaded baseline path (no queue, no workers,
         no shards — even in process mode it runs in the calling process);
         it still shares the artifact store, so repeated calls warm-start.
+
+        Raises:
+            ServiceError: the request's ``deadline_s`` is not an int or
+                float, or is NaN.
         """
         request_id = request.request_id or f"req-{next(self._request_ids)}"
         return _execute_round(
@@ -735,7 +738,6 @@ class DiscoveryService:
                 in_flight=self._in_flight,
                 queue_depth=self._queue.qsize(),
                 latency_count=self._latency_count,
-                bloom_rejections=self._bloom_rejections,
                 sketch_estimates_used=self._sketch_estimates_used,
             )
             if self._latency_count:
@@ -843,10 +845,14 @@ class DiscoveryService:
 
     def _budget(self, request: DiscoveryRequest) -> float:
         """The round's budget in seconds: the request's ``deadline_s``,
-        or the service default when it carries none."""
-        if request.deadline_s is not None:
-            return request.deadline_s
-        return self._default_deadline_s
+        or the service default when it carries none.
+
+        Raises:
+            WireFormatError: ``deadline_s`` is not an int or float, or is
+                NaN (a bool or a string included).
+        """
+        deadline = _wire.deadline_seconds(request.deadline_s, "a request's")
+        return self._default_deadline_s if deadline is None else deadline
 
     def _run(
         self,
@@ -894,7 +900,6 @@ class DiscoveryService:
             self._latency_min = min(self._latency_min, latency)
             self._latency_max = max(self._latency_max, latency)
             if response.result is not None:
-                self._bloom_rejections += response.result.stats.bloom_rejections
                 self._sketch_estimates_used += (
                     response.result.stats.sketch_estimates_used
                 )

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+from dataclasses import replace
+
 import pytest
 
+from repro.constraints.parser import parse_metadata_constraint
 from repro.dataset.catalog import MetadataCatalog
 from repro.dataset.database import Database
 from repro.dataset.schema import Column, ColumnRef
@@ -74,6 +79,73 @@ class TestNullHandling:
         database.create_table("T", [Column("x", DataType.INT)])
         catalog = MetadataCatalog.build(database)
         assert catalog.stats(ColumnRef("T", "x")).null_fraction == 0.0
+
+
+NAN = math.nan
+
+#: DECIMAL columns holding NaN, with the statistics every row order must
+#: give: NaN stays out of min/max and counts as one distinct value.
+NAN_COLUMNS = [
+    ((NAN, NAN, NAN, 1.0), (2, 1.0, 1.0)),
+    ((1.0, NAN, 0.5), (3, 0.5, 1.0)),
+    ((NAN, None, -2.0, 3.5, NAN), (3, -2.0, 3.5)),
+    ((NAN, NAN), (1, None, None)),
+]
+
+
+def _decimal_table(values) -> Database:
+    database = Database("nans")
+    table = database.create_table("T", [Column("x", DataType.DECIMAL)])
+    table.insert_many((value,) for value in values)
+    return database
+
+
+def _without_moments(stats):
+    """The statistics, with the running moments set aside: a NaN cell
+    makes both NaN, and NaN never equals NaN."""
+    assert math.isnan(stats.mean) and math.isnan(stats.stddev)
+    return replace(stats, mean=None, stddev=None)
+
+
+class TestNaNHandling:
+    @pytest.mark.parametrize("values, expected", NAN_COLUMNS)
+    def test_every_row_order_gives_equal_stats(self, values, expected):
+        ref = ColumnRef("T", "x")
+        at_least_zero = parse_metadata_constraint("MinValue>=0")
+        seen = set()
+        for order in itertools.permutations(values):
+            catalog = MetadataCatalog.build(_decimal_table(order))
+            stats = catalog.stats(ref)
+            seen.add(_without_moments(stats))
+            assert (
+                stats.distinct_count, stats.min_value, stats.max_value
+            ) == expected
+            assert stats.distinct_count == round(
+                catalog.sketches(ref).hll.estimate()
+            )
+            assert at_least_zero.matches(stats) == (
+                expected[1] is not None and expected[1] >= 0
+            )
+        assert len(seen) == 1
+
+    @pytest.mark.parametrize("values, expected", NAN_COLUMNS)
+    def test_a_folded_catalog_equals_a_cold_build(self, values, expected):
+        ref = ColumnRef("T", "x")
+        for order in itertools.permutations(values):
+            for split in range(1, len(order)):
+                database = _decimal_table(order[:split])
+                catalog = MetadataCatalog.build(database)
+                marks = database.storage_marks()
+                database.table("T").insert_many(
+                    (value,) for value in order[split:]
+                )
+                catalog.apply_delta(
+                    database, database.storage_deltas_since(marks)
+                )
+                cold = MetadataCatalog.build(database)
+                assert _without_moments(catalog.stats(ref)) == (
+                    _without_moments(cold.stats(ref))
+                ), (order, split)
 
 
 class TestLookups:

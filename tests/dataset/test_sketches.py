@@ -8,9 +8,6 @@ point values, so they are tested as such over seeded random inputs:
 * :class:`HyperLogLog` estimates land within the sketch's error bound,
   merge is exactly the union, and folding appended values reproduces a
   cold rebuild's registers regardless of order or batching;
-* :class:`BloomFilter` never reports a present value absent — including
-  values folded in after construction — and keeps the false-positive
-  rate under its sizing target;
 * :class:`EquiDepthHistogram` CDFs are monotone and bounded before and
   after fixed-boundary folds;
 * sketches built vectorized from column array snapshots are
@@ -32,7 +29,6 @@ import pytest
 from repro.dataset.catalog import MetadataCatalog
 from repro.dataset.schema import ColumnRef
 from repro.dataset.sketches import (
-    BloomFilter,
     EquiDepthHistogram,
     HyperLogLog,
     build_column_sketches,
@@ -224,71 +220,6 @@ class TestHyperLogLogEstimate:
         assert checked > 75
 
 
-class TestBloomFilter:
-    def test_with_capacity_sizes_power_of_two_within_clamps(self):
-        for expected in (0, 1, 10, 1000, 10 ** 5, 10 ** 9):
-            bloom = BloomFilter.with_capacity(expected)
-            assert bloom.num_bits & (bloom.num_bits - 1) == 0
-            assert BloomFilter.MIN_BITS <= bloom.num_bits <= BloomFilter.MAX_BITS
-            if BloomFilter.MIN_BITS <= expected * BloomFilter.BITS_PER_KEY:
-                assert (
-                    bloom.num_bits >= expected * BloomFilter.BITS_PER_KEY
-                    or bloom.num_bits == BloomFilter.MAX_BITS
-                )
-
-    def test_no_false_negatives_ever(self):
-        values = _random_values(random.Random(4), 4000)
-        bloom = BloomFilter.with_capacity(len(values))
-        bloom.add_hashes([hash_value(v) for v in values])
-        assert all(bloom.might_contain(v) for v in values)
-
-    def test_no_false_negatives_across_appended_folds(self):
-        # The delta-fold lifecycle: build for an expected capacity, then
-        # keep folding appended keys in. Membership must keep holding
-        # even past the sizing estimate.
-        bloom = BloomFilter.with_capacity(1000)
-        present = []
-        rng = random.Random(5)
-        for batch in range(4):
-            appended = [rng.randrange(10 ** 12) for _ in range(1000)]
-            if batch % 2:
-                bloom.add_hashes(
-                    np.array([hash_value(v) for v in appended], dtype=np.uint64)
-                )
-            else:
-                for value in appended:
-                    bloom.add_value(value)
-            present.extend(appended)
-            assert all(bloom.might_contain(v) for v in present)
-
-    def test_false_positive_rate_under_sizing_target(self):
-        keys = 4096
-        bloom = BloomFilter.with_capacity(keys)
-        bloom.add_hashes([hash_value(i) for i in range(keys)])
-        absent = range(10 ** 7, 10 ** 7 + 20000)
-        false_positives = sum(bloom.might_contain(i) for i in absent)
-        # Sized at 16 bits/key the analytic rate is ~7e-4; allow 5x.
-        assert false_positives / 20000 < 5e-3
-
-    def test_vectorized_membership_matches_scalar(self):
-        bloom = BloomFilter.with_capacity(500)
-        bloom.add_hashes([hash_value(i) for i in range(500)])
-        probes = np.array(
-            [hash_value(i) for i in range(0, 1000)], dtype=np.uint64
-        )
-        mask = bloom.contains_hashes(probes)
-        for hashed, kept in zip(probes.tolist(), mask.tolist()):
-            assert bloom.might_contain_hash(hashed) == kept
-        assert mask[:500].all()  # the present half, no false negatives
-
-    def test_pickle_round_trip(self):
-        bloom = BloomFilter.with_capacity(100)
-        bloom.add_hashes([hash_value(i) for i in range(100)])
-        clone = pickle.loads(pickle.dumps(bloom))
-        assert clone == bloom
-        assert all(clone.might_contain(i) for i in range(100))
-
-
 class TestEquiDepthHistogram:
     def _skewed_values(self, count=5000):
         rng = random.Random(6)
@@ -386,34 +317,22 @@ class TestCatalogSketches:
                     continue  # text and object columns have no vector path
                 array_columns += 1
                 ref = ColumnRef(table.name, column.name)
-                options = dict(
-                    distinct_hint=table.distinct_count(column.name),
-                    want_bloom=True,
-                )
                 vectorized = build_column_sketches(
-                    column.data_type, kernel=kernel, **options
+                    column.data_type, kernel=kernel
                 )
                 scalar = build_column_sketches(
-                    column.data_type,
-                    values=table.column_values(column.name),
-                    **options,
+                    column.data_type, values=table.column_values(column.name)
                 )
                 assert vectorized.hll.registers == scalar.hll.registers, ref
-                assert vectorized.bloom.bits == scalar.bloom.bits, ref
                 assert vectorized.histogram == scalar.histogram, ref
                 assert catalog.sketches(ref).hll == scalar.hll, ref
         assert array_columns
 
-    def test_join_keys_get_blooms_numerics_get_histograms(self):
+    def test_numerics_get_histograms(self):
         database = _small_db()
         catalog = MetadataCatalog.build(database)
-        join_key_refs = set()
-        for fk in database.foreign_keys:
-            join_key_refs.add(ColumnRef(fk.child_table, fk.child_column))
-            join_key_refs.add(ColumnRef(fk.parent_table, fk.parent_column))
         for ref in _sketch_refs(database):
             sketches = catalog.sketches(ref)
-            assert (sketches.bloom is not None) == (ref in join_key_refs)
             if ref.column == "measure":
                 assert sketches.histogram is not None
             if ref.column in ("label", "attr0", "attr1"):
@@ -442,36 +361,17 @@ class TestCatalogSketches:
             )
         deltas = database.storage_deltas_since(marks)
         assert deltas and set(deltas) == {"T1", "T2"}
-        catalog.apply_delta(database, deltas, built_from=("test", 1))
+        catalog.apply_delta(database, deltas)
 
         rebuilt = MetadataCatalog.build(database)
         for ref in _sketch_refs(database):
             folded = catalog.sketches(ref)
             cold = rebuilt.sketches(ref)
-            # HLL registers and Bloom bits fold exactly; histogram
-            # boundaries are frozen so only the totals must agree.
+            # HLL registers fold exactly; histogram boundaries are
+            # frozen so only the totals must agree.
             assert folded.hll == cold.hll, ref
-            assert folded.bloom == cold.bloom, ref
             if cold.histogram is not None:
                 assert folded.histogram.total == cold.histogram.total
-
-    def test_bloom_never_loses_keys_across_delta_folds(self):
-        database = _small_db()
-        catalog = MetadataCatalog.build(database)
-        marks = database.storage_marks()
-        table = database.table("T2")
-        base = table.num_rows
-        table.insert_many(
-            (base + i, f"fresh-{i}", float(i), 10 ** 6 + i, "x", "y")
-            for i in range(25)
-        )
-        catalog.apply_delta(
-            database, database.storage_deltas_since(marks), built_from=("t", 2)
-        )
-        bloom = catalog.sketches(ColumnRef("T2", "parent_id")).bloom
-        assert bloom is not None
-        for parent in database.table("T2").column_values("parent_id"):
-            assert bloom.might_contain(parent)
 
     def test_sketches_survive_pickling(self):
         database = _small_db()
@@ -482,5 +382,4 @@ class TestCatalogSketches:
             restored = clone.sketches(ref)
             assert restored is not None
             assert restored.hll == original.hll
-            assert restored.bloom == original.bloom
             assert restored.histogram == original.histogram

@@ -150,6 +150,22 @@ class TestValidationAndTimeouts:
         with pytest.raises(DiscoveryError):
             engine.discover(spec, scheduler="filter", time_limit=time_limit)
 
+    @pytest.mark.parametrize("time_limit", ["5", True, math.nan])
+    def test_a_time_limit_that_is_not_a_number_is_rejected(
+        self, company_db_session, time_limit
+    ):
+        """A string is not read as its number, a bool not as 1 s, and
+        NaN never expires; an infinite limit sets none."""
+        with pytest.raises(DiscoveryError, match="time_limit"):
+            Prism(company_db_session, time_limit=time_limit)
+        engine = Prism(
+            company_db_session, time_limit=math.inf, train_bayesian=False
+        )
+        spec = MappingSpec(1).add_sample_cells([ExactValue("Engineering")])
+        with pytest.raises(DiscoveryError, match="time_limit"):
+            engine.discover(spec, scheduler="filter", time_limit=time_limit)
+        assert engine.discover(spec, scheduler="filter").num_queries >= 1
+
     def test_tiny_time_limit_reports_timeout(self, company_db_session):
         engine = Prism(company_db_session, train_bayesian=False)
         spec = MappingSpec(2)
@@ -410,4 +426,7 @@ class TestInjectedArtifacts:
         index = InvertedIndex.build(company_db)
         engine = Prism(company_db, index=index, train_bayesian=False)
         assert engine.index is index
-        assert engine.catalog.built_from == company_db.artifact_key()
+        # The catalog was built: it describes every column.
+        assert len(engine.catalog) == sum(
+            len(table.columns) for table in company_db
+        )

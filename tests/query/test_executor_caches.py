@@ -1,8 +1,8 @@
 """Tests for the executor's cache generation, its reusable edge kernels
 and edge-case semantics of the vectorized path.
 
-The rule: every executor cache — lowered plans, edge kernels, Bloom
-membership masks, the planner's memos and the outcomes callers store in
+The rule: every executor cache — lowered plans, edge kernels, the
+planner's memos and the outcomes callers store in
 :attr:`Executor.outcomes` — holds for exactly one
 ``Database.artifact_key()``.  After an append, and after a table
 drop-and-recreate, a held executor rebuilds all of them, and its answers
@@ -139,9 +139,7 @@ def _append(database, catalog):
     """The dangling child's parent arrives; the catalog folds the delta."""
     marks = database.storage_marks()
     database.table("Parent").insert(("late", "late parent"))
-    catalog.apply_delta(
-        database, database.storage_deltas_since(marks), database.artifact_key()
-    )
+    catalog.apply_delta(database, database.storage_deltas_since(marks))
 
 
 def _recreate(database, catalog):
@@ -160,16 +158,11 @@ class TestOneGenerationPerArtifactKey:
         database = _parent_child()
         catalog = MetadataCatalog.build(database)
         executor = Executor(database, catalog)
-        # The Bloom pre-filter decides the dangling child's probe.
         assert not executor.exists(FAMILY, ORPHAN)
-        assert executor.stats.bloom_rejections == 1
         executor.execute(FAMILY)
         executor.outcomes["stored"] = False
         cache = executor.cache
         (edge,) = cache.edge_kernels.values()
-        masks = {key: mask for key, mask in cache.bloom_masks.items()
-                 if mask is not None}
-        assert masks
         assert cache.structure_orders == {} and cache.edge_selectivity
         builds = executor.stats.plan_cache_builds
 
@@ -193,15 +186,16 @@ class TestOneGenerationPerArtifactKey:
         assert "stored" not in executor.outcomes
         # The planner memoizes into the new generation's cache.
         assert executor.planner.memos is rebuilt_cache
-        if change is _append:
-            # The catalog matches the new key, so Bloom pruning goes on,
-            # over masks built against the folded filters.
-            assert rebuilt_cache.bloom_masks.keys() >= masks.keys()
-            assert all(rebuilt_cache.bloom_masks[key] is not mask
-                       for key, mask in masks.items())
-        else:
-            # A catalog of an older key never prunes.
-            assert rebuilt_cache.bloom_masks == {}
+
+    def test_the_sweep_decides_a_dangling_child_probe(self):
+        """With a catalog and its sketches, the dangling child's probe
+        still reaches the semijoin sweep: its one edge is folded, and no
+        parent is left."""
+        database = _parent_child()
+        executor = Executor(database, MetadataCatalog.build(database))
+        assert not executor.exists(FAMILY, ORPHAN)
+        assert executor.stats.joins_performed == 1
+        assert executor.stats.plan_cache_builds == 1
 
     def test_an_unchanged_key_keeps_every_cache(self, company_db):
         executor = Executor(company_db)
@@ -364,26 +358,18 @@ class TestCacheBounds:
 # ----------------------------------------------------------------------
 # The bundle's cache: one per artifact key, shared by its engines
 # ----------------------------------------------------------------------
-CACHE_PARTS = (
-    "plans", "edge_kernels", "bloom_masks", "edge_selectivity",
-    "structure_orders",
-)
+CACHE_PARTS = ("plans", "edge_kernels", "edge_selectivity", "structure_orders")
 
 
 def _count_builds(monkeypatch) -> Counter:
-    """Count lowered plans (one ordering pass each), edge kernels and
-    Bloom masks built from now on."""
+    """Count lowered plans (one ordering pass each) and edge kernels
+    built from now on."""
     builds: Counter = Counter()
 
     class CountingEdgeKernel(kernels.EdgeKernel):
         def __init__(self, existing, new):
             builds["edge_kernels"] += 1
             super().__init__(existing, new)
-
-    class CountingBloomMask(kernels.BloomMask):
-        def __init__(self, kernel, bloom):
-            builds["bloom_masks"] += 1
-            super().__init__(kernel, bloom)
 
     join_order = Planner.join_order
 
@@ -392,14 +378,12 @@ def _count_builds(monkeypatch) -> Counter:
         return join_order(self, query)
 
     monkeypatch.setattr(kernels, "EdgeKernel", CountingEdgeKernel)
-    monkeypatch.setattr(kernels, "BloomMask", CountingBloomMask)
     monkeypatch.setattr(Planner, "join_order", counting_join_order)
     return builds
 
 
 def _company_specs() -> list[MappingSpec]:
-    """Single-table and join specs; the joins constrain both sides, so
-    Bloom pre-filtering runs."""
+    """Single-table and join specs; the joins constrain both sides."""
     specs = []
     for cells in (
         [ExactValue("Ann Arbor"), ExactValue("Alice Chen")],
@@ -431,7 +415,6 @@ class TestBundleCache:
         first = [Prism.from_artifacts(bundle).discover(spec)
                  for spec in _company_specs()]
         assert builds["plans"] and builds["edge_kernels"]
-        assert builds["bloom_masks"]
         builds.clear()
         second = [Prism.from_artifacts(bundle).discover(spec)
                   for spec in _company_specs()]
@@ -463,9 +446,7 @@ class TestBundleCache:
             executor.exists(FAMILY, predicates)
             executor.execute(FAMILY, predicates)
         executor.planner.structure_rows(FAMILY)
-        # The Bloom pre-filter decided the dangling child's probe.
         assert not executor.exists(FAMILY, ORPHAN)
-        assert executor.stats.bloom_rejections
         before = _entries(bundle.cache)
         assert all(before.values())
 
@@ -491,7 +472,7 @@ class TestBundleCache:
 
     def test_each_entry_is_built_once_per_key(self, monkeypatch):
         """A stream of rounds through a thread-mode service builds each
-        plan, edge kernel and Bloom mask of the bundle's key once."""
+        plan and edge kernel of the bundle's key once."""
         database = generate_synthetic_database(
             4, 400, topology="random", seed=3, skew=1.1,
             dangling_fk_fraction=0.3,
@@ -517,11 +498,8 @@ class TestBundleCache:
         assert [response.status for response in responses] == (
             ["ok"] * len(requests)
         )
-        masks = [mask for mask in bundle.cache.bloom_masks.values()
-                 if mask is not None]
-        assert masks and bundle.cache.edge_kernels
+        assert bundle.cache.edge_kernels
         assert builds == {
             "plans": len(bundle.cache.plans),
             "edge_kernels": len(bundle.cache.edge_kernels),
-            "bloom_masks": len(masks),
         }

@@ -72,7 +72,9 @@ class TestArtifactStore:
         bundle = store.get(company_db)
         assert bundle.database is company_db
         assert bundle.key == ArtifactKey.for_database(company_db)
-        assert bundle.catalog.built_from == company_db.artifact_key()
+        assert len(bundle.catalog) == sum(
+            len(table.columns) for table in company_db
+        )
         assert bundle.models is not None
 
     def test_engine_over_bundle_discovers(self, company_db):

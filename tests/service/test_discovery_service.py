@@ -259,6 +259,24 @@ class TestConfigurationValidation:
         with pytest.raises(ServiceError, match="deadline_s"):
             service.submit(_company_request(deadline_s=deadline_s))
 
+    @pytest.mark.parametrize("deadline_s", ["5", True, math.nan])
+    def test_a_budget_that_is_not_a_number_is_rejected(
+        self, company_db, service, deadline_s
+    ):
+        """As on the wire: a string is not read as its number, a bool
+        not as 1 s, and NaN never expires."""
+        with pytest.raises(ServiceError, match="deadline_s"):
+            DiscoveryService(
+                databases={"company": company_db},
+                default_deadline_s=deadline_s,
+            )
+        request = _company_request(deadline_s=deadline_s)
+        with pytest.raises(ServiceError, match="deadline_s"):
+            service.submit(request)
+        with pytest.raises(ServiceError, match="deadline_s"):
+            service.execute(request)
+        assert service.metrics().submitted == 0
+
     def test_default_service_serves_bundled_databases(self):
         svc = DiscoveryService()
         try:

@@ -20,7 +20,6 @@ import pytest
 
 from repro.dataset.catalog import MetadataCatalog
 from repro.discovery.candidates import GenerationLimits
-from repro.query.kernels import BloomMask
 from repro.api import (
     ArtifactStore,
     DiscoveryRequest,
@@ -149,9 +148,8 @@ class TestSharedExecutorCache:
         self, mondial_db
     ):
         """8 rounds released together over one built mondial bundle race
-        to fill its executor cache; Mondial joins on text names, so they
-        fill the same text Bloom masks at once.  Every entry they publish
-        must be the one a lone caller computes."""
+        to fill its executor cache.  Every plan and edge kernel they
+        publish must be the one a lone caller computes."""
         catalog = MetadataCatalog.build(mondial_db)
         generator = WorkloadGenerator(mondial_db, seed=13)
         levels = (ResolutionLevel.EXACT, ResolutionLevel.DISJUNCTION)
@@ -175,7 +173,7 @@ class TestSharedExecutorCache:
 
         concurrent = service()
         bundle = concurrent.store.get(mondial_db)
-        assert not bundle.cache.bloom_masks
+        assert not bundle.cache.plans and not bundle.cache.edge_kernels
         responses: list = [None] * len(requests)
         errors: list = []
         barrier = threading.Barrier(len(requests))
@@ -204,12 +202,14 @@ class TestSharedExecutorCache:
         assert not errors
         assert [_answer(r) for r in responses] == [_answer(r) for r in sequential]
         assert all(r.status == "ok" for r in responses)
-        text_masks = [
-            mask for mask in bundle.cache.bloom_masks.values()
-            if mask is not None and mask.kernel.kind == "text"
-        ]
-        assert text_masks
-        for mask in text_masks:
-            every_row = np.ones(len(mask.kernel.keys), dtype=np.bool_)
-            alone = BloomMask(mask.kernel, mask._bloom)
-            assert np.array_equal(mask.keep(every_row), alone.keep(every_row))
+        alone = one_by_one.store.get(mondial_db).cache
+        assert alone.plans and alone.edge_kernels
+        assert bundle.cache.plans == alone.plans
+        assert bundle.cache.edge_kernels.keys() == alone.edge_kernels.keys()
+        for step, edge in bundle.cache.edge_kernels.items():
+            assert np.array_equal(
+                edge.existing_codes, alone.edge_kernels[step].existing_codes
+            )
+            assert np.array_equal(
+                edge.new_codes, alone.edge_kernels[step].new_codes
+            )
