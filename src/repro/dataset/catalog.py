@@ -4,14 +4,13 @@ The paper checks metadata constraints against "metadata information, e.g.,
 min/max values, collected during preprocessing" (§2.3).  The catalog stores,
 for every column: declared data type, min/max value, maximum text length,
 row/null/distinct counts, and (for numeric columns) mean and standard
-deviation.  The same statistics later feed the Bayesian selectivity models,
-and the per-column sketches (HyperLogLog, histogram) feed the planner's
-estimates.
+deviation.  The same statistics later feed the Bayesian selectivity models
+and the planner's estimates.
 
 NaN never equals itself, so it has no place in an order: min/max leave
 it out, and all NaN cells of a column count as one distinct value, as
-the HyperLogLog, the histogram and the relation models treat it.  The
-statistics then do not depend on the order rows arrive in.
+the relation models treat it.  The statistics then do not depend on the
+order rows arrive in.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from typing import Any, Mapping, Optional
 
 from repro.dataset.database import Database
 from repro.dataset.schema import ColumnRef
-from repro.dataset.sketches import ColumnSketches, build_column_sketches
 from repro.dataset.types import DataType, to_float
 from repro.errors import SchemaError
 
@@ -102,12 +100,6 @@ class MetadataCatalog:
         # set's bytes below 44k entries).
         self._distinct_values: dict[ColumnRef, dict] = {}
         self._numeric_moments: dict[ColumnRef, tuple[float, float]] = {}
-        # Statistics sketches (HyperLogLog / equi-depth histogram) per
-        # column; see repro.dataset.sketches.  Maintained alongside the
-        # exact statistics: built vectorized over ColumnKernel snapshots
-        # of typed array columns, folded through apply_delta(),
-        # and pickled with the catalog into artifact bundles and shards.
-        self._sketches: dict[ColumnRef, ColumnSketches] = {}
 
     @classmethod
     def build(cls, database: Database) -> "MetadataCatalog":
@@ -121,28 +113,20 @@ class MetadataCatalog:
         catalog = cls()
         for table in database:
             catalog._table_rows[table.name] = table.num_rows
-            for position, column in enumerate(table.columns):
+            for column in table.columns:
                 ref = ColumnRef(table.name, column.name)
-                values = kernel = dictionary = None
                 if column.data_type is DataType.TEXT:
-                    dictionary = table.text_dictionary(column.name)
                     stats = cls._collect_text_from_dictionary(
                         ref,
-                        dictionary,
+                        table.text_dictionary(column.name),
                         row_count=table.num_rows,
                         null_count=table.null_count(column.name),
                     )
                 else:
-                    values = table.column_values(column.name)
-                    stats = catalog._collect(ref, column.data_type, values)
-                    kernel = table.backend.column_kernel(table.name, position)
+                    stats = catalog._collect(
+                        ref, column.data_type, table.column_values(column.name)
+                    )
                 catalog._stats[ref] = stats
-                catalog._sketches[ref] = build_column_sketches(
-                    column.data_type,
-                    values=values,
-                    kernel=kernel,
-                    dictionary=dictionary,
-                )
         return catalog
 
     @staticmethod
@@ -241,21 +225,6 @@ class MetadataCatalog:
                     self._stats[ref] = self._fold_generic_delta(
                         ref, old, column_delta
                     )
-                sketches = self._sketches.get(ref)
-                if sketches is not None:
-                    # HLL registers fold to exactly the state a cold
-                    # rebuild would reach (max is order-insensitive);
-                    # histogram boundaries stay fixed, only bucket counts
-                    # grow.  A text column's sketches hash its distinct
-                    # set, the store's dictionary, so only its new
-                    # entries fold.
-                    values = (
-                        column_delta.new_dictionary_entries
-                        if column_delta.is_text
-                        else column_delta.non_null_values
-                    )
-                    for value in values:
-                        sketches.fold_value(value)
             self._table_rows[table_name] = delta.end_row
 
     @staticmethod
@@ -360,11 +329,6 @@ class MetadataCatalog:
     def has_column(self, ref: ColumnRef) -> bool:
         """Whether statistics exist for ``ref``."""
         return ref in self._stats
-
-    def sketches(self, ref: ColumnRef) -> Optional[ColumnSketches]:
-        """Statistics sketches for one column, or ``None`` when absent
-        (hand-assembled catalogs)."""
-        return self._sketches.get(ref)
 
     def table_row_count(self, table: str) -> int:
         """Number of rows recorded for ``table`` at build time."""

@@ -62,12 +62,13 @@ def generate_synthetic_database(
             default) keeps the historical uniform draw; larger values
             concentrate references on low parent ids (``s≈1`` is classic
             Zipf), giving joins the hot-key/long-tail shape real data
-            has and making sketch-based cardinality estimates diverge
-            from uniform-containment ones.
+            has, which the planner's uniform containment estimate does
+            not model.
         dangling_fk_fraction: fraction of foreign-key values (in
             ``[0, 1]``) pointing *past* the parent table's id range —
             dangling references that can never join: the semijoin
-            sweep drops them at the edge's fold.
+            sweep drops them at the edge's fold, while the planner's
+            containment estimate still counts them as joining.
     """
     if num_tables < 1:
         raise WorkloadError("num_tables must be at least 1")

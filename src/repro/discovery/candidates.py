@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence
 
 from repro.constraints.spec import MappingSpec
@@ -53,13 +53,25 @@ class CandidateQuery:
 
 @dataclass(frozen=True)
 class GenerationLimits:
-    """Bounds keeping candidate enumeration interactive."""
+    """Bounds keeping candidate enumeration interactive.
+
+    Every bound is an ``int`` of at least 1; anything else (a bool
+    included) raises :class:`~repro.errors.DiscoveryError`.
+    """
 
     max_tables: int = 4
     max_trees_per_assignment: int = 8
     max_assignments: int = 2_000
     max_candidates: int = 1_000
     max_unconstrained_choices: int = 20
+
+    def __post_init__(self) -> None:
+        for field_ in fields(self):
+            bound = getattr(self, field_.name)
+            if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
+                raise DiscoveryError(
+                    f"{field_.name} must be an int of at least 1, got {bound!r}"
+                )
 
 
 class CandidateGenerator:

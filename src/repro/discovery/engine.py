@@ -77,7 +77,6 @@ class Prism:
         limits: Optional[GenerationLimits] = None,
         train_bayesian: bool = True,
         *,
-        use_sketches: bool = True,
         index: Optional[InvertedIndex] = None,
         catalog: Optional[MetadataCatalog] = None,
         schema_graph: Optional[SchemaGraph] = None,
@@ -97,19 +96,14 @@ class Prism:
 
         Args:
             database: the source database.
-            scheduler: default scheduling policy (``naive``, ``filter``,
-                ``bayesian``/``prism`` or ``optimal``).
+            scheduler: default scheduling policy, one of
+                :data:`~repro.discovery.scheduler.POLICY_NAMES`
+                (``naive``, ``filter``, ``bayesian`` or ``optimal``).
             time_limit: per-discovery interactive time budget in seconds.
             limits: candidate-generation bounds.
             train_bayesian: train the Bayesian models eagerly (required for
                 the ``bayesian`` scheduler; ignored when ``models`` is
                 injected).
-            use_sketches: consult the catalog's statistics sketches
-                (HyperLogLog join estimates, histogram selectivity,
-                sketch-informed scheduling cost).  Discovered queries
-                are identical either way; only plan choices and probe
-                work change.  Off is the raw-count baseline the sketch
-                benchmark compares against.
             index: prebuilt inverted index for ``database``.
             catalog: prebuilt metadata catalog for ``database``.
             schema_graph: prebuilt schema graph for ``database``.
@@ -117,7 +111,12 @@ class Prism:
             cache: the executor cache of the artifacts above (an
                 artifact bundle's ``cache``); the engine fills a private
                 one without it.
+
+        Raises:
+            DiscoveryError: ``scheduler`` names no policy, or
+                ``time_limit`` is not a positive number.
         """
+        make_policy(scheduler)
         _check_time_limit(time_limit)
         self.database = database
         self.scheduler = scheduler
@@ -132,11 +131,7 @@ class Prism:
         # The executor plans with the catalog's cardinalities; its
         # physical plans are keyed by join-prefix key and therefore
         # shared across every candidate joining the same structure.
-        self.use_sketches = use_sketches
-        self.executor = Executor(
-            database, catalog=self.catalog, use_sketches=use_sketches,
-            cache=cache,
-        )
+        self.executor = Executor(database, catalog=self.catalog, cache=cache)
         self.limits = limits or GenerationLimits()
         self.models: Optional[BayesianModelSet] = None
         self._estimator: Optional[SelectivityEstimator] = None
@@ -273,7 +268,7 @@ class Prism:
             estimator=self._estimator,
             deadline=deadline,
             max_validations=validation_budget,
-            planner=self.executor.planner if self.use_sketches else None,
+            planner=self.executor.planner,
         )
         executor_before = replace(self.executor.stats)
         # One round: each (table, column, constraint) is scanned once
@@ -299,10 +294,6 @@ class Prism:
         )
         stats.plan_cache_builds = (
             executor_after.plan_cache_builds - executor_before.plan_cache_builds
-        )
-        stats.sketch_estimates_used = (
-            executor_after.sketch_estimates_used
-            - executor_before.sketch_estimates_used
         )
 
         confirmed_ids = set(scheduling.confirmed_candidate_ids)

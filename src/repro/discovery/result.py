@@ -33,19 +33,20 @@ class DiscoveryStats:
 
     No counter depends on how warm the engine's artifact bundle is.
     ``plan_cache_builds`` counts the engine's first plan of each join
-    structure, ``plan_cache_hits`` its later plan lookups, and
-    ``sketch_estimates_used`` the sketched joins of those structures'
-    ordering passes, whether the bundle's shared executor cache already
-    held a plan and pass or the round built them.  So one spec gives the
-    same counters on a cold and a warm bundle, and on every shard.
+    structure and ``plan_cache_hits`` its later plan lookups, whether the
+    bundle's shared executor cache already held a plan or the round
+    built it.  So one spec gives the same counters on a cold and a warm
+    bundle, and on every shard.
 
     ``join_index_hits`` and ``join_index_builds`` are always 0: the
     executor no longer builds join indexes.  ``validation_batches`` and
     ``batched_outcomes`` are always 0 too: each filter is validated on
     its own.  So is ``bloom_rejections``: the semijoin sweep alone
-    decides every probe, with no Bloom pre-filter ahead of it.  All five
-    stay because the v1 wire format checks its stats fields strictly and
-    the end-to-end benchmark runner still reads them.
+    decides every probe, with no Bloom pre-filter ahead of it.  And so
+    is ``sketch_estimates_used``: the planner prices every join from the
+    catalog's exact counts, with no statistics sketches.  All six stay
+    because the v1 wire format checks its stats fields strictly and the
+    end-to-end benchmark runner still reads the first five.
     """
 
     scheduler_name: str = "bayesian"

@@ -181,13 +181,12 @@ class _DriverContext:
 
         Without a planner this is the classic structural unit
         ``1 + join_size``.  With one (the engine passes its executor's
-        planner when sketches are on), the filter's estimated join
-        cardinality — memoized per join structure, HLL-informed when
-        sketches exist — is added on a log scale: probing a join whose
-        sketched key overlap is near-empty dies almost immediately
-        (early-terminating semijoins), while a high-overlap join streams
-        a large intermediate result.  The log damping reflects that
-        early termination makes probe cost sublinear in result size.
+        planner), the filter's estimated join cardinality — memoized per
+        join structure, from the catalog's row and distinct counts — is
+        added on a log scale: a join estimated to produce few rows is
+        cheap to probe, while a large one streams a large intermediate
+        result.  The log damping reflects that early-terminating
+        semijoins make probe cost sublinear in result size.
         A structure the planner cannot order (a ``QueryError``) or whose
         tables it cannot find (a ``SchemaError``) costs the structural
         unit; any other error propagates.
@@ -206,7 +205,7 @@ class _DriverContext:
     def structural_cost(filter_: Filter) -> float:
         """The classic structural validation-cost unit, ``1 + join_size``.
 
-        The oracle policy ranks by this regardless of sketches: the
+        The oracle policy ranks by this regardless of the planner: the
         "optimum" is the paper's fixed reference point, so its choices
         must not move when the estimator changes.
         """
@@ -310,7 +309,7 @@ class PathLengthPolicy(SchedulingPolicy):
     """The "Filter" baseline: failure probability ∝ join-path length.
 
     As the prior-work reference point it ranks by the structural cost
-    unit only — the sketch-informed cost is Prism's improvement and
+    unit only — the planner-informed cost is Prism's improvement and
     feeding it to the baseline would blur the comparison the paper
     makes (and can even push the baseline past the greedy oracle).
     """
@@ -366,31 +365,28 @@ class OptimalPolicy(SchedulingPolicy):
         return (1 if is_top else 2, cost)
 
 
-POLICY_NAMES = ("naive", "filter", "bayesian", "optimal")
+_POLICIES = {
+    "naive": NaivePolicy,
+    "filter": PathLengthPolicy,
+    "bayesian": BayesianPolicy,
+    "optimal": OptimalPolicy,
+}
+#: The names :func:`make_policy` accepts, one per policy.
+POLICY_NAMES = tuple(_POLICIES)
 
 
 def make_policy(name: str) -> SchedulingPolicy:
-    """Create a scheduling policy by name.
+    """Create the scheduling policy named ``name``, one of
+    :data:`POLICY_NAMES`.
 
-    Accepted names: ``naive``, ``filter`` (alias ``path_length``),
-    ``bayesian`` (alias ``prism``), ``optimal`` (alias ``oracle``).
+    Raises:
+        DiscoveryError: ``name`` is not one of those strings.
     """
-    normalized = name.strip().lower()
-    policies = {
-        "naive": NaivePolicy,
-        "filter": PathLengthPolicy,
-        "path_length": PathLengthPolicy,
-        "path-length": PathLengthPolicy,
-        "bayesian": BayesianPolicy,
-        "prism": BayesianPolicy,
-        "optimal": OptimalPolicy,
-        "oracle": OptimalPolicy,
-    }
-    if normalized not in policies:
+    if not isinstance(name, str) or name not in _POLICIES:
         raise DiscoveryError(
-            f"unknown scheduler {name!r}; expected one of {sorted(set(policies))}"
+            f"unknown scheduler {name!r}; expected one of {list(POLICY_NAMES)}"
         )
-    return policies[normalized]()
+    return _POLICIES[name]()
 
 
 class ValidationDriver:
@@ -424,7 +420,7 @@ class ValidationDriver:
         # Deterministic alternative to the wall-clock deadline: stop after
         # this many scheduling decisions (reported as timed_out).
         self._max_validations = max_validations
-        # Optional cost oracle: policies fold the planner's (sketch-backed)
+        # Optional cost oracle: policies fold the planner's
         # join-cardinality estimates into their cost denominators.
         self._planner = planner
 

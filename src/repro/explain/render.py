@@ -197,12 +197,7 @@ def plan_to_ascii(
         plan: the plan tree (from
             :meth:`~repro.query.executor.Executor.logical_plan`).
         planner: when given, each node is annotated with the planner's
-            estimated output cardinality (``~N rows``).  Planners with
-            statistics sketches additionally report which estimator
-            answered: sketch-informed nodes render as
-            ``~N rows [sketch] (raw ~M)`` with the raw-count estimate
-            alongside, so a user can see exactly where the HLL overlap
-            or histogram selectivity changed the plan's numbers.
+            estimated output cardinality (``~N rows``).
         shared: counts from :func:`shared_structure_counts`; nodes whose
             join structure occurs in more than one candidate are
             annotated ``structure in K candidates`` (for the plan's
@@ -214,17 +209,7 @@ def plan_to_ascii(
     def render(node: PlanNode, depth: int) -> None:
         annotations: list[str] = []
         if planner is not None:
-            estimate = getattr(planner, "node_estimate", None)
-            if estimate is not None:
-                rows, raw_rows, source = estimate(node)
-                if source == "sketch":
-                    annotations.append(
-                        f"~{rows:.3g} rows [sketch] (raw ~{raw_rows:.3g})"
-                    )
-                else:
-                    annotations.append(f"~{rows:.3g} rows")
-            else:
-                annotations.append(f"~{planner.estimated_rows(node):.3g} rows")
+            annotations.append(f"~{planner.estimated_rows(node):.3g} rows")
         if shared is not None:
             key = structure_key(node)
             count = shared.get(key, 0) if key is not None else 0

@@ -109,13 +109,6 @@ class ExecutionStats:
     #: ... and first plans of a structure, lowered here or found in a
     #: shared cache.
     plan_cache_builds: int = 0
-    #: Planner estimates that came from statistics sketches (HLL join
-    #: overlap, histogram selectivity) rather than raw catalog counts.
-    #: A structure's ordering pass counts each sketched join it prices,
-    #: once when this executor first plans the structure and once when
-    #: its planner first estimates it (``structure_rows``), however
-    #: often the memoized pass is reused.
-    sketch_estimates_used: int = 0
 
 
 class ExecutorCache(PlannerMemos):
@@ -124,7 +117,7 @@ class ExecutorCache(PlannerMemos):
     Lowered plans per join structure, aligned edge kernels per probe
     step, and the planner's memos.  Entries depend only on the database
     state ``key`` names and on the catalog, so every executor over the
-    same database and catalog with sketches on may share one cache: an
+    same database and catalog may share one cache: an
     :class:`~repro.service.artifacts.ArtifactBundle` carries one for
     its engines.  The cache fills lazily.  Entries are published once
     and never changed, so executors on several threads read it without
@@ -166,12 +159,10 @@ class _ProbeStep:
 
 @dataclass(frozen=True)
 class _JoinPlan:
-    """A structure's physical join strategy (no per-request state), with
-    the number of sketched estimates its ordering pass priced."""
+    """A structure's physical join strategy (no per-request state)."""
 
     start_table: str
     steps: tuple[_ProbeStep, ...]
-    sketch_estimates: int
 
 
 class Executor:
@@ -183,7 +174,6 @@ class Executor:
         database: Database,
         catalog: Optional["MetadataCatalog"] = None,
         *,
-        use_sketches: bool = True,
         cache: Optional[ExecutorCache] = None,
     ):
         """Create an executor.
@@ -193,22 +183,16 @@ class Executor:
             catalog: optional :class:`~repro.dataset.catalog.MetadataCatalog`
                 handed to the planner for cardinality-based join
                 ordering; without one the planner uses live row counts.
-            use_sketches: let the planner consult the catalog's
-                statistics sketches (HLL-informed join estimates,
-                histogram selectivity).  Outcomes are identical either
-                way; only join orders change.
             cache: an :class:`ExecutorCache` shared with other executors
-                over the same database and catalog with sketches on —
-                an artifact bundle's.  It is used while its key equals
+                over the same database and catalog — an artifact
+                bundle's.  It is used while its key equals
                 the database's artifact key; otherwise, and without
                 one, the executor fills a private cache.
         """
         self._database = database
         self._shared = cache
         self.stats = ExecutionStats()
-        self.planner = Planner(
-            database, catalog, use_sketches=use_sketches, stats=self.stats
-        )
+        self.planner = Planner(database, catalog)
         # The cache of the current artifact key (see _generation), and
         # what this executor keeps for that key only: the structures it
         # has planned (for the plan counters), the outcomes callers
@@ -514,8 +498,8 @@ class Executor:
         key — shared across every candidate and filter on that
         structure, and across the executors sharing the cache — for one
         cache generation.  The counters describe this executor's
-        lookups: its first plan of a structure is a build, with its
-        pass's sketched estimates, and every later one a hit.
+        lookups: its first plan of a structure is a build, and every
+        later one a hit.
         """
         structure = join_prefix_key(query)
         plans = self._cache.plans
@@ -529,7 +513,6 @@ class Executor:
         else:
             self._planned.add(structure)
             self.stats.plan_cache_builds += 1
-            self.stats.sketch_estimates_used += plan.sketch_estimates
         return plan
 
     def _lower(self, order: JoinOrder) -> _JoinPlan:
@@ -559,7 +542,7 @@ class Executor:
                 )
             )
             joined.add(new_table)
-        return _JoinPlan(order.start_table, tuple(steps), order.sketch_estimates)
+        return _JoinPlan(order.start_table, tuple(steps))
 
     def _column_position(self, table: str, column: str) -> int:
         return self._database.table(table).column_position(column)

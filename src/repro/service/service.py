@@ -53,7 +53,9 @@ from repro.dataset.database import Database
 from repro.discovery.candidates import GenerationLimits
 from repro.discovery.engine import DEFAULT_TIME_LIMIT_SECONDS, Prism
 from repro.discovery.result import DiscoveryResult, DiscoveryStats
+from repro.discovery.scheduler import make_policy
 from repro.errors import (
+    DiscoveryError,
     DiscoveryTimeout,
     ReproError,
     ServiceError,
@@ -242,10 +244,6 @@ class ServiceMetrics:
     latency_max_seconds: float = 0.0
     latency_p50_seconds: float = 0.0
     latency_p95_seconds: float = 0.0
-    #: Planner estimates answered from HLL/histogram sketches instead of
-    #: raw counts, across all completed rounds (see
-    #: :class:`~repro.query.executor.ExecutionStats`).
-    sketch_estimates_used: int = 0
     artifacts: dict = field(default_factory=dict)
     #: Process mode only: per-shard breakdown — ``{shard_id: {"served": n,
     #: "artifacts": {...}}}``.  ``artifacts`` above is then the
@@ -271,7 +269,6 @@ class ServiceMetrics:
             "latency_max_seconds": self.latency_max_seconds,
             "latency_p50_seconds": self.latency_p50_seconds,
             "latency_p95_seconds": self.latency_p95_seconds,
-            "sketch_estimates_used": self.sketch_estimates_used,
             "artifacts": dict(self.artifacts),
             "shards": {key: dict(value) for key, value in self.shards.items()},
         }
@@ -406,7 +403,8 @@ class DiscoveryService:
                 queue rejects submissions with
                 :class:`~repro.errors.ServiceOverloaded`.
             default_scheduler: scheduling policy for requests that do not
-                name one.
+                name one, one of
+                :data:`~repro.discovery.scheduler.POLICY_NAMES`.
             default_deadline_s: per-round budget (seconds) for requests
                 that do not carry their own: a positive int or float.
             limits: candidate-generation bounds applied to every request.
@@ -435,6 +433,10 @@ class DiscoveryService:
             )
         if queue_size < 1:
             raise ServiceError("queue_size must be at least 1")
+        try:
+            make_policy(default_scheduler)
+        except DiscoveryError as exc:
+            raise ServiceError(f"default_scheduler: {exc}") from exc
         default_deadline_s = _wire.deadline_seconds(
             default_deadline_s, "the service's default"
         )
@@ -487,7 +489,6 @@ class DiscoveryService:
         self._latency_total = 0.0
         self._latency_min = float("inf")
         self._latency_max = 0.0
-        self._sketch_estimates_used = 0
         self._shard_served: dict[int, int] = {}
         self._shard_artifacts: dict[int, dict] = {}
         self._request_ids = itertools.count(1)
@@ -738,7 +739,6 @@ class DiscoveryService:
                 in_flight=self._in_flight,
                 queue_depth=self._queue.qsize(),
                 latency_count=self._latency_count,
-                sketch_estimates_used=self._sketch_estimates_used,
             )
             if self._latency_count:
                 snapshot.latency_mean_seconds = (
@@ -899,8 +899,4 @@ class DiscoveryService:
             self._latency_total += latency
             self._latency_min = min(self._latency_min, latency)
             self._latency_max = max(self._latency_max, latency)
-            if response.result is not None:
-                self._sketch_estimates_used += (
-                    response.result.stats.sketch_estimates_used
-                )
         ticket._resolve(response)

@@ -353,9 +353,8 @@ class PrismSession:
                 ref = query.projections[position]
                 constraint = row.cell(position)
                 # Tag with the constraint object itself (rendered via its
-                # describe()): the planner's histogram selectivity path
-                # inspects Range bounds, so the explain annotations show
-                # the same sketch-vs-raw estimates validation planned with.
+                # describe()): the planner prices a Range from its bounds
+                # against the column's min and max.
                 specs.append(
                     PredicateSpec(ref.table, ref.column, tag=constraint)
                 )

@@ -131,5 +131,24 @@ class TestLimits:
         candidates = generator.generate(spec, finder.find(spec), deadline=0.0)
         assert candidates == []
 
+    @pytest.mark.parametrize("field", [
+        "max_tables",
+        "max_trees_per_assignment",
+        "max_assignments",
+        "max_candidates",
+        "max_unconstrained_choices",
+    ])
+    @pytest.mark.parametrize("bound", [0, -5, True, False, 2.0, "10", None])
+    def test_a_bound_that_is_not_a_positive_int_is_rejected(self, field, bound):
+        with pytest.raises(DiscoveryError, match=field):
+            GenerationLimits(**{field: bound})
+
+    def test_a_bound_of_one_is_honoured(self, company_db, finder):
+        limits = GenerationLimits(max_candidates=1)
+        generator = CandidateGenerator(company_db, SchemaGraph(company_db), limits)
+        spec = MappingSpec(2)
+        spec.add_sample_cells([ExactValue("Engineering"), None])
+        assert len(generator.generate(spec, finder.find(spec))) == 1
+
     def test_limits_are_exposed(self, generator):
         assert generator.limits.max_candidates >= 1

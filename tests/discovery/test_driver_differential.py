@@ -9,9 +9,8 @@ policy, with and without a validation budget, must make the same
 validator calls in the same order (each chosen filter, and each probe
 that reached the executor, which pins the oracle's peek order), reach
 the same confirmed and pruned candidates and the same counters, and
-leave the executor with the same statistics, ``sketch_estimates_used``
-included.  The reference runs with its batching off: the driver
-validates each chosen filter on its own.
+leave the executor with the same statistics.  The reference runs with
+its batching off: the driver validates each chosen filter on its own.
 
 Each filter's rank constants (a failure probability and a cost, for
 the ``filter`` and ``bayesian`` policies) must equal, with ``==``, what
@@ -129,7 +128,7 @@ class _RecordingValidator(FilterValidator):
 
 def _run(module, policy, engine, spec, filter_set, budget) -> dict:
     """Everything one driver run decides and counts, on a fresh executor."""
-    executor = Executor(engine.database, catalog=engine.catalog, use_sketches=True)
+    executor = Executor(engine.database, catalog=engine.catalog)
     validator = _RecordingValidator(executor, spec)
     unbatched = {"batch": False} if module is reference else {}
     result = module.ValidationDriver(
@@ -176,7 +175,7 @@ def _driver_constants(policy, engine, spec, filter_set) -> list[tuple]:
             contexts.append(context)
             return super().select(context)
 
-    executor = Executor(engine.database, catalog=engine.catalog, use_sketches=True)
+    executor = Executor(engine.database, catalog=engine.catalog)
     scheduler.ValidationDriver(
         filter_set,
         FilterValidator(executor, spec),
@@ -190,7 +189,7 @@ def _driver_constants(policy, engine, spec, filter_set) -> list[tuple]:
 def _reference_constants(policy, engine, spec, filter_set) -> list[tuple]:
     """Each filter's rank constants, each computed on its own from the
     reference driver's context, as its policies score a filter."""
-    executor = Executor(engine.database, catalog=engine.catalog, use_sketches=True)
+    executor = Executor(engine.database, catalog=engine.catalog)
     validator = FilterValidator(executor, spec)
     context = reference._DriverContext(
         filter_set, spec, engine.estimator, validator, executor.planner
@@ -276,9 +275,7 @@ def test_each_factor_is_computed_once_per_run(
     monkeypatch.setattr(ColumnDistribution, "match_probability", counting_match)
     monkeypatch.setattr(SelectivityEstimator, "expected_result_size", counting_size)
     for run in (1, 2):
-        executor = Executor(
-            engine.database, catalog=engine.catalog, use_sketches=True
-        )
+        executor = Executor(engine.database, catalog=engine.catalog)
         scheduler.ValidationDriver(
             filter_set,
             FilterValidator(executor, spec),
@@ -337,9 +334,7 @@ def test_driver_counts_match_their_definitions(engines, database, shape, level):
     engine = engines(database)
     spec, filter_set = _case(engine, shape, level)
     for policy in scheduler.POLICY_NAMES:
-        executor = Executor(
-            engine.database, catalog=engine.catalog, use_sketches=True
-        )
+        executor = Executor(engine.database, catalog=engine.catalog)
         result = scheduler.ValidationDriver(
             filter_set,
             FilterValidator(executor, spec),

@@ -127,6 +127,16 @@ class TestSchedulersThroughEngine:
         assert result.stats.scheduler_name in (scheduler, "filter", "bayesian",
                                                "naive", "optimal")
 
+    @pytest.mark.parametrize("scheduler", [5, None, "bogus", "prism"])
+    def test_an_unknown_scheduler_is_rejected(self, company_db_session, scheduler):
+        with pytest.raises(DiscoveryError, match="unknown scheduler"):
+            Prism(company_db_session, scheduler=scheduler, train_bayesian=False)
+        engine = Prism(company_db_session, train_bayesian=False)
+        spec = MappingSpec(1).add_sample_cells([ExactValue("Engineering")])
+        if scheduler is not None:  # None picks the engine's default
+            with pytest.raises(DiscoveryError, match="unknown scheduler"):
+                engine.discover(spec, scheduler=scheduler)
+
     def test_bayesian_without_models_raises(self, company_db_session):
         engine = Prism(company_db_session, train_bayesian=False)
         spec = MappingSpec(1).add_sample_cells([ExactValue("Engineering")])
@@ -295,6 +305,8 @@ class TestCacheObservability:
             assert key in stats
         # The validation stage runs real probes on a cold cache.
         assert first.stats.exists_cache_misses > 0
+        # Kept for the v1 wire format; nothing counts them any more.
+        assert stats["bloom_rejections"] == stats["sketch_estimates_used"] == 0
 
         # A repeated discovery on the same engine answers its probes from
         # the executor's existence memo; the join-index counters stay 0.

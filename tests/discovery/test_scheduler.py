@@ -16,6 +16,7 @@ from repro.discovery.scheduler import (
     BayesianPolicy,
     NaivePolicy,
     OptimalPolicy,
+    POLICY_NAMES,
     PathLengthPolicy,
     ValidationDriver,
     make_policy,
@@ -77,17 +78,19 @@ def run_with(policy, company_db, estimator=None, spec=None, candidates=None):
 
 class TestPolicyFactory:
     def test_known_names(self):
+        assert POLICY_NAMES == ("naive", "filter", "bayesian", "optimal")
         assert isinstance(make_policy("naive"), NaivePolicy)
         assert isinstance(make_policy("filter"), PathLengthPolicy)
-        assert isinstance(make_policy("path_length"), PathLengthPolicy)
         assert isinstance(make_policy("bayesian"), BayesianPolicy)
-        assert isinstance(make_policy("prism"), BayesianPolicy)
         assert isinstance(make_policy("optimal"), OptimalPolicy)
-        assert isinstance(make_policy("ORACLE"), OptimalPolicy)
 
-    def test_unknown_name_raises(self):
-        with pytest.raises(DiscoveryError):
-            make_policy("quantum")
+    @pytest.mark.parametrize("name", [
+        "quantum", "prism", "oracle", "path_length", "path-length",
+        "Bayesian", " naive", 5, None, True, ("bayesian",),
+    ])
+    def test_any_other_name_raises(self, name):
+        with pytest.raises(DiscoveryError, match="naive.*filter.*bayesian.*optimal"):
+            make_policy(name)
 
 
 class TestDriverCorrectness:

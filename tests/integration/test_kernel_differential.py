@@ -20,8 +20,6 @@ the reference at every level —
   edge-kernel revalidation are under test, not just cold caches);
 * end-to-end discovery: the SQL equals a brute-force reference decision
   over the same candidate set;
-* sketches: HLL and histogram estimates never change a discovery
-  outcome;
 * the incremental artifact path: ``ArtifactStore.refresh`` matches a
   cold rebuild, and discovery over the refreshed bundle matches
   discovery over the cold one.
@@ -312,61 +310,6 @@ def test_discovery_is_identical_with_kernels_on_and_off(seed, level):
             if _reference_confirms(reference_db, spec, candidate.query)
         )
         assert sorted(got.sql()) == reference_sqls
-
-
-# ----------------------------------------------------------------------
-# Sketch transparency: estimates steer, they never decide
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("seed,level", [
-    (11, ResolutionLevel.EXACT),
-    (29, ResolutionLevel.MIXED),
-])
-def test_sketches_never_change_discovery_outcomes(seed, level):
-    """Sketch-informed discovery returns bit-for-bit the sketch-free
-    answer on adversarial (skewed, dangling-FK) data — HLL estimates may
-    reorder work, but never change an outcome."""
-    def _adversarial_db():
-        return generate_synthetic_database(
-            num_tables=4,
-            rows_per_table=40,
-            topology="random",
-            seed=seed,
-            skew=1.0,
-            dangling_fk_fraction=0.4,
-        )
-
-    spec_db = _adversarial_db()
-    spec_engine = Prism(spec_db, limits=_LIMITS, time_limit=60.0)
-    generator = WorkloadGenerator(spec_db, seed=seed)
-    specs = [
-        spec_for_level(
-            generator.generate_case(num_columns=3, num_tables=2),
-            level, spec_db, catalog=spec_engine.catalog, seed=seed,
-        )
-        for __ in range(2)
-    ]
-
-    sketch_estimates_used = 0
-    sketched = Prism(_adversarial_db(), limits=_LIMITS, time_limit=60.0)
-    raw = Prism(
-        sketched.database,
-        limits=_LIMITS,
-        time_limit=60.0,
-        use_sketches=False,
-        index=sketched.index,
-        catalog=sketched.catalog,
-        schema_graph=sketched.schema_graph,
-        models=sketched.models,
-    )
-    for spec in specs:
-        got = sketched.discover(spec, scheduler="bayesian")
-        want = raw.discover(spec, scheduler="bayesian")
-        assert got.sql() == want.sql()
-        assert got.num_queries == want.num_queries
-        sketch_estimates_used += got.stats.sketch_estimates_used
-        # The raw engine must be genuinely sketch-free.
-        assert want.stats.sketch_estimates_used == 0
-    assert sketch_estimates_used > 0
 
 
 # ----------------------------------------------------------------------

@@ -163,7 +163,7 @@ class TestOneGenerationPerArtifactKey:
         executor.outcomes["stored"] = False
         cache = executor.cache
         (edge,) = cache.edge_kernels.values()
-        assert cache.structure_orders == {} and cache.edge_selectivity
+        assert cache.structure_orders == {}
         builds = executor.stats.plan_cache_builds
 
         change(database, catalog)
@@ -188,9 +188,8 @@ class TestOneGenerationPerArtifactKey:
         assert executor.planner.memos is rebuilt_cache
 
     def test_the_sweep_decides_a_dangling_child_probe(self):
-        """With a catalog and its sketches, the dangling child's probe
-        still reaches the semijoin sweep: its one edge is folded, and no
-        parent is left."""
+        """With a catalog, the dangling child's probe still reaches the
+        semijoin sweep: its one edge is folded, and no parent is left."""
         database = _parent_child()
         executor = Executor(database, MetadataCatalog.build(database))
         assert not executor.exists(FAMILY, ORPHAN)
@@ -358,7 +357,7 @@ class TestCacheBounds:
 # ----------------------------------------------------------------------
 # The bundle's cache: one per artifact key, shared by its engines
 # ----------------------------------------------------------------------
-CACHE_PARTS = ("plans", "edge_kernels", "edge_selectivity", "structure_orders")
+CACHE_PARTS = ("plans", "edge_kernels", "structure_orders")
 
 
 def _count_builds(monkeypatch) -> Counter:
@@ -425,7 +424,7 @@ class TestBundleCache:
         self, company_db
     ):
         """Counters describe each engine's own lookups, so even the plan
-        and sketch counters do not depend on how warm the bundle is."""
+        counters do not depend on how warm the bundle is."""
         warm = ArtifactStore().get(company_db)
         for spec in _company_specs():
             Prism.from_artifacts(warm).discover(spec)

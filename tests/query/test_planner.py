@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.constraints.values import Range
+from repro.dataset import Column, Database, DataType
 from repro.dataset.catalog import MetadataCatalog
 from repro.dataset.schema import ColumnRef, ForeignKey
+from repro.datasets import generate_synthetic_database
 from repro.errors import QueryError, SchemaError
 from repro.query.pj_query import ProjectJoinQuery
 from repro.query.plan import (
@@ -62,21 +69,11 @@ class TestCardinalities:
             6 * DEFAULT_FILTER_SELECTIVITY
         )
 
-    def test_join_estimate_uses_containment_assumption(self, company_db):
-        # With sketches disabled the estimate is the classic containment
-        # model: 6 * 4 / max(d(Employee.Department)=4, d(Department.Name)=4).
-        raw_planner = Planner(
-            company_db, MetadataCatalog.build(company_db), use_sketches=False
-        )
+    def test_join_estimate_uses_containment_assumption(self, planner):
+        # The classic containment model over the catalog's exact counts:
+        # 6 * 4 / max(d(Employee.Department)=4, d(Department.Name)=4).
         join = Join(Scan("Employee"), Scan("Department"), EMP_DEPT)
-        assert raw_planner.estimated_rows(join) == pytest.approx(6.0)
-
-    def test_sketch_join_estimate_close_to_containment(self, planner):
-        # The default (sketch-informed) planner replaces the containment
-        # denominator with HLL distinct estimates; on tiny exact-ish
-        # columns it must land within HLL error of the raw model.
-        join = Join(Scan("Employee"), Scan("Department"), EMP_DEPT)
-        assert planner.estimated_rows(join) == pytest.approx(6.0, rel=0.05)
+        assert planner.estimated_rows(join) == 6.0
 
     def test_project_is_transparent(self, planner):
         plan = planner.plan_query(TWO_TABLE)
@@ -179,21 +176,123 @@ class TestCatalogErrors:
         with pytest.raises(TypeError):
             planner.filter_selectivity(spec)
 
-    def test_histogram_selectivity_skips_the_null_discount(
+    def test_range_selectivity_falls_back_without_statistics(
         self, planner, monkeypatch
     ):
         spec = PredicateSpec("Employee", "Salary", tag=Range(90_000, 130_000))
         catalog = planner._catalog
-        histogram = catalog.sketches(ColumnRef("Employee", "Salary")).histogram
-        # Salary has no NULLs, so the discount is 1 either way.
-        expected = planner.filter_selectivity(spec)
-        assert expected == pytest.approx(
-            min(1.0, histogram.selectivity(90_000, 130_000))
-        )
+        # Salary spans [67,000, 120,000] and the range covers its top
+        # 30,000; the column has no NULLs to discount.
+        assert planner.filter_selectivity(spec) == pytest.approx(30 / 53)
         monkeypatch.setattr(catalog, "stats",
                             _raising(SchemaError("no statistics")))
-        assert planner.filter_selectivity(spec) == expected
+        assert planner.filter_selectivity(spec) == DEFAULT_FILTER_SELECTIVITY
         monkeypatch.setattr(catalog, "stats",
                             _raising(TypeError("broken catalog")))
         with pytest.raises(TypeError):
             planner.filter_selectivity(spec)
+
+
+def _readings_planner() -> Planner:
+    """A planner over one table whose ``Value`` spans [0, 10] with two
+    NULLs in ten rows, and whose ``Flat`` holds 5 in every row."""
+    database = Database("readings")
+    table = database.create_table(
+        "Reading",
+        [
+            Column("Value", DataType.DECIMAL),
+            Column("Flat", DataType.INT),
+            Column("Word", DataType.TEXT),
+        ],
+    )
+    values = [0.0, 1.0, 2.0, 4.0, 6.0, 8.0, 9.0, 10.0, None, None]
+    table.insert_many(
+        [(value, 5, f"w{i % 4}") for i, value in enumerate(values)]
+    )
+    return Planner(database, MetadataCatalog.build(database))
+
+
+class TestRangeSelectivity:
+    """A ``Range`` keeps the share of the column's exact ``[min, max]``
+    it covers, under a uniform assumption, discounted by the NULLs."""
+
+    @pytest.mark.parametrize("tag,share", [
+        (Range(2.5, 7.5), 0.5),
+        (Range(high=4), 0.4),
+        (Range(low=4), 0.6),
+        (Range(-100, 100), 1.0),
+        (Range(10, 10), 0.0),
+        (Range(20, 30), 0.0),
+        (Range(high=-1), 0.0),
+        (Range(math.nan, 5), 0.0),
+    ])
+    def test_share_of_the_min_max_span(self, tag, share):
+        planner = _readings_planner()
+        spec = PredicateSpec("Reading", "Value", tag=tag)
+        assert planner.filter_selectivity(spec) == pytest.approx(share * 0.8)
+
+    @pytest.mark.parametrize("tag,kept", [
+        (Range(5, 5), 1.0),
+        (Range(high=5), 1.0),
+        (Range(5, 9, low_inclusive=False), 0.0),
+        (Range(6, 9), 0.0),
+    ])
+    def test_a_single_valued_column_keeps_all_rows_or_none(self, tag, kept):
+        planner = _readings_planner()
+        spec = PredicateSpec("Reading", "Flat", tag=tag)
+        assert planner.filter_selectivity(spec) == kept
+
+    def test_other_ranges_keep_one_distinct_value(self):
+        planner = _readings_planner()
+        # Text columns and text bounds have no numeric span to share.
+        for column, tag in (
+            ("Word", Range("w0", "w2")),
+            ("Value", Range("a", "z")),
+        ):
+            spec = PredicateSpec("Reading", column, tag=tag)
+            distinct = planner._catalog.stats(
+                ColumnRef("Reading", column)
+            ).distinct_count
+            assert planner.filter_selectivity(spec) == 1 / distinct
+
+
+@st.composite
+def _dangling_chain(draw):
+    return generate_synthetic_database(
+        num_tables=4,
+        rows_per_table=draw(st.integers(min_value=100, max_value=2_000)),
+        topology="chain",
+        seed=draw(st.integers(min_value=0, max_value=1_000)),
+        skew=draw(st.sampled_from([0.0, 0.5, 1.1, 1.5])),
+        dangling_fk_fraction=draw(st.floats(min_value=0.0, max_value=0.99)),
+    )
+
+
+class TestNonEmptyJoins:
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_dangling_chain())
+    def test_a_non_empty_join_is_never_priced_as_empty(self, database):
+        """Every foreign-key join that matches a row is estimated at one
+        row or more, however many of its keys dangle."""
+        planner = Planner(database, MetadataCatalog.build(database))
+        for edge in database.foreign_keys:
+            parent = Counter(
+                value
+                for value in database.table(edge.parent_table).column_values(
+                    edge.parent_column
+                )
+                if value is not None
+            )
+            joined = sum(
+                parent[value]
+                for value in database.table(edge.child_table).column_values(
+                    edge.child_column
+                )
+                if value is not None
+            )
+            if joined:
+                join = Join(
+                    Scan(edge.child_table), Scan(edge.parent_table), edge
+                )
+                assert planner.estimated_rows(join) >= 1, (edge, joined)

@@ -101,19 +101,6 @@ def _assert_catalogs_equal(refreshed, cold):
                 assert got_value == pytest.approx(
                     want_value, rel=1e-12, abs=1e-9, nan_ok=True
                 ), (ref, field)
-        # Sketches must survive the delta fold: HLL registers fold to
-        # exactly the cold-rebuild state.
-        got_sketches = refreshed.sketches(ref)
-        want_sketches = cold.sketches(ref)
-        assert (got_sketches is None) == (want_sketches is None), ref
-        if got_sketches is not None:
-            assert got_sketches.hll == want_sketches.hll, ref
-            if (
-                want_sketches.histogram is not None
-                and got_sketches.histogram is not None
-            ):
-                assert got_sketches.histogram.total == \
-                    want_sketches.histogram.total, ref
 
 
 def _assert_models_equal(refreshed, cold):
@@ -308,7 +295,6 @@ def _cache_entries(bundle) -> dict:
     return {
         "plans": dict(cache.plans),
         "edge_kernels": dict(cache.edge_kernels),
-        "edge_selectivity": dict(cache.edge_selectivity),
         "structure_orders": dict(cache.structure_orders),
     }
 

@@ -73,6 +73,15 @@ class TestSubmission:
         assert response.result is None
         assert "not-a-policy" in response.error
 
+    @pytest.mark.parametrize("scheduler", [5, "bogus", "prism"])
+    def test_an_unknown_request_scheduler_answers_an_error(
+        self, service, scheduler
+    ):
+        response = service.execute(_company_request(scheduler=scheduler))
+        assert response.status == "error"
+        assert response.error.startswith("DiscoveryError: unknown scheduler")
+        assert service.execute(_company_request()).ok
+
     def test_submit_after_shutdown_raises(self, company_db):
         svc = DiscoveryService(databases={"company": company_db})
         svc.shutdown()
@@ -253,6 +262,16 @@ class TestConfigurationValidation:
                     databases={"company": company_db},
                     default_deadline_s=deadline_s,
                 )
+
+    @pytest.mark.parametrize("scheduler", [5, None, "bogus", "prism"])
+    def test_an_unknown_default_scheduler_is_rejected(self, company_db, scheduler):
+        """Checked when the service starts, not on every request it
+        would then fail."""
+        with pytest.raises(ServiceError, match="default_scheduler"):
+            DiscoveryService(
+                databases={"company": company_db},
+                default_scheduler=scheduler,
+            )
 
     @pytest.mark.parametrize("deadline_s", [0, -1.0, math.nan])
     def test_nonpositive_request_budget_rejected(self, service, deadline_s):
